@@ -8,10 +8,12 @@ package hetrta_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 
 	hetrta "repro"
+	"repro/internal/dag"
 	"repro/internal/exact"
 	"repro/internal/experiments"
 	"repro/internal/platform"
@@ -367,4 +369,59 @@ func BenchmarkAdmitDelta(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchWireGraph is a 16-node heterogeneous task in the wire form the
+// daemon receives, the size of the serving benchmark's median hot graph.
+func benchWireGraph(b *testing.B) []byte {
+	b.Helper()
+	g, _, _, err := taskgen.MustNew(taskgen.Small(16, 16), 2018).HetTask(0.15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := json.Marshal(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return data
+}
+
+// BenchmarkGraphDecode measures request-graph decoding, wire bytes to a
+// *Graph: "decode" through dag.Decode, the daemon's entry point, and
+// "unmarshal" through json.Unmarshal, the CLIs' and the store's.
+func BenchmarkGraphDecode(b *testing.B) {
+	data := benchWireGraph(b)
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := dag.Decode(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := hetrta.NewGraph()
+			if err := json.Unmarshal(data, g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkFingerprint measures the canonical hash (color refinement,
+// canonical order, SHA-256) of the decode benchmark's graph, with the memo
+// invalidated before every call as on a freshly decoded request.
+func BenchmarkFingerprint(b *testing.B) {
+	g, err := dag.Decode(benchWireGraph(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.SetWCET(0, g.WCET(0)) // a no-op mutation: invalidates the memo
+		g.Fingerprint()
+	}
 }

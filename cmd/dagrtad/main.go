@@ -98,6 +98,7 @@ import (
 	"time"
 
 	hetrta "repro"
+	"repro/internal/dag"
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/service"
@@ -482,8 +483,8 @@ func (d *daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	g := hetrta.NewGraph()
-	if err := json.Unmarshal(body, g); err != nil {
+	g, err := dag.Decode(body)
+	if err != nil {
 		d.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -531,15 +532,22 @@ func decodeAdmitRequest(body []byte, maxTasks int) (hetrta.Taskset, error) {
 	}
 	ts := hetrta.Taskset{Tasks: make([]hetrta.SporadicTask, len(req.Tasks))}
 	for i, tk := range req.Tasks {
-		g := hetrta.NewGraph()
-		if len(tk.Graph) > 0 {
-			if err := json.Unmarshal(tk.Graph, g); err != nil {
-				return hetrta.Taskset{}, fmt.Errorf("task %d: %v", i, err)
-			}
+		g, err := decodeTaskGraph(tk.Graph)
+		if err != nil {
+			return hetrta.Taskset{}, fmt.Errorf("task %d: %v", i, err)
 		}
 		ts.Tasks[i] = hetrta.SporadicTask{G: g, Period: tk.Period, Deadline: tk.Deadline, Jitter: tk.Jitter}
 	}
 	return ts, nil
+}
+
+// decodeTaskGraph decodes one admission task's graph; an absent graph
+// decodes as an empty one.
+func decodeTaskGraph(raw json.RawMessage) (*hetrta.Graph, error) {
+	if len(raw) == 0 {
+		return hetrta.NewGraph(), nil
+	}
+	return dag.Decode(raw)
 }
 
 func (d *daemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
@@ -601,11 +609,9 @@ func decodeAdmitDeltaRequest(body []byte, maxTasks int) (hetrta.TasksetFingerpri
 		return base, delta, fmt.Errorf("%d delta edits exceed the %d limit", edits, maxTasks)
 	}
 	decodeTask := func(tk admitTask, what string) (hetrta.SporadicTask, error) {
-		g := hetrta.NewGraph()
-		if len(tk.Graph) > 0 {
-			if err := json.Unmarshal(tk.Graph, g); err != nil {
-				return hetrta.SporadicTask{}, fmt.Errorf("%s: %v", what, err)
-			}
+		g, err := decodeTaskGraph(tk.Graph)
+		if err != nil {
+			return hetrta.SporadicTask{}, fmt.Errorf("%s: %v", what, err)
 		}
 		return hetrta.SporadicTask{G: g, Period: tk.Period, Deadline: tk.Deadline, Jitter: tk.Jitter}, nil
 	}
@@ -710,12 +716,9 @@ func (d *daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	graphs := make([]*hetrta.Graph, len(req.Graphs))
 	decodeErrs := make([]error, len(req.Graphs))
 	for i, raw := range req.Graphs {
-		g := hetrta.NewGraph()
-		if err := json.Unmarshal(raw, g); err != nil {
-			decodeErrs[i] = err // reported per item, not failing the batch
-			continue
-		}
-		graphs[i] = g
+		// A failed item stays nil and is reported per item, not failing
+		// the batch.
+		graphs[i], decodeErrs[i] = dag.Decode(raw)
 	}
 	ctx, cancel := d.requestCtx(r)
 	defer cancel()

@@ -1,10 +1,11 @@
 package dag
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // Fingerprint is a 256-bit canonical content hash of a task graph: two
@@ -71,8 +72,25 @@ func fnvStr(h uint64, s string) uint64 {
 func (g *Graph) computeFingerprint() Fingerprint {
 	n := len(g.nodes)
 
+	// Scratch comes in two bulk allocations, one per element type, each
+	// cut into slices that never outgrow their capacity: no row has more
+	// than maxDeg neighbors.
+	maxDeg := 0
+	for i := range g.nodes {
+		maxDeg = max(maxDeg, len(g.preds[i]), len(g.succs[i]))
+	}
+	lbuf := make([]uint64, 3*n+maxDeg)
+	labels, next, scratch := lbuf[:n], lbuf[n:2*n], lbuf[2*n:3*n]
+	nbr := lbuf[3*n : 3*n : 3*n+maxDeg]
+	ibuf := make([]int, 4*n+2*maxDeg)
+	pos := ibuf[:n] // node ID -> canonical position
+	indeg := ibuf[n : 2*n]
+	order := ibuf[2*n : 2*n : 3*n]
+	ready := ibuf[3*n : 3*n : 4*n]
+	pa := ibuf[4*n : 4*n : 4*n+maxDeg] // predecessor-position scratch
+	pb := ibuf[4*n+maxDeg : 4*n+maxDeg : 4*n+2*maxDeg]
+
 	// Initial labels: node content plus degrees.
-	labels := make([]uint64, n)
 	for i := range g.nodes {
 		nd := &g.nodes[i]
 		h := fnvU64(fnvOffset64, uint64(nd.WCET))
@@ -88,9 +106,7 @@ func (g *Graph) computeFingerprint() Fingerprint {
 	// into each node's label until the partition stops refining. On DAGs
 	// this converges in O(diameter) rounds; the cap bounds adversarial
 	// inputs from the fuzzer.
-	next := make([]uint64, n)
-	var nbr []uint64
-	distinct := countDistinct(labels)
+	distinct := countDistinct(labels, scratch)
 	for round := 0; round < n && distinct < n; round++ {
 		for i := 0; i < n; i++ {
 			h := fnvU64(labels[i], 0x9e3779b97f4a7c15)
@@ -98,7 +114,7 @@ func (g *Graph) computeFingerprint() Fingerprint {
 			for _, p := range g.preds[i] {
 				nbr = append(nbr, labels[p])
 			}
-			sortU64(nbr)
+			slices.Sort(nbr)
 			for _, v := range nbr {
 				h = fnvU64(h, v)
 			}
@@ -107,14 +123,14 @@ func (g *Graph) computeFingerprint() Fingerprint {
 			for _, s := range g.succs[i] {
 				nbr = append(nbr, labels[s])
 			}
-			sortU64(nbr)
+			slices.Sort(nbr)
 			for _, v := range nbr {
 				h = fnvU64(h, v)
 			}
 			next[i] = h
 		}
 		labels, next = next, labels
-		d := countDistinct(labels)
+		d := countDistinct(labels, scratch)
 		if d == distinct {
 			break
 		}
@@ -127,42 +143,27 @@ func (g *Graph) computeFingerprint() Fingerprint {
 	// fires between nodes the refinement could not distinguish, which are
 	// automorphic in every non-pathological graph, so either choice yields
 	// the same normal form.
-	pos := make([]int, n) // node ID -> canonical position
-	for i := range pos {
-		pos[i] = -1
-	}
-	order := make([]int, 0, n)
-	indeg := make([]int, n)
-	ready := make([]int, 0, n)
 	for i := 0; i < n; i++ {
+		pos[i] = -1
 		indeg[i] = len(g.preds[i])
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	var pa, pb []int // predecessor-position scratch
-	predPos := func(id int, buf []int) []int {
-		buf = buf[:0]
-		for _, p := range g.preds[id] {
-			buf = append(buf, pos[p])
-		}
-		sort.Ints(buf)
-		return buf
-	}
 	for len(ready) > 0 {
 		best := 0
-		pa = predPos(ready[0], pa)
+		pa = predPositions(pa, g.preds[ready[0]], pos)
 		for c := 1; c < len(ready); c++ {
 			u, v := ready[best], ready[c]
 			if labels[v] != labels[u] {
 				if labels[v] < labels[u] {
 					best = c
-					pa = predPos(v, pa)
+					pa = predPositions(pa, g.preds[v], pos)
 				}
 				continue
 			}
-			pb = predPos(v, pb)
-			if cmp := cmpInts(pb, pa); cmp < 0 || (cmp == 0 && v < u) {
+			pb = predPositions(pb, g.preds[v], pos)
+			if cmp := slices.Compare(pb, pa); cmp < 0 || (cmp == 0 && v < u) {
 				best = c
 				pa, pb = pb, pa
 			}
@@ -190,11 +191,11 @@ func (g *Graph) computeFingerprint() Fingerprint {
 				rest = append(rest, i)
 			}
 		}
-		sort.Slice(rest, func(a, b int) bool {
-			if labels[rest[a]] != labels[rest[b]] {
-				return labels[rest[a]] < labels[rest[b]]
+		slices.SortFunc(rest, func(a, b int) int {
+			if c := cmp.Compare(labels[a], labels[b]); c != 0 {
+				return c
 			}
-			return rest[a] < rest[b]
+			return cmp.Compare(a, b)
 		})
 		for _, u := range rest {
 			pos[u] = len(order)
@@ -203,68 +204,65 @@ func (g *Graph) computeFingerprint() Fingerprint {
 	}
 
 	// Hash the normal form: node contents in canonical order, then the
-	// edge set as canonical position pairs.
-	h := sha256.New()
-	var w [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		h.Write(w[:])
-	}
-	putU64(uint64(n))
+	// edge set as canonical position pairs, all little-endian uint64s
+	// except the names' bytes, written into one buffer sized up front.
+	size := 8
 	if cyclic {
-		putU64(0xc7c11c) // domain-separate cyclic fallbacks
+		size += 8
+	}
+	for i := range g.nodes {
+		size += 4*8 + len(g.nodes[i].Name)
+	}
+	size += 2 * 8 * g.edgeCount
+	buf := make([]byte, 0, size)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	if cyclic {
+		buf = binary.LittleEndian.AppendUint64(buf, 0xc7c11c) // domain-separate cyclic fallbacks
 	}
 	for _, u := range order {
 		nd := &g.nodes[u]
-		putU64(uint64(nd.WCET))
-		putU64(uint64(nd.Kind))
-		putU64(uint64(nd.Class))
-		putU64(uint64(len(nd.Name)))
-		h.Write([]byte(nd.Name))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(nd.WCET))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(nd.Kind))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(nd.Class))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(nd.Name)))
+		buf = append(buf, nd.Name...)
 	}
-	var succPos []int
+	succPos := pa[:0]
 	for i, u := range order {
 		succPos = succPos[:0]
 		for _, v := range g.succs[u] {
 			succPos = append(succPos, pos[v])
 		}
-		sort.Ints(succPos)
+		slices.Sort(succPos)
 		for _, p := range succPos {
-			putU64(uint64(i))
-			putU64(uint64(p))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(i))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
 		}
 	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
-	return fp
+	return sha256.Sum256(buf)
 }
 
-func countDistinct(labels []uint64) int {
-	seen := make(map[uint64]struct{}, len(labels))
-	for _, l := range labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
-}
-
-func sortU64(s []uint64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func cmpInts(a, b []int) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
+// countDistinct returns the number of distinct labels, sorting a copy in
+// scratch (len(scratch) ≥ len(labels)).
+func countDistinct(labels, scratch []uint64) int {
+	s := scratch[:len(labels)]
+	copy(s, labels)
+	slices.Sort(s)
+	d := 0
+	for i, l := range s {
+		if i == 0 || l != s[i-1] {
+			d++
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
+	return d
+}
+
+// predPositions returns the sorted canonical positions of preds in buf.
+func predPositions(buf, preds, pos []int) []int {
+	buf = buf[:0]
+	for _, p := range preds {
+		buf = append(buf, pos[p])
 	}
-	return 0
+	slices.Sort(buf)
+	return buf
 }

@@ -404,8 +404,8 @@ func (g *Graph) Clone() *Graph {
 // FromAdjacency builds a graph in one pass from a node slice and per-node
 // successor lists. Each succs[u] must be sorted ascending and duplicate-free
 // (the invariant AddEdge maintains); node IDs are re-assigned to the slice
-// index. Both inputs are copied, with all adjacency packed into two bulk
-// allocations, so construction is O(V+E) with O(1) allocations — the
+// index. Both inputs are copied, with all adjacency packed into one bulk
+// allocation, so construction is O(V+E) with O(1) allocations — the
 // fast path for algorithms like the DAG transformation that can compute
 // their output's full edge set up front instead of cloning and mutating.
 func FromAdjacency(nodes []Node, succs [][]int) (*Graph, error) {
@@ -413,22 +413,17 @@ func FromAdjacency(nodes []Node, succs [][]int) (*Graph, error) {
 	if len(succs) != n {
 		return nil, fmt.Errorf("dag: FromAdjacency: %d nodes but %d successor lists", n, len(succs))
 	}
-	g := &Graph{
-		nodes: make([]Node, n),
-		succs: make([][]int, n),
-		preds: make([][]int, n),
-	}
-	copy(g.nodes, nodes)
+	own := make([]Node, n)
+	copy(own, nodes)
 	total := 0
-	indeg := make([]int, n)
 	for u, list := range succs {
-		g.nodes[u].ID = u
+		own[u].ID = u
 		// Normalize the kind↔class invariant the setters maintain.
 		switch {
-		case g.nodes[u].Kind != Offload:
-			g.nodes[u].Class = 0
-		case g.nodes[u].Class < 1:
-			g.nodes[u].Class = 1
+		case own[u].Kind != Offload:
+			own[u].Class = 0
+		case own[u].Class < 1:
+			own[u].Class = 1
 		}
 		total += len(list)
 		prev := -1
@@ -443,29 +438,52 @@ func FromAdjacency(nodes []Node, succs [][]int) (*Graph, error) {
 				return nil, fmt.Errorf("dag: FromAdjacency: successors of %d not sorted/unique at %d", u, v)
 			}
 			prev = v
-			indeg[v]++
 		}
 	}
-	g.edgeCount = total
-	succBack := make([]int, 0, total)
+	rows := make([][]int, 2*n)
+	back := make([]int, 2*total)
+	succBack := back[:0:total]
 	for u, list := range succs {
 		start := len(succBack)
 		succBack = append(succBack, list...)
-		g.succs[u] = succBack[start:len(succBack):len(succBack)]
+		rows[u] = succBack[start:len(succBack):len(succBack)]
 	}
-	predBack := make([]int, total)
+	g := &Graph{}
+	g.pack(own, rows[:n:n], rows[n:], back[total:], make([]int, n))
+	return g, nil
+}
+
+// pack replaces g's contents with nodes and the successor rows succs, and
+// derives the predecessor rows. The successor rows must be in range,
+// sorted, duplicate-free and capacity-capped, so that AddEdge regrowing one
+// row never writes into a sibling. preds (len n) receives the predecessor
+// row headers and predBack (len = the edge count) their entries; indeg
+// (len ≥ n) is scratch. pack takes ownership of all but indeg.
+func (g *Graph) pack(nodes []Node, succs, preds [][]int, predBack, indeg []int) {
+	n := len(nodes)
+	indeg = indeg[:n]
+	clear(indeg)
+	for _, list := range succs {
+		for _, v := range list {
+			indeg[v]++
+		}
+	}
 	off := 0
-	for v := 0; v < n; v++ {
-		g.preds[v] = predBack[off : off : off+indeg[v]]
+	for v := range n {
+		preds[v] = predBack[off : off : off+indeg[v]]
 		off += indeg[v]
 	}
 	// Appending u ascending keeps every pred list sorted.
 	for u, list := range succs {
 		for _, v := range list {
-			g.preds[v] = append(g.preds[v], u)
+			preds[v] = append(preds[v], u)
 		}
 	}
-	return g, nil
+	g.invalidate()
+	g.nodes = nodes
+	g.succs = succs
+	g.preds = preds[:n:n]
+	g.edgeCount = len(predBack)
 }
 
 // Equal reports whether g and h have identical node sequences and edge sets.

@@ -1,9 +1,12 @@
 package dag
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -148,4 +151,65 @@ func TestJSONRoundTripsDeviceClasses(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"nodes":[{"wcet":1,"class":2}],"edges":[]}`), New()); err == nil {
 		t.Error("class on host node accepted")
 	}
+}
+
+// TestDecodeReverseStarBudget guards decoding against quadratic inputs. A
+// star of 160k nodes whose edges arrive in descending order (3.4 MB, under
+// the daemon's default 8 MiB body cap) made an insert-into-sorted-row
+// builder shift the hub's whole row on every edge: 8.8 s on one core,
+// before any admission limit or request timeout applies. Sorting each row
+// once decodes it in about 0.1 s. Both entry points are timed: Decode on
+// the canonical body, and json.Unmarshal on a variant the canonical scanner
+// declines, so the encoding/json path is covered too.
+func TestDecodeReverseStarBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decodes a 3.4 MB graph")
+	}
+	const n = 160_000
+	budget := 3 * time.Second
+	if raceEnabled {
+		budget *= 5
+	}
+	var b bytes.Buffer
+	b.WriteString(`{"nodes":[`)
+	for i := range n {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`{"wcet":1}`)
+	}
+	b.WriteString(`],"edges":[`)
+	for v := n - 1; v >= 1; v-- {
+		fmt.Fprintf(&b, "[0,%d]", v)
+		if v > 1 {
+			b.WriteByte(',')
+		}
+	}
+	b.WriteString(`]}`)
+	body := b.Bytes()
+	// An escaped key is outside the canonical form.
+	fallback := bytes.Replace(body, []byte(`"edges"`), []byte(`"\u0065dges"`), 1)
+	if ok, _ := scanCanonical(fallback, New()); ok {
+		t.Fatal("the canonical scanner accepted an escaped key")
+	}
+
+	check := func(name string, decode func() (*Graph, error)) {
+		start := time.Now()
+		g, err := decode()
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g.NumNodes() != n || g.NumEdges() != n-1 || g.OutDegree(0) != n-1 || g.InDegree(n-1) != 1 {
+			t.Fatalf("%s: decoded n=%d e=%d, want a %d-node star", name, g.NumNodes(), g.NumEdges(), n)
+		}
+		if elapsed > budget {
+			t.Errorf("%s: decoding the reverse-ordered star took %v, budget %v", name, elapsed, budget)
+		}
+	}
+	check("Decode", func() (*Graph, error) { return Decode(body) })
+	check("json.Unmarshal", func() (*Graph, error) {
+		var g Graph
+		return &g, json.Unmarshal(fallback, &g)
+	})
 }
