@@ -393,7 +393,7 @@ func BenchmarkGraphDecode(b *testing.B) {
 	data := benchWireGraph(b)
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := dag.Decode(data); err != nil {
 				b.Fatal(err)
 			}
@@ -401,9 +401,8 @@ func BenchmarkGraphDecode(b *testing.B) {
 	})
 	b.Run("unmarshal", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g := hetrta.NewGraph()
-			if err := json.Unmarshal(data, g); err != nil {
+		for b.Loop() {
+			if err := json.Unmarshal(data, hetrta.NewGraph()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -419,8 +418,7 @@ func BenchmarkFingerprint(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g.SetWCET(0, g.WCET(0)) // a no-op mutation: invalidates the memo
 		g.Fingerprint()
 	}

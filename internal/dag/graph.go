@@ -228,11 +228,8 @@ func (g *Graph) Reset() {
 // are ignored. AddEdge does not check acyclicity — use Validate or
 // IsAcyclic after construction.
 func (g *Graph) AddEdge(u, v int) error {
-	if u < 0 || u >= len(g.nodes) || v < 0 || v >= len(g.nodes) {
-		return fmt.Errorf("dag: edge (%d,%d) out of range [0,%d)", u, v, len(g.nodes))
-	}
-	if u == v {
-		return fmt.Errorf("dag: self-loop on node %d", u)
+	if err := checkEdge(u, v, len(g.nodes)); err != nil {
+		return err
 	}
 	if g.HasEdge(u, v) {
 		return nil
@@ -241,6 +238,18 @@ func (g *Graph) AddEdge(u, v int) error {
 	g.succs[u] = insertSorted(g.succs[u], v)
 	g.preds[v] = insertSorted(g.preds[v], u)
 	g.edgeCount++
+	return nil
+}
+
+// checkEdge rejects an edge (u, v) that is out of range for n nodes or a
+// self-loop.
+func checkEdge(u, v, n int) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("dag: edge (%d,%d) out of range [0,%d)", u, v, n)
+	}
+	if u == v {
+		return fmt.Errorf("dag: self-loop on node %d", u)
+	}
 	return nil
 }
 

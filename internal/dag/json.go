@@ -16,8 +16,8 @@ import (
 //	}
 //
 // Decoding has two front ends that share one builder. The canonical
-// scanner (scan.go) parses the form every encoder in this repository emits
-// in a single pass; anything else falls back to encoding/json into
+// scanner (scan.go) parses the form MarshalJSON emits in a single pass;
+// anything else falls back to encoding/json into
 // jsonGraph, which defines the semantics and the error text for every
 // input the scanner declines. Both hand their nodes to decodeNode and their
 // edges to setDecoded, so the two cannot disagree on what a graph means.
@@ -136,12 +136,8 @@ func decodeNode(i int, name string, wcet int64, kind string, class int) (Node, e
 func (g *Graph) setDecoded(nodes []Node, edges [][2]int) error {
 	n := len(nodes)
 	for _, e := range edges {
-		u, v := e[0], e[1]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return fmt.Errorf("dag: edge (%d,%d) out of range [0,%d)", u, v, n)
-		}
-		if u == v {
-			return fmt.Errorf("dag: self-loop on node %d", u)
+		if err := checkEdge(e[0], e[1], n); err != nil {
+			return err
 		}
 	}
 	// One allocation holds the row offsets, the successor rows and the

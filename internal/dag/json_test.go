@@ -153,14 +153,15 @@ func TestJSONRoundTripsDeviceClasses(t *testing.T) {
 	}
 }
 
-// TestDecodeReverseStarBudget guards decoding against quadratic inputs. A
+// TestDecodeReverseStarBudget guards decoding against quadratic inputs: a
 // star of 160k nodes whose edges arrive in descending order (3.4 MB, under
-// the daemon's default 8 MiB body cap) made an insert-into-sorted-row
-// builder shift the hub's whole row on every edge: 8.8 s on one core,
-// before any admission limit or request timeout applies. Sorting each row
-// once decodes it in about 0.1 s. Both entry points are timed: Decode on
-// the canonical body, and json.Unmarshal on a variant the canonical scanner
-// declines, so the encoding/json path is covered too.
+// the daemon's default 8 MiB body cap). Inserting each edge into a sorted
+// row shifts the hub's whole row every time, about 10 s of one core, and
+// the daemon decodes before any admission limit or request timeout
+// applies; sorting each row once takes well under a second. Both entry
+// points are timed: Decode on the canonical body, and json.Unmarshal on a
+// variant the canonical scanner declines, so the encoding/json path is
+// covered too.
 func TestDecodeReverseStarBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decodes a 3.4 MB graph")

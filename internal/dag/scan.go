@@ -17,7 +17,8 @@ import (
 //     and fit their field;
 //   - edges that are exact [u, v] pairs.
 //
-// Every encoder in this repository emits that form. Outside it,
+// Graph.MarshalJSON emits that form for every graph whose names need no
+// escaping (encoding/json escapes <, > and &). Outside it,
 // scanCanonical returns ok=false having touched nothing, and the caller
 // falls back to encoding/json. With ok=true, err is the error the
 // encoding/json path returns for data, and g holds the graph when err is
@@ -133,9 +134,9 @@ func (s *scanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// int64 scans -?(0|[1-9][0-9]*) within the range of an int64, as
+// num64 scans -?(0|[1-9][0-9]*) within the range of an int64, as
 // strconv.ParseInt would accept it; -0 is declined.
-func (s *scanner) int64() (int64, bool) {
+func (s *scanner) num64() (int64, bool) {
 	s.ws()
 	neg := s.pos < len(s.data) && s.data[s.pos] == '-'
 	if neg {
@@ -167,9 +168,9 @@ func (s *scanner) int64() (int64, bool) {
 	return int64(v), true
 }
 
-// int is int64 within the range of an int.
-func (s *scanner) int() (int, bool) {
-	v, ok := s.int64()
+// num is num64 within the range of an int.
+func (s *scanner) num() (int, bool) {
+	v, ok := s.num64()
 	return int(v), ok && int64(int(v)) == v
 }
 
@@ -217,13 +218,13 @@ func (s *scanner) nodes() (nodes []Node, nodeErr error, ok bool) {
 					name, ok = s.str()
 				case "wcet":
 					bit = 2
-					wcet, ok = s.int64()
+					wcet, ok = s.num64()
 				case "kind":
 					bit = 4
 					kind, ok = s.str()
 				case "class":
 					bit = 8
-					class, ok = s.int()
+					class, ok = s.num()
 				}
 				if !ok || bit == 0 || seen&bit != 0 {
 					return nil, nil, false
@@ -279,11 +280,11 @@ func (s *scanner) edges() ([][2]int, bool) {
 		if !s.consume('[') {
 			return nil, false
 		}
-		u, ok := s.int()
+		u, ok := s.num()
 		if !ok || !s.consume(',') {
 			return nil, false
 		}
-		v, ok := s.int()
+		v, ok := s.num()
 		if !ok || !s.consume(']') {
 			return nil, false
 		}
