@@ -38,6 +38,7 @@ func FuzzGraphJSON(f *testing.F) {
 		[]byte(`{"nodes":[{"wcet":1,"kind":"sync","class":3},{"kind":"offload","class":-1}]}`),
 		[]byte(" \t\r\n{ \"nodes\" : [ { \"wcet\" : 1 } , {} ] , \"edges\" : [ [ 1 , 0 ] ] } \n"),
 		// One seed per fallback trigger.
+		[]byte(`{"nodes":[{"name":"v\u00e9","wcet":1,"kind":"offl\u006fad"}]}`),
 		[]byte(`{"nodes":[{"name":"v1","wcet":1}]}`),
 		[]byte(`{"Nodes":[{"wcet":1}]}`),
 		[]byte(`{"nodes":[{"WCET":1}]}`),
