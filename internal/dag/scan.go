@@ -29,10 +29,10 @@ import (
 func scanCanonical(data []byte, g *Graph) (ok bool, err error) {
 	s := scanner{data: data}
 	var (
-		nodes          []Node
-		edges          [][2]int
-		nodeErr        error
-		hasNodes, hasE bool
+		nodes              []Node
+		edges              [][2]int
+		nodeErr            error
+		hasNodes, hasEdges bool
 	)
 	if !s.consume('{') {
 		return false, nil
@@ -53,10 +53,10 @@ func scanCanonical(data []byte, g *Graph) (ok bool, err error) {
 					return false, nil
 				}
 			case "edges":
-				if hasE {
+				if hasEdges {
 					return false, nil
 				}
-				hasE = true
+				hasEdges = true
 				if edges, ok = s.edges(); !ok {
 					return false, nil
 				}
