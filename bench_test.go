@@ -423,3 +423,78 @@ func BenchmarkFingerprint(b *testing.B) {
 		g.Fingerprint()
 	}
 }
+
+// BenchmarkServiceBatch measures Service.AnalyzeBatch on a batch shaped
+// like the serving benchmark's analyze-miss batches: eight graphs on a
+// 4+1 platform with the exact stage, a 10k expansion budget and the
+// daemon's overload-protection layer. "miss" serves six new graphs, one
+// in-batch duplicate and one resident graph on a fresh Service per op
+// (setup untimed); "hit" serves all eight from the cache.
+func BenchmarkServiceBatch(b *testing.B) {
+	ctx := context.Background()
+	plat, err := hetrta.ParsePlatform("4+1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	an, err := hetrta.NewAnalyzer(
+		hetrta.WithPlatform(plat),
+		hetrta.WithBounds(hetrta.RhomBound(), hetrta.RhetBound(), hetrta.TypedRhomBound()),
+		hetrta.WithPolicy(hetrta.BreadthFirst),
+		hetrta.WithExactOptions(hetrta.ExactOptions{MaxExpansions: 10_000, Parallelism: 1}),
+		hetrta.WithDegradation(hetrta.DegradeOptions{}),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	newSvc := func(b *testing.B) *service.Service {
+		svc, err := service.New(an, service.Options{Resilience: &service.ResilienceOptions{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return svc
+	}
+	gen := taskgen.MustNew(taskgen.Small(8, 24), 2018)
+	distinct := make([]*hetrta.Graph, 7)
+	for i := range distinct {
+		g, _, _, err := gen.HetTask(0.15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		distinct[i] = g
+	}
+	// Six new graphs, a duplicate of the third, and the resident graph.
+	gs := append(append([]*hetrta.Graph(nil), distinct[:6]...), distinct[2].Clone(), distinct[6])
+	run := func(b *testing.B, svc *service.Service) {
+		res, err := svc.AnalyzeBatch(ctx, gs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			svc := newSvc(b)
+			if _, err := svc.Analyze(ctx, distinct[6]); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			run(b, svc)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		svc := newSvc(b)
+		run(b, svc)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b, svc)
+		}
+	})
+}
