@@ -65,8 +65,8 @@ test:
 
 chaos:
 	$(GO) test -race -count=2 ./internal/resilience/...
-	$(GO) test -race -count=2 -run 'TestChaos|TestFailureNeverCached|TestDroppedCacheAdd|TestForcedCacheMiss|TestExecPanic' ./internal/service
-	$(GO) test -race -count=2 -run 'TestShedding|TestDegraded|TestBatchDegraded|TestHandlerPanic|TestGracefulShutdown|TestShutdownGrace|TestBodySize|TestReadyz' ./cmd/dagrtad
+	$(GO) test -race -count=2 -run 'TestChaos|TestFailureNeverCached|TestDroppedCacheAdd|TestForcedCacheMiss|TestExecPanic|TestBatchLone|TestBatchHoldsNoCharge' ./internal/service
+	$(GO) test -race -count=2 -run 'TestShedding|TestDegraded|TestBatchDegraded|TestBatchPanic|TestHandlerPanic|TestGracefulShutdown|TestShutdownGrace|TestBodySize|TestReadyz' ./cmd/dagrtad
 	$(GO) test -race -cpu=1,2,4 ./internal/exact
 
 # --- bench: the CI benchmark regression gate against the latest baseline.

@@ -235,6 +235,10 @@ func NewAnalyzer(opts ...Option) (*Analyzer, error) {
 	return a, nil
 }
 
+// Parallelism returns the AnalyzeBatch worker-pool size set by
+// WithParallelism; 0 means one worker per CPU.
+func (a *Analyzer) Parallelism() int { return a.parallelism }
+
 // Platform returns the analyzer's configured platform.
 func (a *Analyzer) Platform() Platform { return a.platform }
 

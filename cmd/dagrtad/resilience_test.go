@@ -344,6 +344,42 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestBatchPanicRecovered: a panic while a batch's items run on worker
+// goroutines still reaches the per-request recovery (503) instead of
+// killing the daemon, and the same batch succeeds afterwards.
+func TestBatchPanicRecovered(t *testing.T) {
+	inj := faultinject.New(faultinject.Rule{Point: faultinject.Exec, Count: 1, Panic: true})
+	base := startDaemonInj(t, inj)
+
+	req, err := json.Marshal(map[string]any{"graphs": []json.RawMessage{chainTask(t), hostPairTask(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, base+"/v1/analyze/batch", req)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("panicked batch = %d (%s), want 503", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "internal fault") {
+		t.Fatalf("503 body = %s", body)
+	}
+
+	h, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatalf("daemon died after batch panic: %v", err)
+	}
+	h.Body.Close()
+	if h.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after panic = %d", h.StatusCode)
+	}
+	if st := getStats(t, base); st.RecoveredPanics != 1 {
+		t.Fatalf("recoveredPanics = %d, want 1", st.RecoveredPanics)
+	}
+	resp2, body2 := post(t, base+"/v1/analyze/batch", req)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("batch after panic = %d (%s), want 200", resp2.StatusCode, body2)
+	}
+}
+
 // TestGracefulShutdownDrainsInFlight: once shutdown begins /readyz flips
 // to 503 during -drain-delay, the in-flight (injected-latency) analysis
 // still completes with 200 inside -grace, the daemon exits 0, and new

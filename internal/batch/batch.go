@@ -11,6 +11,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers is the pool size used when Run is given workers <= 0:
@@ -26,7 +27,10 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // fn may wrap ctx errors). The first failure — in completion order — also
 // cancels the context passed to the remaining jobs, and undispatched jobs
 // are skipped; cancellation of the parent ctx is reported when no job
-// error outranks it.
+// error outranks it. A panicking job cancels the remaining jobs the same
+// way, and once every worker has returned, Run re-panics with the first
+// panic's value in the calling goroutine, where the caller's recovery
+// (e.g. an HTTP server's per-request handler) can see it.
 func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -42,29 +46,50 @@ func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int
 	defer cancel()
 
 	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				if err := fn(ctx, i); err != nil {
-					errs[i] = err
-					cancel()
-				}
+	var (
+		next      atomic.Int64 // the next index to claim
+		panicOnce sync.Once
+		panicked  bool
+		panicVal  any
+	)
+	call := func(i int) error {
+		defer func() {
+			if r := recover(); r != nil {
+				panicOnce.Do(func() { panicked, panicVal = true, r })
+				cancel()
 			}
 		}()
+		return fn(ctx, i)
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
+			}
+			if err := call(i); err != nil {
+				errs[i] = err
+				cancel()
+			}
+		}
 	}
-	close(jobs)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work() // the calling goroutine is the pool's first worker
 	wg.Wait()
+	if panicked {
+		panic(panicVal)
+	}
 
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, context.Canceled) {

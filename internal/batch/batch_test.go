@@ -139,3 +139,35 @@ func TestRunZeroJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunRepanicsInCaller: a panicking job must not kill the process from
+// a worker goroutine. Run cancels and drains the other jobs, then
+// re-panics with the same value in the caller, after every worker is done.
+func TestRunRepanicsInCaller(t *testing.T) {
+	type boom struct{ i int }
+	var ran, drained atomic.Int32
+	var rec any
+	func() {
+		defer func() { rec = recover() }()
+		_ = Run(context.Background(), 1000, 4, func(ctx context.Context, i int) error {
+			ran.Add(1)
+			switch i {
+			case 0:
+				<-ctx.Done() // in flight when the panic hits: must be drained
+				drained.Add(1)
+			case 3:
+				panic(boom{i})
+			}
+			return nil
+		})
+	}()
+	if got, ok := rec.(boom); !ok || got.i != 3 {
+		t.Fatalf("recovered %#v, want the job's panic value boom{3}", rec)
+	}
+	if drained.Load() != 1 {
+		t.Fatal("Run re-panicked before its in-flight jobs returned")
+	}
+	if n := ran.Load(); n == 1000 {
+		t.Fatal("no job was skipped after the panic")
+	}
+}

@@ -39,9 +39,9 @@ type LimiterOptions struct {
 }
 
 // Limiter is a cost-classed concurrency limiter: expensive requests
-// (batches, admissions) acquire more units than cheap ones, so one
-// saturating batch cannot starve the instance while accounting is still a
-// single counter. Waiters queue FIFO up to MaxQueue; beyond that,
+// (taskset admissions) acquire more units than cheap ones, so a flood of
+// them cannot starve the instance while accounting is still a single
+// counter. Waiters queue FIFO up to MaxQueue; beyond that,
 // acquisitions shed immediately. The zero-contention path takes one mutex
 // and allocates nothing. A nil *Limiter is valid and never limits.
 type Limiter struct {

@@ -331,9 +331,9 @@ func TestExecPanicUnblocksWaiters(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	inner := s.exec
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
 		once.Do(func() { close(gate) }) // unreached on the panicking first call — Fire precedes exec
-		return inner(ctx, gs)
+		return inner(ctx, g)
 	}
 
 	results := make(chan string, 2)

@@ -20,9 +20,9 @@ func TestSingleFlightStress(t *testing.T) {
 	s := newTestService(t, Options{})
 	var executions atomic.Int64
 	inner := s.exec
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
-		executions.Add(int64(len(gs)))
-		return inner(ctx, gs)
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
+		executions.Add(1)
+		return inner(ctx, g)
 	}
 
 	const distinct = 8
@@ -89,10 +89,10 @@ func TestSingleFlightWaitersShareLeader(t *testing.T) {
 	gate := make(chan struct{})
 	var executions atomic.Int64
 	inner := s.exec
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
 		executions.Add(1)
 		<-gate
-		return inner(ctx, gs)
+		return inner(ctx, g)
 	}
 
 	const waiters = 16
@@ -133,9 +133,9 @@ func TestConcurrentBatches(t *testing.T) {
 	s := newTestService(t, Options{})
 	var executions atomic.Int64
 	inner := s.exec
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
-		executions.Add(int64(len(gs)))
-		return inner(ctx, gs)
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
+		executions.Add(1)
+		return inner(ctx, g)
 	}
 
 	const batches = 6
@@ -219,12 +219,8 @@ func TestCancelledRequestAbortsExactOracle(t *testing.T) {
 	// Route execution through Analyze under the counting context, exactly
 	// as a handler would pass its request context down.
 	ctx := &pollCountingCtx{errAfter: 6}
-	s.exec = func(_ context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
-		rep, err := an.Analyze(ctx, gs[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*hetrta.Report{rep}, nil
+	s.exec = func(_ context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
+		return an.Analyze(ctx, g)
 	}
 
 	_, aerr := s.Analyze(context.Background(), g)
@@ -252,7 +248,7 @@ func TestPanickingAnalyzerDoesNotStrandWaiters(t *testing.T) {
 	first := true
 	var mu sync.Mutex
 	inner := s.exec
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
 		mu.Lock()
 		lead := first
 		first = false
@@ -261,7 +257,7 @@ func TestPanickingAnalyzerDoesNotStrandWaiters(t *testing.T) {
 			<-gate
 			panic("analyzer blew up")
 		}
-		return inner(ctx, gs)
+		return inner(ctx, g)
 	}
 
 	leaderDone := make(chan any, 1)
@@ -310,7 +306,7 @@ func TestWaiterRetriesAfterLeaderCancelled(t *testing.T) {
 	first := true
 	var mu sync.Mutex
 	inner := s.exec
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
 		mu.Lock()
 		lead := first
 		first = false
@@ -319,7 +315,7 @@ func TestWaiterRetriesAfterLeaderCancelled(t *testing.T) {
 			<-gate
 			return nil, leaderCtx.Err() // simulate the cancelled leader
 		}
-		return inner(ctx, gs)
+		return inner(ctx, g)
 	}
 
 	leaderErr := make(chan error, 1)

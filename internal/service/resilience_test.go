@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	hetrta "repro"
 	"repro/internal/resilience"
@@ -165,12 +166,12 @@ func TestUpgradeOnFullSuccess(t *testing.T) {
 	degRep := &hetrta.Report{Platform: s.an.Platform(), Degraded: true, DegradedReason: hetrta.DegradedExactBudget}
 	fullRep := &hetrta.Report{Platform: s.an.Platform()}
 	calls := 0
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
 		calls++
 		if calls == 1 {
-			return []*hetrta.Report{degRep}, nil
+			return degRep, nil
 		}
-		return []*hetrta.Report{fullRep}, nil
+		return fullRep, nil
 	}
 
 	g := parallel3(t)
@@ -228,10 +229,10 @@ func TestLimiterShedsWhenQueueFull(t *testing.T) {
 	running := make(chan struct{})
 	var once sync.Once
 	inner := s.exec
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
 		once.Do(func() { close(running) })
 		<-release
-		return inner(ctx, gs)
+		return inner(ctx, g)
 	}
 	ctx := context.Background()
 
@@ -314,10 +315,10 @@ func TestBatchShedPropagatesPerItem(t *testing.T) {
 	running := make(chan struct{})
 	var once sync.Once
 	inner := s.exec
-	s.exec = func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error) {
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
 		once.Do(func() { close(running) })
 		<-release
-		return inner(ctx, gs)
+		return inner(ctx, g)
 	}
 	ctx := context.Background()
 
@@ -352,6 +353,106 @@ func TestBatchShedPropagatesPerItem(t *testing.T) {
 		}
 		if r.Hit {
 			t.Fatalf("item %d served from cache — a shed was cached", i)
+		}
+	}
+}
+
+// TestBatchLoneNeverShedsOwnItems: a batch runs no more analyses at once
+// than the limiter has slots, so on an otherwise idle service its items
+// never queue behind, or get shed by, each other.
+func TestBatchLoneNeverShedsOwnItems(t *testing.T) {
+	s := newTestService(t, Options{
+		Resilience: &ResilienceOptions{
+			Limiter: resilience.LimiterOptions{Capacity: 1, MaxQueue: 0},
+		},
+	}, hetrta.WithParallelism(4))
+	// Slow analyses: items of a fan-out wider than the limiter overlap.
+	inner := s.exec
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
+		time.Sleep(5 * time.Millisecond)
+		return inner(ctx, g)
+	}
+	gs := []*hetrta.Graph{chainGraph(t, 8), chainGraph(t, 9), chainGraph(t, 10), chainGraph(t, 11)}
+	res, err := s.AnalyzeBatch(context.Background(), gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("item %d failed on an idle service: %v", i, r.Err)
+		}
+	}
+	if st := s.Stats(); st.Overload.Shed != 0 || st.Executions != 4 {
+		t.Fatalf("shed = %d, executions = %d; want 0 and 4", st.Overload.Shed, st.Executions)
+	}
+}
+
+// TestBatchHoldsNoChargeWhileJoining: a batch item that joins another
+// request's flight holds no limiter charge while it waits. Here the
+// flight's leader is queued in the limiter behind the batch's first item;
+// if the batch held a charge across its fan-out, neither could finish.
+func TestBatchHoldsNoChargeWhileJoining(t *testing.T) {
+	s := newTestService(t, Options{
+		Resilience: &ResilienceOptions{
+			Limiter: resilience.LimiterOptions{Capacity: 1, MaxQueue: 4},
+		},
+	})
+	gated, shared := chainGraph(t, 9), chainGraph(t, 10)
+	gate := make(chan struct{})
+	running := make(chan struct{})
+	inner := s.exec
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
+		if g.Fingerprint() == gated.Fingerprint() {
+			close(running)
+			<-gate
+		}
+		return inner(ctx, g)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // unwinds a stalled batch and request if the test fails
+
+	batchErr := make(chan error, 1)
+	go func() {
+		res, err := s.AnalyzeBatch(ctx, []*hetrta.Graph{gated, shared})
+		for _, r := range res {
+			if err == nil {
+				err = r.Err
+			}
+		}
+		batchErr <- err
+	}()
+	select {
+	case <-running:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the batch's first item never started")
+	}
+	reqErr := make(chan error, 1)
+	go func() {
+		_, err := s.Analyze(ctx, chainGraph(t, 10))
+		reqErr <- err
+	}()
+	deadline := time.After(5 * time.Second)
+	for s.Stats().Overload.QueueDepth == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("the single request never queued in the limiter")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(gate)
+
+	timeout := time.After(5 * time.Second)
+	for _, w := range []struct {
+		name string
+		ch   chan error
+	}{{"batch", batchErr}, {"request", reqErr}} {
+		select {
+		case err := <-w.ch:
+			if err != nil {
+				t.Fatalf("%s failed: %v", w.name, err)
+			}
+		case <-timeout:
+			t.Fatalf("%s still blocked 5s after the gate opened", w.name)
 		}
 	}
 }

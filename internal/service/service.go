@@ -10,9 +10,9 @@
 //     by construction;
 //   - single-flight execution: concurrent requests for the same key run the
 //     Analyzer exactly once, with every other request waiting on the
-//     leader's result. Batch requests additionally coalesce duplicate
-//     graphs before fanning the remaining misses out on the Analyzer's
-//     worker pool (internal/batch) via AnalyzeBatch.
+//     leader's result. A batch is no second path: it coalesces duplicate
+//     graphs, then serves each distinct graph as a single request on a
+//     worker pool (internal/batch).
 //
 // Failures are never cached: a request that fails (including by its own
 // context being cancelled) leaves the key absent, and waiters whose leader
@@ -42,14 +42,16 @@ import (
 	"time"
 
 	hetrta "repro"
+	"repro/internal/batch"
 	"repro/internal/dag"
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/store"
 )
 
-// Limiter cost classes: a batch of n led keys costs n units, and a taskset
-// admission — a whole-taskset analysis — costs more than one graph.
+// Limiter cost classes: one graph analysis — a single request, or one
+// graph a batch runs — costs one unit, and a taskset admission — a
+// whole-taskset analysis — costs more than one graph.
 const (
 	costAnalyze = 1
 	costAdmit   = 2
@@ -150,9 +152,14 @@ type Service struct {
 	degHSig    string
 	inj        *faultinject.Injector
 
-	// exec runs the analyzer for a slice of cache misses; a test hook that
-	// defaults to an.AnalyzeBatch, letting tests count executions.
-	exec func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error)
+	// batchWidth is AnalyzeBatch's worker-pool size: the analyzer's
+	// parallelism, capped at the limiter's capacity so a lone batch never
+	// queues behind, or sheds, its own items.
+	batchWidth int
+
+	// exec runs the analyzer for one cache miss; a test hook that defaults
+	// to an.Analyze, letting tests count executions.
+	exec func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error)
 	// execAdmit runs the taskset analyzer for an admission miss; a test
 	// hook that defaults to admitCached (AdmitWith over the shared per-task
 	// eval cache and Global step memo — byte-identical to ta.Admit). src,
@@ -182,6 +189,9 @@ type analysisError struct{ msg string }
 func (e analysisError) Error() string { return e.msg }
 
 func (e analysisError) Is(target error) bool { return target == ErrAnalysis }
+
+// errNilGraph fails a batch's nil slots with the analyzer's own text.
+var errNilGraph = analysisError{"hetrta: Analyze(nil graph)"}
 
 // Result is the outcome of one analyzed graph.
 //
@@ -242,11 +252,16 @@ func New(an *hetrta.Analyzer, opts Options) (*Service, error) {
 		flights: make(map[string]*flight),
 		steps:   hetrta.NewGlobalStepCache(entries),
 	}
-	s.exec = an.AnalyzeBatch
+	s.exec = an.Analyze
 	s.execAdmit = s.admitCached
 	s.inj = opts.FaultInjector
+	s.batchWidth = an.Parallelism()
+	if s.batchWidth <= 0 {
+		s.batchWidth = batch.DefaultWorkers()
+	}
 	if r := opts.Resilience; r != nil {
 		s.limiter = resilience.NewLimiter(r.Limiter)
+		s.batchWidth = min(s.batchWidth, int(s.limiter.Stats().Capacity))
 		if an.ExactEnabled() {
 			s.breaker = resilience.NewBreaker(r.Breaker)
 			s.hard = resilience.NewNegCache(r.HardCache)
@@ -347,8 +362,8 @@ func (s *Service) Analyze(ctx context.Context, g *hetrta.Graph) (*Result, error)
 	return s.analyze(ctx, g)
 }
 
-// analyze is Analyze without the request accounting, so internal retries
-// (await's fallback) do not double-count. With degraded routing enabled it
+// analyze is Analyze without the request accounting, which AnalyzeBatch
+// does once per slot. With degraded routing enabled it
 // decides the route here: a full cache hit always serves; otherwise an
 // open breaker or a known-hard fingerprint diverts to the bounds-only
 // path, and only surviving requests attempt the full pipeline.
@@ -391,7 +406,7 @@ func (s *Service) analyzeDegraded(ctx context.Context, g *hetrta.Graph, fp dag.F
 		return &Result{Report: ent.report, Body: ent.body, Hit: true, Fingerprint: fp}, nil
 	}
 	ent, hit, shared, err := s.serve(ctx, degVariantKey(fp, vsig), func(ctx context.Context) (*entry, error) {
-		return s.runGraph(ctx, g, variant.AnalyzeBatch)
+		return s.runGraph(ctx, g, variant.Analyze)
 	})
 	if err != nil {
 		return nil, err
@@ -510,8 +525,10 @@ func (s *Service) runOne(ctx context.Context, g *hetrta.Graph) (*entry, error) {
 // runGraph is runOne over an explicit executor (the configured analyzer or
 // a bounds-only degraded variant), behind the limiter and the Exec fault
 // seam. The limiter is only consulted here — on the execution path — so
-// cache hits and single-flight joins are never shed.
-func (s *Service) runGraph(ctx context.Context, g *hetrta.Graph, exec func(ctx context.Context, gs []*hetrta.Graph) ([]*hetrta.Report, error)) (*entry, error) {
+// cache hits and single-flight joins are never shed. Cancellations pass
+// through unchanged; any other analyzer error is the analysis rejecting
+// the graph (ErrAnalysis).
+func (s *Service) runGraph(ctx context.Context, g *hetrta.Graph, exec func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error)) (*entry, error) {
 	if err := s.limiter.Acquire(ctx, costAnalyze); err != nil {
 		return nil, err
 	}
@@ -522,17 +539,14 @@ func (s *Service) runGraph(ctx context.Context, g *hetrta.Graph, exec func(ctx c
 	if err := s.inj.Fire(faultinject.Exec); err != nil {
 		return nil, err
 	}
-	reports, batchErr := exec(ctx, []*hetrta.Graph{g})
-	if batchErr != nil {
-		return nil, batchErr
+	rep, err := exec(ctx, g)
+	if err != nil {
+		if isCancellation(err) {
+			return nil, err
+		}
+		return nil, analysisError{err.Error()}
 	}
-	if len(reports) != 1 || reports[0] == nil {
-		return nil, errors.New("service: analyzer returned no report")
-	}
-	if reports[0].Err != "" {
-		return nil, analysisError{reports[0].Err}
-	}
-	return marshalEntry(reports[0])
+	return marshalEntry(rep)
 }
 
 func marshalEntry(rep *hetrta.Report) (*entry, error) {
@@ -780,260 +794,69 @@ func (s *Service) admitCached(ctx context.Context, ts hetrta.Taskset, ds []hetrt
 	return s.ta.AdmitPrepared(ctx, ts, ds, src, s.steps)
 }
 
-// AnalyzeBatch serves many graphs: cache hits fill immediately, duplicate
-// graphs within the batch coalesce to one execution, keys already in
-// flight (from any request) are waited on, and the remaining misses run in
-// ONE Analyzer.AnalyzeBatch call on its worker pool. Results come back in
-// input order; per-graph failures are reported in Result.Err without
-// failing the batch. The returned error is non-nil only when ctx is
-// cancelled.
+// AnalyzeBatch serves many graphs. Duplicates within the batch (by
+// fingerprint) share their first occurrence's result; every first
+// occurrence is served exactly as a single Analyze request would be —
+// cache, degraded routing, single-flight, limiter — on a pool of
+// batchWidth workers. Results come back in input order; per-graph failures
+// are reported in Result.Err without failing the batch. The returned error
+// is non-nil only when ctx is cancelled.
 func (s *Service) AnalyzeBatch(ctx context.Context, gs []*hetrta.Graph) ([]*Result, error) {
+	s.requests.Add(uint64(len(gs)))
 	res := make([]*Result, len(gs))
-	fps := make([]dag.Fingerprint, len(gs))
-	keys := make([]string, len(gs))
-
-	type group struct {
-		idxs   []int
-		flight *flight
-		leader bool
-		done   bool // slots already filled (double-check cache hit)
-	}
-	groups := make(map[string]*group)
-	var order []string // group keys in first-appearance order
-	var nilIdxs []int
-
-	// Degraded-routed items (open breaker / hard fingerprint) leave the
-	// batch machinery: each is served via the bounds-only path after the
-	// full misses execute (they are cheap — no exact stage).
-	type degRoute struct {
-		idx     int
-		variant *hetrta.Analyzer
-		sig     string
-	}
-	var degRoutes []degRoute
-
+	first := make([]int, len(gs)) // slot of each graph's first occurrence
+	var firsts []int
+	seen := make(map[dag.Fingerprint]int, len(gs))
 	for i, g := range gs {
-		s.requests.Add(1)
 		if g == nil {
-			nilIdxs = append(nilIdxs, i)
-			continue
-		}
-		fps[i] = g.Fingerprint()
-		keys[i] = s.keyOf(fps[i])
-		if ent, ok := s.lookup(keys[i]); ok {
-			s.hits.Add(1)
-			res[i] = &Result{Report: ent.report, Body: ent.body, Hit: true, Fingerprint: fps[i]}
-			continue
-		}
-		if s.breaker != nil {
-			if !s.breaker.Allow() {
-				degRoutes = append(degRoutes, degRoute{i, s.degBreaker, s.degBSig})
-				continue
-			}
-			if s.hard.ShouldSkip(fps[i].String()) {
-				degRoutes = append(degRoutes, degRoute{i, s.degHard, s.degHSig})
-				continue
-			}
-		}
-		grp, ok := groups[keys[i]]
-		if !ok {
-			grp = &group{}
-			groups[keys[i]] = grp
-			order = append(order, keys[i])
-		} else {
-			s.coalesced.Add(1) // duplicate within the batch
-		}
-		grp.idxs = append(grp.idxs, i)
-	}
-
-	// Acquire flights; collect the representative graph of every key this
-	// request leads. Whatever happens afterwards (including an analyzer
-	// panic), no led flight may stay unpublished, or its waiters would
-	// block forever.
-	pending := make(map[string]*flight)
-	defer func() {
-		for k, f := range pending { //lint:ordered abort-path cleanup; publish order is unobservable
-			s.publish(k, f, nil, errors.New("service: analysis aborted"))
-		}
-	}()
-	var runKeys []string
-	for _, k := range order {
-		grp := groups[k]
-		f, leader := s.leadOrJoin(k)
-		grp.flight, grp.leader = f, leader
-		if !leader {
-			s.coalesced.Add(1) // joins another request's flight
-			continue
-		}
-		// Registered in pending BEFORE the lookup: a panicking cache shard
-		// (fault injection) must not leak an unpublished flight.
-		pending[k] = f
-		// Same double-check as lead(): a previous leader caches before
-		// deregistering, so a key that went resident between our first
-		// lookup and the flight registration is visible now.
-		if ent, ok := s.cacheGet(k); ok {
-			s.hits.Add(1)
-			s.publish(k, f, ent, nil)
-			delete(pending, k)
-			for _, i := range grp.idxs {
-				res[i] = &Result{Report: ent.report, Body: ent.body, Hit: true, Fingerprint: fps[i]}
-			}
-			grp.leader, grp.done = false, true
-			continue
-		}
-		runKeys = append(runKeys, k)
-	}
-
-	// One AnalyzeBatch over every led key (plus nil slots, whose per-item
-	// error text the analyzer owns), fanned out on internal/batch.
-	if len(runKeys) > 0 || len(nilIdxs) > 0 {
-		batchGs := make([]*hetrta.Graph, 0, len(runKeys)+len(nilIdxs))
-		for _, k := range runKeys {
-			batchGs = append(batchGs, gs[groups[k].idxs[0]])
-		}
-		for range nilIdxs {
-			batchGs = append(batchGs, nil)
-		}
-		var reports []*hetrta.Report
-		var batchErr error
-		if len(runKeys) > 0 {
-			s.executions.Add(uint64(len(runKeys)))
-			s.misses.Add(uint64(len(runKeys)))
-			// The whole fan-out acquires its total cost at once: a batch of
-			// n led keys is n units of work, so one saturating batch cannot
-			// slip past the limiter at single-request price.
-			cost := int64(len(runKeys))
-			if err := s.limiter.Acquire(ctx, cost); err != nil {
-				batchErr = err
-			} else {
-				func() {
-					defer s.limiter.Release(cost)
-					s.inFlight.Add(1)
-					defer s.inFlight.Add(-1) // survives analyzer panics
-					if err := s.inj.Fire(faultinject.Exec); err != nil {
-						batchErr = err
-						return
-					}
-					reports, batchErr = s.exec(ctx, batchGs)
-				}()
-			}
-		} else {
-			reports, batchErr = s.exec(ctx, batchGs)
-		}
-		for j, k := range runKeys {
-			grp := groups[k]
-			fp := fps[grp.idxs[0]]
-			var ent *entry
-			var err error
-			var rep *hetrta.Report
-			switch {
-			case batchErr != nil && (j >= len(reports) || reports[j] == nil || reports[j].Err != ""):
-				err = batchErr
-			case j >= len(reports) || reports[j] == nil:
-				err = errors.New("service: analyzer returned no report")
-			case reports[j].Err != "":
-				err = analysisError{reports[j].Err}
-			default:
-				rep = reports[j]
-				ent, err = marshalEntry(rep)
-				if err == nil && rep.Degraded {
-					ent.cacheKey = s.degFullKey(fp)
-					s.degraded.Add(uint64(len(grp.idxs)))
-				}
-			}
-			s.noteFullOutcome(fp, rep, err)
-			if err != nil {
-				s.failures.Add(1)
-				s.publish(k, grp.flight, nil, err)
-			} else {
-				s.cacheAdd(ent.storeKey(k), ent)
-				s.publish(k, grp.flight, ent, nil)
-			}
-			delete(pending, k)
-			shared := false
-			for _, i := range grp.idxs {
-				if err != nil {
-					res[i] = &Result{Err: err, Fingerprint: fps[i]}
-				} else {
-					res[i] = &Result{Report: ent.report, Body: ent.body, Shared: shared, Fingerprint: fps[i]}
-				}
-				shared = true
-			}
-		}
-		for j, i := range nilIdxs {
-			slot := len(runKeys) + j
-			err := errors.New("service: analyzer returned no report")
-			if slot < len(reports) && reports[slot] != nil && reports[slot].Err != "" {
-				err = analysisError{reports[slot].Err}
-			} else if batchErr != nil {
-				err = batchErr
-			}
 			s.failures.Add(1)
-			res[i] = &Result{Err: err}
-		}
-	}
-
-	// Serve the degraded-routed items now that every led flight is
-	// published (blocking on a foreign degraded flight must not strand
-	// waiters of our own full flights).
-	for _, d := range degRoutes {
-		r, err := s.analyzeDegraded(ctx, gs[d.idx], fps[d.idx], d.variant, d.sig)
-		if err != nil {
-			res[d.idx] = &Result{Err: err, Fingerprint: fps[d.idx]}
+			res[i] = &Result{Err: errNilGraph}
 			continue
 		}
-		res[d.idx] = r
+		fp := g.Fingerprint()
+		j, ok := seen[fp]
+		if !ok {
+			j = i
+			seen[fp] = i
+			firsts = append(firsts, i)
+		}
+		first[i] = j
 	}
-
-	// Wait for the groups another request is computing.
-	for _, k := range order {
-		grp := groups[k]
-		if grp.leader || grp.done {
+	// Per-item errors stay in their slot: returning one would cancel the
+	// siblings. Only the batch's own cancellation stops the fan-out.
+	err := batch.Run(ctx, len(firsts), s.batchWidth, func(ctx context.Context, k int) error {
+		i := firsts[k]
+		r, err := s.analyze(ctx, gs[i])
+		if err != nil {
+			r = &Result{Err: err, Fingerprint: gs[i].Fingerprint()}
+		}
+		res[i] = r
+		return ctx.Err()
+	})
+	for i, g := range gs {
+		if g == nil {
 			continue
 		}
-		r := s.await(ctx, k, grp.flight, gs[grp.idxs[0]], fps[grp.idxs[0]])
-		for _, i := range grp.idxs {
-			ri := *r
-			ri.Fingerprint = fps[i]
-			ri.Shared = ri.Err == nil && !ri.Hit
-			res[i] = &ri
+		j := first[i]
+		if res[j] == nil { // never dispatched: the batch was cancelled
+			res[j] = &Result{Err: err, Fingerprint: g.Fingerprint()}
 		}
-	}
-
-	if err := ctx.Err(); err != nil {
-		for i, r := range res {
-			if r == nil {
-				res[i] = &Result{Err: err, Fingerprint: fps[i]}
-			}
+		if j == i {
+			continue
 		}
-		return res, err
-	}
-	return res, nil
-}
-
-// await blocks on a foreign flight; if that flight's leader was cancelled
-// while our context is still live, it falls back to Analyze (which
-// re-checks the cache and may lead a fresh execution).
-func (s *Service) await(ctx context.Context, key string, f *flight, g *hetrta.Graph, fp dag.Fingerprint) *Result {
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return &Result{Err: ctx.Err(), Fingerprint: fp}
-	}
-	if f.err == nil {
-		return &Result{Report: f.ent.report, Body: f.ent.body, Shared: true, Fingerprint: fp}
-	}
-	if isCancellation(f.err) && ctx.Err() == nil {
-		// Already counted as a request by AnalyzeBatch; analyze (not
-		// Analyze) keeps /statsz's "a batch of n counts n" contract.
-		r, err := s.analyze(ctx, g)
-		if err != nil {
-			return &Result{Err: err, Fingerprint: fp}
+		r := *res[j]
+		if r.Hit {
+			s.hits.Add(1)
+		} else {
+			s.coalesced.Add(1)
+			r.Shared = r.Err == nil
 		}
-		return r
+		if r.Report != nil && r.Report.Degraded {
+			s.degraded.Add(1)
+		}
+		res[i] = &r
 	}
-	s.failures.Add(1)
-	return &Result{Err: f.err, Fingerprint: fp}
+	return res, err
 }
 
 func (s *Service) leadOrJoin(key string) (*flight, bool) {

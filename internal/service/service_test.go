@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -240,6 +241,20 @@ func TestAnalyzeBatchPerItemErrors(t *testing.T) {
 	}
 	if st := s.Stats(); st.Entries != 1 {
 		t.Fatalf("entries = %d, want only the healthy report cached", st.Entries)
+	}
+}
+
+// TestBatchNilSlotMatchesAnalyzer: a batch's nil slot fails with the
+// analyzer's own nil-graph text, as an analysis error (HTTP 422).
+func TestBatchNilSlotMatchesAnalyzer(t *testing.T) {
+	s := newTestService(t, Options{})
+	_, want := s.an.Analyze(context.Background(), nil)
+	res, err := s.AnalyzeBatch(context.Background(), []*hetrta.Graph{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[0].Err; got == nil || got.Error() != want.Error() || !errors.Is(got, ErrAnalysis) {
+		t.Fatalf("nil slot err = %v, want ErrAnalysis with text %q", got, want)
 	}
 }
 
