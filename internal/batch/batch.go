@@ -49,13 +49,12 @@ func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int
 	var (
 		next      atomic.Int64 // the next index to claim
 		panicOnce sync.Once
-		panicked  bool
-		panicVal  any
+		panicVal  any // recover never yields nil (Go 1.21+)
 	)
 	call := func(i int) error {
 		defer func() {
 			if r := recover(); r != nil {
-				panicOnce.Do(func() { panicked, panicVal = true, r })
+				panicOnce.Do(func() { panicVal = r })
 				cancel()
 			}
 		}()
@@ -87,7 +86,7 @@ func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int
 	}
 	work() // the calling goroutine is the pool's first worker
 	wg.Wait()
-	if panicked {
+	if panicVal != nil {
 		panic(panicVal)
 	}
 

@@ -363,10 +363,10 @@ func (s *Service) Analyze(ctx context.Context, g *hetrta.Graph) (*Result, error)
 }
 
 // analyze is Analyze without the request accounting, which AnalyzeBatch
-// does once per slot. With degraded routing enabled it
-// decides the route here: a full cache hit always serves; otherwise an
-// open breaker or a known-hard fingerprint diverts to the bounds-only
-// path, and only surviving requests attempt the full pipeline.
+// does once per slot. With degraded routing enabled it decides the route
+// here: a full cache hit always serves; otherwise an open breaker or a
+// known-hard fingerprint diverts to the bounds-only path, and only
+// surviving requests attempt the full pipeline.
 func (s *Service) analyze(ctx context.Context, g *hetrta.Graph) (*Result, error) {
 	fp := g.Fingerprint()
 	if s.breaker != nil {
