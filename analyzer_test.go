@@ -153,6 +153,25 @@ func TestAnalyzerHomogeneousGraphSkipsRhet(t *testing.T) {
 	}
 }
 
+func TestParallelismAccessor(t *testing.T) {
+	for _, n := range []int{0, 1, 3} {
+		an, err := hetrta.NewAnalyzer(hetrta.WithParallelism(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := an.Parallelism(); got != n {
+			t.Fatalf("WithParallelism(%d): Parallelism() = %d", n, got)
+		}
+	}
+	an, err := hetrta.NewAnalyzer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := an.Parallelism(); got != 0 {
+		t.Fatalf("default Parallelism() = %d, want 0 (one worker per CPU)", got)
+	}
+}
+
 func TestAnalyzerOptionValidation(t *testing.T) {
 	bad := [][]hetrta.Option{
 		{hetrta.WithPlatform(hetrta.NewPlatform(hetrta.ResourceClass{Name: "host", Count: 0}, hetrta.ResourceClass{Name: "dev", Count: 1}))},

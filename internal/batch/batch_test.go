@@ -171,3 +171,56 @@ func TestRunRepanicsInCaller(t *testing.T) {
 		t.Fatal("no job was skipped after the panic")
 	}
 }
+
+// TestRunSingleWorkerIsSequential: with one worker the calling goroutine
+// is the whole pool, so jobs run one at a time in index order.
+func TestRunSingleWorkerIsSequential(t *testing.T) {
+	var order []int
+	var inFlight, maxInFlight atomic.Int32
+	err := Run(context.Background(), 20, 1, func(_ context.Context, i int) error {
+		if n := inFlight.Add(1); n > maxInFlight.Load() {
+			maxInFlight.Store(n)
+		}
+		order = append(order, i)
+		inFlight.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxInFlight.Load() != 1 {
+		t.Fatalf("%d jobs ran at once with one worker", maxInFlight.Load())
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("order = %v, want 0..19 in sequence", order)
+		}
+	}
+	if len(order) != 20 {
+		t.Fatalf("ran %d jobs, want 20", len(order))
+	}
+}
+
+// TestRunRepanicsFirstPanic: when several jobs would panic, Run re-panics
+// once with the first panic's value; the panic cancels the batch, so later
+// jobs, panicking ones included, are never dispatched.
+func TestRunRepanicsFirstPanic(t *testing.T) {
+	var ran []int
+	var rec any
+	func() {
+		defer func() { rec = recover() }()
+		_ = Run(context.Background(), 10, 1, func(_ context.Context, i int) error {
+			ran = append(ran, i)
+			if i == 2 || i == 5 {
+				panic(fmt.Sprintf("job %d", i))
+			}
+			return nil
+		})
+	}()
+	if rec != "job 2" {
+		t.Fatalf("recovered %#v, want the first panic %q", rec, "job 2")
+	}
+	if len(ran) != 3 {
+		t.Fatalf("jobs %v ran, want only 0..2 before the panic cancelled the rest", ran)
+	}
+}

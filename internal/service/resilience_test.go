@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -454,6 +455,97 @@ func TestBatchHoldsNoChargeWhileJoining(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("%s still blocked 5s after the gate opened", w.name)
 		}
+	}
+}
+
+// TestBatchWidth: a batch fans out over the analyzer's parallelism
+// (0 means one worker per CPU), capped at the limiter's capacity so that
+// no batch runs more analyses at once than the limiter admits.
+func TestBatchWidth(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		parallelism int
+		capacity    int // 0: no resilience layer
+		want        int
+	}{
+		{"default", 0, 0, runtime.GOMAXPROCS(0)},
+		{"parallelism", 3, 0, 3},
+		{"capacity-caps-parallelism", 8, 2, 2},
+		{"parallelism-below-capacity", 2, 8, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var opts Options
+			if tc.capacity > 0 {
+				opts.Resilience = &ResilienceOptions{
+					Limiter: resilience.LimiterOptions{Capacity: tc.capacity},
+				}
+			}
+			s := newTestService(t, opts, hetrta.WithParallelism(tc.parallelism))
+			if s.batchWidth != tc.want {
+				t.Fatalf("batch width = %d, want %d", s.batchWidth, tc.want)
+			}
+		})
+	}
+}
+
+// TestBatchJoinFailedFlightCountsNoFailure: a batch item that joins
+// another request's flight shares its failure, exactly as a single
+// request would; only the flight's leader counts it in Failures.
+func TestBatchJoinFailedFlightCountsNoFailure(t *testing.T) {
+	s := newTestService(t, Options{})
+	errBoom := errors.New("boom")
+	gate := make(chan struct{})
+	running := make(chan struct{})
+	s.exec = func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error) {
+		close(running)
+		<-gate
+		return nil, errBoom
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // unwinds a stalled request and batch if the test fails
+
+	reqErr := make(chan error, 1)
+	go func() {
+		_, err := s.Analyze(ctx, chainGraph(t, 8))
+		reqErr <- err
+	}()
+	select {
+	case <-running:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the single request never started")
+	}
+	type outcome struct {
+		res []*Result
+		err error
+	}
+	batchOut := make(chan outcome, 1)
+	go func() {
+		res, err := s.AnalyzeBatch(ctx, []*hetrta.Graph{chainGraph(t, 8)})
+		batchOut <- outcome{res, err}
+	}()
+	deadline := time.After(5 * time.Second)
+	for s.Stats().Coalesced == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("the batch item never joined the request's flight")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(gate)
+
+	if err := <-reqErr; !errors.Is(err, ErrAnalysis) {
+		t.Fatalf("request err = %v, want ErrAnalysis", err)
+	}
+	out := <-batchOut
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if r := out.res[0]; !errors.Is(r.Err, ErrAnalysis) || r.Err.Error() != errBoom.Error() || r.Shared {
+		t.Fatalf("batch item = %+v, want the leader's unshared ErrAnalysis %q", r, errBoom)
+	}
+	if st := s.Stats(); st.Failures != 1 || st.Executions != 1 || st.Coalesced != 1 {
+		t.Fatalf("failures = %d, executions = %d, coalesced = %d; want 1, 1, 1",
+			st.Failures, st.Executions, st.Coalesced)
 	}
 }
 

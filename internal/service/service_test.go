@@ -279,6 +279,37 @@ func TestAnalyzeBatchServesFromCache(t *testing.T) {
 	}
 }
 
+// TestBatchDuplicateOfHitCountsHit: a duplicate of a slot served from
+// the cache is itself a hit, not a coalesced join, and shares no flight.
+func TestBatchDuplicateOfHitCountsHit(t *testing.T) {
+	s := newTestService(t, Options{})
+	ctx := context.Background()
+	if _, err := s.Analyze(ctx, chainGraph(t, 8)); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	res, err := s.AnalyzeBatch(ctx, []*hetrta.Graph{chainGraph(t, 8), relabeledChain(t, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil || !r.Hit || r.Shared {
+			t.Fatalf("slot %d = %+v, want an unshared hit", i, r)
+		}
+	}
+	if !bytes.Equal(res[0].Body, res[1].Body) {
+		t.Fatal("duplicate served different bytes")
+	}
+	st := s.Stats()
+	if d := st.Hits - before.Hits; d != 2 {
+		t.Fatalf("hits grew by %d, want 2", d)
+	}
+	if st.Coalesced != before.Coalesced || st.Executions != before.Executions {
+		t.Fatalf("coalesced %d -> %d, executions %d -> %d; want both unchanged",
+			before.Coalesced, st.Coalesced, before.Executions, st.Executions)
+	}
+}
+
 func TestBatchEmptyAndCancelled(t *testing.T) {
 	s := newTestService(t, Options{})
 	res, err := s.AnalyzeBatch(context.Background(), nil)
