@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	hetrta "repro"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/rta"
 	"repro/internal/sched"
 	"repro/internal/service"
+	"repro/internal/store"
 	"repro/internal/taskgen"
 	"repro/internal/taskset"
 	"repro/internal/transform"
@@ -497,4 +499,73 @@ func BenchmarkServiceBatch(b *testing.B) {
 			run(b, svc)
 		}
 	})
+}
+
+// BenchmarkWarmStart measures a daemon restart on the store-spill shape:
+// store.Open (the index scan) plus Service.AttachStore (the warm start)
+// over a log of 16,384 report records into a 2,048-entry cache. The
+// records cycle the bodies of 16 analyzed graphs under distinct keys;
+// each op opens the same log into a fresh Service.
+func BenchmarkWarmStart(b *testing.B) {
+	const records, cacheEntries = 16384, 2048
+	ctx := context.Background()
+	an, err := hetrta.NewAnalyzer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	newSvc := func(b *testing.B) *service.Service {
+		svc, err := service.New(an, service.Options{CacheEntries: cacheEntries})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return svc
+	}
+	svc := newSvc(b)
+	gen := taskgen.MustNew(taskgen.Small(8, 24), 2018)
+	bodies := make([][]byte, 16)
+	for i := range bodies {
+		g, _, _, err := gen.HetTask(0.15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := svc.Analyze(ctx, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = res.Body
+	}
+	path := filepath.Join(b.TempDir(), "cache.log")
+	opts := store.Options{Path: path, Generation: svc.Generation(), QueueDepth: records}
+	st, err := store.Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range records {
+		st.Append(1, fmt.Sprintf("%064x|warm", i), bodies[i%len(bodies)]) // kind 1: a report record
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if n := st.Stats().LiveKeys; n != records {
+		b.Fatalf("log holds %d live keys, want %d", n, records)
+	}
+
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		svc := newSvc(b)
+		b.StartTimer()
+		st, err := store.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := svc.AttachStore(st); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

@@ -96,7 +96,12 @@ func newCache(totalEntries, shards int) *cache {
 }
 
 func (c *cache) shardFor(key string) *shard {
-	return c.shards[fnvString(key)&c.mask]
+	return c.shards[c.shardIndex(key)]
+}
+
+// shardIndex returns the index of key's shard in c.shards.
+func (c *cache) shardIndex(key string) int {
+	return int(fnvString(key) & c.mask)
 }
 
 func fnvString(s string) uint64 {

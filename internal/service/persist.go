@@ -67,10 +67,12 @@ type persistedAdmit struct {
 func (s *Service) Generation() string { return s.tsig }
 
 // AttachStore wires st as the disk-backed second tier and warm-starts
-// the LRU from its surviving records. It must be called before the
-// service starts serving (the store field is not synchronized against
-// concurrent requests); typically immediately after New. The store must
-// have been opened with Generation().
+// the LRU with the newest surviving records each cache shard can hold
+// (see warmStart); older records stay on disk and are served through
+// lookup. It must be called before the service starts serving (the store
+// field is not synchronized against concurrent requests); typically
+// immediately after New. The store must have been opened with
+// Generation().
 func (s *Service) AttachStore(st *store.Store) error {
 	if st == nil {
 		return nil
@@ -79,45 +81,88 @@ func (s *Service) AttachStore(st *store.Store) error {
 		return fmt.Errorf("service: store generation %q does not match service generation %q", st.Generation(), s.Generation())
 	}
 	s.store = st
-	return s.warmStart()
-}
-
-// warmStart loads every surviving store record into the LRU. Eval
-// records load first so that admit entries reconnect their digest→
-// handle anchors to already-resident handles during decode; within a
-// kind, log order is preserved so the most recently written keys end up
-// most recent in the LRU. Undecodable records are skipped and counted,
-// never fatal — the log is a cache, not a source of truth.
-func (s *Service) warmStart() error {
-	var recs []store.Record
-	if err := s.store.Each(func(rec store.Record) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		if rec.Kind == recEval {
-			s.warmLoad(rec)
-		}
-	}
-	for _, rec := range recs {
-		if rec.Kind != recEval {
-			s.warmLoad(rec)
-		}
-	}
+	s.warmStart()
 	return nil
 }
 
-// warmLoad decodes one record into the LRU (or counts a decode error).
-func (s *Service) warmLoad(rec store.Record) {
-	ent, err := s.decodeRecord(rec.Kind, rec.Value)
-	if err != nil {
-		s.storeDecodeErrors.Add(1)
-		return
+// warmStart fills the LRU from the store, reading and decoding only
+// records that stay resident: the cache ends exactly as a forward load
+// of every live record would leave it — eval records first, then the
+// rest, each kind in log order — but its work follows the cache size,
+// not the log size. The log is walked newest first against one
+// free-slot count per shard, in two passes: non-eval records claim
+// slots first (they would be inserted last, so they survive), then
+// eval records fill what is left. A record that fails to decode is
+// counted and takes no slot, so the next-older record of its shard gets
+// it, as in a forward load. The kept entries are inserted oldest first,
+// which reproduces the forward load's recency order. Admit entries are
+// decoded without eval anchors and reconnected to the kept eval entries
+// before anything is inserted, so no entry changes after it is
+// published. Undecodable records are never fatal — the log is a cache,
+// not a source of truth.
+func (s *Service) warmStart() {
+	free := make([]int, len(s.cache.shards))
+	room := 0
+	for i, sh := range s.cache.shards {
+		free[i] = sh.capacity
+		room += sh.capacity
 	}
-	s.cache.add(rec.Key, ent)
-	s.warmLoaded.Add(1)
+	type kept struct {
+		key string
+		ent *entry
+	}
+	// fill walks one pass, returning the kept entries newest first.
+	fill := func(evals bool) []kept {
+		if room == 0 {
+			return nil
+		}
+		var out []kept
+		s.store.WalkNewest(func(key string, kind byte) bool {
+			return (kind == recEval) == evals && free[s.cache.shardIndex(key)] > 0
+		}, func(rec store.Record) bool {
+			ent, err := s.decodeRecord(rec.Kind, rec.Value)
+			if err != nil {
+				s.storeDecodeErrors.Add(1)
+				return true
+			}
+			free[s.cache.shardIndex(rec.Key)]--
+			room--
+			out = append(out, kept{rec.Key, ent})
+			return room > 0
+		})
+		return out
+	}
+	rest := fill(false)
+	evals := fill(true)
+
+	byKey := make(map[string]*entry, len(evals))
+	for _, k := range evals {
+		byKey[k.key] = k.ent
+	}
+	find := func(key string) (*entry, bool) {
+		ent, ok := byKey[key]
+		return ent, ok
+	}
+	for _, k := range rest {
+		s.anchorEvals(k.ent, find)
+	}
+	for _, pass := range [][]kept{evals, rest} {
+		for i := len(pass) - 1; i >= 0; i-- {
+			s.cache.add(pass[i].key, pass[i].ent)
+			s.warmLoaded.Add(1)
+		}
+	}
+}
+
+// anchorEvals reconnects an admit entry's digest→handle anchors to the
+// eval entries find resolves; for any other entry it does nothing.
+// Missing handles are fine: the delta path re-prepares through taskEval.
+func (s *Service) anchorEvals(ent *entry, find func(key string) (*entry, bool)) {
+	for _, dg := range ent.digests {
+		if ev, ok := find(s.evalKeyOf(dg)); ok && ev.eval != nil {
+			ent.evals[dg] = ev.eval
+		}
+	}
 }
 
 // lookup is the two-tier cache read: the in-memory LRU first, then the
@@ -142,6 +187,7 @@ func (s *Service) lookup(key string) (*entry, bool) {
 		s.storeDecodeErrors.Add(1)
 		return nil, false
 	}
+	s.anchorEvals(ent, s.cache.get)
 	s.cache.add(key, ent)
 	s.warmHits.Add(1)
 	return ent, true
@@ -199,7 +245,9 @@ func (s *Service) persist(key string, ent *entry) {
 }
 
 // decodeRecord rebuilds a cache entry from its durable form, the
-// inverse of persist. Every field is re-validated on the way in.
+// inverse of persist. Every field is re-validated on the way in. An
+// admit entry comes back with an empty eval anchor map; callers
+// reconnect it with anchorEvals before publishing the entry.
 func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 	switch kind {
 	case recReport:
@@ -222,7 +270,6 @@ func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 		}
 		base := &hetrta.Taskset{Tasks: make([]hetrta.SporadicTask, len(pa.Tasks))}
 		ds := make([]hetrta.TaskDigest, len(pa.Digests))
-		evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(pa.Digests))
 		for i, pt := range pa.Tasks {
 			if pt.Graph == nil {
 				return nil, errors.New("service: admit record task without graph")
@@ -233,13 +280,8 @@ func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 				return nil, fmt.Errorf("service: decoding admit record digest: %w", err)
 			}
 			ds[i] = dg
-			// Reconnect the eval anchor to handles already resident (the
-			// warm start loads eval records first). Missing handles are
-			// fine: the delta path re-prepares through taskEval.
-			if evEnt, ok := s.cache.get(s.evalKeyOf(dg)); ok && evEnt.eval != nil {
-				evals[dg] = evEnt.eval
-			}
 		}
+		evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(ds))
 		return &entry{admit: rep, body: pa.Body, base: base, digests: ds, evals: evals}, nil
 	case recEval:
 		g := new(hetrta.Graph)
@@ -285,6 +327,7 @@ func (s *Service) Warmup(r io.Reader) (WarmupSummary, error) {
 			ws.Skipped++
 			return nil
 		}
+		s.anchorEvals(ent, s.cache.get)
 		s.cache.add(rec.Key, ent)
 		if s.store != nil {
 			s.store.Append(rec.Kind, rec.Key, rec.Value)

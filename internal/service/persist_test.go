@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	hetrta "repro"
@@ -138,9 +141,29 @@ func TestStoreDeltaBaseRevival(t *testing.T) {
 	svc1.store.Flush()
 
 	svc2 := storedService(t, path, Options{})
+	// The warm start reconnects the revived base's eval anchors to the
+	// revived eval entries.
+	baseEnt, ok := svc2.cache.get(svc2.admitKeyOf(rb.Fingerprint))
+	if !ok {
+		t.Fatal("admitted base not warm-started")
+	}
+	if len(baseEnt.evals) != len(base.Tasks) {
+		t.Fatalf("revived base anchors %d eval handles, want %d", len(baseEnt.evals), len(base.Tasks))
+	}
+	for _, dg := range baseEnt.digests {
+		ev, ok := svc2.cache.get(svc2.evalKeyOf(dg))
+		if !ok || baseEnt.evals[dg] != ev.eval {
+			t.Fatalf("anchor for task %s is not the resident eval handle", dg)
+		}
+	}
+	before := svc2.Stats()
 	rd, err := svc2.AdmitDelta(ctx, rb.Fingerprint, hetrta.TasksetDelta{Add: []hetrta.SporadicTask{add}})
 	if err != nil {
 		t.Fatalf("AdmitDelta after restart: %v", err)
+	}
+	after := svc2.Stats()
+	if hits, misses := after.EvalHits-before.EvalHits, after.EvalMisses-before.EvalMisses; hits != 2 || misses != 1 {
+		t.Fatalf("post-restart delta eval hits/misses = %d/%d, want 2/1 (surviving tasks hit, added task misses)", hits, misses)
 	}
 	// Reference: a fresh storeless service admitting the full resulting
 	// set must produce the same bytes.
@@ -152,6 +175,180 @@ func TestStoreDeltaBaseRevival(t *testing.T) {
 	}
 	if !bytes.Equal(rd.Body, rf.Body) {
 		t.Fatalf("post-restart delta body differs from full admit:\n%s\n%s", rd.Body, rf.Body)
+	}
+}
+
+// lruKeys lists each shard's keys, most recently used first.
+func lruKeys(c *cache) [][]string {
+	out := make([][]string, len(c.shards))
+	for i, sh := range c.shards {
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			out[i] = append(out[i], el.Value.(*lruItem).key)
+		}
+	}
+	return out
+}
+
+// peek returns key's entry without touching its recency.
+func peek(c *cache, key string) (*entry, bool) {
+	el, ok := c.shardFor(key).items[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*lruItem).val, true
+}
+
+// TestStoreWarmStartMatchesFullLoad: the bounded newest-first warm start
+// leaves every shard holding the same keys, in the same recency order, as
+// a forward load of the whole log; an undecodable record takes no slot,
+// so the next-older record of its shard gets it.
+func TestStoreWarmStartMatchesFullLoad(t *testing.T) {
+	const n = 1000
+	opts := Options{CacheEntries: 64, Shards: 4}
+	path := filepath.Join(t.TempDir(), "cache.log")
+	src := admitService(t, opts)
+	res, err := src.Analyze(context.Background(), chainGraph(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Path: path, Generation: src.Generation()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, n)
+	vals := make([][]byte, n)
+	const bad = n - 3 // among the newest: valid CRC, undecodable JSON
+	for i := range keys {
+		keys[i] = fmt.Sprintf("report-%04d", i)
+		vals[i] = res.Body
+		if i == bad {
+			vals[i] = []byte(`{"bounds":`)
+		}
+		st.Append(recReport, keys[i], vals[i])
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := storedService(t, path, opts)
+
+	ref := newCache(opts.CacheEntries, opts.Shards)
+	for i, k := range keys {
+		if ent, err := src.decodeRecord(recReport, vals[i]); err == nil {
+			ref.add(k, ent)
+		}
+	}
+	got := lruKeys(svc.cache)
+	if want := lruKeys(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("warm-started shards differ from a full forward load:\ngot  %v\nwant %v", got, want)
+	}
+	stats := svc.Stats()
+	if stats.Store.WarmLoaded != uint64(svc.cache.len()) || svc.cache.len() != opts.CacheEntries {
+		t.Fatalf("warmLoaded %d, resident %d, want both %d", stats.Store.WarmLoaded, svc.cache.len(), opts.CacheEntries)
+	}
+	if stats.Store.DecodeErrors != 1 {
+		t.Fatalf("storeDecodeErrors = %d, want 1", stats.Store.DecodeErrors)
+	}
+
+	// The bad record's shard holds its newest capacity+1 records minus
+	// the bad one: the oldest resident is the next-older record.
+	sh := svc.cache.shardIndex(keys[bad])
+	capacity := svc.cache.shards[sh].capacity
+	var newest []string
+	for i := n - 1; i >= 0 && len(newest) <= capacity; i-- {
+		if svc.cache.shardIndex(keys[i]) == sh {
+			newest = append(newest, keys[i])
+		}
+	}
+	resident := got[sh]
+	if slices.Contains(resident, keys[bad]) || resident[len(resident)-1] != newest[capacity] {
+		t.Fatalf("shard %d holds %v; want %s's slot taken by %s", sh, resident, keys[bad], newest[capacity])
+	}
+}
+
+// TestStoreWarmStartMixedKinds: on a log of eval, admit and report
+// records, the two-pass warm start (non-eval records claim slots first,
+// eval records fill the rest) matches a forward load that inserts every
+// eval record first and the others after, each in log order; resident
+// admit entries anchor exactly the resident eval handles of their tasks.
+func TestStoreWarmStartMixedKinds(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "cache.log")
+	src := storedService(t, path, Options{})
+	for i := int64(0); i < 6; i++ {
+		if _, err := src.Admit(ctx, hetrta.Taskset{Tasks: []hetrta.SporadicTask{
+			deltaChain(i+1, 4, 40, 40),
+			deltaChain(2, i+5, 60, 50),
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Analyze(ctx, chainGraph(t, 10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.store.Flush()
+	logBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts := Options{CacheEntries: 20, Shards: 4}
+	svc := storedService(t, path, opts)
+
+	// Reference: the latest record of every key, evals first, then the
+	// rest, each in log order.
+	var recs []store.Record
+	last := map[string]int{}
+	if _, err := store.ScanStream(bytes.NewReader(logBytes), svc.Generation(), func(rec store.Record) error {
+		last[rec.Key] = len(recs)
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ref := newCache(opts.CacheEntries, opts.Shards)
+	evalRecs := 0
+	for _, evals := range []bool{true, false} {
+		for i, rec := range recs {
+			if last[rec.Key] != i || (rec.Kind == recEval) != evals {
+				continue
+			}
+			if evals {
+				evalRecs++
+			}
+			ent, err := svc.decodeRecord(rec.Kind, rec.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.add(rec.Key, ent)
+		}
+	}
+	got := lruKeys(svc.cache)
+	if want := lruKeys(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("warm-started shards differ from a full forward load:\ngot  %q\nwant %q", got, want)
+	}
+
+	var evalsResident, admits int
+	for _, shard := range got {
+		for _, key := range shard {
+			ent, _ := peek(svc.cache, key)
+			if ent.eval != nil {
+				evalsResident++
+			}
+			if ent.admit == nil {
+				continue
+			}
+			admits++
+			for _, dg := range ent.digests {
+				ev, ok := peek(svc.cache, svc.evalKeyOf(dg))
+				if h := ent.evals[dg]; (ok && h != ev.eval) || (!ok && h != nil) {
+					t.Fatalf("admit %s: anchor for task %s does not match the resident eval entry", key, dg)
+				}
+			}
+		}
+	}
+	if admits == 0 || evalsResident == 0 || evalsResident == evalRecs {
+		t.Fatalf("log shape does not exercise both passes: %d admits and %d of %d evals resident", admits, evalsResident, evalRecs)
 	}
 }
 

@@ -77,14 +77,17 @@ type Options struct {
 	QueueDepth int
 }
 
-// span locates one record's payload inside the file.
+// span locates one record's payload inside the file. kind is the
+// record's kind byte, kept in the index so a walk can filter records
+// without reading them.
 type span struct {
-	off int64
-	n   int32
-	crc uint32
+	off  int64
+	n    int32
+	crc  uint32
+	kind byte
 }
 
-// Store is a disk-backed key→record map. Get and Each read through an
+// Store is a disk-backed key→record map. Get and WalkNewest read through an
 // in-memory index with os.File.ReadAt, which is safe concurrently with
 // the writer goroutine appending at the end of the file.
 type Store struct {
@@ -109,6 +112,9 @@ type Store struct {
 	appends         atomic.Uint64
 	appendErrors    atomic.Uint64
 	dropped         atomic.Uint64
+	// reads counts payload reads from disk (Get and WalkNewest), so a
+	// test can pin that a walk reads only the records it wants.
+	reads atomic.Uint64
 }
 
 type writeMsg struct {
@@ -198,7 +204,7 @@ func (s *Store) load() error {
 	}
 	off := hdrLen
 	for {
-		rec, frameLen, err := readRecord(br)
+		rec, frameLen, crc, err := readRecord(br)
 		if err == io.EOF {
 			break
 		}
@@ -208,7 +214,7 @@ func (s *Store) load() error {
 			break
 		}
 		payloadOff := off + 8 // skip length + crc words
-		s.index[rec.Key] = span{off: payloadOff, n: int32(frameLen - 8), crc: crc32.ChecksumIEEE(payloadBytes(rec))}
+		s.index[rec.Key] = span{off: payloadOff, n: int32(frameLen - 8), crc: crc, kind: rec.Kind}
 		off += frameLen
 		s.recordsLoaded.Add(1)
 		s.bytesLoaded.Add(uint64(frameLen))
@@ -273,32 +279,41 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Each calls fn for every live record in log order (oldest surviving
-// record first), so a warm start that inserts into an LRU leaves the
-// most recently written keys most recent. A non-nil error from fn
-// aborts the walk.
-func (s *Store) Each(fn func(rec Record) error) error {
+// WalkNewest visits live records newest first (reverse log order), so a
+// warm start can fill a bounded cache with the most recently written
+// keys and stop. want sees each record's key and kind before anything is
+// read: a record it rejects costs no I/O. fn receives each wanted record
+// that reads back intact (CRC-checked, as in Get); an unreadable record
+// is skipped, as Get would miss it. fn returning false ends the walk.
+func (s *Store) WalkNewest(want func(key string, kind byte) bool, fn func(rec Record) bool) {
+	type keyed struct {
+		key string
+		sp  span
+	}
 	s.mu.RLock()
-	spans := make([]span, 0, len(s.index))
-	for _, sp := range s.index {
-		spans = append(spans, sp)
+	live := make([]keyed, 0, len(s.index))
+	for k, sp := range s.index {
+		live = append(live, keyed{k, sp})
 	}
 	s.mu.RUnlock()
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	for _, sp := range spans {
-		rec, err := s.readAt(sp)
-		if err != nil {
-			continue // unreadable record: skip, Get would also miss
+	sort.Slice(live, func(i, j int) bool { return live[i].sp.off > live[j].sp.off })
+	for _, r := range live {
+		if !want(r.key, r.sp.kind) {
+			continue
 		}
-		if err := fn(rec); err != nil {
-			return err
+		rec, err := s.readAt(r.sp)
+		if err != nil {
+			continue
+		}
+		if !fn(rec) {
+			return
 		}
 	}
-	return nil
 }
 
 // readAt decodes the payload at sp, verifying its CRC.
 func (s *Store) readAt(sp span) (Record, error) {
+	s.reads.Add(1)
 	buf := make([]byte, sp.n)
 	if _, err := s.f.ReadAt(buf, sp.off); err != nil {
 		return Record{}, err
@@ -394,7 +409,7 @@ func (s *Store) write(rec Record) error {
 		return err
 	}
 	s.mu.Lock()
-	s.index[rec.Key] = span{off: off + 8, n: int32(len(payload)), crc: crc}
+	s.index[rec.Key] = span{off: off + 8, n: int32(len(payload)), crc: crc, kind: rec.Kind}
 	s.size = off + int64(len(frame))
 	s.mu.Unlock()
 	s.appends.Add(1)
@@ -450,7 +465,7 @@ func ScanStream(r io.Reader, generation string, fn func(rec Record) error) (Scan
 		return sum, fmt.Errorf("%w: stream %q, want %q", ErrGenerationMismatch, gen, generation)
 	}
 	for {
-		rec, frameLen, err := readRecord(br)
+		rec, frameLen, _, err := readRecord(br)
 		if err == io.EOF {
 			return sum, nil
 		}
@@ -487,34 +502,34 @@ func readHeader(br *bufio.Reader) (gen string, hdrLen int64, err error) {
 	return string(genBuf), int64(8 + 2 + n), nil
 }
 
-// readRecord consumes one frame. io.EOF means a clean end exactly at a
-// frame boundary; errTorn any syntactic breakage (the truncated-tail
-// case).
-func readRecord(br *bufio.Reader) (rec Record, frameLen int64, err error) {
+// readRecord consumes one frame and returns it with the payload CRC it
+// was verified against. io.EOF means a clean end exactly at a frame
+// boundary; errTorn any syntactic breakage (the truncated-tail case).
+func readRecord(br *bufio.Reader) (rec Record, frameLen int64, crc uint32, err error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return Record{}, 0, io.EOF // clean boundary
+		return Record{}, 0, 0, io.EOF // clean boundary
 	}
 	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return Record{}, 0, errTorn
+		return Record{}, 0, 0, errTorn
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
+	crc = binary.LittleEndian.Uint32(hdr[4:])
 	if n == 0 || n > maxPayload {
-		return Record{}, 0, errTorn
+		return Record{}, 0, 0, errTorn
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(br, payload); err != nil {
-		return Record{}, 0, errTorn
+		return Record{}, 0, 0, errTorn
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		return Record{}, 0, errTorn
+		return Record{}, 0, 0, errTorn
 	}
 	rec, perr := parsePayload(payload)
 	if perr != nil {
-		return Record{}, 0, errTorn
+		return Record{}, 0, 0, errTorn
 	}
-	return rec, int64(8 + n), nil
+	return rec, int64(8 + n), crc, nil
 }
 
 // payloadBytes encodes kind | uvarint(keyLen) | key | value.

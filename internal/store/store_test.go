@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -65,29 +66,54 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEachLogOrder(t *testing.T) {
+// TestWalkNewestFirst pins WalkNewest's contract: live records come
+// newest first (a rewrite moves its key to the front), a record rejected
+// by want is never read from disk, and fn returning false stops the walk.
+func TestWalkNewestFirst(t *testing.T) {
 	s, _ := openTemp(t, "g")
 	defer s.Close()
 	for i := 0; i < 5; i++ {
 		s.Append(1, fmt.Sprintf("k%d", i), []byte{byte(i)})
 	}
-	s.Append(1, "k1", []byte{99}) // rewrite moves k1 to the tail
+	s.Append(2, "k1", []byte{99}) // rewrite moves k1 to the tail
 	s.Flush()
-	var order []string
-	if err := s.Each(func(rec Record) error {
-		order = append(order, rec.Key)
-		return nil
-	}); err != nil {
-		t.Fatalf("Each: %v", err)
+
+	walk := func(want func(string, byte) bool, stopAfter int) (order, asked []string, reads uint64) {
+		before := s.reads.Load()
+		s.WalkNewest(func(key string, kind byte) bool {
+			asked = append(asked, key)
+			return want(key, kind)
+		}, func(rec Record) bool {
+			order = append(order, rec.Key)
+			return len(order) < stopAfter
+		})
+		return order, asked, s.reads.Load() - before
 	}
-	want := []string{"k0", "k2", "k3", "k4", "k1"}
-	if len(order) != len(want) {
-		t.Fatalf("Each visited %v, want %v", order, want)
+	all := func(string, byte) bool { return true }
+
+	order, _, reads := walk(all, 10)
+	if want := []string{"k1", "k4", "k3", "k2", "k0"}; !slices.Equal(order, want) {
+		t.Fatalf("walk order %v, want %v", order, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("Each order %v, want %v", order, want)
-		}
+	if reads != 5 {
+		t.Fatalf("full walk read %d records, want 5", reads)
+	}
+
+	// want sees the index's kind: the rewrite carries kind 2.
+	order, asked, reads := walk(func(key string, kind byte) bool { return kind == 1 && key != "k3" }, 10)
+	if want := []string{"k4", "k2", "k0"}; !slices.Equal(order, want) {
+		t.Fatalf("filtered walk %v, want %v", order, want)
+	}
+	if len(asked) != 5 || reads != 3 {
+		t.Fatalf("filtered walk asked %v and read %d records, want all 5 asked and 3 read", asked, reads)
+	}
+
+	order, asked, reads = walk(all, 2)
+	if want := []string{"k1", "k4"}; !slices.Equal(order, want) {
+		t.Fatalf("stopped walk %v, want %v", order, want)
+	}
+	if len(asked) != 2 || reads != 2 {
+		t.Fatalf("stopped walk asked %v and read %d records, want 2 each", asked, reads)
 	}
 }
 
