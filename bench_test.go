@@ -249,6 +249,46 @@ func BenchmarkExactParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkExactMiss measures the exact oracle on the population the
+// analyze-miss serving workload feeds it: transitively reduced Small(8,24)
+// graphs with c_off 0.15 on a 4+1 platform, a 10k expansion budget and one
+// worker. One op searches all 200 graphs; about three quarters close at the
+// root bound and a few exhaust the budget, which exp/op and capped/op
+// report.
+func BenchmarkExactMiss(b *testing.B) {
+	const graphs = 200
+	gen := taskgen.MustNew(taskgen.Small(8, 24), 2)
+	gs := make([]*dag.Graph, graphs)
+	for i := range gs {
+		g, _, _, err := gen.HetTask(0.15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.TransitiveReduction(); err != nil {
+			b.Fatal(err)
+		}
+		gs[i] = g
+	}
+	opts := exact.Options{MaxExpansions: 10_000, Parallelism: 1}
+	var expansions, capped int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gs {
+			r, err := exact.MinMakespan(context.Background(), g, sched.Hetero(4), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			expansions += r.Expansions
+			if r.Status == exact.Feasible {
+				capped++
+			}
+		}
+	}
+	b.ReportMetric(float64(expansions)/float64(b.N), "exp/op")
+	b.ReportMetric(float64(capped)/float64(b.N), "capped/op")
+}
+
 // BenchmarkAblationPolicies compares scheduling policies on the same task
 // set (the §5.2 discussion: breadth-first vs alternatives).
 func BenchmarkAblationPolicies(b *testing.B) {

@@ -180,7 +180,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // benchLine matches standard testing output, e.g.
 //
 //	BenchmarkFig6-4   2   58965415 ns/op   86468300 B/op   857633 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+//
+// Metrics a benchmark reports itself (b.ReportMetric) are printed between
+// ns/op and the memory columns, so everything after ns/op is read as
+// value/unit pairs and picked by unit.
+var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op((?:\s+\S+ \S+)*)`)
 
 // parseBench extracts benchmark results from `go test -bench` output.
 func parseBench(out string) ([]Benchmark, error) {
@@ -199,11 +203,14 @@ func parseBench(out string) ([]Benchmark, error) {
 			return nil, fmt.Errorf("parsing %q: %w", line, err)
 		}
 		b := Benchmark{Name: m[1], Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			b.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			b.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		pairs := strings.Fields(m[4])
+		for i := 0; i+1 < len(pairs); i += 2 {
+			switch pairs[i+1] {
+			case "B/op":
+				b.BytesPerOp, _ = strconv.ParseInt(pairs[i], 10, 64)
+			case "allocs/op":
+				b.AllocsPerOp, _ = strconv.ParseInt(pairs[i], 10, 64)
+			}
 		}
 		benches = append(benches, b)
 	}

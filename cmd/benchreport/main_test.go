@@ -38,6 +38,21 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// A benchmark that reports its own metrics prints them between ns/op and
+// the memory columns; the allocation gate must still see allocs/op.
+func TestParseBenchCustomMetrics(t *testing.T) {
+	out := "BenchmarkExactMiss-2   \t      14\t  85903108 ns/op\t        19.00 capped/op\t    225087 exp/op\t 4749299 B/op\t   17504 allocs/op\n"
+	benches, err := parseBench(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Benchmark{Name: "BenchmarkExactMiss", Iterations: 14, NsPerOp: 85903108,
+		BytesPerOp: 4749299, AllocsPerOp: 17504}
+	if len(benches) != 1 || benches[0] != want {
+		t.Fatalf("parsed %+v, want [%+v]", benches, want)
+	}
+}
+
 func TestCompareFlagsRegressions(t *testing.T) {
 	baseline := []Benchmark{
 		{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 100},

@@ -1,0 +1,127 @@
+package exact
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"repro/internal/dag"
+	"repro/internal/platform"
+	"repro/internal/sched"
+	"repro/internal/taskgen"
+)
+
+// bruteMinMakespan is an oracle independent of the search kernel: it runs
+// the serial schedule-generation scheme over every topological order of g
+// and returns the smallest makespan. By the SGS argument of DESIGN.md §4.3
+// that is the optimum. Exponential in n; meant for n ≤ 8.
+func bruteMinMakespan(g *dag.Graph, p sched.Platform) int64 {
+	n := g.NumNodes()
+	cls := make([]int, n)
+	for v := range cls {
+		c := g.Class(v)
+		if p.Devices() == 0 || p.Count(c) == 0 {
+			c = 0 // homogeneous fallback; a zero-WCET node occupies nothing
+		}
+		cls[v] = c
+	}
+	avail := make([][]int64, p.NumClasses())
+	for c := range avail {
+		avail[c] = make([]int64, p.Count(c))
+	}
+	finish := make([]int64, n)
+	best := int64(math.MaxInt64)
+	var walk func(done uint64, makespan int64)
+	walk = func(done uint64, makespan int64) {
+		if done == uint64(1)<<uint(n)-1 {
+			best = min(best, makespan)
+			return
+		}
+		for v := 0; v < n; v++ {
+			if done&(1<<uint(v)) != 0 {
+				continue
+			}
+			start, ready := int64(0), true
+			for _, u := range g.Preds(v) {
+				ready = ready && done&(1<<uint(u)) != 0
+				start = max(start, finish[u])
+			}
+			if !ready {
+				continue
+			}
+			row, mi := avail[cls[v]], -1
+			if g.WCET(v) > 0 {
+				mi = 0
+				for i := range row {
+					if row[i] < row[mi] {
+						mi = i
+					}
+				}
+				start = max(start, row[mi])
+			}
+			finish[v] = start + g.WCET(v)
+			if mi < 0 {
+				walk(done|1<<uint(v), max(makespan, finish[v]))
+				continue
+			}
+			prev := row[mi]
+			row[mi] = finish[v]
+			walk(done|1<<uint(v), max(makespan, finish[v]))
+			row[mi] = prev
+		}
+	}
+	walk(0, 0)
+	return best
+}
+
+// TestMinMakespanMatchesBruteForce checks that the branch-and-bound, with
+// every pruning rule on, proves exactly the optimum that exhaustive
+// enumeration finds — on one- and two-device-class platforms and on graphs
+// with zero-WCET nodes.
+func TestMinMakespanMatchesBruteForce(t *testing.T) {
+	gen := taskgen.MustNew(taskgen.Params{
+		PPar: 0.5, NPar: 4, MaxDepth: 2, NMin: 3, NMax: 8, CMin: 1, CMax: 9,
+	}, 4242)
+	oneClass := []sched.Platform{sched.Homogeneous(2), sched.Hetero(1), sched.Hetero(2)}
+	twoClass := platform.New(
+		platform.ResourceClass{Name: "host", Count: 2},
+		platform.ResourceClass{Name: "gpu", Count: 1},
+		platform.ResourceClass{Name: "fpga", Count: 1},
+	)
+	check := func(i int, g *dag.Graph, p sched.Platform) {
+		t.Helper()
+		r, err := MinMakespan(context.Background(), g, p, Options{})
+		if err != nil {
+			t.Fatalf("graph %d on %v: %v", i, p, err)
+		}
+		if want := bruteMinMakespan(g, p); r.Status != Optimal || r.Makespan != want {
+			t.Fatalf("graph %d on %v: got %d (%v), brute force %d\n%s", i, p, r.Makespan, r.Status, want, g.DOT("g"))
+		}
+	}
+	checked := 0
+	for i := 0; i < 150; i++ {
+		g, err := gen.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumNodes()
+		if n > 8 {
+			continue
+		}
+		taskgen.SetOffload(g, i%n, 0.3)
+		if i%4 == 0 {
+			g.SetWCET((i+1)%n, 0)
+		}
+		for _, p := range oneClass {
+			check(i, g, p)
+		}
+		// The same graph with a second offload on the other device class.
+		g2 := g.Clone()
+		taskgen.SetOffloadClass(g2, (i+n/2)%n, 0.2, 2)
+		check(i, g2, twoClass)
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d graphs checked", checked)
+	}
+}

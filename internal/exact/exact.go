@@ -184,13 +184,10 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 
 	sh := &shared{
 		ctx:          ctx,
-		g:            g,
 		p:            p,
 		n:            n,
 		nClasses:     nClasses,
 		full:         uint64(1)<<uint(n) - 1,
-		topo:         topo,
-		tail:         g.LongestToEnd(),
 		maxExp:       opts.MaxExpansions,
 		ctxEvery:     opts.CtxCheckEvery,
 		unrestricted: opts.Unrestricted,
@@ -213,7 +210,7 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 		workers = maxWorkers
 	}
 	sh.cls = make([]int, n)
-	sh.work = make([]int64, nClasses)
+	work := make([]int64, nClasses)
 	homogeneous := p.Devices() == 0
 	for v := 0; v < n; v++ {
 		c := g.Class(v)
@@ -228,34 +225,14 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 			c = 0 // resource-free node; park it in the host class
 		}
 		sh.cls[v] = c
-		sh.work[c] += g.WCET(v)
+		work[c] += g.WCET(v)
 	}
-	sh.succMask = make([]uint64, n)
-	for v := 0; v < n; v++ {
-		for _, w := range g.Succs(v) {
-			sh.succMask[v] |= 1 << uint(w)
-		}
-	}
-	// Influence masks for signature clamping: which classes' node starts
-	// does v's finish time reach, through chains of zero-WCET nodes?
-	sh.feeds = make([]uint64, n)
-	for i := n - 1; i >= 0; i-- {
-		v := topo[i]
-		for _, w := range g.Succs(v) {
-			if g.WCET(w) == 0 {
-				sh.feeds[v] |= sh.feeds[w]
-			} else {
-				sh.feeds[v] |= 1 << uint(sh.cls[w])
-			}
-		}
-	}
-	sh.memo = newMemo(memoLimit, memoShardCount(workers))
 
 	// Root lower bound: critical path and per-class load.
 	rootLB := g.CriticalPathLength()
 	for c := 0; c < nClasses; c++ {
-		if sh.work[c] > 0 && p.Count(c) > 0 {
-			if lb := divCeil(sh.work[c], int64(p.Count(c))); lb > rootLB {
+		if work[c] > 0 && p.Count(c) > 0 {
+			if lb := divCeil(work[c], int64(p.Count(c))); lb > rootLB {
 				rootLB = lb
 			}
 		}
@@ -263,7 +240,9 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 
 	// Incumbent from the heuristic portfolio. The seed is computed before
 	// the search, so it is identical at every parallelism — it is what a
-	// budget-aborted search reports (see below).
+	// budget-aborted search reports (see below). No schedule beats rootLB,
+	// so the portfolio stops at the first policy that reaches it: later
+	// policies could only tie, and ties never replace the seed.
 	seedBest := int64(math.MaxInt64)
 	var seedSpans []sched.Span
 	pols := append(sched.Heuristics(), sched.Random(1), sched.Random(2))
@@ -277,6 +256,9 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 			seedBest = r.Makespan
 			seedSpans = append(seedSpans[:0], r.Spans...)
 		}
+		if seedBest == rootLB {
+			break
+		}
 	}
 
 	res := &Result{LowerBound: rootLB}
@@ -285,6 +267,14 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 		res.Status = Optimal
 		res.Spans = seedSpans
 		return res, nil
+	}
+
+	// Search-only state, built once the root has not closed the search.
+	sh.flatten(g, topo)
+	if workers <= 1 {
+		sh.memo = getSerialMemo(memoLimit)
+	} else {
+		sh.memo = newMemo(memoLimit, memoShardCount(workers))
 	}
 
 	// Branch and bound.
@@ -323,6 +313,12 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 		if pv := sh.panicVal; pv != nil {
 			panic(fmt.Sprintf("exact: search worker panicked: %v", pv))
 		}
+	}
+	if workers <= 1 {
+		// Pooled only after the search returned normally: a panic unwinding
+		// out of dominated could leave the shard locked, so that memo is
+		// dropped instead.
+		putSerialMemo(sh.memo)
 	}
 	if sh.err != nil {
 		return nil, sh.err
@@ -378,19 +374,25 @@ func spawnDepthFor(n, workers int) int {
 // before the pool existed.
 type shared struct {
 	ctx context.Context
-	g   *dag.Graph
 	p   sched.Platform
 
 	n        int
 	nClasses int
 	full     uint64 // mask with all n node bits set
+
+	// The instance, flattened once per search (flatten) so the kernel
+	// reads plain slices and bitmasks: cls is each node's machine class
+	// (with the homogeneous fallback applied), predMask/succMask the
+	// direct predecessors/successors as node bitmasks, zeroMask the
+	// zero-WCET nodes.
 	topo     []int
 	tail     []int64
-	// cls is each node's machine class (with the homogeneous fallback
-	// applied); work is the total WCET per class.
 	cls      []int
-	work     []int64
+	wcet     []int64
+	preds    [][]int
+	predMask []uint64
 	succMask []uint64
+	zeroMask uint64
 	// feeds[v] is the bitmask of classes whose node starts v's finish time
 	// can influence through zero-WCET chains.
 	feeds []uint64
@@ -429,6 +431,44 @@ type shared struct {
 	pool       *pool
 	spawnDepth int
 	backlog    int64
+}
+
+// flatten copies the instance into the kernel's flat form. Only a search
+// that did not close at the root pays for it.
+func (sh *shared) flatten(g *dag.Graph, topo []int) {
+	n := sh.n
+	sh.topo = topo
+	sh.tail = g.LongestToEnd()
+	sh.wcet = make([]int64, n)
+	sh.preds = make([][]int, n)
+	sh.predMask = make([]uint64, n)
+	sh.succMask = make([]uint64, n)
+	for v := 0; v < n; v++ {
+		sh.wcet[v] = g.WCET(v)
+		if sh.wcet[v] == 0 {
+			sh.zeroMask |= 1 << uint(v)
+		}
+		sh.preds[v] = g.Preds(v)
+		for _, u := range sh.preds[v] {
+			sh.predMask[v] |= 1 << uint(u)
+		}
+		for _, w := range g.Succs(v) {
+			sh.succMask[v] |= 1 << uint(w)
+		}
+	}
+	// Influence masks for signature clamping: which classes' node starts
+	// does v's finish time reach, through chains of zero-WCET nodes?
+	sh.feeds = make([]uint64, n)
+	for i := n - 1; i >= 0; i-- {
+		v := topo[i]
+		for _, w := range g.Succs(v) {
+			if sh.wcet[w] == 0 {
+				sh.feeds[v] |= sh.feeds[w]
+			} else {
+				sh.feeds[v] |= 1 << uint(sh.cls[w])
+			}
+		}
+	}
 }
 
 // publish installs makespan ms, achieved by the SGS order, as the incumbent

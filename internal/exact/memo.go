@@ -7,12 +7,13 @@ import (
 )
 
 // memo is the dominance store, sharded by hashed state mask the way
-// internal/service shards its report cache: each shard owns a mutex and a
-// mask → signature-list map, and a single atomic counter enforces
-// MemoLimit globally across shards. States with equal masks always land in
-// the same shard, so the check-then-insert in dominated stays atomic —
-// two workers reaching states with equal signatures can never both insert
-// and both prune (which would silently drop a subtree).
+// internal/service shards its report cache: each shard owns a mutex, a
+// mask → record-chain map and a flat signature arena, and a single atomic
+// counter enforces MemoLimit globally across shards. States with equal
+// masks always land in the same shard, so the check-then-insert in
+// dominated stays atomic — two workers reaching states with equal
+// signatures can never both insert and both prune (which would silently
+// drop a subtree).
 type memo struct {
 	shards []memoShard
 	mask   uint64
@@ -23,10 +24,19 @@ type memo struct {
 	limit   int64
 }
 
+// memoShard stores its records back to back in arena: each record is the
+// arena offset of the next record with the same mask (-1 ends the chain)
+// followed by the signature. A signature's length depends only on the mask
+// (the machine count, the scheduled nodes with unscheduled successors, and
+// the makespan), so the chain needs no per-record length. m maps a mask to
+// its chain's first and last record; records chain in insertion order.
 type memoShard struct {
-	mu sync.Mutex
-	m  map[uint64][][]int64
+	mu    sync.Mutex
+	m     map[uint64]memoChain
+	arena []int64
 }
+
+type memoChain struct{ head, tail int }
 
 // memoShardCount picks the shard count: one shard at Parallelism ≤ 1 (the
 // serial search keeps its lock uncontended and its insertion order — and
@@ -46,9 +56,45 @@ func memoShardCount(workers int) int {
 func newMemo(limit int64, shards int) *memo {
 	mm := &memo{shards: make([]memoShard, shards), mask: uint64(shards - 1), limit: limit}
 	for i := range mm.shards {
-		mm.shards[i].m = make(map[uint64][][]int64)
+		mm.shards[i].m = make(map[uint64]memoChain)
 	}
 	return mm
+}
+
+// serialMemos recycles the single-shard memo of Parallelism ≤ 1 searches,
+// so a search reuses the map buckets and arena an earlier one grew.
+var serialMemos = sync.Pool{New: func() any { return newMemo(0, 1) }}
+
+// Retention caps for a pooled memo: a search that grew its arena or map
+// past them (far beyond what a 10k-expansion budget needs) frees them
+// instead of pinning them in the pool.
+const (
+	maxPooledArena = 1 << 18 // int64 words, 2 MiB
+	maxPooledMasks = 1 << 14
+)
+
+func getSerialMemo(limit int64) *memo {
+	mm := serialMemos.Get().(*memo)
+	mm.limit = limit
+	return mm
+}
+
+// putSerialMemo clears mm and returns it to the pool; it must only be
+// called once the search using it has finished.
+func putSerialMemo(mm *memo) {
+	s := &mm.shards[0]
+	if len(s.m) > maxPooledMasks {
+		s.m = make(map[uint64]memoChain)
+	} else {
+		clear(s.m)
+	}
+	if cap(s.arena) > maxPooledArena {
+		s.arena = nil
+	} else {
+		s.arena = s.arena[:0]
+	}
+	mm.entries.Store(0)
+	serialMemos.Put(mm)
 }
 
 // mix64 is the splitmix64 finalizer: state masks are dense in the low bits,
@@ -70,26 +116,34 @@ func mix64(x uint64) uint64 {
 func (mm *memo) dominated(mask uint64, sig []int64) bool {
 	s := &mm.shards[mix64(mask)&mm.mask]
 	s.mu.Lock()
-	entries := s.m[mask]
-	for _, old := range entries {
-		if len(old) != len(sig) {
-			continue
-		}
-		dom := true
-		for i := range old {
-			if old[i] > sig[i] {
-				dom = false
-				break
+	ch, seen := s.m[mask]
+	if seen {
+		for at := ch.head; at >= 0; at = int(s.arena[at]) {
+			old := s.arena[at+1 : at+1+len(sig)]
+			dom := true
+			for i, o := range old {
+				if o > sig[i] {
+					dom = false
+					break
+				}
 			}
-		}
-		if dom {
-			s.mu.Unlock()
-			return true
+			if dom {
+				s.mu.Unlock()
+				return true
+			}
 		}
 	}
 	if mm.entries.Add(1) <= mm.limit {
-		// sig lives in the worker's scratch buffer; copy what we keep.
-		s.m[mask] = append(entries, append([]int64(nil), sig...))
+		at := len(s.arena)
+		//lint:alloc arena growth: amortized doubling, and a pooled serial memo starts at the capacity an earlier search grew
+		s.arena = append(append(s.arena, -1), sig...)
+		if seen {
+			s.arena[ch.tail] = int64(at)
+			ch.tail = at
+		} else {
+			ch = memoChain{head: at, tail: at}
+		}
+		s.m[mask] = ch
 	} else {
 		mm.entries.Add(-1)
 	}

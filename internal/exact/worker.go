@@ -27,13 +27,13 @@ type worker struct {
 	// buffers are allocated once and reused across the whole search.
 	levels []level
 
-	// Scratch for signature: the dominance vector is built in sigBuf and
-	// only copied when it is actually inserted into the memo; availBuf
-	// holds the per-class sorted availability vectors, classMin their
-	// minima, remBuf the per-class remaining work of lower().
+	// Scratch for estimates and signature: the dominance vector is built
+	// in sigBuf and only copied when it is actually inserted into the
+	// memo; classMin and availSum hold each class's minimum and total
+	// machine availability, remBuf its remaining work.
 	sigBuf   []int64
-	availBuf []int64
 	classMin []int64
+	availSum []int64
 	remBuf   []int64
 }
 
@@ -45,7 +45,10 @@ type level struct {
 }
 
 type state struct {
-	mask   uint64 // scheduled nodes
+	mask uint64 // scheduled nodes
+	// finish holds the finish time of every scheduled node. Entries of
+	// unscheduled nodes are scratch: estimates writes their estimated
+	// finish there, and nothing reads them once the pass is over.
 	finish []int64
 	// avail[c][i] is the absolute availability time of machine i of class c.
 	avail    [][]int64
@@ -57,7 +60,8 @@ type state struct {
 // undoRec is what applyTo changed beyond the append-only order slice: the
 // previous mask and makespan, plus the single machine-availability slot the
 // branched node occupied. Finish times of newly scheduled nodes need no
-// restoration — finish is only ever read for nodes whose mask bit is set.
+// restoration — outside estimates, finish is only ever read for nodes whose
+// mask bit is set.
 type undoRec struct {
 	prevMask     uint64
 	prevMakespan int64
@@ -76,8 +80,8 @@ func newWorker(sh *shared, id int) *worker {
 	}
 	w.levels = make([]level, sh.n+1)
 	w.sigBuf = make([]int64, 0, sh.p.Total()+sh.n+1)
-	w.availBuf = make([]int64, 0, sh.p.Total())
 	w.classMin = make([]int64, sh.nClasses)
+	w.availSum = make([]int64, sh.nClasses)
 	w.remBuf = make([]int64, sh.nClasses)
 	return w
 }
@@ -193,31 +197,25 @@ func (w *worker) undo(u undoRec) {
 	}
 }
 
-func (w *worker) scheduled(st *state, v int) bool { return st.mask&(1<<uint(v)) != 0 }
-
-// ready reports whether all predecessors of v are scheduled.
-func (w *worker) ready(st *state, v int) bool {
-	for _, p := range w.sh.g.Preds(v) {
-		if !w.scheduled(st, p) {
-			return false
-		}
-	}
-	return true
-}
-
 // scheduleFreeNodes places every ready zero-WCET node (sync nodes, dummy
 // sources/sinks) immediately at its predecessors' max finish. These are
 // forced moves: they consume no resource, so delaying them never helps.
+// Only the unscheduled bits of zeroMask are visited; the fixpoint does not
+// depend on the visiting order, since each node's time is fixed by its
+// predecessors alone.
+//
+//hetrta:hotpath
 func (w *worker) scheduleFreeNodes(st *state) {
 	sh := w.sh
 	for changed := true; changed; {
 		changed = false
-		for v := 0; v < sh.n; v++ {
-			if w.scheduled(st, v) || sh.g.WCET(v) != 0 || !w.ready(st, v) {
+		for free := sh.zeroMask &^ st.mask; free != 0; free &= free - 1 {
+			v := bits.TrailingZeros64(free)
+			if sh.predMask[v]&^st.mask != 0 {
 				continue
 			}
 			var t int64
-			for _, p := range sh.g.Preds(v) {
+			for _, p := range sh.preds[v] {
 				if st.finish[p] > t {
 					t = st.finish[p]
 				}
@@ -237,11 +235,13 @@ func (w *worker) scheduleFreeNodes(st *state) {
 
 // applyTo schedules node v on st in place using the serial SGS rule (with
 // forced zero-WCET moves applied) and returns the undo record.
+//
+//hetrta:hotpath
 func (w *worker) applyTo(st *state, v int) undoRec {
 	sh := w.sh
 	u := undoRec{prevMask: st.mask, prevMakespan: st.makespan, orderLen: len(st.order), machine: -1}
 	var ready int64
-	for _, p := range sh.g.Preds(v) {
+	for _, p := range sh.preds[v] {
 		if st.finish[p] > ready {
 			ready = st.finish[p]
 		}
@@ -261,7 +261,7 @@ func (w *worker) applyTo(st *state, v int) undoRec {
 	if avail[mi] > start {
 		start = avail[mi]
 	}
-	fin := start + sh.g.WCET(v)
+	fin := start + sh.wcet[v]
 	avail[mi] = fin
 	st.mask |= 1 << uint(v)
 	st.finish[v] = fin
@@ -292,81 +292,65 @@ func (w *worker) replay(order []int) []sched.Span {
 	return st.spans
 }
 
-// minAvails writes each class's minimum machine availability into
-// w.classMin (MaxInt64 for machine-less classes).
-func (w *worker) minAvails(st *state) {
-	for c := 0; c < w.sh.nClasses; c++ {
+// estimates computes, for each unscheduled node, a lower bound on its start
+// time given the partial schedule — predecessors' (estimated) finishes and
+// the earliest machine availability of its class — into est (one scratch
+// slice per dfs depth), and returns the admissible bound pruning the node:
+// the partial makespan, every unscheduled node's estimated start plus its
+// remaining critical path, and every class's availability plus remaining
+// work spread over its machines. One pass in topological order computes
+// all of it; it leaves each class's minimum availability in w.classMin for
+// signature.
+//
+//hetrta:hotpath
+func (w *worker) estimates(st *state, est []int64) int64 {
+	sh := w.sh
+	for c, row := range st.avail {
 		m := int64(math.MaxInt64)
-		for _, a := range st.avail[c] {
+		var sum int64
+		for _, a := range row {
 			if a < m {
 				m = a
 			}
+			sum += a
 		}
 		w.classMin[c] = m
+		w.availSum[c] = sum
+		w.remBuf[c] = 0
 	}
-}
-
-// estimates computes, for each unscheduled node, a lower bound on its start
-// time given the partial schedule: predecessors' (estimated) finishes and
-// the earliest machine availability of its class. The result is written
-// into est (one scratch slice per dfs depth).
-func (w *worker) estimates(st *state, est []int64) {
-	sh := w.sh
-	for i := range est {
-		est[i] = 0
-	}
-	w.minAvails(st)
+	lb := st.makespan
+	mask := st.mask
+	finish := st.finish
 	for _, v := range sh.topo {
-		if w.scheduled(st, v) {
+		if mask&(1<<uint(v)) != 0 {
 			continue
 		}
+		c := sh.cls[v]
 		var e int64
-		if sh.g.WCET(v) > 0 {
-			if m := w.classMin[sh.cls[v]]; m != math.MaxInt64 && m > e {
+		if sh.wcet[v] > 0 {
+			if m := w.classMin[c]; m != math.MaxInt64 && m > e {
 				e = m
 			}
 		}
-		for _, p := range sh.g.Preds(v) {
-			var f int64
-			if w.scheduled(st, p) {
-				f = st.finish[p]
-			} else {
-				f = est[p] + sh.g.WCET(p)
-			}
-			if f > e {
-				e = f
+		// A scheduled predecessor's entry is its finish time, an
+		// unscheduled one's the estimate written earlier in this pass.
+		for _, p := range sh.preds[v] {
+			if finish[p] > e {
+				e = finish[p]
 			}
 		}
 		est[v] = e
-	}
-}
-
-// lower computes the admissible bound pruning the node.
-func (w *worker) lower(st *state, est []int64) int64 {
-	sh := w.sh
-	lb := st.makespan
-	rem := w.remBuf
-	for c := range rem {
-		rem[c] = 0
-	}
-	for v := 0; v < sh.n; v++ {
-		if w.scheduled(st, v) {
-			continue
-		}
-		if b := est[v] + sh.tail[v]; b > lb {
+		finish[v] = e + sh.wcet[v]
+		if b := e + sh.tail[v]; b > lb {
 			lb = b
 		}
-		rem[sh.cls[v]] += sh.g.WCET(v)
+		w.remBuf[c] += sh.wcet[v]
 	}
-	for c := 0; c < sh.nClasses; c++ {
-		if rem[c] == 0 || sh.p.Count(c) == 0 {
+	for c, rem := range w.remBuf {
+		if rem == 0 || len(st.avail[c]) == 0 {
 			continue
 		}
-		var sum int64
-		for _, a := range st.avail[c] {
-			sum += a
-		}
-		if b := divCeil(sum+rem[c], int64(sh.p.Count(c))); b > lb {
+		if b := divCeil(w.availSum[c]+rem, int64(len(st.avail[c]))); b > lb {
 			lb = b
 		}
 	}
@@ -388,18 +372,19 @@ func (w *worker) lower(st *state, est []int64) int64 {
 // States differing only in such irrelevant finishes merge; this collapse is
 // what keeps small-m instances tractable.
 // The vector is built in the worker's scratch buffer, valid until the next
-// signature call; the memo copies it only on insertion.
+// signature call; the memo copies it only on insertion. It reads the class
+// minima estimates left in w.classMin, so it must follow estimates on the
+// same state.
 //
 //hetrta:hotpath
 func (w *worker) signature(st *state) []int64 {
 	sh := w.sh
 	sig := w.sigBuf[:0]
-	for c := 0; c < sh.nClasses; c++ {
-		row := append(w.availBuf[:0], st.avail[c]...)
-		slices.Sort(row)
+	for _, row := range st.avail {
+		start := len(sig)
 		sig = append(sig, row...)
+		slices.Sort(sig[start:])
 	}
-	w.minAvails(st)
 	// Fallback floor when a finish only feeds the makespan (zero-WCET sink
 	// chains): any current availability lower-bounds the final makespan,
 	// so the largest of the class minima is a sound clamp.
@@ -410,28 +395,49 @@ func (w *worker) signature(st *state) []int64 {
 		}
 	}
 	unscheduled := ^st.mask
-	for v := 0; v < sh.n; v++ {
-		if w.scheduled(st, v) && sh.succMask[v]&unscheduled != 0 {
-			floor := int64(math.MaxInt64)
-			for mask := sh.feeds[v]; mask != 0; mask &= mask - 1 {
-				c := bits.TrailingZeros64(mask)
-				if m := w.classMin[c]; m < floor {
-					floor = m
-				}
-			}
-			if floor == math.MaxInt64 {
-				floor = sinkFloor
-			}
-			f := st.finish[v]
-			if f < floor {
-				f = floor
-			}
-			sig = append(sig, f)
+	for done := st.mask; done != 0; done &= done - 1 {
+		v := bits.TrailingZeros64(done)
+		if sh.succMask[v]&unscheduled == 0 {
+			continue
 		}
+		floor := int64(math.MaxInt64)
+		for mask := sh.feeds[v]; mask != 0; mask &= mask - 1 {
+			c := bits.TrailingZeros64(mask)
+			if m := w.classMin[c]; m < floor {
+				floor = m
+			}
+		}
+		if floor == math.MaxInt64 {
+			floor = sinkFloor
+		}
+		f := st.finish[v]
+		if f < floor {
+			f = floor
+		}
+		sig = append(sig, f)
 	}
 	sig = append(sig, st.makespan)
 	w.sigBuf = sig
 	return sig
+}
+
+// candidates collects the branchable nodes of st — unscheduled, non-zero
+// WCET, every predecessor scheduled — in ascending ID order into lv.cands.
+//
+//hetrta:hotpath
+func (w *worker) candidates(st *state, lv *level) []cand {
+	sh := w.sh
+	cands := lv.cands[:0]
+	for open := sh.full &^ st.mask &^ sh.zeroMask; open != 0; open &= open - 1 {
+		v := bits.TrailingZeros64(open)
+		if sh.predMask[v]&^st.mask != 0 {
+			continue
+		}
+		e := lv.est[v]
+		cands = append(cands, cand{v: v, est: e, ect: e + sh.wcet[v], tail: sh.tail[v]})
+	}
+	lv.cands = cands
+	return cands
 }
 
 type cand struct {
@@ -471,23 +477,14 @@ func (w *worker) dfs(depth int) {
 		}
 	}
 	lv := w.levelAt(depth)
-	est := lv.est
-	w.estimates(st, est)
-	if w.lower(st, est) >= sh.best.Load() {
+	if w.estimates(st, lv.est) >= sh.best.Load() {
 		return
 	}
 	if sh.memo.dominated(st.mask, w.signature(st)) {
 		return
 	}
 
-	cands := lv.cands[:0]
-	for v := 0; v < sh.n; v++ {
-		if w.scheduled(st, v) || sh.g.WCET(v) == 0 || !w.ready(st, v) {
-			continue
-		}
-		cands = append(cands, cand{v: v, est: est[v], ect: est[v] + sh.g.WCET(v), tail: sh.tail[v]})
-	}
-	lv.cands = cands
+	cands := w.candidates(st, lv)
 
 	// Giffler–Thompson active-schedule restriction: branch only on the
 	// class achieving the minimum earliest completion time (lowest class
@@ -521,7 +518,7 @@ func (w *worker) dfs(depth int) {
 		for j := 0; j < i; j++ {
 			d := cands[j]
 			if d.v < c.v && sh.cls[d.v] == sh.cls[c.v] &&
-				sh.g.WCET(d.v) == sh.g.WCET(c.v) &&
+				sh.wcet[d.v] == sh.wcet[c.v] &&
 				sh.succMask[d.v] == sh.succMask[c.v] && d.est == c.est {
 				dup = true
 				break
