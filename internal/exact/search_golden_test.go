@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -138,7 +137,7 @@ func TestSearchPathGolden(t *testing.T) {
 		t.Fatalf("%v (regenerate with: go test ./internal/exact -run TestSearchPathGolden -update)", err)
 	}
 	var want []searchGoldenEntry
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&want); err != nil {
+	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
@@ -149,16 +148,11 @@ func TestSearchPathGolden(t *testing.T) {
 		if got[i] != want[i] {
 			bad++
 			if bad <= 5 {
-				t.Errorf("search %d drifted:\n got %s\nwant %s", i, fmtEntry(got[i]), fmtEntry(want[i]))
+				t.Errorf("search %d drifted:\n got %+v\nwant %+v", i, got[i], want[i])
 			}
 		}
 	}
 	if bad > 0 {
 		t.Fatalf("%d of %d searches drifted from %s", bad, len(got), searchGoldenPath)
 	}
-}
-
-func fmtEntry(e searchGoldenEntry) string {
-	return fmt.Sprintf("graph %d %s: makespan %d %s lb %d exp %d spans %.12s",
-		e.Graph, e.Platform, e.Makespan, e.Status, e.LowerBound, e.Expansions, e.SpansSHA256)
 }
