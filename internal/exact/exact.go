@@ -57,6 +57,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -209,24 +210,10 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 	if workers > maxWorkers {
 		workers = maxWorkers
 	}
-	sh.cls = make([]int, n)
-	work := make([]int64, nClasses)
-	homogeneous := p.Devices() == 0
-	for v := 0; v < n; v++ {
-		c := g.Class(v)
-		if homogeneous {
-			c = 0
-		}
-		if g.WCET(v) > 0 && p.Count(c) == 0 {
-			return nil, fmt.Errorf("exact: node %d needs resource class %d (%s) but platform %v has no such machine",
-				v, c, p.ClassName(c), p)
-		}
-		if p.Count(c) == 0 {
-			c = 0 // resource-free node; park it in the host class
-		}
-		sh.cls[v] = c
-		work[c] += g.WCET(v)
+	if err := sh.classify(g); err != nil {
+		return nil, err
 	}
+	work := sh.work
 
 	// Root lower bound: critical path and per-class load.
 	rootLB := g.CriticalPathLength()
@@ -386,16 +373,21 @@ type shared struct {
 	// direct predecessors/successors as node bitmasks, zeroMask the
 	// zero-WCET nodes.
 	topo     []int
+	tbit     []uint64 // tbit[v] is 1 << (v's position in topo)
 	tail     []int64
 	cls      []int
 	wcet     []int64
+	work     []int64 // total WCET per class
 	preds    [][]int
 	predMask []uint64
 	succMask []uint64
 	zeroMask uint64
-	// feeds[v] is the bitmask of classes whose node starts v's finish time
-	// can influence through zero-WCET chains.
-	feeds []uint64
+	// feedMasks[feedIdx[v]] is the bitmask of classes whose node starts
+	// v's finish time can influence through zero-WCET chains; feedMasks
+	// holds each distinct mask once, so signature computes each clamp
+	// floor once per call.
+	feedIdx   []int
+	feedMasks []uint64
 
 	maxExp       int64
 	ctxEvery     int64
@@ -433,11 +425,41 @@ type shared struct {
 	backlog    int64
 }
 
+// classify assigns every node its machine class — the homogeneous fallback
+// applied, resource-free nodes parked in the host class — and sums each
+// class's work.
+func (sh *shared) classify(g *dag.Graph) error {
+	p := sh.p
+	sh.cls = make([]int, sh.n)
+	sh.work = make([]int64, sh.nClasses)
+	homogeneous := p.Devices() == 0
+	for v := 0; v < sh.n; v++ {
+		c := g.Class(v)
+		if homogeneous {
+			c = 0
+		}
+		if g.WCET(v) > 0 && p.Count(c) == 0 {
+			return fmt.Errorf("exact: node %d needs resource class %d (%s) but platform %v has no such machine",
+				v, c, p.ClassName(c), p)
+		}
+		if p.Count(c) == 0 {
+			c = 0 // resource-free node; park it in the host class
+		}
+		sh.cls[v] = c
+		sh.work[c] += g.WCET(v)
+	}
+	return nil
+}
+
 // flatten copies the instance into the kernel's flat form. Only a search
 // that did not close at the root pays for it.
 func (sh *shared) flatten(g *dag.Graph, topo []int) {
 	n := sh.n
 	sh.topo = topo
+	sh.tbit = make([]uint64, n)
+	for i, v := range topo {
+		sh.tbit[v] = 1 << uint(i)
+	}
 	sh.tail = g.LongestToEnd()
 	sh.wcet = make([]int64, n)
 	sh.preds = make([][]int, n)
@@ -458,16 +480,25 @@ func (sh *shared) flatten(g *dag.Graph, topo []int) {
 	}
 	// Influence masks for signature clamping: which classes' node starts
 	// does v's finish time reach, through chains of zero-WCET nodes?
-	sh.feeds = make([]uint64, n)
+	feeds := make([]uint64, n)
+	sh.feedIdx = make([]int, n)
 	for i := n - 1; i >= 0; i-- {
 		v := topo[i]
 		for _, w := range g.Succs(v) {
 			if sh.wcet[w] == 0 {
-				sh.feeds[v] |= sh.feeds[w]
+				feeds[v] |= feeds[w]
 			} else {
-				sh.feeds[v] |= 1 << uint(sh.cls[w])
+				feeds[v] |= 1 << uint(sh.cls[w])
 			}
 		}
+	}
+	for v, fm := range feeds {
+		fi := slices.Index(sh.feedMasks, fm)
+		if fi < 0 {
+			fi = len(sh.feedMasks)
+			sh.feedMasks = append(sh.feedMasks, fm)
+		}
+		sh.feedIdx[v] = fi
 	}
 }
 

@@ -29,11 +29,14 @@ type memo struct {
 // followed by the signature. A signature's length depends only on the mask
 // (the machine count, the scheduled nodes with unscheduled successors, and
 // the makespan), so the chain needs no per-record length. m maps a mask to
-// its chain's first and last record; records chain in insertion order.
+// the index of its chain in chains, which holds each chain's first and last
+// record; records chain in insertion order. Extending a chain updates the
+// chains entry in place, so only a mask's first record writes the map.
 type memoShard struct {
-	mu    sync.Mutex
-	m     map[uint64]memoChain
-	arena []int64
+	mu     sync.Mutex
+	m      map[uint64]int
+	chains []memoChain
+	arena  []int64
 }
 
 type memoChain struct{ head, tail int }
@@ -56,13 +59,13 @@ func memoShardCount(workers int) int {
 func newMemo(limit int64, shards int) *memo {
 	mm := &memo{shards: make([]memoShard, shards), mask: uint64(shards - 1), limit: limit}
 	for i := range mm.shards {
-		mm.shards[i].m = make(map[uint64]memoChain)
+		mm.shards[i].m = make(map[uint64]int)
 	}
 	return mm
 }
 
 // serialMemos recycles the single-shard memo of Parallelism ≤ 1 searches,
-// so a search reuses the map buckets and arena an earlier one grew.
+// so a search reuses the map buckets, chains and arena an earlier one grew.
 var serialMemos = sync.Pool{New: func() any { return newMemo(0, 1) }}
 
 // Retention caps for a pooled memo: a search that grew its arena or map
@@ -84,9 +87,11 @@ func getSerialMemo(limit int64) *memo {
 func putSerialMemo(mm *memo) {
 	s := &mm.shards[0]
 	if len(s.m) > maxPooledMasks {
-		s.m = make(map[uint64]memoChain)
+		s.m = make(map[uint64]int)
+		s.chains = nil
 	} else {
 		clear(s.m)
+		s.chains = s.chains[:0]
 	}
 	if cap(s.arena) > maxPooledArena {
 		s.arena = nil
@@ -116,13 +121,13 @@ func mix64(x uint64) uint64 {
 func (mm *memo) dominated(mask uint64, sig []int64) bool {
 	s := &mm.shards[mix64(mask)&mm.mask]
 	s.mu.Lock()
-	ch, seen := s.m[mask]
+	ci, seen := s.m[mask]
 	if seen {
-		for at := ch.head; at >= 0; at = int(s.arena[at]) {
+		for at := s.chains[ci].head; at >= 0; at = int(s.arena[at]) {
 			old := s.arena[at+1 : at+1+len(sig)]
 			dom := true
-			for i, o := range old {
-				if o > sig[i] {
+			for i, x := range sig {
+				if old[i] > x {
 					dom = false
 					break
 				}
@@ -138,12 +143,14 @@ func (mm *memo) dominated(mask uint64, sig []int64) bool {
 		//lint:alloc arena growth: amortized doubling, and a pooled serial memo starts at the capacity an earlier search grew
 		s.arena = append(append(s.arena, -1), sig...)
 		if seen {
+			ch := &s.chains[ci]
 			s.arena[ch.tail] = int64(at)
 			ch.tail = at
 		} else {
-			ch = memoChain{head: at, tail: at}
+			s.m[mask] = len(s.chains)
+			//lint:alloc chain growth: amortized doubling, and a pooled serial memo starts at the capacity an earlier search grew
+			s.chains = append(s.chains, memoChain{head: at, tail: at})
 		}
-		s.m[mask] = ch
 	} else {
 		mm.entries.Add(-1)
 	}

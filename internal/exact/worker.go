@@ -1,10 +1,8 @@
 package exact
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/sched"
 )
@@ -22,19 +20,18 @@ type worker struct {
 	// availability vector.
 	cur state
 
-	// levels holds per-recursion-depth scratch (estimates, candidate
+	// levels holds per-recursion-depth scratch (start estimates, candidate
 	// lists); depth is bounded by the number of branchable nodes, so the
 	// buffers are allocated once and reused across the whole search.
 	levels []level
 
-	// Scratch for estimates and signature: the dominance vector is built
-	// in sigBuf and only copied when it is actually inserted into the
-	// memo; classMin and availSum hold each class's minimum and total
-	// machine availability, remBuf its remaining work.
+	// Scratch for prune and signature: the dominance vector is built in
+	// sigBuf and only copied when it is actually inserted into the memo;
+	// classMin holds each class's earliest machine availability, floors
+	// the clamp floor of each distinct feed mask (sh.feedMasks).
 	sigBuf   []int64
 	classMin []int64
-	availSum []int64
-	remBuf   []int64
+	floors   []int64
 }
 
 // level is the per-depth scratch of one dfs frame.
@@ -46,43 +43,52 @@ type level struct {
 
 type state struct {
 	mask uint64 // scheduled nodes
+	// tmask is mask by topological position: bit i is set when node
+	// sh.topo[i] is scheduled, so prune visits only the unscheduled nodes,
+	// in topological order.
+	tmask uint64
 	// finish holds the finish time of every scheduled node. Entries of
-	// unscheduled nodes are scratch: estimates writes their estimated
+	// unscheduled nodes are scratch: prune writes their estimated
 	// finish there, and nothing reads them once the pass is over.
 	finish []int64
-	// avail[c][i] is the absolute availability time of machine i of class c.
-	avail    [][]int64
+	// avail[c] is class c's machine availability, kept sorted by
+	// (time, machine): ids[c][i] is the class-local index of the machine
+	// free at avail[c][i]. avail[c][0] is therefore the machine the SGS
+	// rule picks — earliest available, lowest index on ties.
+	avail [][]int64
+	ids   [][]int
+	// availSum[c] is the sum of avail[c]; rem[c] is the WCET still
+	// unscheduled in class c. applyTo and undo maintain both, so the
+	// class-load bound costs O(1) per class.
+	availSum []int64
+	rem      []int64
 	makespan int64
 	order    []int        // branched (non-free) nodes in SGS order
 	spans    []sched.Span // only populated during replay
 }
 
 // undoRec is what applyTo changed beyond the append-only order slice: the
-// previous mask and makespan, plus the single machine-availability slot the
-// branched node occupied. Finish times of newly scheduled nodes need no
-// restoration — outside estimates, finish is only ever read for nodes whose
-// mask bit is set.
+// previous mask and makespan, plus the machine the branched node occupied —
+// it left row position 0 at prevAvail and was re-inserted at pos. Finish
+// times of newly scheduled nodes need no restoration — outside prune,
+// finish is only ever read for nodes whose mask bit is set.
 type undoRec struct {
 	prevMask     uint64
+	prevTMask    uint64
 	prevMakespan int64
 	orderLen     int
-	machine      int // index into avail[class]; -1 when nothing branched
 	class        int
+	pos          int
 	prevAvail    int64
 }
 
 func newWorker(sh *shared, id int) *worker {
 	w := &worker{sh: sh, id: id}
-	w.cur = state{
-		finish: make([]int64, sh.n),
-		avail:  w.newAvail(),
-		order:  make([]int, 0, sh.n),
-	}
+	w.cur = w.newState()
 	w.levels = make([]level, sh.n+1)
 	w.sigBuf = make([]int64, 0, sh.p.Total()+sh.n+1)
 	w.classMin = make([]int64, sh.nClasses)
-	w.availSum = make([]int64, sh.nClasses)
-	w.remBuf = make([]int64, sh.nClasses)
+	w.floors = make([]int64, len(sh.feedMasks))
 	return w
 }
 
@@ -134,20 +140,17 @@ func (w *worker) next() (order []int, ok bool) {
 // of the branched nodes above the handoff point) and explores its subtree
 // with the in-place DFS. A nil/empty prefix is the root task.
 func (w *worker) runTask(order []int) {
+	w.rebuild(order)
+	w.dfs(len(order))
+}
+
+// rebuild resets the worker's state to the root and re-applies the prefix.
+func (w *worker) rebuild(order []int) {
 	st := &w.cur
-	st.mask = 0
-	st.makespan = 0
-	st.order = st.order[:0]
-	for _, row := range st.avail {
-		for i := range row {
-			row[i] = 0
-		}
-	}
-	w.scheduleFreeNodes(st)
+	w.reset(st)
 	for _, v := range order {
 		w.applyTo(st, v)
 	}
-	w.dfs(len(order))
 }
 
 // offload tries to hand the subtree below (cur + v) to the pool as a new
@@ -167,13 +170,46 @@ func (w *worker) offload(v int) bool {
 	return sh.pool.push(w.id, order)
 }
 
-// newAvail allocates one availability vector per class, sized to the class.
-func (w *worker) newAvail() [][]int64 {
-	avail := make([][]int64, w.sh.nClasses)
-	for c := range avail {
-		avail[c] = make([]int64, w.sh.p.Count(c))
+// newState allocates a search state: one availability row (and machine-id
+// row) per class, sized to the class; the int64 vectors share one backing
+// array, the machine ids another. reset puts it at the root.
+func (w *worker) newState() state {
+	sh := w.sh
+	nc, total := sh.nClasses, sh.p.Total()
+	words := make([]int64, sh.n+2*nc+total)
+	idWords := make([]int, total)
+	st := state{
+		finish:   words[:sh.n:sh.n],
+		availSum: words[sh.n : sh.n+nc : sh.n+nc],
+		rem:      words[sh.n+nc : sh.n+2*nc : sh.n+2*nc],
+		avail:    make([][]int64, nc),
+		ids:      make([][]int, nc),
+		order:    make([]int, 0, sh.n),
 	}
-	return avail
+	words = words[sh.n+2*nc:]
+	for c := range st.avail {
+		k := sh.p.Count(c)
+		st.avail[c], words = words[:k:k], words[k:]
+		st.ids[c], idWords = idWords[:k:k], idWords[k:]
+	}
+	return st
+}
+
+// reset puts st at the search root: every machine free at time 0 (rows in
+// machine order), all work remaining, and the forced zero-WCET moves made.
+func (w *worker) reset(st *state) {
+	st.mask, st.tmask = 0, 0
+	st.makespan = 0
+	st.order = st.order[:0]
+	for c, row := range st.avail {
+		for i := range row {
+			row[i] = 0
+			st.ids[c][i] = i
+		}
+		st.availSum[c] = 0
+	}
+	copy(st.rem, w.sh.work)
+	w.scheduleFreeNodes(st)
 }
 
 // levelAt returns depth d's scratch, allocating its buffers on first use.
@@ -185,16 +221,25 @@ func (w *worker) levelAt(d int) *level {
 	return l
 }
 
-// undo reverts applyTo. The zero-WCET nodes scheduled by the forced-move
-// cascade are undone by the mask restore alone.
+// undo reverts applyTo: the branched machine moves from row position pos
+// back to the front, the entries it passed shift back right. The zero-WCET
+// nodes scheduled by the forced-move cascade are undone by the mask restore
+// alone.
+//
+//hetrta:hotpath
 func (w *worker) undo(u undoRec) {
 	st := &w.cur
-	st.mask = u.prevMask
+	row, ids := st.avail[u.class], st.ids[u.class]
+	fin, mid := row[u.pos], ids[u.pos]
+	for k := u.pos; k > 0; k-- {
+		row[k], ids[k] = row[k-1], ids[k-1]
+	}
+	row[0], ids[0] = u.prevAvail, mid
+	st.availSum[u.class] -= fin - u.prevAvail
+	st.rem[u.class] += w.sh.wcet[st.order[u.orderLen]]
+	st.mask, st.tmask = u.prevMask, u.prevTMask
 	st.makespan = u.prevMakespan
 	st.order = st.order[:u.orderLen]
-	if u.machine >= 0 {
-		st.avail[u.class][u.machine] = u.prevAvail
-	}
 }
 
 // scheduleFreeNodes places every ready zero-WCET node (sync nodes, dummy
@@ -221,6 +266,7 @@ func (w *worker) scheduleFreeNodes(st *state) {
 				}
 			}
 			st.mask |= 1 << uint(v)
+			st.tmask |= sh.tbit[v]
 			st.finish[v] = t
 			if st.spans != nil {
 				st.spans[v] = sched.Span{Node: v, Start: t, Finish: t, Resource: -1}
@@ -239,7 +285,6 @@ func (w *worker) scheduleFreeNodes(st *state) {
 //hetrta:hotpath
 func (w *worker) applyTo(st *state, v int) undoRec {
 	sh := w.sh
-	u := undoRec{prevMask: st.mask, prevMakespan: st.makespan, orderLen: len(st.order), machine: -1}
 	var ready int64
 	for _, p := range sh.preds[v] {
 		if st.finish[p] > ready {
@@ -247,27 +292,31 @@ func (w *worker) applyTo(st *state, v int) undoRec {
 		}
 	}
 	cls := sh.cls[v]
-	avail := st.avail[cls]
-	resBase := sh.p.Base(cls)
-	// Earliest-available machine, lowest index on ties, for determinism.
-	mi := 0
-	for i := 1; i < len(avail); i++ {
-		if avail[i] < avail[mi] {
-			mi = i
-		}
-	}
-	u.machine, u.class, u.prevAvail = mi, cls, avail[mi]
+	row, ids := st.avail[cls], st.ids[cls]
+	// Earliest-available machine, lowest index on ties: the row's front.
+	prev, mid := row[0], ids[0]
 	start := ready
-	if avail[mi] > start {
-		start = avail[mi]
+	if prev > start {
+		start = prev
 	}
 	fin := start + sh.wcet[v]
-	avail[mi] = fin
+	// Re-insert the machine at fin: every entry ordered before (fin, mid)
+	// shifts one slot forward.
+	k := 1
+	for ; k < len(row) && (row[k] < fin || row[k] == fin && ids[k] < mid); k++ {
+		row[k-1], ids[k-1] = row[k], ids[k]
+	}
+	row[k-1], ids[k-1] = fin, mid
+	u := undoRec{prevMask: st.mask, prevTMask: st.tmask, prevMakespan: st.makespan,
+		orderLen: len(st.order), class: cls, pos: k - 1, prevAvail: prev}
+	st.availSum[cls] += fin - prev
+	st.rem[cls] -= sh.wcet[v]
 	st.mask |= 1 << uint(v)
+	st.tmask |= sh.tbit[v]
 	st.finish[v] = fin
 	st.order = append(st.order, v)
 	if st.spans != nil {
-		st.spans[v] = sched.Span{Node: v, Start: start, Finish: fin, Resource: resBase + mi}
+		st.spans[v] = sched.Span{Node: v, Start: start, Finish: fin, Resource: sh.p.Base(cls) + mid}
 	}
 	if fin > st.makespan {
 		st.makespan = fin
@@ -280,55 +329,52 @@ func (w *worker) applyTo(st *state, v int) undoRec {
 // once per search (for the final incumbent), so it allocates its own
 // state.
 func (w *worker) replay(order []int) []sched.Span {
-	st := &state{
-		finish: make([]int64, w.sh.n),
-		avail:  w.newAvail(),
-		spans:  make([]sched.Span, w.sh.n),
-	}
-	w.scheduleFreeNodes(st)
+	st := new(state)
+	*st = w.newState()
+	st.spans = make([]sched.Span, w.sh.n)
+	w.reset(st)
 	for _, v := range order {
 		w.applyTo(st, v)
 	}
 	return st.spans
 }
 
-// estimates computes, for each unscheduled node, a lower bound on its start
-// time given the partial schedule — predecessors' (estimated) finishes and
-// the earliest machine availability of its class — into est (one scratch
-// slice per dfs depth), and returns the admissible bound pruning the node:
-// the partial makespan, every unscheduled node's estimated start plus its
-// remaining critical path, and every class's availability plus remaining
-// work spread over its machines. One pass in topological order computes
-// all of it; it leaves each class's minimum availability in w.classMin for
-// signature.
+// prune reports whether the admissible lower bound of st reaches best, the
+// incumbent: the partial makespan, every class's availability plus
+// remaining work spread over its machines, and every unscheduled node's
+// estimated start plus its remaining critical path. The bound is a
+// maximum, so prune checks the O(classes) terms first and stops the
+// topological pass at the first node whose term reaches best; it prunes
+// exactly when the full maximum would.
+//
+// A pass that runs to the end leaves, for each unscheduled node, a lower
+// bound on its start time in est (one scratch slice per dfs depth) — its
+// predecessors' (estimated) finishes and the earliest machine availability
+// of its class — and each class's earliest availability in w.classMin for
+// signature. est is only read when prune returns false.
 //
 //hetrta:hotpath
-func (w *worker) estimates(st *state, est []int64) int64 {
+func (w *worker) prune(st *state, est []int64, best int64) bool {
 	sh := w.sh
-	for c, row := range st.avail {
-		m := int64(math.MaxInt64)
-		var sum int64
-		for _, a := range row {
-			if a < m {
-				m = a
-			}
-			sum += a
-		}
-		w.classMin[c] = m
-		w.availSum[c] = sum
-		w.remBuf[c] = 0
+	if st.makespan >= best {
+		return true
 	}
-	lb := st.makespan
-	mask := st.mask
-	finish := st.finish
-	for _, v := range sh.topo {
-		if mask&(1<<uint(v)) != 0 {
+	for c, row := range st.avail {
+		w.classMin[c] = math.MaxInt64
+		if len(row) == 0 {
 			continue
 		}
-		c := sh.cls[v]
+		w.classMin[c] = row[0]
+		if rem := st.rem[c]; rem > 0 && divCeil(st.availSum[c]+rem, int64(len(row))) >= best {
+			return true
+		}
+	}
+	finish := st.finish
+	for open := sh.full &^ st.tmask; open != 0; open &= open - 1 {
+		v := sh.topo[bits.TrailingZeros64(open)]
 		var e int64
 		if sh.wcet[v] > 0 {
-			if m := w.classMin[c]; m != math.MaxInt64 && m > e {
+			if m := w.classMin[sh.cls[v]]; m != math.MaxInt64 && m > e {
 				e = m
 			}
 		}
@@ -339,22 +385,13 @@ func (w *worker) estimates(st *state, est []int64) int64 {
 				e = finish[p]
 			}
 		}
+		if e+sh.tail[v] >= best {
+			return true
+		}
 		est[v] = e
 		finish[v] = e + sh.wcet[v]
-		if b := e + sh.tail[v]; b > lb {
-			lb = b
-		}
-		w.remBuf[c] += sh.wcet[v]
 	}
-	for c, rem := range w.remBuf {
-		if rem == 0 || len(st.avail[c]) == 0 {
-			continue
-		}
-		if b := divCeil(w.availSum[c]+rem, int64(len(st.avail[c]))); b > lb {
-			lb = b
-		}
-	}
-	return lb
+	return false
 }
 
 // signature builds the dominance vector for memoization: sorted per-class
@@ -373,17 +410,15 @@ func (w *worker) estimates(st *state, est []int64) int64 {
 // what keeps small-m instances tractable.
 // The vector is built in the worker's scratch buffer, valid until the next
 // signature call; the memo copies it only on insertion. It reads the class
-// minima estimates left in w.classMin, so it must follow estimates on the
-// same state.
+// minima prune left in w.classMin, so it must follow a prune that returned
+// false on the same state.
 //
 //hetrta:hotpath
 func (w *worker) signature(st *state) []int64 {
 	sh := w.sh
 	sig := w.sigBuf[:0]
 	for _, row := range st.avail {
-		start := len(sig)
-		sig = append(sig, row...)
-		slices.Sort(sig[start:])
+		sig = append(sig, row...) // already sorted
 	}
 	// Fallback floor when a finish only feeds the makespan (zero-WCET sink
 	// chains): any current availability lower-bounds the final makespan,
@@ -394,22 +429,30 @@ func (w *worker) signature(st *state) []int64 {
 			sinkFloor = m
 		}
 	}
+	// Each distinct feed mask's floor is computed once per call, on first
+	// use; have marks the ones computed so far.
+	var have uint64
 	unscheduled := ^st.mask
 	for done := st.mask; done != 0; done &= done - 1 {
 		v := bits.TrailingZeros64(done)
 		if sh.succMask[v]&unscheduled == 0 {
 			continue
 		}
-		floor := int64(math.MaxInt64)
-		for mask := sh.feeds[v]; mask != 0; mask &= mask - 1 {
-			c := bits.TrailingZeros64(mask)
-			if m := w.classMin[c]; m < floor {
-				floor = m
+		fi := sh.feedIdx[v]
+		if have&(1<<uint(fi)) == 0 {
+			floor := int64(math.MaxInt64)
+			for mask := sh.feedMasks[fi]; mask != 0; mask &= mask - 1 {
+				if m := w.classMin[bits.TrailingZeros64(mask)]; m < floor {
+					floor = m
+				}
 			}
+			if floor == math.MaxInt64 {
+				floor = sinkFloor
+			}
+			w.floors[fi] = floor
+			have |= 1 << uint(fi)
 		}
-		if floor == math.MaxInt64 {
-			floor = sinkFloor
-		}
+		floor := w.floors[fi]
 		f := st.finish[v]
 		if f < floor {
 			f = floor
@@ -447,6 +490,36 @@ type cand struct {
 	tail int64
 }
 
+// candBefore is the branching order: earliest estimated start first, then
+// longest tail, then lowest ID. IDs are distinct, so it is a total order
+// and any correct sort yields the same sequence.
+//
+//hetrta:hotpath
+func candBefore(a, b cand) bool {
+	if a.est != b.est {
+		return a.est < b.est
+	}
+	if a.tail != b.tail {
+		return a.tail > b.tail
+	}
+	return a.v < b.v
+}
+
+// sortCands sorts cs by candBefore. Candidate lists are short (at most the
+// graph's width), so insertion sort beats a general sort and its closure.
+//
+//hetrta:hotpath
+func sortCands(cs []cand) {
+	for i := 1; i < len(cs); i++ {
+		c := cs[i]
+		j := i
+		for ; j > 0 && candBefore(c, cs[j-1]); j-- {
+			cs[j] = cs[j-1]
+		}
+		cs[j] = c
+	}
+}
+
 // dfs is the branch-and-bound search over schedule-generation orders, the
 // hottest code in the package: every expansion passes through here. The
 // shared expansion counter drives both the budget and the context poll, so
@@ -477,7 +550,7 @@ func (w *worker) dfs(depth int) {
 		}
 	}
 	lv := w.levelAt(depth)
-	if w.estimates(st, lv.est) >= sh.best.Load() {
+	if w.prune(st, lv.est, sh.best.Load()) {
 		return
 	}
 	if sh.memo.dominated(st.mask, w.signature(st)) {
@@ -529,17 +602,7 @@ func (w *worker) dfs(depth int) {
 		}
 	}
 	lv.filtered = filtered
-	// The comparison is a total order (IDs are distinct), so the unstable
-	// sort is deterministic.
-	slices.SortFunc(filtered, func(a, b cand) int {
-		if c := cmp.Compare(a.est, b.est); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(b.tail, a.tail); c != 0 {
-			return c
-		}
-		return a.v - b.v
-	})
+	sortCands(filtered)
 	for _, c := range filtered {
 		if sh.pool != nil && depth < sh.spawnDepth && w.offload(c.v) {
 			continue
