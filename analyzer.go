@@ -260,10 +260,20 @@ func (a *Analyzer) BoundsOnly(reason string) *Analyzer {
 	return &d
 }
 
+// AlgorithmVersion identifies the code that produces served bytes: the
+// bounds, the simulation, the exact search, the fingerprint and the
+// report and admit-report wire formats. Signature leads with it, so the
+// serving cache keys and the store log generation change with it, and a
+// store log written by an older binary is discarded at boot instead of
+// served. Bump it by hand in any change that alters a served byte;
+// TestServedBytesVersioned fails when a byte-contract golden moves
+// without a bump.
+const AlgorithmVersion = 1
+
 // Signature returns a stable string identifying every configuration input
-// that can influence a Report: the platform's full class list, the bound
-// set (in order), the simulation policy, the exact-stage options, and the
-// validation options. Two Analyzers with equal signatures produce
+// that can influence a Report: AlgorithmVersion, the platform's full class
+// list, the bound set (in order), the simulation policy, the exact-stage
+// options, and the validation options. Two Analyzers with equal signatures produce
 // byte-identical reports for equal graphs, so (Graph.Fingerprint,
 // Signature) is a sound cache key — the serving layer (internal/service)
 // keys its result cache exactly this way. Batch parallelism is
@@ -275,7 +285,7 @@ func (a *Analyzer) BoundsOnly(reason string) *Analyzer {
 // field of a proven-optimal report can differ across worker counts.
 func (a *Analyzer) Signature() string {
 	var b strings.Builder
-	b.WriteString("plat=")
+	fmt.Fprintf(&b, "v=%d;plat=", AlgorithmVersion)
 	for i, c := range a.platform.Classes {
 		if i > 0 {
 			b.WriteByte(',')

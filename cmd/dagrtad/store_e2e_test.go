@@ -7,15 +7,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	hetrta "repro"
+	"repro/internal/store"
 )
 
 // stopDaemon shuts a launchDaemon-started daemon down and asserts a
@@ -172,6 +176,109 @@ func TestStoreTornTailBootE2E(t *testing.T) {
 	resp, body2 := post(t, base+"/v1/analyze", chainTask(t))
 	if resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(body1, body2) {
 		t.Fatalf("pre-tear record lost (X-Cache=%q)", resp.Header.Get("X-Cache"))
+	}
+}
+
+// logGeneration reads the generation stamp from a store log's header
+// (magic, little-endian uint16 length, stamp).
+func logGeneration(t *testing.T, raw []byte) string {
+	t.Helper()
+	if len(raw) < 10 {
+		t.Fatalf("store log of %d bytes has no header", len(raw))
+	}
+	n := int(binary.LittleEndian.Uint16(raw[8:10]))
+	return string(raw[10 : 10+n])
+}
+
+// writeStaleLog replaces the log at path with one stamped gen that holds a
+// single report record: stale bytes under key.
+func writeStaleLog(t *testing.T, path, gen string, kind byte, key string, stale []byte) {
+	t.Helper()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Path: path, Generation: gen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Append(kind, key, stale)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreOldVersionLogE2E boots a daemon on a log written under an older
+// AlgorithmVersion. The log holds stale bytes under the very key the
+// current binary looks up, so only the generation stamp keeps them from
+// being served: the boot must discard the log, count one invalidation,
+// and answer with freshly computed bytes. A control boot under the
+// current stamp shows that the same record would otherwise be served.
+func TestStoreOldVersionLogE2E(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "cache.log")
+	second := taskJSON(t, func(g *hetrta.Graph) {
+		a := g.AddNode("a", 5, hetrta.Host)
+		b := g.AddNode("b", 7, hetrta.Offload)
+		g.MustAddEdge(a, b)
+	})
+
+	h1 := launchDaemon(t, nil, "-store", logPath)
+	_, fresh := post(t, h1.base+"/v1/analyze", chainTask(t))
+	_, stale := post(t, h1.base+"/v1/analyze", second)
+	stopDaemon(t, h1)
+	if bytes.Equal(fresh, stale) {
+		t.Fatal("the two analyses must differ")
+	}
+
+	raw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := logGeneration(t, raw)
+	var key string
+	var kind byte
+	if _, err := store.ScanStream(bytes.NewReader(raw), gen, func(rec store.Record) error {
+		if bytes.Equal(rec.Value, fresh) {
+			key, kind = rec.Key, rec.Kind
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if key == "" {
+		t.Fatal("no record holds the analysis body")
+	}
+	// The generation a binary from before the version stamp wrote.
+	oldGen, ok := strings.CutPrefix(gen, fmt.Sprintf("v=%d;", hetrta.AlgorithmVersion))
+	if !ok {
+		t.Fatalf("generation %q does not lead with AlgorithmVersion %d", gen, hetrta.AlgorithmVersion)
+	}
+
+	// Control: under the current stamp the stale record is served.
+	writeStaleLog(t, logPath, gen, kind, key, stale)
+	h2 := launchDaemon(t, nil, "-store", logPath)
+	resp, body := post(t, h2.base+"/v1/analyze", chainTask(t))
+	if resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(body, stale) {
+		stopDaemon(t, h2)
+		t.Fatalf("control boot did not serve the planted record (X-Cache %q)", resp.Header.Get("X-Cache"))
+	}
+	stopDaemon(t, h2)
+
+	writeStaleLog(t, logPath, oldGen, kind, key, stale)
+	h3 := launchDaemon(t, nil, "-store", logPath)
+	defer stopDaemon(t, h3)
+	st := getStats(t, h3.base)
+	if st.Store == nil || st.Store.Invalidations != 1 {
+		t.Fatalf("old-version log not invalidated exactly once: %+v", st.Store)
+	}
+	resp, body = post(t, h3.base+"/v1/analyze", chainTask(t))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("analyze after invalidation: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	if !bytes.Equal(body, fresh) {
+		t.Fatalf("served bytes are not the fresh analysis:\n%s\nwant:\n%s", body, fresh)
+	}
+	if st := getStats(t, h3.base); st.Executions != 1 {
+		t.Fatalf("executions = %d, want 1 fresh analysis", st.Executions)
 	}
 }
 

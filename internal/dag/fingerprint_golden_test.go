@@ -2,16 +2,23 @@ package dag_test
 
 import (
 	"encoding/json"
+	"os"
 	"testing"
 
 	"repro/internal/dag"
 	"repro/internal/taskgen"
 )
 
+// fingerprintGoldenPath maps each case name of TestFingerprintGolden to its
+// hex fingerprint. Like every byte-contract golden, it is hashed by the root
+// package's TestServedBytesVersioned.
+const fingerprintGoldenPath = "testdata/fingerprint_golden.json"
+
 // TestFingerprintGolden pins the hex fingerprints of fixed graphs. The
 // serving daemon's X-Fingerprint header and every store log key are these
 // bytes, so a change here invalidates every deployed cache and store log:
-// it must be deliberate, never a side effect of an optimization.
+// it must be deliberate, never a side effect of an optimization, and it
+// comes with a bump of hetrta.AlgorithmVersion.
 func TestFingerprintGolden(t *testing.T) {
 	fromJSON := func(src string) func(t *testing.T) *dag.Graph {
 		return func(t *testing.T) *dag.Graph {
@@ -34,35 +41,44 @@ func TestFingerprintGolden(t *testing.T) {
 	cases := []struct {
 		name  string
 		graph func(t *testing.T) *dag.Graph
-		want  string
 	}{
 		// The first five are graphs of the FuzzGraphJSON seed corpus
 		// (testdata/fuzz/FuzzGraphJSON).
-		{"empty", fromJSON(`{"nodes":[],"edges":[]}`),
-			"af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
-		{"named-offload", fromJSON(`{"nodes":[{"name":"v1","wcet":3,"kind":"host"},{"name":"k","wcet":8,"kind":"offload"},{"wcet":2}],"edges":[[0,1],[1,2]]}`),
-			"cfe581f2ae3964c3263ad6541f9adf6f20d760325e5d8605a18ba32064ac3476"},
-		{"multi-class", fromJSON(`{"nodes":[{"wcet":1},{"wcet":8,"kind":"offload","class":2},{"wcet":5,"kind":"offload","class":3},{"wcet":2}],"edges":[[0,1],[0,2],[1,3],[2,3]]}`),
-			"f67364ae3d458fdc88dc50633b5b18c5bd29549d85a22d09fcf867b837b76b71"},
-		{"sync", fromJSON(`{"nodes":[{"wcet":0,"kind":"sync"},{"wcet":4}],"edges":[[0,1]]}`),
-			"b09fe6459cb8d7a2765ddab431de659d308aed6844d5f50c776de42e643c1fb0"},
-		{"cyclic", fromJSON(`{"nodes":[{"wcet":1},{"wcet":2}],"edges":[[0,1],[1,0]]}`),
-			"090a5c461cded215eae10c05bd898306d8aba2d712642a3eb799b3dae705a840"},
-		{"small-seed1", hetTask(taskgen.Small(8, 24), 1, 0.15), "bdf359444981e8ccaa3ce3e60f73ec7fffcba5cc9e1a588447ba9b9dc7ce3466"},
-		{"small-seed2", hetTask(taskgen.Small(8, 24), 2, 0.3), "e6805bf1671718d1403eb8480fcbb448eec6dadde8857a683faea39c84053aa5"},
-		{"large-seed7", hetTask(taskgen.Large(100, 180), 7, 0.2), "099e0745ba2dc2455a5255db4488e17e9ba383d7e9dd531f325873c4ac65e5bd"},
+		{"empty", fromJSON(`{"nodes":[],"edges":[]}`)},
+		{"named-offload", fromJSON(`{"nodes":[{"name":"v1","wcet":3,"kind":"host"},{"name":"k","wcet":8,"kind":"offload"},{"wcet":2}],"edges":[[0,1],[1,2]]}`)},
+		{"multi-class", fromJSON(`{"nodes":[{"wcet":1},{"wcet":8,"kind":"offload","class":2},{"wcet":5,"kind":"offload","class":3},{"wcet":2}],"edges":[[0,1],[0,2],[1,3],[2,3]]}`)},
+		{"sync", fromJSON(`{"nodes":[{"wcet":0,"kind":"sync"},{"wcet":4}],"edges":[[0,1]]}`)},
+		{"cyclic", fromJSON(`{"nodes":[{"wcet":1},{"wcet":2}],"edges":[[0,1],[1,0]]}`)},
+		{"small-seed1", hetTask(taskgen.Small(8, 24), 1, 0.15)},
+		{"small-seed2", hetTask(taskgen.Small(8, 24), 2, 0.3)},
+		{"large-seed7", hetTask(taskgen.Large(100, 180), 7, 0.2)},
 		{"multi-offload", func(t *testing.T) *dag.Graph {
 			g, _, _, err := taskgen.MustNew(taskgen.Small(10, 30), 3).MultiHetTask(3, 0.4, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g
-		}, "59d4da66451431d65939b08972520c91d49585822190b4766bc4747f404d7f1d"},
+		}},
+	}
+	data, err := os.ReadFile(fingerprintGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("%s has %d fingerprints for %d graphs", fingerprintGoldenPath, len(want), len(cases))
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.graph(t).Fingerprint().String(); got != tc.want {
-				t.Errorf("fingerprint = %s, want %s", got, tc.want)
+			w, ok := want[tc.name]
+			if !ok {
+				t.Fatalf("no fingerprint for %s in %s", tc.name, fingerprintGoldenPath)
+			}
+			if got := tc.graph(t).Fingerprint().String(); got != w {
+				t.Errorf("fingerprint = %s, want %s", got, w)
 			}
 		})
 	}
