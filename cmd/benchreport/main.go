@@ -8,6 +8,7 @@
 // Usage:
 //
 //	benchreport -out BENCH_3.json                     # run, write, compare vs BENCH_2.json
+//	benchreport -out BENCH_3.json -count 5 -benchtime 2x  # median of 5 runs per benchmark
 //	benchreport -out report.json -baseline BENCH_2.json
 //	benchreport -input bench.txt -out report.json     # parse an existing `go test -bench` log
 //	benchreport -serve -input serve.json -out BENCH_SERVE_1.json  # gate a dagrtaload load run
@@ -44,7 +45,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// Benchmark is one parsed benchmark result.
+// Benchmark is one benchmark's result. With -count N the N runs of a
+// benchmark fold into one entry: every figure is the median run's (the
+// lower median for even N, so it is always an observed value), and the
+// ns/op spread is kept as NsMin and NsMax.
 type Benchmark struct {
 	// Name is the benchmark name with any -GOMAXPROCS suffix stripped,
 	// e.g. "BenchmarkAnalyze" or "BenchmarkAblationPolicies/lifo".
@@ -56,6 +60,15 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Runs is the number of runs folded into this entry, and NsMin and
+	// NsMax their fastest and slowest ns/op; all three are omitted for a
+	// single run.
+	Runs  int     `json:"runs,omitempty"`
+	NsMin float64 `json:"ns_min,omitempty"`
+	NsMax float64 `json:"ns_max,omitempty"`
+	// Metrics holds the metrics the benchmark reports itself
+	// (b.ReportMetric), by unit, e.g. "exp/op".
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Delta compares one benchmark between the current and the baseline run.
@@ -92,6 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkg       = fs.String("pkg", ".", "package to benchmark")
 		bench     = fs.String("bench", ".", "-bench regexp")
 		benchtime = fs.String("benchtime", "1x", "-benchtime value")
+		count     = fs.Int("count", 1, "-count value: runs per benchmark, folded into median, min and max ns/op")
 		threshold = fs.Float64("threshold", 2.0, "fail when allocs/op exceeds threshold × baseline")
 		serve     = fs.Bool("serve", false, "gate a servereport/v1 JSON (from cmd/dagrtaload) given via -input; latency is warn-only")
 	)
@@ -105,6 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchreport: -out is required")
 		return 2
 	}
+	if *count < 1 {
+		fmt.Fprintln(stderr, "benchreport: -count must be at least 1")
+		return 2
+	}
 
 	var raw []byte
 	var err error
@@ -116,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		cmd := exec.Command("go", "test", "-run", "^$", "-bench", *bench,
-			"-benchtime", *benchtime, "-benchmem", *pkg)
+			"-benchtime", *benchtime, "-count", strconv.Itoa(*count), "-benchmem", *pkg)
 		cmd.Stderr = stderr
 		raw, err = cmd.Output()
 		if err != nil {
@@ -125,11 +143,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	benches, err := parseBench(string(raw))
+	runs, err := parseBench(string(raw))
 	if err != nil {
 		fmt.Fprintln(stderr, "benchreport:", err)
 		return 1
 	}
+	benches := fold(runs)
 	if len(benches) == 0 {
 		fmt.Fprintln(stderr, "benchreport: no benchmark lines found")
 		return 1
@@ -205,16 +224,73 @@ func parseBench(out string) ([]Benchmark, error) {
 		b := Benchmark{Name: m[1], Iterations: iters, NsPerOp: ns}
 		pairs := strings.Fields(m[4])
 		for i := 0; i+1 < len(pairs); i += 2 {
-			switch pairs[i+1] {
+			switch unit := pairs[i+1]; unit {
 			case "B/op":
 				b.BytesPerOp, _ = strconv.ParseInt(pairs[i], 10, 64)
 			case "allocs/op":
 				b.AllocsPerOp, _ = strconv.ParseInt(pairs[i], 10, 64)
+			default:
+				v, err := strconv.ParseFloat(pairs[i], 64)
+				if err != nil {
+					return nil, fmt.Errorf("parsing %s in %q: %w", unit, line, err)
+				}
+				if b.Metrics == nil {
+					b.Metrics = make(map[string]float64)
+				}
+				b.Metrics[unit] = v
 			}
 		}
 		benches = append(benches, b)
 	}
 	return benches, nil
+}
+
+// fold merges repeated runs of a benchmark (go test -count N) into one
+// entry, in order of first appearance: the median run by ns/op supplies
+// the iterations, the memory figures and every custom metric's value is
+// its own median, and NsMin/NsMax record the spread. A benchmark that ran
+// once is returned unchanged.
+func fold(runs []Benchmark) []Benchmark {
+	byName := make(map[string][]Benchmark)
+	var order []string
+	for _, b := range runs {
+		if _, ok := byName[b.Name]; !ok {
+			order = append(order, b.Name)
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		b := rs[(len(rs)-1)/2]
+		b.Runs, b.NsMin, b.NsMax = len(rs), rs[0].NsPerOp, rs[len(rs)-1].NsPerOp
+		b.BytesPerOp = lowerMedian(rs, func(r Benchmark) int64 { return r.BytesPerOp })
+		b.AllocsPerOp = lowerMedian(rs, func(r Benchmark) int64 { return r.AllocsPerOp })
+		if b.Metrics != nil {
+			metrics := make(map[string]float64, len(b.Metrics))
+			for unit := range b.Metrics {
+				metrics[unit] = lowerMedian(rs, func(r Benchmark) float64 { return r.Metrics[unit] })
+			}
+			b.Metrics = metrics
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// lowerMedian returns the lower median of f over rs.
+func lowerMedian[T int64 | float64](rs []Benchmark, f func(Benchmark) T) T {
+	vs := make([]T, len(rs))
+	for i, r := range rs {
+		vs[i] = f(r)
+	}
+	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	return vs[(len(vs)-1)/2]
 }
 
 // benchFileRE is the BENCH_<n>.json naming convention shared by -out and
@@ -314,7 +390,11 @@ func ratio(cur, base float64) float64 {
 func printSummary(w io.Writer, rep *Report) {
 	fmt.Fprintf(w, "%-55s %14s %12s %12s\n", "benchmark", "ns/op", "B/op", "allocs/op")
 	for _, b := range rep.Benchmarks {
-		fmt.Fprintf(w, "%-55s %14.0f %12d %12d\n", b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
+		fmt.Fprintf(w, "%-55s %14.0f %12d %12d", b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
+		if b.Runs > 1 {
+			fmt.Fprintf(w, "  median of %d, ns/op %.0f..%.0f", b.Runs, b.NsMin, b.NsMax)
+		}
+		fmt.Fprintln(w)
 	}
 	if len(rep.Deltas) > 0 {
 		fmt.Fprintf(w, "\nvs %s (ratio, <1 is better):\n", rep.BaselineFile)

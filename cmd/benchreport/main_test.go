@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestParseBench(t *testing.T) {
 	}
 	want := Benchmark{Name: "BenchmarkFig6", Iterations: 2, NsPerOp: 58965415,
 		BytesPerOp: 86468300, AllocsPerOp: 857633}
-	if benches[0] != want {
+	if !reflect.DeepEqual(benches[0], want) {
 		t.Errorf("benches[0] = %+v, want %+v", benches[0], want)
 	}
 	if benches[2].Name != "BenchmarkAblationPolicies/breadth-first" {
@@ -47,9 +48,43 @@ func TestParseBenchCustomMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Benchmark{Name: "BenchmarkExactMiss", Iterations: 14, NsPerOp: 85903108,
-		BytesPerOp: 4749299, AllocsPerOp: 17504}
-	if len(benches) != 1 || benches[0] != want {
+		BytesPerOp: 4749299, AllocsPerOp: 17504,
+		Metrics: map[string]float64{"capped/op": 19, "exp/op": 225087}}
+	if len(benches) != 1 || !reflect.DeepEqual(benches[0], want) {
 		t.Fatalf("parsed %+v, want [%+v]", benches, want)
+	}
+}
+
+// With -count N every benchmark prints N lines; fold keeps one entry per
+// benchmark with the median run's figures and the ns/op spread.
+func TestFoldCountRuns(t *testing.T) {
+	out := `BenchmarkExactMiss-2   	      12	 100000000 ns/op	        19.00 capped/op	    225087 exp/op	 4000000 B/op	   17200 allocs/op
+BenchmarkAnalyze-2     	       2	    136220 ns/op	  156312 B/op	    1053 allocs/op
+BenchmarkExactMiss-2   	      10	 120000000 ns/op	        19.00 capped/op	    225087 exp/op	 5000000 B/op	   17210 allocs/op
+BenchmarkExactMiss-2   	      12	  90000000 ns/op	        19.00 capped/op	    225087 exp/op	 3000000 B/op	   17190 allocs/op
+BenchmarkExactMiss-2   	      11	 110000000 ns/op	        19.00 capped/op	    225087 exp/op	 4500000 B/op	   17205 allocs/op
+`
+	runs, err := parseBench(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fold(runs)
+	want := []Benchmark{
+		{Name: "BenchmarkExactMiss", Iterations: 12, NsPerOp: 100000000,
+			BytesPerOp: 4000000, AllocsPerOp: 17200,
+			Runs: 4, NsMin: 90000000, NsMax: 120000000,
+			Metrics: map[string]float64{"capped/op": 19, "exp/op": 225087}},
+		{Name: "BenchmarkAnalyze", Iterations: 2, NsPerOp: 136220, BytesPerOp: 156312, AllocsPerOp: 1053},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fold =\n%+v\nwant\n%+v", got, want)
+	}
+	data, err := json.Marshal(got[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "runs") || strings.Contains(string(data), "metrics") {
+		t.Fatalf("a single plain run must keep the old record shape: %s", data)
 	}
 }
 
