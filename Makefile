@@ -69,9 +69,11 @@ chaos:
 	$(GO) test -race -count=2 -run 'TestShedding|TestDegraded|TestBatchDegraded|TestBatchPanic|TestHandlerPanic|TestGracefulShutdown|TestShutdownGrace|TestBodySize|TestReadyz' ./cmd/dagrtad
 	$(GO) test -race -cpu=1,2,4 ./internal/exact
 
-# --- bench: the CI benchmark regression gate against the latest baseline.
+# --- bench: the CI bench job — the serving harness's own tests, then the
+# benchmark regression gate against the latest baseline.
 
 bench:
+	$(GO) -C bench test .
 	@baseline=$$(ls BENCH_[0-9]*.json | sort -t_ -k2 -n | tail -1); \
 	echo "comparing against $$baseline"; \
 	$(GO) run ./cmd/benchreport -out bench_local.json -baseline "$$baseline" -benchtime 2x -threshold 2
