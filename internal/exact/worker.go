@@ -329,12 +329,11 @@ func (w *worker) applyTo(st *state, v int) undoRec {
 // once per search (for the final incumbent), so it allocates its own
 // state.
 func (w *worker) replay(order []int) []sched.Span {
-	st := new(state)
-	*st = w.newState()
+	st := w.newState()
 	st.spans = make([]sched.Span, w.sh.n)
-	w.reset(st)
+	w.reset(&st)
 	for _, v := range order {
-		w.applyTo(st, v)
+		w.applyTo(&st, v)
 	}
 	return st.spans
 }

@@ -4,11 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -106,17 +104,5 @@ func TestServedBytesVersioned(t *testing.T) {
 	}
 	for _, p := range moved {
 		t.Errorf("byte-contract golden %s moved without an AlgorithmVersion bump (recorded %q, now %q)", p, rec.SHA256[p], got[p])
-	}
-}
-
-// TestSignatureLeadsWithVersion pins where the version enters the cache
-// key and store generation.
-func TestSignatureLeadsWithVersion(t *testing.T) {
-	an, err := NewAnalyzer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig := an.Signature(); !strings.HasPrefix(sig, fmt.Sprintf("v=%d;", AlgorithmVersion)) {
-		t.Fatalf("signature %q does not lead with AlgorithmVersion", sig)
 	}
 }
