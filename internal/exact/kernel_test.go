@@ -14,18 +14,12 @@ import (
 	"repro/internal/taskgen"
 )
 
-// kernelInstance is a random graph on a platform, with the search-only
-// state built the way MinMakespan builds it.
-type kernelInstance struct {
-	g  *dag.Graph
-	sh *shared
-}
-
 // kernelInstances draws small graphs with narrow WCET ranges (so machine
 // availabilities tie often) and pairs them with platforms that have
 // several machines per class, one offload per graph and, on the
-// three-class platform, a second offload on the other device class.
-func kernelInstances(t *testing.T, count int) []kernelInstance {
+// three-class platform, a second offload on the other device class. Each
+// comes with the search context built the way MinMakespan builds it.
+func kernelInstances(t *testing.T, count int) []*shared {
 	t.Helper()
 	gen := taskgen.MustNew(taskgen.Params{
 		PPar: 0.6, NPar: 5, MaxDepth: 2, NMin: 4, NMax: 20, CMin: 1, CMax: 4,
@@ -36,7 +30,7 @@ func kernelInstances(t *testing.T, count int) []kernelInstance {
 		platform.ResourceClass{Name: "fpga", Count: 2},
 	)
 	plats := []sched.Platform{sched.Homogeneous(3), sched.Hetero(2), sched.Hetero(4), threeClass}
-	var out []kernelInstance
+	var out []*shared
 	for i := 0; len(out) < count; i++ {
 		g, err := gen.Graph()
 		if err != nil {
@@ -51,7 +45,7 @@ func kernelInstances(t *testing.T, count int) []kernelInstance {
 		if p.NumClasses() == 3 {
 			taskgen.SetOffloadClass(g, (i+n/2)%n, 0.2, 2)
 		}
-		out = append(out, kernelInstance{g: g, sh: kernelShared(t, g, p)})
+		out = append(out, kernelShared(t, g, p))
 	}
 	return out
 }
@@ -221,8 +215,7 @@ func branchable(sh *shared, mask uint64) []int {
 // whose state is left dirty by earlier tasks.
 func TestSortedRowsMatchMinScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for i, in := range kernelInstances(t, 160) {
-		sh := in.sh
+	for i, sh := range kernelInstances(t, 160) {
 		w := newWorker(sh, 0)
 		st := &w.cur
 		st.spans = make([]sched.Span, sh.n)
@@ -329,8 +322,7 @@ func fullBound(sh *shared, st *state) (lb int64, est, classMin []int64) {
 func TestPruneMatchesFullBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	checked := 0
-	for i, in := range kernelInstances(t, 160) {
-		sh := in.sh
+	for i, sh := range kernelInstances(t, 160) {
 		w := newWorker(sh, 0)
 		st := &w.cur
 		est := make([]int64, sh.n)
