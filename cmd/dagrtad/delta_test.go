@@ -257,3 +257,46 @@ func TestErrorClassification(t *testing.T) {
 		t.Fatalf("analysis failure: %d (%s), want 422", resp.StatusCode, body)
 	}
 }
+
+// TestAdmitDeltaUpdate posts an update edit: replacing t1 by t3 in the warm
+// base {t1, t2} must serve the same bytes, under the same fingerprint, as
+// a whole-set /v1/admit of {t2, t3} on a daemon that never saw the delta.
+func TestAdmitDeltaUpdate(t *testing.T) {
+	args := []string{"-platform", "4+1", "-bounds", "rhom,rhet,typed-rhom"}
+	base, fresh := startDaemon(t, args...), startDaemon(t, args...)
+	t1, t2, t3 := deltaTask1(), deltaTask2(), deltaTask3()
+
+	resp, body := post(t, base+"/v1/admit", admitBody(t, false))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("base admit: %d: %s", resp.StatusCode, body)
+	}
+	baseFP := resp.Header.Get("X-Taskset-Fingerprint")
+	dresp, dbody := post(t, base+"/v1/admit/delta", deltaBody(t, baseFP, map[string]any{
+		"update": []map[string]any{{"old": t1.Digest().String(), "task": wireTask(t, t3)}},
+	}))
+	if dresp.StatusCode != http.StatusOK {
+		t.Fatalf("update delta: %d: %s", dresp.StatusCode, dbody)
+	}
+	if got := dresp.Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("update delta X-Cache = %q, want miss", got)
+	}
+
+	fresp, fbody := post(t, fresh+"/v1/admit", wholeSetBody(t, t2, t3))
+	if fresp.StatusCode != http.StatusOK {
+		t.Fatalf("whole-set admit: %d: %s", fresp.StatusCode, fbody)
+	}
+	if got, want := dresp.Header.Get("X-Taskset-Fingerprint"), fresp.Header.Get("X-Taskset-Fingerprint"); got != want {
+		t.Fatalf("update fingerprint %q, whole-set %q", got, want)
+	}
+	if !bytes.Equal(dbody, fbody) {
+		t.Fatalf("update response not byte-identical to whole-set admit:\n%s\n%s", dbody, fbody)
+	}
+
+	// Updating a digest the base does not hold is the delta's fault: 400.
+	resp, body = post(t, base+"/v1/admit/delta", deltaBody(t, baseFP, map[string]any{
+		"update": []map[string]any{{"old": t3.Digest().String(), "task": wireTask(t, t1)}},
+	}))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "not in base set") {
+		t.Fatalf("update of an unknown digest: %d: %s", resp.StatusCode, body)
+	}
+}
