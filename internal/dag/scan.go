@@ -27,71 +27,105 @@ import (
 // keys, ignore unknown fields, replace invalid UTF-8, pad short edges with
 // zeros and drop extra elements, none of which the scanner reproduces.
 func scanCanonical(data []byte, g *Graph) (ok bool, err error) {
-	s := scanner{data: data}
-	var (
-		nodes              []Node
-		edges              [][2]int
-		nodeErr            error
-		hasNodes, hasEdges bool
-	)
-	if !s.consume('{') {
+	s := NewScanner(data)
+	sg, ok := s.Graph()
+	if !ok || !s.End() {
 		return false, nil
 	}
-	if !s.consume('}') {
-		for {
-			key, ok := s.str()
-			if !ok || !s.consume(':') {
-				return false, nil
-			}
-			switch string(key) {
-			case "nodes":
-				if hasNodes {
-					return false, nil
-				}
-				hasNodes = true
-				if nodes, nodeErr, ok = s.nodes(); !ok {
-					return false, nil
-				}
-			case "edges":
-				if hasEdges {
-					return false, nil
-				}
-				hasEdges = true
-				if edges, ok = s.edges(); !ok {
-					return false, nil
-				}
-			default:
-				return false, nil
-			}
-			if s.consume(',') {
-				continue
-			}
-			if s.consume('}') {
-				break
-			}
-			return false, nil
-		}
-	}
-	if s.ws(); s.pos != len(data) {
-		return false, nil
-	}
-	// Only now, with the whole input known to be well-formed, do the
-	// model rules speak: encoding/json would report a syntax error
-	// anywhere in the input before any of them.
-	if nodeErr != nil {
-		return true, nodeErr
-	}
-	return true, g.setDecoded(nodes, edges)
+	return true, sg.build(g)
 }
 
-// scanner is a cursor over the input. Its methods skip leading whitespace
-// and report ok=false on anything outside the canonical form.
-type scanner struct {
+// Scanner is a cursor over a JSON document in canonical form: the graph
+// form scanCanonical describes, and envelopes around graphs built from the
+// same tokens. Its methods skip leading whitespace and report ok=false on
+// anything outside the form, after which the document belongs to
+// encoding/json. Envelope decoders (the admission and batch request
+// bodies) walk their own keys with Consume, Str and Int64, scan each graph
+// with Graph, and finish with End.
+type Scanner struct {
 	data []byte
 	pos  int
 }
 
-func (s *scanner) ws() {
+// NewScanner returns a Scanner at the start of data.
+func NewScanner(data []byte) Scanner { return Scanner{data: data} }
+
+// ScannedGraph is a graph object the Scanner has read but not built. Its
+// model error (a node that breaks the schema's node rules, an edge out of
+// range, a self-loop) is deferred to Build: encoding/json reports a syntax
+// error anywhere in a document before any of them, so a caller builds only
+// once the whole document has scanned.
+type ScannedGraph struct {
+	nodes   []Node
+	edges   [][2]int
+	nodeErr error
+}
+
+// Build returns the graph, or the error encoding/json decoding would return
+// for the same object.
+func (sg ScannedGraph) Build() (*Graph, error) {
+	g := New()
+	if err := sg.build(g); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+func (sg ScannedGraph) build(g *Graph) error {
+	if sg.nodeErr != nil {
+		return sg.nodeErr
+	}
+	return g.setDecoded(sg.nodes, sg.edges)
+}
+
+// Graph scans one graph object.
+func (s *Scanner) Graph() (sg ScannedGraph, ok bool) {
+	var hasNodes, hasEdges bool
+	if !s.Consume('{') {
+		return sg, false
+	}
+	if s.Consume('}') {
+		return sg, true
+	}
+	for {
+		key, ok := s.Str()
+		if !ok || !s.Consume(':') {
+			return sg, false
+		}
+		switch string(key) {
+		case "nodes":
+			if hasNodes {
+				return sg, false
+			}
+			hasNodes = true
+			if sg.nodes, sg.nodeErr, ok = s.nodes(); !ok {
+				return sg, false
+			}
+		case "edges":
+			if hasEdges {
+				return sg, false
+			}
+			hasEdges = true
+			if sg.edges, ok = s.edges(); !ok {
+				return sg, false
+			}
+		default:
+			return sg, false
+		}
+		if s.Consume(',') {
+			continue
+		}
+		return sg, s.Consume('}')
+	}
+}
+
+// End reports whether only whitespace is left.
+func (s *Scanner) End() bool {
+	s.ws()
+	return s.pos == len(s.data)
+}
+
+func (s *Scanner) ws() {
 	for s.pos < len(s.data) {
 		switch s.data[s.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -102,9 +136,9 @@ func (s *scanner) ws() {
 	}
 }
 
-// consume reports whether the next token is the byte c, and steps over it
+// Consume reports whether the next token is the byte c, and steps over it
 // if so.
-func (s *scanner) consume(c byte) bool {
+func (s *Scanner) Consume(c byte) bool {
 	s.ws()
 	if s.pos < len(s.data) && s.data[s.pos] == c {
 		s.pos++
@@ -113,9 +147,10 @@ func (s *scanner) consume(c byte) bool {
 	return false
 }
 
-// str scans a string and returns its contents, which alias the input.
-func (s *scanner) str() ([]byte, bool) {
-	if !s.consume('"') {
+// Str scans a string without escapes and returns its contents, which alias
+// the input.
+func (s *Scanner) Str() ([]byte, bool) {
+	if !s.Consume('"') {
 		return nil, false
 	}
 	start, ascii := s.pos, true
@@ -134,9 +169,9 @@ func (s *scanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// num64 scans -?(0|[1-9][0-9]*) within the range of an int64, as
+// Int64 scans -?(0|[1-9][0-9]*) within the range of an int64, as
 // strconv.ParseInt would accept it; -0 is declined.
-func (s *scanner) num64() (int64, bool) {
+func (s *Scanner) Int64() (int64, bool) {
 	s.ws()
 	neg := s.pos < len(s.data) && s.data[s.pos] == '-'
 	if neg {
@@ -168,35 +203,42 @@ func (s *scanner) num64() (int64, bool) {
 	return int64(v), true
 }
 
-// num is num64 within the range of an int.
-func (s *scanner) num() (int, bool) {
-	v, ok := s.num64()
+// num is Int64 within the range of an int.
+func (s *Scanner) num() (int, bool) {
+	v, ok := s.Int64()
 	return int(v), ok && int64(int(v)) == v
 }
 
-// hint estimates the number of array elements ahead that open with the
-// byte open and take at least minLen bytes each, as a capacity hint: in
-// canonical input every node opens one '{' and every edge one '['. The
-// cap keeps input whose strings are full of brackets from reserving more
-// than a well-formed input of its length could need.
-func (s *scanner) hint(open byte, minLen int) int {
+// hint estimates the number of elements left in the array being scanned,
+// as a capacity hint, from the elements' opening byte open and their
+// minimum length minLen: in canonical input every node opens one '{' and
+// every edge one '['. It counts only up to the first byte stop: ']' ends
+// the node array, and '}' the graph after its edge array (or the first
+// node after it). So the cost follows the array, not the document around
+// it; a bracket inside a name only makes the hint low. The minLen cap
+// keeps input whose strings are full of brackets from reserving more than
+// a well-formed array of its length could need.
+func (s *Scanner) hint(open, stop byte, minLen int) int {
 	rest := s.data[s.pos:]
+	if end := bytes.IndexByte(rest, stop); end >= 0 {
+		rest = rest[:end]
+	}
 	return min(bytes.Count(rest, []byte{open}), len(rest)/minLen)
 }
 
 // nodes scans the node array. The first node that breaks the schema's
 // node rules becomes nodeErr, and scanning goes on without collecting
 // further nodes: a later syntax error still declines the whole input.
-func (s *scanner) nodes() (nodes []Node, nodeErr error, ok bool) {
-	if !s.consume('[') {
+func (s *Scanner) nodes() (nodes []Node, nodeErr error, ok bool) {
+	if !s.Consume('[') {
 		return nil, nil, false
 	}
-	if s.consume(']') {
+	if s.Consume(']') {
 		return nil, nil, true
 	}
-	nodes = make([]Node, 0, s.hint('{', 3))
+	nodes = make([]Node, 0, s.hint('{', ']', 3))
 	for i := 0; ; i++ {
-		if !s.consume('{') {
+		if !s.Consume('{') {
 			return nil, nil, false
 		}
 		var (
@@ -205,23 +247,23 @@ func (s *scanner) nodes() (nodes []Node, nodeErr error, ok bool) {
 			class      int
 			seen       uint8
 		)
-		if !s.consume('}') {
+		if !s.Consume('}') {
 			for {
-				key, ok := s.str()
-				if !ok || !s.consume(':') {
+				key, ok := s.Str()
+				if !ok || !s.Consume(':') {
 					return nil, nil, false
 				}
 				var bit uint8
 				switch string(key) {
 				case "name":
 					bit = 1
-					name, ok = s.str()
+					name, ok = s.Str()
 				case "wcet":
 					bit = 2
-					wcet, ok = s.num64()
+					wcet, ok = s.Int64()
 				case "kind":
 					bit = 4
-					kind, ok = s.str()
+					kind, ok = s.Str()
 				case "class":
 					bit = 8
 					class, ok = s.num()
@@ -230,10 +272,10 @@ func (s *scanner) nodes() (nodes []Node, nodeErr error, ok bool) {
 					return nil, nil, false
 				}
 				seen |= bit
-				if s.consume(',') {
+				if s.Consume(',') {
 					continue
 				}
-				if s.consume('}') {
+				if s.Consume('}') {
 					break
 				}
 				return nil, nil, false
@@ -243,10 +285,10 @@ func (s *scanner) nodes() (nodes []Node, nodeErr error, ok bool) {
 			n, err := decodeNode(i, string(name), wcet, kindName(kind), class)
 			nodes, nodeErr = append(nodes, n), err
 		}
-		if s.consume(',') {
+		if s.Consume(',') {
 			continue
 		}
-		if s.consume(']') {
+		if s.Consume(']') {
 			return nodes, nodeErr, true
 		}
 		return nil, nil, false
@@ -268,31 +310,31 @@ func kindName(kind []byte) string {
 }
 
 // edges scans the edge array.
-func (s *scanner) edges() ([][2]int, bool) {
-	if !s.consume('[') {
+func (s *Scanner) edges() ([][2]int, bool) {
+	if !s.Consume('[') {
 		return nil, false
 	}
-	if s.consume(']') {
+	if s.Consume(']') {
 		return nil, true
 	}
-	edges := make([][2]int, 0, s.hint('[', 6))
+	edges := make([][2]int, 0, s.hint('[', '}', 6))
 	for {
-		if !s.consume('[') {
+		if !s.Consume('[') {
 			return nil, false
 		}
 		u, ok := s.num()
-		if !ok || !s.consume(',') {
+		if !ok || !s.Consume(',') {
 			return nil, false
 		}
 		v, ok := s.num()
-		if !ok || !s.consume(']') {
+		if !ok || !s.Consume(']') {
 			return nil, false
 		}
 		edges = append(edges, [2]int{u, v})
-		if s.consume(',') {
+		if s.Consume(',') {
 			continue
 		}
-		if s.consume(']') {
+		if s.Consume(']') {
 			return edges, true
 		}
 		return nil, false
