@@ -464,7 +464,7 @@ func (d *daemon) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // error response itself on failure: the cap maps to 413, a transport-level
 // read failure (client hung up mid-body, short chunked stream) to 400.
 func (d *daemon) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, d.cfg.maxBody))
+	body, err := readAll(http.MaxBytesReader(w, r.Body, d.cfg.maxBody), r.ContentLength)
 	if err == nil {
 		return body, true
 	}
@@ -476,6 +476,35 @@ func (d *daemon) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		d.httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 	}
 	return nil, false
+}
+
+// bodyBufCap caps the first buffer readAll sizes from a declared length:
+// a client that declares -max-body and sends nothing reserves no more.
+const bodyBufCap = 64 << 10
+
+// readAll is io.ReadAll with its first buffer sized for a body of n bytes
+// (n < 0 when unknown), up to bodyBufCap, so a body of declared length up
+// to the cap arrives in one allocation. Past the buffer it grows as
+// io.ReadAll does.
+func readAll(r io.Reader, n int64) ([]byte, error) {
+	size := 512
+	if n >= 0 {
+		size = int(min(n+1, bodyBufCap)) // +1: room for the read that sees io.EOF
+	}
+	b := make([]byte, 0, size)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 func (d *daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -505,57 +534,12 @@ func (d *daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	d.writeBody(w, res.Body)
 }
 
-// admitRequest / admitTask are the wire shape of /v1/admit: one sporadic
-// DAG task per entry, graphs in the cmd/daggen schema.
-type admitRequest struct {
-	Tasks []admitTask `json:"tasks"`
-}
-
-type admitTask struct {
-	Graph    json.RawMessage `json:"graph"`
-	Period   int64           `json:"period"`
-	Deadline int64           `json:"deadline"`
-	Jitter   int64           `json:"jitter,omitempty"`
-}
-
-// decodeAdmitRequest parses an /v1/admit body into a taskset. maxTasks
-// bounds the member count (the per-batch limit does double duty). Model
-// validation (deadlines, jitter, graph structure) is the analyzer's
-// business; this only decodes.
-func decodeAdmitRequest(body []byte, maxTasks int) (hetrta.Taskset, error) {
-	var req admitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return hetrta.Taskset{}, err
-	}
-	if len(req.Tasks) > maxTasks {
-		return hetrta.Taskset{}, fmt.Errorf("%d tasks exceed the %d per-taskset limit", len(req.Tasks), maxTasks)
-	}
-	ts := hetrta.Taskset{Tasks: make([]hetrta.SporadicTask, len(req.Tasks))}
-	for i, tk := range req.Tasks {
-		g, err := decodeTaskGraph(tk.Graph)
-		if err != nil {
-			return hetrta.Taskset{}, fmt.Errorf("task %d: %v", i, err)
-		}
-		ts.Tasks[i] = hetrta.SporadicTask{G: g, Period: tk.Period, Deadline: tk.Deadline, Jitter: tk.Jitter}
-	}
-	return ts, nil
-}
-
-// decodeTaskGraph decodes one admission task's graph; an absent graph
-// decodes as an empty one.
-func decodeTaskGraph(raw json.RawMessage) (*hetrta.Graph, error) {
-	if len(raw) == 0 {
-		return hetrta.NewGraph(), nil
-	}
-	return dag.Decode(raw)
-}
-
 func (d *daemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	body, ok := d.readBody(w, r)
 	if !ok {
 		return
 	}
-	ts, err := decodeAdmitRequest(body, d.cfg.maxBatch)
+	ts, err := hetrta.DecodeAdmitRequest(body, d.cfg.maxBatch)
 	if err != nil {
 		d.httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -574,81 +558,12 @@ func (d *daemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	d.writeBody(w, res.Body)
 }
 
-// admitDeltaRequest is the wire shape of /v1/admit/delta: the base
-// taskset's fingerprint (as returned in X-Taskset-Fingerprint by a prior
-// admit of the base), tasks to add, task digests to remove, and
-// replacements. Task digests come from the taskset model (graph canonical
-// fingerprint + sporadic parameters); removing a digest removes one
-// instance of that task.
-type admitDeltaRequest struct {
-	Base   string             `json:"base"`
-	Add    []admitTask        `json:"add,omitempty"`
-	Remove []string           `json:"remove,omitempty"`
-	Update []admitDeltaUpdate `json:"update,omitempty"`
-}
-
-type admitDeltaUpdate struct {
-	Old  string    `json:"old"`
-	Task admitTask `json:"task"`
-}
-
-// decodeAdmitDeltaRequest parses an /v1/admit/delta body. maxTasks bounds
-// the number of edits; like decodeAdmitRequest, model validation is the
-// analyzer's business.
-func decodeAdmitDeltaRequest(body []byte, maxTasks int) (hetrta.TasksetFingerprint, hetrta.TasksetDelta, error) {
-	var req admitDeltaRequest
-	var delta hetrta.TasksetDelta
-	if err := json.Unmarshal(body, &req); err != nil {
-		return hetrta.TasksetFingerprint{}, delta, err
-	}
-	base, err := hetrta.ParseTasksetFingerprint(req.Base)
-	if err != nil {
-		return hetrta.TasksetFingerprint{}, delta, fmt.Errorf("base: %v", err)
-	}
-	if edits := len(req.Add) + len(req.Remove) + len(req.Update); edits > maxTasks {
-		return base, delta, fmt.Errorf("%d delta edits exceed the %d limit", edits, maxTasks)
-	}
-	decodeTask := func(tk admitTask, what string) (hetrta.SporadicTask, error) {
-		g, err := decodeTaskGraph(tk.Graph)
-		if err != nil {
-			return hetrta.SporadicTask{}, fmt.Errorf("%s: %v", what, err)
-		}
-		return hetrta.SporadicTask{G: g, Period: tk.Period, Deadline: tk.Deadline, Jitter: tk.Jitter}, nil
-	}
-	for i, tk := range req.Add {
-		t, err := decodeTask(tk, fmt.Sprintf("add %d", i))
-		if err != nil {
-			return base, delta, err
-		}
-		delta.Add = append(delta.Add, t)
-	}
-	for i, s := range req.Remove {
-		dg, err := hetrta.ParseTaskDigest(s)
-		if err != nil {
-			return base, delta, fmt.Errorf("remove %d: %v", i, err)
-		}
-		delta.Remove = append(delta.Remove, dg)
-	}
-	for i, u := range req.Update {
-		dg, err := hetrta.ParseTaskDigest(u.Old)
-		if err != nil {
-			return base, delta, fmt.Errorf("update %d: old: %v", i, err)
-		}
-		t, err := decodeTask(u.Task, fmt.Sprintf("update %d: task", i))
-		if err != nil {
-			return base, delta, err
-		}
-		delta.Update = append(delta.Update, hetrta.TaskDeltaUpdate{Old: dg, Task: t})
-	}
-	return base, delta, nil
-}
-
 func (d *daemon) handleAdmitDelta(w http.ResponseWriter, r *http.Request) {
 	body, ok := d.readBody(w, r)
 	if !ok {
 		return
 	}
-	base, delta, err := decodeAdmitDeltaRequest(body, d.cfg.maxBatch)
+	base, delta, err := hetrta.DecodeAdmitDeltaRequest(body, d.cfg.maxBatch)
 	if err != nil {
 		d.httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -687,14 +602,11 @@ func (d *daemon) handleWarmup(w http.ResponseWriter, r *http.Request) {
 	d.writeJSON(w, http.StatusOK, ws)
 }
 
-// batchRequest / batchResponse are the wire shapes of /v1/analyze/batch.
-// Reports mirrors Analyzer.AnalyzeBatch: one element per input graph, in
-// order, with per-item failures carried in the report's "error" field —
-// the same schema cmd/dagrta -json emits.
-type batchRequest struct {
-	Graphs []json.RawMessage `json:"graphs"`
-}
-
+// batchResponse is the wire shape of /v1/analyze/batch's answer (the
+// request is hetrta.DecodeBatchRequest's). Reports mirrors
+// Analyzer.AnalyzeBatch: one element per input graph, in order, with
+// per-item failures carried in the report's "error" field — the same
+// schema cmd/dagrta -json emits.
 type batchResponse struct {
 	Reports []json.RawMessage `json:"reports"`
 }
@@ -704,21 +616,16 @@ func (d *daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		d.httpError(w, http.StatusBadRequest, err.Error())
+	// A graph that fails to decode stays nil and is reported per item, not
+	// failing the batch.
+	graphs, decodeErrs, err := hetrta.DecodeBatchRequest(body, d.cfg.maxBatch)
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, hetrta.ErrRequestLimit) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		d.httpError(w, code, err.Error())
 		return
-	}
-	if len(req.Graphs) > d.cfg.maxBatch {
-		d.httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%d graphs exceed the %d per-batch limit", len(req.Graphs), d.cfg.maxBatch))
-		return
-	}
-	graphs := make([]*hetrta.Graph, len(req.Graphs))
-	decodeErrs := make([]error, len(req.Graphs))
-	for i, raw := range req.Graphs {
-		// A failed item stays nil and is reported per item, not failing
-		// the batch.
-		graphs[i], decodeErrs[i] = dag.Decode(raw)
 	}
 	ctx, cancel := d.requestCtx(r)
 	defer cancel()

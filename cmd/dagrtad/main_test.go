@@ -505,12 +505,8 @@ func TestAdmitBadRequests(t *testing.T) {
 		t.Fatalf("malformed JSON: %d: %s", resp.StatusCode, body)
 	}
 
-	big := admitRequest{Tasks: make([]admitTask, 3)}
-	bigBody, err := json.Marshal(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body = post(t, base+"/v1/admit", bigBody)
+	null := `{"graph":null,"period":0,"deadline":0}`
+	resp, body = post(t, base+"/v1/admit", []byte(`{"tasks":[`+null+`,`+null+`,`+null+`]}`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized taskset: %d: %s", resp.StatusCode, body)
 	}
@@ -560,5 +556,45 @@ func TestAdmitBadRequests(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "jitter") {
 		t.Fatalf("unexpected error body: %s", body)
+	}
+}
+
+// TestReadAllBuffer: a body of declared length arrives in one buffer of
+// that size; a declared length over bodyBufCap reserves only the cap, and
+// an undeclared or understated one still reads the whole body.
+func TestReadAllBuffer(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 27_000)
+	for _, tc := range []struct {
+		declared int64
+		allocs   float64
+		maxCap   int
+	}{
+		{int64(len(body)), 1, len(body) + 1},
+		{1 << 30, 1, bodyBufCap},
+		{-1, -1, -1},
+		{10, -1, -1},
+	} {
+		var got []byte
+		r := bytes.NewReader(body)
+		allocs := testing.AllocsPerRun(10, func() {
+			r.Reset(body)
+			var err error
+			if got, err = readAll(r, tc.declared); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(got, body) {
+			t.Fatalf("declared %d: read %d bytes, want %d", tc.declared, len(got), len(body))
+		}
+		if tc.allocs >= 0 && allocs != tc.allocs {
+			t.Errorf("declared %d: %v allocations, want %v", tc.declared, allocs, tc.allocs)
+		}
+		if tc.maxCap >= 0 && cap(got) > tc.maxCap {
+			t.Errorf("declared %d: buffer capacity %d, want at most %d", tc.declared, cap(got), tc.maxCap)
+		}
+	}
+	empty, err := readAll(bytes.NewReader(nil), 1<<30)
+	if err != nil || len(empty) != 0 || cap(empty) > bodyBufCap {
+		t.Fatalf("empty body declared 1 GiB: len %d cap %d err %v", len(empty), cap(empty), err)
 	}
 }
