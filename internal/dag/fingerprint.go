@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"slices"
+	"sync"
 )
 
 // Fingerprint is a 256-bit canonical content hash of a task graph: two
@@ -67,22 +68,38 @@ func fnvStr(h uint64, s string) uint64 {
 	return h
 }
 
+// fpScratch is computeFingerprint's working memory: a label buffer, an
+// index buffer and the hash input, reused through fpScratchPool so that a
+// fingerprint allocates nothing once the pool is warm.
+type fpScratch struct {
+	labels []uint64
+	ints   []int
+	buf    []byte
+}
+
+var fpScratchPool = sync.Pool{New: func() any { return new(fpScratch) }}
+
 // computeFingerprint canonicalizes the graph and hashes the normal form.
 // Caller holds g.mu.
+//
+//hetrta:hotpath
 func (g *Graph) computeFingerprint() Fingerprint {
 	n := len(g.nodes)
+	sc := fpScratchPool.Get().(*fpScratch)
+	defer fpScratchPool.Put(sc)
 
-	// Scratch comes in two bulk allocations, one per element type, each
-	// cut into slices that never outgrow their capacity: no row has more
-	// than maxDeg neighbors.
+	// The scratch buffers are cut into slices that never outgrow their
+	// capacity: no row has more than maxDeg neighbors.
 	maxDeg := 0
 	for i := range g.nodes {
 		maxDeg = max(maxDeg, len(g.preds[i]), len(g.succs[i]))
 	}
-	lbuf := make([]uint64, 3*n+maxDeg)
+	sc.labels = slices.Grow(sc.labels[:0], 3*n+maxDeg)
+	lbuf := sc.labels[:3*n+maxDeg]
 	labels, next, scratch := lbuf[:n], lbuf[n:2*n], lbuf[2*n:3*n]
 	nbr := lbuf[3*n : 3*n : 3*n+maxDeg]
-	ibuf := make([]int, 4*n+2*maxDeg)
+	sc.ints = slices.Grow(sc.ints[:0], 4*n+2*maxDeg)
+	ibuf := sc.ints[:4*n+2*maxDeg]
 	pos := ibuf[:n] // node ID -> canonical position
 	indeg := ibuf[n : 2*n]
 	order := ibuf[2*n : 2*n : 3*n]
@@ -185,12 +202,13 @@ func (g *Graph) computeFingerprint() Fingerprint {
 		// Deterministic fallback for the nodes on cycles: (label, ID)
 		// ascending. Stable, but not relabeling-invariant — cyclic graphs
 		// are rejected by Validate and by the serving layer.
-		rest := make([]int, 0, n-len(order))
+		rest := make([]int, 0, n-len(order)) //lint:alloc cyclic graphs fail Validate; only this fallback orders them
 		for i := 0; i < n; i++ {
 			if pos[i] < 0 {
 				rest = append(rest, i)
 			}
 		}
+		//lint:alloc the comparator's captures belong to the cyclic fallback
 		slices.SortFunc(rest, func(a, b int) int {
 			if c := cmp.Compare(labels[a], labels[b]); c != 0 {
 				return c
@@ -214,7 +232,8 @@ func (g *Graph) computeFingerprint() Fingerprint {
 		size += 4*8 + len(g.nodes[i].Name)
 	}
 	size += 2 * 8 * g.edgeCount
-	buf := make([]byte, 0, size)
+	sc.buf = slices.Grow(sc.buf[:0], size)
+	buf := sc.buf
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	if cyclic {
 		buf = binary.LittleEndian.AppendUint64(buf, 0xc7c11c) // domain-separate cyclic fallbacks
