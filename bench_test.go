@@ -413,6 +413,108 @@ func BenchmarkAdmitDelta(b *testing.B) {
 	})
 }
 
+// benchAdmitBodies returns the two admission request bodies of the
+// admit-churn serving workload, in the wire form its client sends: a full
+// re-admission of a 32-task set drawn as BenchmarkAdmitDelta draws its
+// base, and a delta adding one task to it.
+func benchAdmitBodies(b *testing.B) (full, delta []byte) {
+	b.Helper()
+	pool, err := taskset.Generate(taskset.TasksetParams{
+		N: 33, Util: 33.0 / 32, OffloadShare: 0.25, COffFrac: 0.3, Params: taskgen.Small(10, 30),
+	}, 2018)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type wireTask struct {
+		Graph    *hetrta.Graph `json:"graph"`
+		Period   int64         `json:"period"`
+		Deadline int64         `json:"deadline"`
+		Jitter   int64         `json:"jitter,omitempty"`
+	}
+	wire := make([]wireTask, len(pool.Tasks))
+	for i, t := range pool.Tasks {
+		wire[i] = wireTask{t.G, t.Period, t.Deadline, t.Jitter}
+	}
+	base := hetrta.Taskset{Tasks: pool.Tasks[:32]}
+	if full, err = json.Marshal(map[string]any{"tasks": wire[:32]}); err != nil {
+		b.Fatal(err)
+	}
+	if delta, err = json.Marshal(map[string]any{"base": base.Fingerprint().String(), "add": wire[32:]}); err != nil {
+		b.Fatal(err)
+	}
+	return full, delta
+}
+
+// BenchmarkAdmitDecode measures admission request decoding, wire bytes to
+// a taskset or a delta: "full" is a 32-task /v1/admit body (about 27 KB),
+// "delta" a one-arrival /v1/admit/delta body, each through the daemon's
+// decoder ("scan", one pass) and through the encoding/json reference path
+// it falls back to ("reference").
+func BenchmarkAdmitDecode(b *testing.B) {
+	full, delta := benchAdmitBodies(b)
+	decoders := []struct {
+		name  string
+		admit func([]byte, int) (hetrta.Taskset, error)
+		delta func([]byte, int) (hetrta.TasksetFingerprint, hetrta.TasksetDelta, error)
+	}{
+		{"scan", hetrta.DecodeAdmitRequest, hetrta.DecodeAdmitDeltaRequest},
+		{"reference", hetrta.DecodeAdmitRequestReference, hetrta.DecodeAdmitDeltaRequestReference},
+	}
+	for _, d := range decoders {
+		b.Run("full/"+d.name, func(b *testing.B) {
+			b.SetBytes(int64(len(full)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if ts, err := d.admit(full, 64); err != nil || len(ts.Tasks) != 32 {
+					b.Fatalf("%d tasks, err %v", len(ts.Tasks), err)
+				}
+			}
+		})
+	}
+	for _, d := range decoders {
+		b.Run("delta/"+d.name, func(b *testing.B) {
+			b.SetBytes(int64(len(delta)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, dl, err := d.delta(delta, 64); err != nil || len(dl.Add) != 1 {
+					b.Fatalf("%d arrivals, err %v", len(dl.Add), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAdmitReportMarshal measures the hand-written AdmitReport
+// encoder on the report of a 32-task admission (the base of
+// BenchmarkAdmitDelta), as the daemon marshals every cache-missing
+// admission.
+func BenchmarkAdmitReportMarshal(b *testing.B) {
+	pool, err := taskset.Generate(taskset.TasksetParams{
+		N: 32, Util: 1, OffloadShare: 0.25, COffFrac: 0.3, Params: taskgen.Small(10, 30),
+	}, 2018)
+	if err != nil {
+		b.Fatal(err)
+	}
+	an, err := hetrta.NewAnalyzer(hetrta.WithPlatform(platform.Hetero(4)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ta, err := hetrta.NewTasksetAnalyzer(an)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := ta.Admit(context.Background(), pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := rep.MarshalJSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchWireGraph is a 16-node heterogeneous task in the wire form the
 // daemon receives, the size of the serving benchmark's median hot graph.
 func benchWireGraph(b *testing.B) []byte {
