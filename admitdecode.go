@@ -214,7 +214,7 @@ func decodeBatchReference(body []byte, maxGraphs int) ([]*Graph, []error, error)
 }
 
 func (req *batchRequest) decode(maxGraphs int) ([]*Graph, []error, error) {
-	n := max(len(req.Graphs), len(req.scanned))
+	n := max(len(req.Graphs), len(req.scanned)) // one of the two is empty
 	if n > maxGraphs {
 		return nil, nil, limitError{fmt.Sprintf("%d graphs exceed the %d per-batch limit", n, maxGraphs)}
 	}
