@@ -10,7 +10,7 @@ import (
 // One seed per way a body leaves the canonical form, for every envelope:
 // a graph outside the graph form, null, a float, a case-folded, unknown
 // or duplicate key, an escaped string, invalid UTF-8, a leading zero, -0,
-// and trailing bytes.
+// trailing bytes, and a key without a value.
 var envelopeFallbackSeeds = []string{
 	`{"tasks":[{"graph":{"Nodes":[{"wcet":1}]},"period":10,"deadline":10}]}`,
 	`{"tasks":[{"graph":null,"period":10,"deadline":10}]}`,
@@ -24,6 +24,7 @@ var envelopeFallbackSeeds = []string{
 	`{"tasks":[{"period":010,"deadline":10}]}`,
 	`{"tasks":[{"period":-0,"deadline":10}]}`,
 	`{"tasks":[]} {}`,
+	`{"tasks":[],"x":}`,
 	`{"base":"0\u0030","add":[]}`,
 	"{\"base\":\"\xff\",\"remove\":[]}",
 	`{"base":null,"update":[{"old":null,"task":null}]}`,

@@ -22,6 +22,7 @@ func TestDecodeErrorParity(t *testing.T) {
 		{``, `unexpected end of JSON input`},
 		{`{not json`, `invalid character 'n' looking for beginning of object key string`},
 		{`{"nodes":[{"wcet":1}]} x`, `invalid character 'x' after top-level value`},
+		{`{"nodes":[{"wcet":1,"kind":"gpu"}]} x`, `invalid character 'x' after top-level value`},
 		{`{"nodes":[{"wcet":01}]}`, `invalid character '1' after object key:value pair`},
 		// Model-rule errors in the canonical form the scanner decodes.
 		{`{"nodes":[{"wcet":1},{"wcet":2,"kind":"gpu"}],"edges":[[0,1]]}`, `dag: node 1: unknown kind "gpu"`},
@@ -132,6 +133,9 @@ func TestDecodeEnvelopeErrors(t *testing.T) {
 	}{
 		{"admit limit then syntax", "/v1/admit",
 			`{"tasks":[` + task(ok) + `,` + task(ok) + `,` + task(ok) + `,` + task(ok) + `],}`,
+			http.StatusBadRequest, `invalid character '}' looking for beginning of object key string`},
+		{"admit task error then syntax", "/v1/admit",
+			`{"tasks":[` + task(gpu) + `],}`,
 			http.StatusBadRequest, `invalid character '}' looking for beginning of object key string`},
 		{"admit limit before tasks", "/v1/admit",
 			`{"tasks":[` + task(gpu) + `,` + task(ok) + `,` + task(ok) + `,` + task(ok) + `]}`,
