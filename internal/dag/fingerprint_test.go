@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -181,6 +182,40 @@ func TestFingerprintConcurrentReads(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if got := <-done; got != want {
 			t.Fatal("concurrent Fingerprint mismatch")
+		}
+	}
+}
+
+// TestFingerprintPooledScratchConcurrent fingerprints graphs of mixed sizes
+// from several goroutines at once, every call recomputing on scratch that
+// the pool may have handed to a larger or smaller graph before: each result
+// must match the graph's fingerprint computed alone.
+func TestFingerprintPooledScratchConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	graphs := make([]*Graph, 24)
+	want := make([]Fingerprint, len(graphs))
+	for i := range graphs {
+		graphs[i] = randomFPDAG(r, 1+r.Intn(40))
+		want[i] = graphs[i].Fingerprint()
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for round := 0; round < 20; round++ {
+				i := (w*7 + round*5) % len(graphs)
+				g := graphs[i].Clone() // a private copy: no memo, no shared lock
+				if got := g.Fingerprint(); got != want[i] {
+					errs <- fmt.Errorf("graph %d: fingerprint %s, want %s", i, got, want[i])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }
