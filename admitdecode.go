@@ -235,7 +235,7 @@ func (req *batchRequest) decode(maxGraphs int) ([]*Graph, []error, error) {
 
 func (req *admitRequest) scan(body []byte) bool {
 	s := dag.NewScanner(body)
-	return scanObject(&s, func(key []byte) (uint8, bool) {
+	return scanObject(&s, func(key []byte) (uint16, bool) {
 		if string(key) != "tasks" {
 			return 0, true
 		}
@@ -245,7 +245,7 @@ func (req *admitRequest) scan(body []byte) bool {
 
 func (req *admitDeltaRequest) scan(body []byte) bool {
 	s := dag.NewScanner(body)
-	return scanObject(&s, func(key []byte) (bit uint8, ok bool) {
+	return scanObject(&s, func(key []byte) (bit uint16, ok bool) {
 		switch string(key) {
 		case "base":
 			req.Base, ok = scanString(&s)
@@ -270,7 +270,7 @@ func (req *admitDeltaRequest) scan(body []byte) bool {
 
 func (req *batchRequest) scan(body []byte) bool {
 	s := dag.NewScanner(body)
-	return scanObject(&s, func(key []byte) (uint8, bool) {
+	return scanObject(&s, func(key []byte) (uint16, bool) {
 		if string(key) != "graphs" {
 			return 0, true
 		}
@@ -290,7 +290,7 @@ func scanTasks(s *dag.Scanner, tasks *[]admitTask) bool {
 }
 
 func (tk *admitTask) scan(s *dag.Scanner) bool {
-	return scanObject(s, func(key []byte) (bit uint8, ok bool) {
+	return scanObject(s, func(key []byte) (bit uint16, ok bool) {
 		switch string(key) {
 		case "graph":
 			tk.graph, ok = s.Graph()
@@ -311,7 +311,7 @@ func (tk *admitTask) scan(s *dag.Scanner) bool {
 }
 
 func (u *admitDeltaUpdate) scan(s *dag.Scanner) bool {
-	return scanObject(s, func(key []byte) (bit uint8, ok bool) {
+	return scanObject(s, func(key []byte) (bit uint16, ok bool) {
 		switch string(key) {
 		case "old":
 			u.Old, ok = scanString(s)
@@ -326,14 +326,14 @@ func (u *admitDeltaUpdate) scan(s *dag.Scanner) bool {
 // scanObject scans an object, calling field with each key to scan its
 // value. field returns the key's bit, distinct for each key of the form
 // and 0 for any other key; an unknown or repeated key is outside the form.
-func scanObject(s *dag.Scanner, field func(key []byte) (bit uint8, ok bool)) bool {
+func scanObject(s *dag.Scanner, field func(key []byte) (bit uint16, ok bool)) bool {
 	if !s.Consume('{') {
 		return false
 	}
 	if s.Consume('}') {
 		return true
 	}
-	var seen uint8
+	var seen uint16
 	for {
 		key, ok := s.Str()
 		if !ok || !s.Consume(':') {

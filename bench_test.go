@@ -646,6 +646,76 @@ func BenchmarkServiceBatch(b *testing.B) {
 	})
 }
 
+// storeSpillBodies returns n report bodies shaped like the serving
+// benchmark's store-spill workload: Small(8,24) graphs with offload share
+// 0.15, analyzed on a 4+1 platform with the three safe bounds and the
+// breadth-first simulation, marshaled as the cache stores them.
+func storeSpillBodies(b *testing.B, n int) [][]byte {
+	b.Helper()
+	plat, err := hetrta.ParsePlatform("4+1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	an, err := hetrta.NewAnalyzer(
+		hetrta.WithPlatform(plat),
+		hetrta.WithBounds(hetrta.RhomBound(), hetrta.RhetBound(), hetrta.TypedRhomBound()),
+		hetrta.WithPolicy(hetrta.BreadthFirst),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := taskgen.MustNew(taskgen.Small(8, 24), 2018)
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		g, _, _, err := gen.HetTask(0.15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := an.Analyze(context.Background(), g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bodies[i], err = json.Marshal(rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return bodies
+}
+
+// BenchmarkReportDecode measures stored-report decoding, bytes to a
+// *Report, over 256 store-spill bodies per op: "scan" through
+// hetrta.DecodeReport, the durable tier's decoder, and "reference"
+// through the encoding/json path it falls back to. ns/body is the cost of
+// one record.
+func BenchmarkReportDecode(b *testing.B) {
+	bodies := storeSpillBodies(b, 256)
+	var size int64
+	for _, body := range bodies {
+		size += int64(len(body))
+	}
+	decoders := []struct {
+		name   string
+		decode func([]byte) (*hetrta.Report, error)
+	}{
+		{"scan", hetrta.DecodeReport},
+		{"reference", hetrta.DecodeReportReference},
+	}
+	for _, d := range decoders {
+		b.Run(d.name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, body := range bodies {
+					if _, err := d.decode(body); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bodies)), "ns/body")
+		})
+	}
+}
+
 // BenchmarkWarmStart measures a daemon restart on the store-spill shape:
 // store.Open (the index scan) plus Service.AttachStore (the warm start)
 // over a log of 16,384 report records into a 2,048-entry cache. The

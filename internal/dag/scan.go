@@ -2,6 +2,7 @@ package dag
 
 import (
 	"bytes"
+	"strconv"
 	"unicode/utf8"
 )
 
@@ -40,8 +41,8 @@ func scanCanonical(data []byte, g *Graph) (ok bool, err error) {
 // same tokens. Its methods skip leading whitespace and report ok=false on
 // anything outside the form, after which the document belongs to
 // encoding/json. Envelope decoders (the admission and batch request
-// bodies) walk their own keys with Consume, Str and Int64, scan each graph
-// with Graph, and finish with End.
+// bodies, stored reports) walk their own keys with Consume, Str, Int64,
+// Int, Float64 and Bool, scan each graph with Graph, and finish with End.
 type Scanner struct {
 	data []byte
 	pos  int
@@ -203,8 +204,62 @@ func (s *Scanner) Int64() (int64, bool) {
 	return int64(v), true
 }
 
-// num is Int64 within the range of an int.
-func (s *Scanner) num() (int, bool) {
+// Float64 scans a JSON number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+// and converts it with strconv.ParseFloat as encoding/json does for a
+// float64 field; a literal ParseFloat rejects (out of range) is declined.
+func (s *Scanner) Float64() (float64, bool) {
+	s.ws()
+	start := s.pos
+	if s.pos < len(s.data) && s.data[s.pos] == '-' {
+		s.pos++
+	}
+	if lead := s.pos; s.digits() == 0 || s.pos-lead > 1 && s.data[lead] == '0' {
+		return 0, false
+	}
+	if s.pos < len(s.data) && s.data[s.pos] == '.' {
+		s.pos++
+		if s.digits() == 0 {
+			return 0, false
+		}
+	}
+	if s.pos < len(s.data) && s.data[s.pos]|0x20 == 'e' {
+		s.pos++
+		if s.pos < len(s.data) && (s.data[s.pos] == '+' || s.data[s.pos] == '-') {
+			s.pos++
+		}
+		if s.digits() == 0 {
+			return 0, false
+		}
+	}
+	v, err := strconv.ParseFloat(string(s.data[start:s.pos]), 64)
+	return v, err == nil
+}
+
+// digits steps over a run of decimal digits and returns its length.
+func (s *Scanner) digits() int {
+	start := s.pos
+	for s.pos < len(s.data) && s.data[s.pos] >= '0' && s.data[s.pos] <= '9' {
+		s.pos++
+	}
+	return s.pos - start
+}
+
+// Bool scans true or false.
+func (s *Scanner) Bool() (v, ok bool) {
+	s.ws()
+	switch rest := s.data[s.pos:]; {
+	case bytes.HasPrefix(rest, []byte("true")):
+		s.pos += len("true")
+		return true, true
+	case bytes.HasPrefix(rest, []byte("false")):
+		s.pos += len("false")
+		return false, true
+	}
+	return false, false
+}
+
+// Int is Int64 within the range of an int.
+func (s *Scanner) Int() (int, bool) {
 	v, ok := s.Int64()
 	return int(v), ok && int64(int(v)) == v
 }
@@ -266,7 +321,7 @@ func (s *Scanner) nodes() (nodes []Node, nodeErr error, ok bool) {
 					kind, ok = s.Str()
 				case "class":
 					bit = 8
-					class, ok = s.num()
+					class, ok = s.Int()
 				}
 				if !ok || bit == 0 || seen&bit != 0 {
 					return nil, nil, false
@@ -322,11 +377,11 @@ func (s *Scanner) edges() ([][2]int, bool) {
 		if !s.Consume('[') {
 			return nil, false
 		}
-		u, ok := s.num()
+		u, ok := s.Int()
 		if !ok || !s.Consume(',') {
 			return nil, false
 		}
-		v, ok := s.num()
+		v, ok := s.Int()
 		if !ok || !s.Consume(']') {
 			return nil, false
 		}

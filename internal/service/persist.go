@@ -251,8 +251,8 @@ func (s *Service) persist(key string, ent *entry) {
 func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 	switch kind {
 	case recReport:
-		rep := new(hetrta.Report)
-		if err := json.Unmarshal(value, rep); err != nil {
+		rep, err := hetrta.DecodeReport(value)
+		if err != nil {
 			return nil, fmt.Errorf("service: decoding report record: %w", err)
 		}
 		return &entry{report: rep, body: value}, nil

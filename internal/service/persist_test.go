@@ -120,6 +120,46 @@ func TestStoreSecondTierRevivesEvicted(t *testing.T) {
 	}
 }
 
+// TestStoreUndecodableReportMisses: a CRC-valid report record that does
+// not decode is a miss on the store tier too, not only at warm start.
+// lookup counts one decode error and the request is recomputed, to the
+// bytes a service without the record serves (X-Cache miss, one
+// execution). The second body scans canonically up to its type error, so
+// the encoding/json fallback is what rejects it.
+func TestStoreUndecodableReportMisses(t *testing.T) {
+	ctx := context.Background()
+	want, err := admitService(t, Options{}).Analyze(ctx, chainGraph(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{`{"bounds":`, `{"graph":{"nodes":"x"}}`} {
+		t.Run(bad, func(t *testing.T) {
+			svc := storedService(t, filepath.Join(t.TempDir(), "cache.log"), Options{})
+			svc.store.Append(recReport, svc.keyOf(want.Fingerprint), []byte(bad))
+			svc.store.Flush()
+			if _, ok := svc.cache.get(svc.keyOf(want.Fingerprint)); ok {
+				t.Fatal("record resident before the request; the store tier is not exercised")
+			}
+
+			res, err := svc.Analyze(ctx, chainGraph(t, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Hit || res.Shared {
+				t.Fatalf("undecodable record served as a hit (hit %v, shared %v)", res.Hit, res.Shared)
+			}
+			if !bytes.Equal(res.Body, want.Body) {
+				t.Fatalf("recomputed body differs:\n%s\nwant:\n%s", res.Body, want.Body)
+			}
+			st := svc.Stats()
+			if st.Store.DecodeErrors != 1 || st.Executions != 1 || st.Store.WarmHits != 0 {
+				t.Fatalf("decode errors %d, executions %d, warm hits %d; want 1, 1, 0",
+					st.Store.DecodeErrors, st.Executions, st.Store.WarmHits)
+			}
+		})
+	}
+}
+
 // TestStoreDeltaBaseRevival: the churn-serving acceptance criterion — a
 // base admitted before a restart anchors AdmitDelta afterwards (no 404),
 // and the delta result is byte-identical to a cold full admit.

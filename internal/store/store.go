@@ -203,8 +203,9 @@ func (s *Store) load() error {
 		return s.restart()
 	}
 	off := hdrLen
+	var payload []byte // one buffer for every frame: only the key outlives it
 	for {
-		rec, frameLen, crc, err := readRecord(br)
+		rec, frameLen, crc, err := readRecord(br, &payload)
 		if err == io.EOF {
 			break
 		}
@@ -465,7 +466,7 @@ func ScanStream(r io.Reader, generation string, fn func(rec Record) error) (Scan
 		return sum, fmt.Errorf("%w: stream %q, want %q", ErrGenerationMismatch, gen, generation)
 	}
 	for {
-		rec, frameLen, _, err := readRecord(br)
+		rec, frameLen, _, err := readRecord(br, nil) // fn may keep rec.Value: Warmup re-appends it
 		if err == io.EOF {
 			return sum, nil
 		}
@@ -505,7 +506,10 @@ func readHeader(br *bufio.Reader) (gen string, hdrLen int64, err error) {
 // readRecord consumes one frame and returns it with the payload CRC it
 // was verified against. io.EOF means a clean end exactly at a frame
 // boundary; errTorn any syntactic breakage (the truncated-tail case).
-func readRecord(br *bufio.Reader) (rec Record, frameLen int64, crc uint32, err error) {
+// With buf nil the payload, and so rec.Value, is a fresh allocation;
+// otherwise it is read into *buf, grown as needed, and rec.Value is valid
+// only until the next call with the same buf.
+func readRecord(br *bufio.Reader, buf *[]byte) (rec Record, frameLen int64, crc uint32, err error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
 		return Record{}, 0, 0, io.EOF // clean boundary
@@ -518,7 +522,13 @@ func readRecord(br *bufio.Reader) (rec Record, frameLen int64, crc uint32, err e
 	if n == 0 || n > maxPayload {
 		return Record{}, 0, 0, errTorn
 	}
-	payload := make([]byte, n)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if cap(*buf) < int(n) {
+		*buf = make([]byte, n)
+	}
+	payload := (*buf)[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return Record{}, 0, 0, errTorn
 	}

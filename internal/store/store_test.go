@@ -66,6 +66,37 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReopenReusedLoadBuffer: the boot scan reads every frame into one
+// buffer, so a log whose records shrink and then grow again must reopen
+// with every key and value intact.
+func TestReopenReusedLoadBuffer(t *testing.T) {
+	sizes := []int{300, 100, 10, 1, 0, 50, 500, 4000, 7, 9000}
+	record := func(i int) (key string, val []byte) {
+		n := sizes[i]
+		return fmt.Sprintf("%0*d", n%37+1, i), bytes.Repeat([]byte{byte('a' + i)}, n) // keys vary in length too
+	}
+	s, path := openTemp(t, "g")
+	for i := range sizes {
+		key, val := record(i)
+		s.Append(byte(i), key, val)
+	}
+	s.Flush()
+	s.Close()
+
+	s2 := reopen(t, path, "g")
+	defer s2.Close()
+	if st := s2.Stats(); st.RecordsLoaded != uint64(len(sizes)) || st.TailTruncations != 0 {
+		t.Fatalf("reopen stats = %+v, want %d records, no truncation", st, len(sizes))
+	}
+	for i := range sizes {
+		key, val := record(i)
+		kind, got, ok := s2.Get(key)
+		if !ok || kind != byte(i) || !bytes.Equal(got, val) {
+			t.Fatalf("Get(%q) = kind %d, %d bytes, %v; want kind %d, %d bytes", key, kind, len(got), ok, i, len(val))
+		}
+	}
+}
+
 // TestWalkNewestFirst pins WalkNewest's contract: live records come
 // newest first (a rewrite moves its key to the front), a record rejected
 // by want is never read from disk, and fn returning false stops the walk.
