@@ -239,7 +239,7 @@ func (req *admitRequest) scan(body []byte) bool {
 		if string(key) != "tasks" {
 			return 0, true
 		}
-		return 1, scanTasks(&s, &req.Tasks)
+		return 1, scanSlice(&s, &req.Tasks, func(tk *admitTask) bool { return tk.scan(&s) })
 	}) && s.End()
 }
 
@@ -251,18 +251,14 @@ func (req *admitDeltaRequest) scan(body []byte) bool {
 			req.Base, ok = scanString(&s)
 			return 1, ok
 		case "add":
-			return 2, scanTasks(&s, &req.Add)
+			return 2, scanSlice(&s, &req.Add, func(tk *admitTask) bool { return tk.scan(&s) })
 		case "remove":
-			return 4, scanArray(&s, func() bool {
-				dg, ok := scanString(&s)
-				req.Remove = append(req.Remove, dg)
+			return 4, scanSlice(&s, &req.Remove, func(dg *string) bool {
+				*dg, ok = scanString(&s)
 				return ok
 			})
 		case "update":
-			return 8, scanArray(&s, func() bool {
-				req.Update = append(req.Update, admitDeltaUpdate{})
-				return req.Update[len(req.Update)-1].scan(&s)
-			})
+			return 8, scanSlice(&s, &req.Update, func(u *admitDeltaUpdate) bool { return u.scan(&s) })
 		}
 		return 0, true
 	}) && s.End()
@@ -270,23 +266,15 @@ func (req *admitDeltaRequest) scan(body []byte) bool {
 
 func (req *batchRequest) scan(body []byte) bool {
 	s := dag.NewScanner(body)
-	return scanObject(&s, func(key []byte) (uint16, bool) {
+	return scanObject(&s, func(key []byte) (bit uint16, ok bool) {
 		if string(key) != "graphs" {
 			return 0, true
 		}
-		return 1, scanArray(&s, func() bool {
-			g, ok := s.Graph()
-			req.scanned = append(req.scanned, g)
+		return 1, scanSlice(&s, &req.scanned, func(g *dag.ScannedGraph) bool {
+			*g, ok = s.Graph()
 			return ok
 		})
 	}) && s.End()
-}
-
-func scanTasks(s *dag.Scanner, tasks *[]admitTask) bool {
-	return scanArray(s, func() bool {
-		*tasks = append(*tasks, admitTask{})
-		return (*tasks)[len(*tasks)-1].scan(s)
-	})
 }
 
 func (tk *admitTask) scan(s *dag.Scanner) bool {
@@ -350,16 +338,19 @@ func scanObject(s *dag.Scanner, field func(key []byte) (bit uint16, ok bool)) bo
 	}
 }
 
-// scanArray scans an array, calling elem to scan each element.
-func scanArray(s *dag.Scanner, elem func() bool) bool {
+// scanSlice scans an array into *out, calling elem on each new element.
+// An empty array leaves a non-nil empty slice, as encoding/json does.
+func scanSlice[T any](s *dag.Scanner, out *[]T, elem func(*T) bool) bool {
 	if !s.Consume('[') {
 		return false
 	}
+	*out = []T{}
 	if s.Consume(']') {
 		return true
 	}
 	for {
-		if !elem() {
+		*out = append(*out, *new(T))
+		if !elem(&(*out)[len(*out)-1]) {
 			return false
 		}
 		if !s.Consume(',') {

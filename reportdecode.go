@@ -300,13 +300,3 @@ func (e *ExactReport) scan(s *dag.Scanner) bool {
 		return 0, true
 	})
 }
-
-// scanSlice scans an array into *out, calling elem on each new element.
-// An empty array leaves a non-nil empty slice, as encoding/json does.
-func scanSlice[T any](s *dag.Scanner, out *[]T, elem func(*T) bool) bool {
-	*out = []T{}
-	return scanArray(s, func() bool {
-		*out = append(*out, *new(T))
-		return elem(&(*out)[len(*out)-1])
-	})
-}
