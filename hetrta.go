@@ -15,7 +15,7 @@
 //   - a discrete-event work-conserving scheduler simulator (GOMP-like
 //     breadth-first and other policies) on any mix of resource classes;
 //   - an exact minimum-makespan oracle (branch and bound; the paper used
-//     CPLEX) plus a from-scratch LP/MILP time-indexed formulation;
+//     CPLEX);
 //   - the random task generator of the paper's evaluation and harnesses
 //     regenerating every figure (see cmd/experiments), including a
 //     multi-offload × device-class sweep beyond the paper.

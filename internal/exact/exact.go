@@ -28,8 +28,8 @@
 // with est < t* are branched. Every active schedule — and for a regular
 // objective like makespan some active schedule is optimal — is still
 // reachable. The restriction is cross-validated against unrestricted
-// search and against the independent ILP oracle in the tests; set
-// Options.Unrestricted to disable it.
+// search and against an independent brute-force enumerator of SGS orders
+// in the tests; set Options.Unrestricted to disable it.
 //
 // The search further uses critical-path and per-class workload lower
 // bounds, incumbent seeding from the scheduling-policy portfolio of package

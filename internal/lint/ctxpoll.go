@@ -14,8 +14,6 @@ import (
 // interval). Other packages opt in with //hetrta:oracle.
 var oraclePackages = map[string]bool{
 	"repro/internal/exact": true,
-	"repro/internal/ilp":   true,
-	"repro/internal/lp":    true,
 }
 
 // Ctxpoll enforces the oracle cancellation discipline:
@@ -39,7 +37,7 @@ var oraclePackages = map[string]bool{
 // structural reason the analyzer cannot see.
 var Ctxpoll = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc:  "enforces prompt context cancellation in the exact/ILP/LP search oracles",
+	Doc:  "enforces prompt context cancellation in the exact search oracle",
 	Run:  runCtxpoll,
 }
 

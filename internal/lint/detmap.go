@@ -9,16 +9,15 @@ import (
 
 // canonicalPackages lists the import paths whose output bytes are part of a
 // determinism contract: graph/taskset fingerprints, the service cache's
-// byte-identical repeat responses, report and admit JSON, experiment CSV,
-// and the LP oracle whose float accumulations feed all of them. Packages
-// outside this list opt in with a //hetrta:canonical file directive.
+// byte-identical repeat responses, report and admit JSON, and experiment
+// CSV. Packages outside this list opt in with a //hetrta:canonical file
+// directive.
 var canonicalPackages = map[string]bool{
 	"repro":                      true, // report.go, taskset.go: canonical report JSON
 	"repro/internal/dag":         true, // Fingerprint, DOT output
 	"repro/internal/service":     true, // byte-identical cached responses, /statsz
 	"repro/internal/taskset":     true, // order-insensitive taskset fingerprints, AdmitReport parts
 	"repro/internal/experiments": true, // CSV/JSON emitters behind -fig sweeps
-	"repro/internal/lp":          true, // float accumulation order feeds oracle values
 	"repro/cmd/dagrtad":          true, // HTTP handlers serving cached bytes
 	"repro/cmd/experiments":      true, // CSV emitters
 }

@@ -3,9 +3,9 @@
 // otherwise enforces only by convention or after-the-fact sweeps:
 //
 //   - detmap: packages that produce canonical bytes (fingerprints, cached
-//     report JSON, CSV emitters, the LP oracle feeding them) must not
-//     iterate maps in nondeterministic order.
-//   - ctxpoll: the exact/ILP/LP oracles must keep every unbounded search
+//     report JSON, CSV emitters) must not iterate maps in
+//     nondeterministic order.
+//   - ctxpoll: the exact search oracle must keep every unbounded search
 //     loop promptly cancellable and must never accept a context just to
 //     drop it.
 //   - boundreg: every Bound implementation must be declared in the

@@ -1,5 +1,5 @@
 // Package a exercises ctxpoll: it opts in via the directive below, standing
-// in for the exact/ILP/LP oracle packages of the real module.
+// in for the exact search oracle package of the real module.
 //
 //hetrta:oracle
 package a

@@ -1,6 +1,6 @@
 // Package platform defines the execution platform of the paper's system
 // model as a first-class type shared by every analysis layer (rta, taskset,
-// sched, exact, ilp, experiments).
+// sched, exact, experiments).
 //
 // The model is a list of named resource classes, each holding a number of
 // identical machines. Classes[0] is always the host class (the m identical
