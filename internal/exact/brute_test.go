@@ -78,95 +78,106 @@ func bruteMinMakespan(g *dag.Graph, p sched.Platform) int64 {
 // TestMinMakespanMatchesBruteForce checks that the branch-and-bound, with
 // every pruning rule on, proves exactly the optimum that exhaustive
 // enumeration finds — on one- and two-device-class platforms and on graphs
-// with zero-WCET nodes.
+// with zero-WCET nodes. Each graph is a subtest, so a mismatch names its
+// instance and the other instances still run.
 func TestMinMakespanMatchesBruteForce(t *testing.T) {
-	gen := taskgen.MustNew(taskgen.Params{
-		PPar: 0.5, NPar: 4, MaxDepth: 2, NMin: 3, NMax: 8, CMin: 1, CMax: 9,
-	}, 4242)
-	oneClass := []sched.Platform{sched.Homogeneous(2), sched.Hetero(1), sched.Hetero(2)}
 	twoClass := platform.New(
 		platform.ResourceClass{Name: "host", Count: 2},
 		platform.ResourceClass{Name: "gpu", Count: 1},
 		platform.ResourceClass{Name: "fpga", Count: 1},
 	)
-	check := func(name string, g *dag.Graph, p sched.Platform) int64 {
+	check := func(t *testing.T, g *dag.Graph, p sched.Platform) int64 {
 		t.Helper()
 		r, err := MinMakespan(context.Background(), g, p, Options{})
 		if err != nil {
-			t.Fatalf("%s on %v: %v", name, p, err)
+			t.Fatalf("on %v: %v", p, err)
 		}
 		if want := bruteMinMakespan(g, p); r.Status != Optimal || r.Makespan != want {
-			t.Fatalf("%s on %v: got %d (%v), brute force %d\n%s", name, p, r.Makespan, r.Status, want, g.DOT("g"))
+			t.Fatalf("on %v: got %d (%v), brute force %d\n%s", p, r.Makespan, r.Status, want, g.DOT("g"))
 		}
 		return r.Makespan
 	}
-	checked := 0
-	for i := 0; i < 150; i++ {
-		g, err := gen.Graph()
-		if err != nil {
-			t.Fatal(err)
+
+	t.Run("seed4242", func(t *testing.T) {
+		gen := taskgen.MustNew(taskgen.Params{
+			PPar: 0.5, NPar: 4, MaxDepth: 2, NMin: 3, NMax: 8, CMin: 1, CMax: 9,
+		}, 4242)
+		checked := 0
+		for i := 0; i < 150; i++ {
+			g, err := gen.Graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := g.NumNodes()
+			if n > 8 {
+				continue
+			}
+			taskgen.SetOffload(g, i%n, 0.3)
+			if i%4 == 0 {
+				g.SetWCET((i+1)%n, 0)
+			}
+			// The same graph with a second offload on the other device class.
+			g2 := g.Clone()
+			taskgen.SetOffloadClass(g2, (i+n/2)%n, 0.2, 2)
+			t.Run(fmt.Sprintf("graph_%03d", i), func(t *testing.T) {
+				for _, p := range []sched.Platform{sched.Homogeneous(2), sched.Hetero(1), sched.Hetero(2)} {
+					check(t, g, p)
+				}
+				check(t, g2, twoClass)
+			})
+			checked++
 		}
-		n := g.NumNodes()
-		if n > 8 {
-			continue
+		if checked < 100 {
+			t.Fatalf("only %d graphs checked", checked)
 		}
-		taskgen.SetOffload(g, i%n, 0.3)
-		if i%4 == 0 {
-			g.SetWCET((i+1)%n, 0)
-		}
-		for _, p := range oneClass {
-			check(fmt.Sprintf("graph %d", i), g, p)
-		}
-		// The same graph with a second offload on the other device class.
-		g2 := g.Clone()
-		taskgen.SetOffloadClass(g2, (i+n/2)%n, 0.2, 2)
-		check(fmt.Sprintf("graph %d", i), g2, twoClass)
-		checked++
-	}
-	if checked < 100 {
-		t.Fatalf("only %d graphs checked", checked)
-	}
+	})
 
 	// A second random population, none skipped for size: 12 graphs, every
 	// other one with an offload, each on Homogeneous(2) and Hetero(2).
-	gen = taskgen.MustNew(taskgen.Params{
-		PPar: 0.6, NPar: 3, MaxDepth: 2, NMin: 3, NMax: 8, CMin: 1, CMax: 5,
-	}, 31415)
-	for i := 0; i < 12; i++ {
-		g, err := gen.Graph()
-		if err != nil {
-			t.Fatal(err)
+	t.Run("seed31415", func(t *testing.T) {
+		gen := taskgen.MustNew(taskgen.Params{
+			PPar: 0.6, NPar: 3, MaxDepth: 2, NMin: 3, NMax: 8, CMin: 1, CMax: 5,
+		}, 31415)
+		for i := 0; i < 12; i++ {
+			g, err := gen.Graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				taskgen.SetOffload(g, g.NumNodes()/2, 0.3)
+			}
+			t.Run(fmt.Sprintf("graph_%02d", i), func(t *testing.T) {
+				if g.NumNodes() > 8 {
+					t.Fatalf("%d nodes, more than brute force is meant for", g.NumNodes())
+				}
+				for _, p := range []sched.Platform{sched.Homogeneous(2), sched.Hetero(2)} {
+					check(t, g, p)
+				}
+			})
 		}
-		if g.NumNodes() > 8 {
-			t.Fatalf("second population graph %d has %d nodes, more than brute force is meant for", i, g.NumNodes())
-		}
-		if i%2 == 0 {
-			taskgen.SetOffload(g, g.NumNodes()/2, 0.3)
-		}
-		for _, p := range []sched.Platform{sched.Homogeneous(2), sched.Hetero(2)} {
-			check(fmt.Sprintf("second population graph %d", i), g, p)
-		}
-	}
+	})
 
 	// One machine per class: s(1), then gpu and fpga overlap on their own
 	// machines while h runs on the core, then e(1): 1 + max(4, 4, 3) + 1 = 6.
-	g := dag.New()
-	s := g.AddNode("s", 1, dag.Host)
-	gpu := g.AddNode("gpu", 4, dag.Offload) // class 1
-	fpga := g.AddNode("fpga", 4, dag.Offload)
-	g.SetClass(fpga, 2)
-	h := g.AddNode("h", 3, dag.Host)
-	e := g.AddNode("e", 1, dag.Host)
-	for _, v := range []int{gpu, fpga, h} {
-		g.MustAddEdge(s, v)
-		g.MustAddEdge(v, e)
-	}
-	oneOfEach := platform.New(
-		platform.ResourceClass{Name: "host", Count: 1},
-		platform.ResourceClass{Name: "gpu", Count: 1},
-		platform.ResourceClass{Name: "fpga", Count: 1},
-	)
-	if got := check("three-class graph", g, oneOfEach); got != 6 {
-		t.Fatalf("three-class optimum %d, want 6", got)
-	}
+	t.Run("three-class", func(t *testing.T) {
+		g := dag.New()
+		s := g.AddNode("s", 1, dag.Host)
+		gpu := g.AddNode("gpu", 4, dag.Offload) // class 1
+		fpga := g.AddNode("fpga", 4, dag.Offload)
+		g.SetClass(fpga, 2)
+		h := g.AddNode("h", 3, dag.Host)
+		e := g.AddNode("e", 1, dag.Host)
+		for _, v := range []int{gpu, fpga, h} {
+			g.MustAddEdge(s, v)
+			g.MustAddEdge(v, e)
+		}
+		oneOfEach := platform.New(
+			platform.ResourceClass{Name: "host", Count: 1},
+			platform.ResourceClass{Name: "gpu", Count: 1},
+			platform.ResourceClass{Name: "fpga", Count: 1},
+		)
+		if got := check(t, g, oneOfEach); got != 6 {
+			t.Fatalf("three-class optimum %d, want 6", got)
+		}
+	})
 }
