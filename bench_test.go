@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	hetrta "repro"
@@ -579,20 +580,7 @@ func BenchmarkFingerprint(b *testing.B) {
 // (setup untimed); "hit" serves all eight from the cache.
 func BenchmarkServiceBatch(b *testing.B) {
 	ctx := context.Background()
-	plat, err := hetrta.ParsePlatform("4+1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	an, err := hetrta.NewAnalyzer(
-		hetrta.WithPlatform(plat),
-		hetrta.WithBounds(hetrta.RhomBound(), hetrta.RhetBound(), hetrta.TypedRhomBound()),
-		hetrta.WithPolicy(hetrta.BreadthFirst),
-		hetrta.WithExactOptions(hetrta.ExactOptions{MaxExpansions: 10_000, Parallelism: 1}),
-		hetrta.WithDegradation(hetrta.DegradeOptions{}),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
+	an := missAnalyzer(b)
 	newSvc := func(b *testing.B) *service.Service {
 		svc, err := service.New(an, service.Options{Resilience: &service.ResilienceOptions{}})
 		if err != nil {
@@ -642,6 +630,114 @@ func BenchmarkServiceBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			run(b, svc)
+		}
+	})
+}
+
+// missAnalyzer is the analyzer of the serving benchmark's analyze-miss
+// daemon: a 4+1 platform, the three safe bounds, the breadth-first
+// simulation, and the exact stage with a 10k expansion budget on one
+// worker, degrading when the budget runs out.
+func missAnalyzer(b *testing.B) *hetrta.Analyzer {
+	b.Helper()
+	plat, err := hetrta.ParsePlatform("4+1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	an, err := hetrta.NewAnalyzer(
+		hetrta.WithPlatform(plat),
+		hetrta.WithBounds(hetrta.RhomBound(), hetrta.RhetBound(), hetrta.TypedRhomBound()),
+		hetrta.WithPolicy(hetrta.BreadthFirst),
+		hetrta.WithExactOptions(hetrta.ExactOptions{MaxExpansions: 10_000, Parallelism: 1}),
+		hetrta.WithDegradation(hetrta.DegradeOptions{}),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return an
+}
+
+// BenchmarkServiceResident measures what the service keeps per cached
+// analysis, on analyze-miss-shaped graphs (Small(8,24), c_off 0.15) under
+// missAnalyzer with the daemon's overload-protection layer. "fill"
+// analyzes 256 new graphs into a fresh Service per op and reports the
+// heap the filled cache retains per entry as B/entry (the live heap after
+// a full GC, against the same before the fill). "hit" serves one resident
+// graph: the cache lookup alone, since the graph's fingerprint is
+// memoized after the first request.
+func BenchmarkServiceResident(b *testing.B) {
+	const entries = 256
+	ctx := context.Background()
+	an := missAnalyzer(b)
+	newSvc := func(b *testing.B) *service.Service {
+		svc, err := service.New(an, service.Options{Resilience: &service.ResilienceOptions{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return svc
+	}
+	gen := taskgen.MustNew(taskgen.Small(8, 24), 2)
+	gs := make([]*hetrta.Graph, entries)
+	warm := newSvc(b)
+	for i := range gs {
+		g, _, _, err := gen.HetTask(0.15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Analyzing once fills the graph's own memoized properties, so
+		// the fills below measure only what the service retains.
+		if _, err := warm.Analyze(ctx, g); err != nil {
+			b.Fatal(err)
+		}
+		gs[i] = g
+	}
+	// Two collections: the first moves pooled objects to the victim
+	// cache, the second frees them.
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	b.Run("fill", func(b *testing.B) {
+		var retained int64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			svc := newSvc(b)
+			before := liveHeap()
+			b.StartTimer()
+			for _, g := range gs {
+				if _, err := svc.Analyze(ctx, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			retained += liveHeap() - before
+			if n := svc.Stats().Entries; n != entries {
+				b.Fatalf("cache holds %d entries, want %d", n, entries)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(retained)/float64(b.N*entries), "B/entry")
+	})
+	b.Run("hit", func(b *testing.B) {
+		svc := newSvc(b)
+		if _, err := svc.Analyze(ctx, gs[0]); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, err := svc.Analyze(ctx, gs[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !r.Hit {
+				b.Fatal("resident graph missed the cache")
+			}
 		}
 	})
 }

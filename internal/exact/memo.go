@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -25,26 +26,26 @@ type memo struct {
 }
 
 // memoShard stores its records back to back in arena: each record is the
-// arena offset of the next record with the same mask (-1 ends the chain)
-// followed by the signature. A signature's length depends only on the mask
-// (the machine count, the scheduled nodes with unscheduled successors, and
-// the makespan), so the chain needs no per-record length. m maps a mask to
-// the index of its chain in chains, which holds each chain's first and last
-// record; records chain in insertion order. Extending a chain updates the
-// chains entry in place, so only a mask's first record writes the map.
+// arena offset of the next record with the same mask (-1 ends the chain),
+// then the signature's saturating sum (sigSum), then the signature. A
+// signature's length depends only on the mask (the machine count, the
+// scheduled nodes with unscheduled successors, and the makespan), so the
+// chain needs no per-record length. m maps a mask to the index of its chain
+// in chains, which holds each chain's first record; records chain in
+// ascending order of sum, later records after earlier ones of equal sum.
+// Changing a chain's head updates the chains entry in place, so only a
+// mask's first record writes the map.
 type memoShard struct {
 	mu     sync.Mutex
 	m      map[uint64]int
-	chains []memoChain
+	chains []int
 	arena  []int64
 }
 
-type memoChain struct{ head, tail int }
-
 // memoShardCount picks the shard count: one shard at Parallelism ≤ 1 (the
-// serial search keeps its lock uncontended and its insertion order — and
-// therefore its pruning decisions — exactly as before), a few shards per
-// worker beyond that.
+// serial search keeps its lock uncontended, and each call sees exactly the
+// records of the calls before it — so its pruning decisions are exactly
+// as before), a few shards per worker beyond that.
 func memoShardCount(workers int) int {
 	if workers <= 1 {
 		return 1
@@ -113,18 +114,44 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// sigSum is the saturating sum of sig. Saturating addition is monotone in
+// each argument, so a signature that dominates sig component-wise never
+// has a larger sum, whatever the magnitudes of the components.
+func sigSum(sig []int64) int64 {
+	var sum int64
+	for _, x := range sig {
+		t := sum + x
+		switch {
+		case x > 0 && t < sum:
+			t = math.MaxInt64
+		case x < 0 && t > sum:
+			t = math.MinInt64
+		}
+		sum = t
+	}
+	return sum
+}
+
 // dominated checks and updates the memo; it reports whether the state
 // (mask, sig) is dominated by a previously seen state with the same mask.
 // sig may live in caller scratch — it is copied on insertion.
 //
+// A record can dominate sig only if its sum is no larger than sig's, so
+// the scan of the sum-ordered chain stops at the first larger sum, which
+// is also where sig goes when it is not dominated. The answer depends only
+// on the set of records, never on their order, so pruning decisions are
+// those of a full scan.
+//
 //hetrta:hotpath
 func (mm *memo) dominated(mask uint64, sig []int64) bool {
 	s := &mm.shards[mix64(mask)&mm.mask]
+	sum := sigSum(sig)
 	s.mu.Lock()
 	ci, seen := s.m[mask]
+	prev, next := -1, -1
 	if seen {
-		for at := s.chains[ci].head; at >= 0; at = int(s.arena[at]) {
-			old := s.arena[at+1 : at+1+len(sig)]
+		for next = s.chains[ci]; next >= 0 && s.arena[next+1] <= sum; prev, next = next, int(s.arena[next]) {
+			old := s.arena[next+2 : next+2+len(sig)]
 			dom := true
 			for i, x := range sig {
 				if old[i] > x {
@@ -141,15 +168,16 @@ func (mm *memo) dominated(mask uint64, sig []int64) bool {
 	if mm.entries.Add(1) <= mm.limit {
 		at := len(s.arena)
 		//lint:alloc arena growth: amortized doubling, and a pooled serial memo starts at the capacity an earlier search grew
-		s.arena = append(append(s.arena, -1), sig...)
-		if seen {
-			ch := &s.chains[ci]
-			s.arena[ch.tail] = int64(at)
-			ch.tail = at
-		} else {
+		s.arena = append(append(s.arena, int64(next), sum), sig...)
+		switch {
+		case !seen:
 			s.m[mask] = len(s.chains)
 			//lint:alloc chain growth: amortized doubling, and a pooled serial memo starts at the capacity an earlier search grew
-			s.chains = append(s.chains, memoChain{head: at, tail: at})
+			s.chains = append(s.chains, at)
+		case prev < 0:
+			s.chains[ci] = at
+		default:
+			s.arena[prev] = int64(at)
 		}
 	} else {
 		mm.entries.Add(-1)

@@ -2,6 +2,9 @@ package exact
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -62,4 +65,66 @@ func TestSerialMemoPoolConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMemoDominatedMatchesLinearScan feeds one memo random signatures and
+// checks every answer of dominated against a linear scan over all
+// signatures inserted so far for that mask. Some components sit near
+// ±math.MaxInt64/2, so signature sums saturate: the early stop of the
+// sum-ordered chains must stay sound there too. A memo limit below the
+// call count checks that insertion stops exactly at the cap.
+func TestMemoDominatedMatchesLinearScan(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		limit  int64
+	}{{1, math.MaxInt64}, {4, math.MaxInt64}, {1, 150}, {8, 150}} {
+		t.Run(fmt.Sprintf("shards%d_limit%d", tc.shards, tc.limit), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.shards) ^ tc.limit))
+			const masks = 6
+			// A signature's length and the base of each component depend
+			// only on the mask, as in the search.
+			bases := make([][]int64, masks)
+			for k := range bases {
+				bases[k] = make([]int64, 2+k)
+				for i := range bases[k] {
+					bases[k][i] = []int64{0, math.MaxInt64/2 - 3, math.MinInt64 / 2}[rng.Intn(3)]
+				}
+			}
+			mm := newMemo(tc.limit, tc.shards)
+			stored := make([][][]int64, masks)
+			var inserted int64
+			for call := 0; call < 3000; call++ {
+				k := rng.Intn(masks)
+				sig := make([]int64, len(bases[k]))
+				for i, b := range bases[k] {
+					sig[i] = b + rng.Int63n(6)
+				}
+				want := false
+				for _, old := range stored[k] {
+					dom := true
+					for i := range sig {
+						if old[i] > sig[i] {
+							dom = false
+							break
+						}
+					}
+					if dom {
+						want = true
+						break
+					}
+				}
+				mask := uint64(k) * 0x9e3779b97f4a7c15
+				if got := mm.dominated(mask, sig); got != want {
+					t.Fatalf("call %d, mask %d, sig %v: dominated = %v, linear scan says %v", call, k, sig, got, want)
+				}
+				if !want && inserted < tc.limit {
+					stored[k] = append(stored[k], sig)
+					inserted++
+				}
+			}
+			if got := mm.entries.Load(); got != inserted {
+				t.Fatalf("memo holds %d entries, want %d", got, inserted)
+			}
+		})
+	}
 }

@@ -5,7 +5,7 @@
 //   - a canonical cache key: (Graph.Fingerprint, Analyzer.Signature), so
 //     isomorphic graphs analyzed under the same configuration share one
 //     result regardless of node labeling or which client sent them;
-//   - a sharded LRU report cache holding both the in-memory Report and its
+//   - a sharded LRU report cache holding the JSON-visible Report and its
 //     serialized JSON, marshaled once — repeat responses are byte-identical
 //     by construction;
 //   - single-flight execution: concurrent requests for the same key run the
@@ -203,7 +203,10 @@ var errNilGraph = analysisError{"hetrta: Analyze(nil graph)"}
 // transforms[].offload/sync/gate, parNodes) echo the computing request's
 // labeling, not necessarily the caller's.
 type Result struct {
-	// Report is the analysis outcome; nil when Err is set.
+	// Report is the analysis outcome; nil when Err is set. It carries
+	// only the JSON-visible fields, on every path (miss, hit, coalesced
+	// wait, store hit): the rich fields tagged json:"-" are nil, so
+	// Report equals hetrta.DecodeReport(Body).
 	Report *hetrta.Report
 	// Body is Report's canonical JSON, identical bytes for every request
 	// served from the same cache entry.
@@ -549,12 +552,23 @@ func (s *Service) runGraph(ctx context.Context, g *hetrta.Graph, exec func(ctx c
 	return marshalEntry(rep)
 }
 
+// marshalEntry builds the cache entry for a fresh analysis report: its
+// canonical JSON and a shallow copy of the report without the rich
+// objects excluded from JSON (transformations, full schedules, exact
+// spans). Nothing serves those, so an entry keeps only what its body
+// says: the report hetrta.DecodeReport(body) gives on a store hit or at
+// warm start, so every path hands out the same Report.
 func marshalEntry(rep *hetrta.Report) (*entry, error) {
 	body, err := json.Marshal(rep)
 	if err != nil {
 		return nil, fmt.Errorf("service: marshaling report: %w", err)
 	}
-	return &entry{report: rep, body: body}, nil
+	served := *rep
+	served.TransformResult = nil
+	served.MultiTransformResult = nil
+	served.SimOriginal, served.SimTransformed = nil, nil
+	served.ExactResult = nil
+	return &entry{report: &served, body: body}, nil
 }
 
 // AdmitResult is the outcome of one taskset admission.

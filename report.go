@@ -4,8 +4,11 @@ package hetrta
 // graph's metrics, every requested bound, the Algorithm 1 transformation
 // summary, and — when the Analyzer was configured for them — simulation and
 // exact-oracle results. Rich in-memory objects (the transformation, full
-// simulation schedules) ride along in fields excluded from JSON so CLI
-// front-ends can render Gantt charts without recomputing.
+// simulation schedules, the exact schedule) ride along in fields excluded
+// from JSON so CLI front-ends can render Gantt charts without
+// recomputing. They are for in-process callers of Analyze: the serving
+// layer never retains them, and every report it hands out carries only
+// the JSON-visible fields, as DecodeReport returns them.
 //
 // The JSON form is a stable wire format with two guarantees the serving
 // layer (internal/service, cmd/dagrtad) builds on: marshaling is
