@@ -61,7 +61,8 @@ test:
 # --- chaos: the deterministic fault-injection suite, exactly as the CI
 # chaos job runs it: resilience primitives, the service chaos invariants,
 # and the daemon resilience end-to-end tests, under -race twice; plus the
-# parallel exact oracle under -race at 1, 2, and 4 CPUs.
+# exact oracle under -race at 1, 2, and 4 CPUs, which checks that its
+# results do not depend on GOMAXPROCS.
 
 chaos:
 	$(GO) test -race -count=2 ./internal/resilience/...

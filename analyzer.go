@@ -130,8 +130,9 @@ func WithExactBudget(budget int64) Option {
 }
 
 // WithExactOptions enables the exact minimum-makespan stage with full
-// solver options (budget, memo limit, context poll interval, parallelism,
-// branching restriction). WithExactBudget is the common-case shorthand.
+// solver options (budget, memo limit, context poll interval, branching
+// restriction). WithExactBudget is the common-case shorthand. The
+// deprecated Parallelism field is ignored: the search is always serial.
 func WithExactOptions(opts ExactOptions) Option {
 	return func(a *Analyzer) error {
 		if opts.MaxExpansions < 0 {
@@ -142,9 +143,6 @@ func WithExactOptions(opts ExactOptions) Option {
 		}
 		if opts.CtxCheckEvery < 0 {
 			return fmt.Errorf("hetrta: negative exact poll interval %d", opts.CtxCheckEvery)
-		}
-		if opts.Parallelism < 0 {
-			return fmt.Errorf("hetrta: negative exact parallelism %d", opts.Parallelism)
 		}
 		a.exactOn = true
 		a.exactOpts = opts
@@ -268,7 +266,7 @@ func (a *Analyzer) BoundsOnly(reason string) *Analyzer {
 // served. Bump it by hand in any change that alters a served byte;
 // TestServedBytesVersioned fails when a byte-contract golden moves
 // without a bump.
-const AlgorithmVersion = 1
+const AlgorithmVersion = 2
 
 // Signature returns a stable string identifying every configuration input
 // that can influence a Report: AlgorithmVersion, the platform's full class
@@ -278,11 +276,9 @@ const AlgorithmVersion = 1
 // Signature) is a sound cache key — the serving layer (internal/service)
 // keys its result cache exactly this way. Batch parallelism is
 // deliberately excluded: batch output is deterministic at any pool size.
-// Exact-stage parallelism is excluded for the same reason — the oracle
-// proves the same optimum (or reports the same budget-capped bracket) at
-// any worker count, so replicas configured with different -exact-parallel
-// values may share cache entries; only the path-dependent Expansions
-// field of a proven-optimal report can differ across worker counts.
+// The exact stage needs no such exclusion: its search is serial, so every
+// field of its result, Expansions included, follows from the graph and
+// the options in the signature.
 func (a *Analyzer) Signature() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v=%d;plat=", AlgorithmVersion)

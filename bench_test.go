@@ -226,34 +226,10 @@ func BenchmarkAblationRestrictedVsUnrestricted(b *testing.B) {
 	})
 }
 
-// BenchmarkExactParallel measures the work-stealing branch-and-bound at
-// 1, 2, and 4 workers on a hard instance (≈41k expansions serial — the
-// same seed as the ablation benchmark, hard enough that frontier handoff
-// pays for itself). The w1 case runs the dedicated serial path and must
-// stay allocation-identical to BenchmarkExactSmall's profile; speedup at
-// w2/w4 scales with the cores the host actually has.
-func BenchmarkExactParallel(b *testing.B) {
-	gen := taskgen.MustNew(taskgen.Small(10, 16), 6)
-	g, _, _, err := gen.HetTask(0.15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exact.MinMakespan(context.Background(), g, sched.Hetero(2), exact.Options{Parallelism: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExactMiss measures the exact oracle on the population the
 // analyze-miss serving workload feeds it: transitively reduced Small(8,24)
-// graphs with c_off 0.15 on a 4+1 platform, a 10k expansion budget and one
-// worker. One op searches all 200 graphs; about three quarters close at the
+// graphs with c_off 0.15 on a 4+1 platform and a 10k expansion budget.
+// One op searches all 200 graphs; about three quarters close at the
 // root bound and a few exhaust the budget, which exp/op and capped/op
 // report.
 func BenchmarkExactMiss(b *testing.B) {
@@ -270,7 +246,7 @@ func BenchmarkExactMiss(b *testing.B) {
 		}
 		gs[i] = g
 	}
-	opts := exact.Options{MaxExpansions: 10_000, Parallelism: 1}
+	opts := exact.Options{MaxExpansions: 10_000}
 	var expansions, capped int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -636,8 +612,8 @@ func BenchmarkServiceBatch(b *testing.B) {
 
 // missAnalyzer is the analyzer of the serving benchmark's analyze-miss
 // daemon: a 4+1 platform, the three safe bounds, the breadth-first
-// simulation, and the exact stage with a 10k expansion budget on one
-// worker, degrading when the budget runs out.
+// simulation, and the exact stage with a 10k expansion budget, degrading
+// when the budget runs out.
 func missAnalyzer(b *testing.B) *hetrta.Analyzer {
 	b.Helper()
 	plat, err := hetrta.ParsePlatform("4+1")
@@ -648,7 +624,7 @@ func missAnalyzer(b *testing.B) *hetrta.Analyzer {
 		hetrta.WithPlatform(plat),
 		hetrta.WithBounds(hetrta.RhomBound(), hetrta.RhetBound(), hetrta.TypedRhomBound()),
 		hetrta.WithPolicy(hetrta.BreadthFirst),
-		hetrta.WithExactOptions(hetrta.ExactOptions{MaxExpansions: 10_000, Parallelism: 1}),
+		hetrta.WithExactOptions(hetrta.ExactOptions{MaxExpansions: 10_000}),
 		hetrta.WithDegradation(hetrta.DegradeOptions{}),
 	)
 	if err != nil {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	hetrta "repro"
 )
@@ -45,7 +44,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		doExact  = fs.Bool("exact", false, "compute the exact minimum makespan (n ≤ 64)")
 		doCheck  = fs.Bool("check", false, "verify the transformation invariants (Algorithm 1 post-conditions)")
 		budget   = fs.Int64("budget", 0, "exact-solver expansion budget (0 = default)")
-		exactPar = fs.Int("exact-parallel", 1, "exact-solver search workers (0 = all CPUs; results are identical at any value)")
 		svgOut   = fs.String("svg", "", "write an SVG Gantt chart of the transformed task's schedule to this file (single input only)")
 		asJSON   = fs.Bool("json", false, "emit the reports as JSON instead of text")
 		parallel = fs.Int("parallel", 0, "worker-pool size for multiple inputs (0 = all CPUs)")
@@ -84,14 +82,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		opts = append(opts, hetrta.WithPolicy(hetrta.BreadthFirst))
 	}
 	if *doExact {
-		ep := *exactPar
-		if ep == 0 {
-			ep = runtime.GOMAXPROCS(0)
-		}
-		opts = append(opts, hetrta.WithExactOptions(hetrta.ExactOptions{
-			MaxExpansions: *budget,
-			Parallelism:   ep,
-		}))
+		opts = append(opts, hetrta.WithExactBudget(*budget))
 	}
 	an, err := hetrta.NewAnalyzer(opts...)
 	if err != nil {

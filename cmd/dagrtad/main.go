@@ -90,7 +90,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -130,8 +129,9 @@ type serviceConfig struct {
 	exact     bool
 	budget    int64
 	exactPoll int64
-	// exactParallel is the exact-oracle worker count; 0 defaults to
-	// GOMAXPROCS — hard instances are the one stage worth every core.
+	// exactParallel is the deprecated -exact-parallel value. It is ignored
+	// (the exact search is serial) but still validated, so existing
+	// command lines parse as before.
 	exactParallel int
 	// exactSlice bounds each full analysis' exact-oracle stage; past it the
 	// report degrades to bounds-only instead of erroring.
@@ -169,7 +169,7 @@ func runWith(ctx context.Context, args []string, stdout, stderr io.Writer, inj *
 		doExact    = fs.Bool("exact", false, "include the exact minimum makespan in every report")
 		budget     = fs.Int64("budget", 0, "exact-solver expansion budget (0 = default)")
 		exactPoll  = fs.Int64("exact-poll", 0, "exact-solver context poll interval in expansions (0 = default)")
-		exactPar   = fs.Int("exact-parallel", 0, "exact-solver search workers (0 = GOMAXPROCS; results are identical at any value)")
+		exactPar   = fs.Int("exact-parallel", 0, "deprecated, ignored")
 		exactSlice = fs.Duration("exact-slice", 0, "per-analysis exact-stage time slice; past it the report degrades to bounds-only (0 = no slice)")
 		parallel   = fs.Int("parallel", 0, "analyzer worker-pool size for batch requests (0 = all CPUs)")
 		cacheSize  = fs.Int("cache", service.DefaultCacheEntries, "report-cache capacity in entries")
@@ -307,6 +307,9 @@ func buildService(sc serviceConfig) (*service.Service, *store.Store, error) {
 	if !sc.exact && (sc.budget != 0 || sc.exactPoll != 0 || sc.exactParallel != 0 || sc.exactSlice != 0) {
 		return nil, nil, fmt.Errorf("-budget/-exact-poll/-exact-parallel/-exact-slice require -exact")
 	}
+	if sc.exactParallel < 0 {
+		return nil, nil, fmt.Errorf("negative -exact-parallel %d", sc.exactParallel)
+	}
 	opts := []hetrta.Option{
 		hetrta.WithPlatform(plat),
 		hetrta.WithBounds(bounds...),
@@ -316,14 +319,9 @@ func buildService(sc serviceConfig) (*service.Service, *store.Store, error) {
 		opts = append(opts, hetrta.WithPolicy(hetrta.BreadthFirst))
 	}
 	if sc.exact {
-		ep := sc.exactParallel
-		if ep == 0 {
-			ep = runtime.GOMAXPROCS(0)
-		}
 		opts = append(opts, hetrta.WithExactOptions(hetrta.ExactOptions{
 			MaxExpansions: sc.budget,
 			CtxCheckEvery: sc.exactPoll,
-			Parallelism:   ep,
 		}))
 		// The daemon always serves degraded-but-valid bounds when the exact
 		// stage runs out of budget or slice: a serving endpoint must answer,

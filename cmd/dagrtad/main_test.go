@@ -389,6 +389,45 @@ func TestCancelledClientAbortsExactOracle(t *testing.T) {
 	}
 }
 
+// TestExactServedAsSerialSearchProves: a daemon started without
+// -exact-parallel serves the exact result of the serial search, whatever
+// GOMAXPROCS is. Graph 114 of the analyze-miss population (Small(8,24)
+// seed 2, c_off 0.15) on 4+1 is proven optimal at 464 after 9,880
+// expansions, just inside the 10k budget. A search split across two
+// workers used to run out of budget on it and serve the bracket
+// [450, 481] instead.
+func TestExactServedAsSerialSearchProves(t *testing.T) {
+	gen := taskgen.MustNew(taskgen.Small(8, 24), 2)
+	var body []byte
+	for i := 0; i <= 114; i++ {
+		g, _, _, err := gen.HetTask(0.15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 114 {
+			if body, err = json.Marshal(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := startDaemon(t, "-platform", "4+1", "-exact", "-budget", "10000")
+	resp, data := post(t, base+"/v1/analyze", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (%s), want 200", resp.StatusCode, data)
+	}
+	var rep struct {
+		Exact    *hetrta.ExactReport `json:"exact"`
+		Degraded bool                `json:"degraded"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := hetrta.ExactReport{Makespan: 464, Status: "optimal", LowerBound: 464, Expansions: 9880}
+	if rep.Exact == nil || *rep.Exact != want || rep.Degraded {
+		t.Fatalf("exact = %+v, degraded = %t; want %+v, not degraded", rep.Exact, rep.Degraded, want)
+	}
+}
+
 func TestFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-platform", "bogus"},

@@ -78,8 +78,11 @@ func bruteMinMakespan(g *dag.Graph, p sched.Platform) int64 {
 // TestMinMakespanMatchesBruteForce checks that the branch-and-bound, with
 // every pruning rule on, proves exactly the optimum that exhaustive
 // enumeration finds — on one- and two-device-class platforms and on graphs
-// with zero-WCET nodes. Each graph is a subtest, so a mismatch names its
-// instance and the other instances still run.
+// with zero-WCET nodes. Every instance is searched twice: with the default
+// memo limit and with a memo capped at 4 records, since the dominance memo
+// speeds the search up but must never decide the optimum. Each graph is a
+// subtest, so a mismatch names its instance and the other instances still
+// run.
 func TestMinMakespanMatchesBruteForce(t *testing.T) {
 	twoClass := platform.New(
 		platform.ResourceClass{Name: "host", Count: 2},
@@ -88,14 +91,17 @@ func TestMinMakespanMatchesBruteForce(t *testing.T) {
 	)
 	check := func(t *testing.T, g *dag.Graph, p sched.Platform) int64 {
 		t.Helper()
-		r, err := MinMakespan(context.Background(), g, p, Options{})
-		if err != nil {
-			t.Fatalf("on %v: %v", p, err)
+		want := bruteMinMakespan(g, p)
+		for _, memoLimit := range []int64{0, 4} {
+			r, err := MinMakespan(context.Background(), g, p, Options{MemoLimit: memoLimit})
+			if err != nil {
+				t.Fatalf("on %v: %v", p, err)
+			}
+			if r.Status != Optimal || r.Makespan != want {
+				t.Fatalf("on %v, memo limit %d: got %d (%v), brute force %d\n%s", p, memoLimit, r.Makespan, r.Status, want, g.DOT("g"))
+			}
 		}
-		if want := bruteMinMakespan(g, p); r.Status != Optimal || r.Makespan != want {
-			t.Fatalf("on %v: got %d (%v), brute force %d\n%s", p, r.Makespan, r.Status, want, g.DOT("g"))
-		}
-		return r.Makespan
+		return want
 	}
 
 	t.Run("seed4242", func(t *testing.T) {

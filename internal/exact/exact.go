@@ -37,29 +37,16 @@
 // the set of scheduled jobs. Search effort is budgeted by node expansions;
 // results report whether optimality was proven.
 //
-// # Parallel search
-//
-// Options.Parallelism ≥ 2 splits the search tree across a work-stealing
-// pool (DESIGN.md §13): workers hand off frontier prefixes above a cutoff
-// depth through bounded per-worker deques and run the in-place
-// applyTo/undo DFS below it, sharing the incumbent through an atomic
-// compare-and-swap, the dominance memo through mutex-guarded shards, and
-// the expansion budget through one atomic counter. The result is
-// deterministic at any parallelism — a completed search proves the same
-// optimum, and a budget-aborted search reports the same heuristic
-// incumbent and root lower bound — while the search path (and with it
-// Result.Expansions and the specific optimal schedule witnessed by
-// Result.Spans) is free to vary between runs at Parallelism ≥ 2.
+// The search is serial and runs on the caller's goroutine, so every field
+// of a Result — Expansions and the schedule Spans witnesses included — is
+// a pure function of the graph, the platform and the Options.
 package exact
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dag"
 	"repro/internal/sched"
@@ -88,26 +75,19 @@ func (s Status) String() string {
 type Options struct {
 	// MaxExpansions caps branch-and-bound node expansions; 0 means the
 	// DefaultMaxExpansions. The cap makes runtime deterministic (no
-	// wall-clock dependence). The budget is shared: at any Parallelism the
-	// pool as a whole expands at most MaxExpansions nodes (plus at most one
-	// in-flight expansion per worker) before aborting.
+	// wall-clock dependence): the search aborts on the expansion after the
+	// MaxExpansions-th.
 	MaxExpansions int64
 	// MemoLimit caps the number of dominance records kept; 0 means the
-	// default. Lookups continue after the cap, insertions stop. The cap is
-	// enforced globally across memo shards at any Parallelism.
+	// default. Lookups continue after the cap, insertions stop.
 	MemoLimit int64
 	// CtxCheckEvery is how many node expansions pass between context
 	// cancellation checks; 0 means DefaultCtxCheckEvery. Cancellation is
-	// therefore honored within at most CtxCheckEvery further expansions —
-	// the expansion counter is shared, so the window holds globally even
-	// when expansions are split across workers.
+	// therefore honored within at most CtxCheckEvery further expansions.
 	CtxCheckEvery int64
-	// Parallelism is the number of branch-and-bound workers; 0 and 1 both
-	// run the serial in-place search. Results are deterministic at any
-	// value: a completed search returns the same proven optimum, and a
-	// budget-aborted search returns the same heuristic bracket. The search
-	// path — and therefore Expansions and which optimal schedule Spans
-	// witnesses — may vary at Parallelism ≥ 2.
+	// Parallelism is ignored: the search is always serial.
+	//
+	// Deprecated: ignored; kept so existing callers still compile.
 	Parallelism int
 	// Unrestricted disables the Giffler–Thompson active-schedule branching
 	// restriction, enumerating all semi-active SGS orders. Exponentially
@@ -127,10 +107,6 @@ const defaultMemoLimit int64 = 1 << 20
 // stay off the dfs profile.
 const DefaultCtxCheckEvery = 1024
 
-// maxWorkers caps Options.Parallelism: beyond the 64-node search limit
-// there are never enough frontier subtrees to feed more workers.
-const maxWorkers = 64
-
 // Result is the outcome of MinMakespan.
 type Result struct {
 	// Makespan is the best (minimum found) completion time.
@@ -140,10 +116,8 @@ type Result struct {
 	// LowerBound is a proven lower bound on the optimum (equals Makespan
 	// when Status == Optimal).
 	LowerBound int64
-	// Expansions is the number of branch-and-bound nodes expanded. It is
-	// path-dependent and therefore only reproducible at Parallelism ≤ 1
-	// (budget-aborted searches report the exhausted budget at any
-	// parallelism).
+	// Expansions is the number of branch-and-bound nodes expanded;
+	// MaxExpansions+1 when the budget ran out.
 	Expansions int64
 	// Spans is a feasible schedule achieving Makespan, indexed by node.
 	Spans []sched.Span
@@ -163,9 +137,6 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("exact: negative parallelism %d", opts.Parallelism)
 	}
 	n := g.NumNodes()
 	if n == 0 {
@@ -203,13 +174,6 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 	if sh.ctxEvery == 0 {
 		sh.ctxEvery = DefaultCtxCheckEvery
 	}
-	workers := opts.Parallelism
-	if workers == 0 {
-		workers = 1
-	}
-	if workers > maxWorkers {
-		workers = maxWorkers
-	}
 	if err := sh.classify(g); err != nil {
 		return nil, err
 	}
@@ -225,11 +189,10 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 		}
 	}
 
-	// Incumbent from the heuristic portfolio. The seed is computed before
-	// the search, so it is identical at every parallelism — it is what a
-	// budget-aborted search reports (see below). No schedule beats rootLB,
-	// so the portfolio stops at the first policy that reaches it: later
-	// policies could only tie, and ties never replace the seed.
+	// Incumbent from the heuristic portfolio, computed before the search:
+	// it is what a budget-aborted search reports (see below). No schedule
+	// beats rootLB, so the portfolio stops at the first policy that reaches
+	// it: later policies could only tie, and ties never replace the seed.
 	seedBest := int64(math.MaxInt64)
 	var seedSpans []sched.Span
 	pols := append(sched.Heuristics(), sched.Random(1), sched.Random(2))
@@ -258,79 +221,35 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 
 	// Search-only state, built once the root has not closed the search.
 	sh.flatten(g, topo)
-	if workers <= 1 {
-		sh.memo = getSerialMemo(memoLimit)
-	} else {
-		sh.memo = newMemo(memoLimit, memoShardCount(workers))
-	}
+	sh.memo = getMemo(memoLimit)
 
 	// Branch and bound.
-	sh.best.Store(seedBest)
-	w0 := newWorker(sh, 0)
-	if workers <= 1 {
-		w0.runTask(nil)
-	} else {
-		sh.pool = newPool(workers)
-		sh.spawnDepth = spawnDepthFor(n, workers)
-		sh.backlog = int64(4 * workers)
-		sh.pool.push(0, []int{}) // root prefix
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			w := w0
-			if i > 0 {
-				w = newWorker(sh, i)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// A worker panic must not kill the process from a bare
-				// goroutine: the serving layer contains handler panics to a
-				// single 503, and the exact stage runs inside a handler.
-				// Record the first panic, halt the pool, and re-raise it on
-				// the caller's goroutine below.
-				defer func() {
-					if r := recover(); r != nil {
-						sh.recordPanic(r)
-					}
-				}()
-				w.loop()
-			}()
-		}
-		wg.Wait()
-		if pv := sh.panicVal; pv != nil {
-			panic(fmt.Sprintf("exact: search worker panicked: %v", pv))
-		}
-	}
-	if workers <= 1 {
-		// Pooled only after the search returned normally: a panic unwinding
-		// out of dominated could leave the shard locked, so that memo is
-		// dropped instead.
-		putSerialMemo(sh.memo)
-	}
+	sh.best = seedBest
+	w := newWorker(sh)
+	w.reset(&w.cur)
+	w.dfs(0)
+	// Not deferred: a search that panics leaves its memo to the collector.
+	putMemo(sh.memo)
 	if sh.err != nil {
 		return nil, sh.err
 	}
 
-	if sh.budgetHit.Load() {
-		// Deterministic bracket: which node the budget ran out on — and at
-		// Parallelism ≥ 2, whatever improvements happened to land before it
-		// did — depends on the search path, so an aborted search discards
-		// the path entirely and reports the pre-search seed. Every
-		// parallelism level therefore returns byte-identical budget-capped
-		// results, which is what lets the serving layer cache and replicate
-		// them (DESIGN.md §13.4).
+	if sh.budgetHit {
+		// An aborted search reports the pre-search bracket, the portfolio
+		// incumbent over the root lower bound, and drops any improvement
+		// found before the cap.
 		res.Makespan = seedBest
 		res.Status = Feasible
 		res.Spans = seedSpans
 		res.Expansions = sh.maxExp + 1 // the expansion that crossed the cap
 		return res, nil
 	}
-	res.Makespan = sh.best.Load()
+	res.Makespan = sh.best
 	res.Status = Optimal
 	res.LowerBound = res.Makespan
-	res.Expansions = sh.spent.Load()
+	res.Expansions = sh.spent
 	if sh.bestOrder != nil {
-		res.Spans = w0.replay(sh.bestOrder)
+		res.Spans = w.replay(sh.bestOrder)
 	} else {
 		res.Spans = seedSpans
 	}
@@ -339,26 +258,9 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 
 func divCeil(a, b int64) int64 { return (a + b - 1) / b }
 
-// spawnDepthFor is the frontier cutoff: prefixes shorter than this may be
-// handed to the pool, deeper subtrees are always inlined. Deep enough that
-// the early levels split into far more tasks than workers, shallow enough
-// that each task amortizes its replay cost over an exponentially larger
-// subtree.
-func spawnDepthFor(n, workers int) int {
-	d := 4 + bits.Len(uint(workers))
-	if d > n {
-		d = n
-	}
-	return d
-}
-
-// shared is the cross-worker search context: the immutable instance data
-// plus everything the workers share — the atomic incumbent, the atomic
-// expansion budget, the sharded dominance memo, and the stop machinery.
-// At Parallelism ≤ 1 a single worker uses the same structure (pool == nil)
-// and the atomics are uncontended, keeping the serial search's expansion
-// accounting, poll timing, and memo decisions identical to what they were
-// before the pool existed.
+// shared is the search context: the immutable instance data plus the
+// incumbent, the expansion budget, the dominance memo and the stop state.
+// All of it is owned by the goroutine that called MinMakespan.
 type shared struct {
 	ctx context.Context
 	p   sched.Platform
@@ -393,36 +295,19 @@ type shared struct {
 	ctxEvery     int64
 	unrestricted bool
 
-	// spent counts expansions across all workers; the budget and the
-	// context poll cadence both key off it, so bounded-abort and
-	// cancellation windows hold globally, not per worker.
-	spent atomic.Int64
-	// best is the incumbent makespan: CAS-published on improvement,
-	// lock-free-read in the pruning test.
-	best atomic.Int64
-	// stop halts every worker: budget exhaustion, context error, or a
-	// worker panic.
-	stop      atomic.Bool
-	budgetHit atomic.Bool
-
-	errMu    sync.Mutex
-	err      error // first context error, returned to the caller
-	panicVal any   // first worker panic, re-raised on the caller goroutine
-
-	// bestOrder is the SGS order behind best, replayed once into spans
-	// after the search; bestOrderMakespan guards against an older CAS
-	// winner overwriting a newer, better order.
-	bestMu            sync.Mutex
-	bestOrder         []int
-	bestOrderMakespan int64
+	// spent counts expansions; the budget and the context poll cadence
+	// both key off it.
+	spent int64
+	// best is the incumbent makespan and bestOrder the SGS order behind it,
+	// replayed once into spans after the search.
+	best      int64
+	bestOrder []int
+	// stop ends the search: budget exhaustion or a context error (err).
+	stop      bool
+	budgetHit bool
+	err       error
 
 	memo *memo
-
-	// pool is nil at Parallelism ≤ 1; spawnDepth and backlog throttle the
-	// frontier handoff (worker.offload).
-	pool       *pool
-	spawnDepth int
-	backlog    int64
 }
 
 // classify assigns every node its machine class — the homogeneous fallback
@@ -503,55 +388,11 @@ func (sh *shared) flatten(g *dag.Graph, topo []int) {
 }
 
 // publish installs makespan ms, achieved by the SGS order, as the incumbent
-// if it improves on it. The CAS loop keeps best monotonically decreasing
-// under concurrent improvements; the order behind the final best value is
-// always retained because every successful CAS re-checks under bestMu.
+// if it improves on it.
 func (sh *shared) publish(ms int64, order []int) {
-	//lint:polled CAS retry, not a search loop: every iteration either returns (no longer an improvement) or swaps and exits, so it runs at most once per concurrent improvement
-	for {
-		cur := sh.best.Load()
-		if ms >= cur {
-			return
-		}
-		if sh.best.CompareAndSwap(cur, ms) {
-			break
-		}
+	if ms >= sh.best {
+		return
 	}
-	sh.bestMu.Lock()
-	if sh.bestOrder == nil || ms < sh.bestOrderMakespan {
-		sh.bestOrderMakespan = ms
-		sh.bestOrder = append(sh.bestOrder[:0], order...)
-	}
-	sh.bestMu.Unlock()
-}
-
-// halt stops every worker without recording an error (budget exhaustion,
-// panic propagation).
-func (sh *shared) halt() {
-	sh.stop.Store(true)
-	if sh.pool != nil {
-		sh.pool.close()
-	}
-}
-
-// fail records the first context error and halts the pool; idle workers
-// are woken by the close broadcast.
-func (sh *shared) fail(err error) {
-	sh.errMu.Lock()
-	if sh.err == nil {
-		sh.err = err
-	}
-	sh.errMu.Unlock()
-	sh.halt()
-}
-
-// recordPanic stores the first worker panic and halts the pool so the
-// remaining workers drain instead of racing a crashing process.
-func (sh *shared) recordPanic(v any) {
-	sh.errMu.Lock()
-	if sh.panicVal == nil {
-		sh.panicVal = v
-	}
-	sh.errMu.Unlock()
-	sh.halt()
+	sh.best = ms
+	sh.bestOrder = append(sh.bestOrder[:0], order...)
 }

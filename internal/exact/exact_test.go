@@ -3,6 +3,7 @@ package exact
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -187,6 +188,31 @@ func TestRejectsCyclic(t *testing.T) {
 	g.MustAddEdge(b, a)
 	if _, err := MinMakespan(context.Background(), g, sched.Homogeneous(2), Options{}); err == nil {
 		t.Fatal("accepted cyclic graph")
+	}
+}
+
+// TestParallelismIgnored: the deprecated Options.Parallelism changes no
+// field of the Result, for a proven optimum and for a budget-capped
+// bracket, whatever its value.
+func TestParallelismIgnored(t *testing.T) {
+	g, _, _, err := hardInstance(t).HetTask(0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{256, 0} {
+		want, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{MaxExpansions: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{-1, 1, 4} {
+			got, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{MaxExpansions: budget, Parallelism: par})
+			if err != nil {
+				t.Fatalf("budget %d, Parallelism %d: %v", budget, par, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("budget %d, Parallelism %d:\n got %+v\nwant %+v", budget, par, got, want)
+			}
+		}
 	}
 }
 

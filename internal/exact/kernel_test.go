@@ -210,13 +210,13 @@ func branchable(sh *shared, mask uint64) []int {
 
 // TestSortedRowsMatchMinScan drives random applyTo/undo sequences on the
 // sorted-row state and on the min-scan reference, comparing them after
-// every step, the replay of every complete order, and — as the workers of
-// a parallel search do — states rebuilt from random prefixes on workers
-// whose state is left dirty by earlier tasks.
+// every step, the replay of every complete order, and states reset and
+// replayed from every prefix of the walk on a worker left dirty by the
+// prefix before: reset must clear everything an earlier search wrote.
 func TestSortedRowsMatchMinScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i, sh := range kernelInstances(t, 160) {
-		w := newWorker(sh, 0)
+		w := newWorker(sh)
 		st := &w.cur
 		st.spans = make([]sched.Span, sh.n)
 		w.reset(st)
@@ -252,21 +252,15 @@ func TestSortedRowsMatchMinScan(t *testing.T) {
 			prefixes = append(prefixes, slices.Clone(st.order))
 		}
 
-		// Parallel workers rebuild their state from handed-off prefixes.
-		for _, workers := range []int{2, 4} {
-			ws := make([]*worker, workers)
-			for k := range ws {
-				ws[k] = newWorker(sh, k)
+		dirty := newWorker(sh)
+		for _, prefix := range prefixes {
+			dirty.reset(&dirty.cur)
+			want := newRefState(sh)
+			for _, v := range prefix {
+				dirty.applyTo(&dirty.cur, v)
+				want.apply(sh, v)
 			}
-			for _, prefix := range prefixes {
-				pw := ws[rng.Intn(workers)]
-				pw.rebuild(prefix)
-				want := newRefState(sh)
-				for _, v := range prefix {
-					want.apply(sh, v)
-				}
-				checkAgainstRef(t, sh, &pw.cur, want, "rebuilt prefix")
-			}
+			checkAgainstRef(t, sh, &dirty.cur, want, "replayed prefix")
 		}
 	}
 }
@@ -323,7 +317,7 @@ func TestPruneMatchesFullBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	checked := 0
 	for i, sh := range kernelInstances(t, 160) {
-		w := newWorker(sh, 0)
+		w := newWorker(sh)
 		st := &w.cur
 		est := make([]int64, sh.n)
 		for walk := 0; walk < 4; walk++ {

@@ -40,7 +40,7 @@ type searchGoldenEntry struct {
 
 // searchGoldenPopulation is the pinned workload: transitively reduced
 // Small(8,24) graphs with c_off 0.15 (the analyze-miss shape), each
-// searched on three platforms with a 10k budget at Parallelism 1.
+// searched on three platforms with a 10k budget.
 func searchGoldenPopulation(t testing.TB) ([]*dag.Graph, []sched.Platform) {
 	t.Helper()
 	const graphs = 320
@@ -83,7 +83,7 @@ func TestSearchPathGolden(t *testing.T) {
 	capped, rootClosed := 0, 0
 	for i, g := range gs {
 		for _, p := range plats {
-			r, err := MinMakespan(context.Background(), g, p, Options{MaxExpansions: 10_000, Parallelism: 1})
+			r, err := MinMakespan(context.Background(), g, p, Options{MaxExpansions: 10_000})
 			if err != nil {
 				t.Fatalf("graph %d on %v: %v", i, p, err)
 			}

@@ -7,12 +7,11 @@ import (
 	"repro/internal/sched"
 )
 
-// worker is one branch-and-bound searcher: the in-place search state plus
-// per-depth and per-call scratch, all private to the worker. Everything
-// shared — incumbent, budget, memo, instance data — lives in sh.
+// worker is the branch-and-bound searcher: the in-place search state plus
+// per-depth and per-call scratch. The instance data, incumbent, budget and
+// memo live in sh.
 type worker struct {
 	sh *shared
-	id int
 
 	// cur is THE search state: the dfs mutates it in place via
 	// applyTo/undo instead of cloning per branch, so descending one level
@@ -82,92 +81,14 @@ type undoRec struct {
 	prevAvail    int64
 }
 
-func newWorker(sh *shared, id int) *worker {
-	w := &worker{sh: sh, id: id}
+func newWorker(sh *shared) *worker {
+	w := &worker{sh: sh}
 	w.cur = w.newState()
 	w.levels = make([]level, sh.n+1)
 	w.sigBuf = make([]int64, 0, sh.p.Total()+sh.n+1)
 	w.classMin = make([]int64, sh.nClasses)
 	w.floors = make([]int64, len(sh.feedMasks))
 	return w
-}
-
-// loop runs pool tasks until the pool closes — either because the search
-// tree drained or because a sibling observed cancellation, budget
-// exhaustion, or a panic and halted the pool. The context poll lives in
-// runTask's dfs, cadenced by the shared expansion counter, so an active
-// worker polls within CtxCheckEvery global expansions; an idle worker
-// parks in pool.wait and is woken by the halting worker's close broadcast.
-func (w *worker) loop() {
-	sh := w.sh
-	for {
-		if sh.stop.Load() {
-			return
-		}
-		order, ok := w.next()
-		if !ok {
-			return
-		}
-		w.runTask(order)
-		sh.pool.finish()
-	}
-}
-
-// next returns the next task: the worker's own deque first (newest-first,
-// keeping its working set hot), then the oldest — shallowest, hence
-// largest — subtree stolen from a sibling. ok is false once the pool is
-// closed.
-func (w *worker) next() (order []int, ok bool) {
-	p := w.sh.pool
-	//lint:polled parks in pool.wait between scans; the loop cannot spin — wait blocks until a push or close broadcast, and whichever worker observes cancellation closes the pool
-	for {
-		g := p.gen()
-		if t, ok := p.deques[w.id].popTail(); ok {
-			return t, true
-		}
-		for i := 1; i < len(p.deques); i++ {
-			if t, ok := p.deques[(w.id+i)%len(p.deques)].stealHead(); ok {
-				return t, true
-			}
-		}
-		if !p.wait(g) {
-			return nil, false
-		}
-	}
-}
-
-// runTask rebuilds the search state from a frontier prefix (the SGS order
-// of the branched nodes above the handoff point) and explores its subtree
-// with the in-place DFS. A nil/empty prefix is the root task.
-func (w *worker) runTask(order []int) {
-	w.rebuild(order)
-	w.dfs(len(order))
-}
-
-// rebuild resets the worker's state to the root and re-applies the prefix.
-func (w *worker) rebuild(order []int) {
-	st := &w.cur
-	w.reset(st)
-	for _, v := range order {
-		w.applyTo(st, v)
-	}
-}
-
-// offload tries to hand the subtree below (cur + v) to the pool as a new
-// frontier task. It declines — and the caller inlines the subtree — when
-// enough tasks are already outstanding to keep every worker fed or the
-// deque is full; the copy of the order prefix is the task's only
-// allocation.
-func (w *worker) offload(v int) bool {
-	sh := w.sh
-	if sh.pool.outstanding.Load() >= sh.backlog {
-		return false
-	}
-	cur := w.cur.order
-	order := make([]int, len(cur)+1)
-	copy(order, cur)
-	order[len(cur)] = v
-	return sh.pool.push(w.id, order)
 }
 
 // newState allocates a search state: one availability row (and machine-id
@@ -521,14 +442,12 @@ func sortCands(cs []cand) {
 
 // dfs is the branch-and-bound search over schedule-generation orders, the
 // hottest code in the package: every expansion passes through here. The
-// shared expansion counter drives both the budget and the context poll, so
-// bounded-abort and cancellation hold within their documented windows at
-// any parallelism.
+// expansion counter drives both the budget and the context poll.
 //
 //hetrta:hotpath
 func (w *worker) dfs(depth int) {
 	sh := w.sh
-	if sh.stop.Load() {
+	if sh.stop {
 		return
 	}
 	st := &w.cur
@@ -536,20 +455,19 @@ func (w *worker) dfs(depth int) {
 		sh.publish(st.makespan, st.order)
 		return
 	}
-	exp := sh.spent.Add(1)
-	if exp > sh.maxExp {
-		sh.budgetHit.Store(true)
-		sh.halt()
+	sh.spent++
+	if sh.spent > sh.maxExp {
+		sh.budgetHit, sh.stop = true, true
 		return
 	}
-	if exp%sh.ctxEvery == 0 {
+	if sh.spent%sh.ctxEvery == 0 {
 		if err := sh.ctx.Err(); err != nil {
-			sh.fail(err)
+			sh.err, sh.stop = err, true
 			return
 		}
 	}
 	lv := w.levelAt(depth)
-	if w.prune(st, lv.est, sh.best.Load()) {
+	if w.prune(st, lv.est, sh.best) {
 		return
 	}
 	if sh.memo.dominated(st.mask, w.signature(st)) {
@@ -603,13 +521,10 @@ func (w *worker) dfs(depth int) {
 	lv.filtered = filtered
 	sortCands(filtered)
 	for _, c := range filtered {
-		if sh.pool != nil && depth < sh.spawnDepth && w.offload(c.v) {
-			continue
-		}
 		rec := w.applyTo(st, c.v)
 		w.dfs(depth + 1)
 		w.undo(rec)
-		if sh.stop.Load() {
+		if sh.stop {
 			return
 		}
 	}

@@ -114,10 +114,10 @@ func checkCtxUse(pass *analysis.Pass, fd *ast.FuncDecl) {
 // packagePollers computes the set of package-level functions and methods
 // whose body polls a context — directly (ctx.Err/Done on a context-typed
 // expression, or a call handing a context along), or transitively, by
-// calling another function of the same package that does. The worker
-// pattern needs the transitive closure: the loop calls runTask, runTask
-// calls the recursive search, and only the search touches the context
-// field — counter-gated on the shared atomic expansion counter.
+// calling another function of the same package that does. A search that
+// keeps its context in a struct field needs the transitive closure: a loop
+// calls a helper, the helper calls the recursive search, and only the
+// search touches the context field, gated on its expansion counter.
 func packagePollers(pass *analysis.Pass) map[types.Object]bool {
 	type fn struct {
 		obj  types.Object

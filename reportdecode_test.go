@@ -166,7 +166,7 @@ func TestReportScanCoverage(t *testing.T) {
 	configs := map[string][]Option{
 		"exact-off": base,
 		"exact-on": append(base[:len(base):len(base)],
-			WithExactOptions(ExactOptions{MaxExpansions: 500, Parallelism: 1}),
+			WithExactOptions(ExactOptions{MaxExpansions: 500}),
 			WithDegradation(DegradeOptions{})),
 	}
 	check := func(t *testing.T, body []byte) {
