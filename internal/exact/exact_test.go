@@ -216,6 +216,33 @@ func TestParallelismIgnored(t *testing.T) {
 	}
 }
 
+// TestParallelTinyMemoLimit: the dominance memo is an accelerator, not a
+// soundness requirement — an absurdly small limit must still prove the
+// true optimum, whatever the ignored Parallelism says.
+func TestParallelTinyMemoLimit(t *testing.T) {
+	gen := taskgen.MustNew(taskgen.Small(8, 14), 11)
+	g, _, _, err := gen.HetTask(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Status != Optimal {
+		t.Fatalf("reference search not optimal: %v", ref.Status)
+	}
+	for _, par := range []int{1, 4} {
+		r, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{Parallelism: par, MemoLimit: 4})
+		if err != nil {
+			t.Fatalf("Parallelism %d: %v", par, err)
+		}
+		if r.Status != Optimal || r.Makespan != ref.Makespan {
+			t.Fatalf("Parallelism %d memo=4: got (%d,%v), want (%d,%v)", par, r.Makespan, r.Status, ref.Makespan, ref.Status)
+		}
+	}
+}
+
 func TestBudgetExhaustionReportsFeasible(t *testing.T) {
 	// A hard-ish instance with a 1-expansion budget must fall back to the
 	// heuristic incumbent with Status Feasible and a valid lower bound.
