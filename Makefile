@@ -66,7 +66,7 @@ test:
 
 chaos:
 	$(GO) test -race -count=2 ./internal/resilience/...
-	$(GO) test -race -count=2 -run 'TestChaos|TestFailureNeverCached|TestDroppedCacheAdd|TestForcedCacheMiss|TestResidentReport|TestExecPanic|TestBatchLone|TestBatchHoldsNoCharge' ./internal/service
+	$(GO) test -race -count=2 -run 'TestChaos|TestFailureNeverCached|TestDroppedCacheAdd|TestForcedCacheMiss|TestResidentReport|TestAdmitResultReport|TestExecPanic|TestBatchLone|TestBatchHoldsNoCharge' ./internal/service
 	$(GO) test -race -count=2 -run 'TestShedding|TestDegraded|TestBatchDegraded|TestBatchPanic|TestHandlerPanic|TestGracefulShutdown|TestShutdownGrace|TestBodySize|TestReadyz' ./cmd/dagrtad
 	$(GO) test -race -cpu=1,2,4 ./internal/exact
 

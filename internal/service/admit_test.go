@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	hetrta "repro"
 )
@@ -244,5 +247,117 @@ func TestServiceTasksetPoliciesOption(t *testing.T) {
 	full := admitService(t, Options{})
 	if svc.TasksetSignature() == full.TasksetSignature() {
 		t.Fatal("policy set missing from taskset signature")
+	}
+}
+
+// TestAdmitResultReport: AdmitResult.Report is set exactly on the call
+// that ran the admission, and then marshals to Body; a memory hit, a
+// shared wait and a store hit return Body alone. On every path Body is
+// the bytes a fresh service's whole-set admission serves, including a
+// delta against a store-revived base whose handle slot is nil.
+func TestAdmitResultReport(t *testing.T) {
+	ctx := context.Background()
+	check := func(path string, r *AdmitResult, err error, ts hetrta.Taskset, ran bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if got := !r.Hit && !r.Shared; got != ran {
+			t.Fatalf("%s: hit %v, shared %v; want ran=%v", path, r.Hit, r.Shared, ran)
+		}
+		switch {
+		case ran && r.Report == nil:
+			t.Fatalf("%s: no Report on the call that ran the admission", path)
+		case ran:
+			if b, err := r.Report.MarshalJSON(); err != nil || !bytes.Equal(b, r.Body) {
+				t.Fatalf("%s: Report marshals to %s (%v), Body is %s", path, b, err, r.Body)
+			}
+		case r.Report != nil:
+			t.Fatalf("%s: Report set on a path that did not run the admission", path)
+		}
+		want, err := admitService(t, Options{}).Admit(ctx, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.Body, want.Body) {
+			t.Fatalf("%s: body differs from a fresh whole-set admission:\n%s\n%s", path, r.Body, want.Body)
+		}
+	}
+	t1, t2 := deltaChain(2, 8, 60, 50), deltaChain(1, 4, 40, 40)
+	t3, t4 := deltaChain(3, 5, 80, 70), deltaChain(4, 6, 90, 80)
+	base := hetrta.Taskset{Tasks: []hetrta.SporadicTask{t1, t2}}
+
+	svc := storedService(t, filepath.Join(t.TempDir(), "cache.log"), Options{})
+	miss, err := svc.Admit(ctx, base)
+	check("miss", miss, err, base, true)
+	hit, err := svc.Admit(ctx, base)
+	check("memory hit", hit, err, base, false)
+
+	// Shared waiter: the leader, a whole-set admission, blocks inside the
+	// analyzer until a delta to the same resulting set has joined it.
+	entered, release := make(chan struct{}), make(chan struct{})
+	inner := svc.execAdmit
+	svc.execAdmit = func(ctx context.Context, ts hetrta.Taskset, ds []hetrta.TaskDigest, src hetrta.TaskEvalSource) (*hetrta.AdmitReport, error) {
+		close(entered)
+		<-release
+		return inner(ctx, ts, ds, src)
+	}
+	type outcome struct {
+		r   *AdmitResult
+		err error
+	}
+	grown := hetrta.Taskset{Tasks: []hetrta.SporadicTask{t1, t2, t3}}
+	leader, waiter := make(chan outcome), make(chan outcome)
+	go func() {
+		r, err := svc.Admit(ctx, grown)
+		leader <- outcome{r, err}
+	}()
+	<-entered
+	joined := svc.coalesced.Load()
+	go func() {
+		r, err := svc.AdmitDelta(ctx, miss.Fingerprint, hetrta.TasksetDelta{Add: []hetrta.SporadicTask{t3}})
+		waiter <- outcome{r, err}
+	}()
+	for svc.coalesced.Load() == joined {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	led, shared := <-leader, <-waiter
+	svc.execAdmit = inner
+	check("leader", led.r, led.err, grown, true)
+	check("shared waiter", shared.r, shared.err, grown, false)
+	if !shared.r.Shared {
+		t.Fatal("the delta did not wait on the whole-set admission's flight")
+	}
+
+	// Store hit: the base leaves the LRU and revives from its record.
+	svc.store.Flush()
+	baseKey := svc.admitKeyOf(miss.Fingerprint)
+	svc.cache.remove(baseKey)
+	revived, err := svc.Admit(ctx, base)
+	check("store hit", revived, err, base, false)
+	if ws := svc.Stats().Store.WarmHits; ws != 1 {
+		t.Fatalf("store hit counted %d warm hits, want 1", ws)
+	}
+
+	// A delta against a base revived while t1's eval entry is not
+	// resident: t1's handle slot stays nil and t1 goes through the eval
+	// cache; the resulting entry has every slot filled.
+	svc.cache.remove(baseKey)
+	svc.cache.remove(svc.evalKeyOf(t1.Digest()))
+	rd, err := svc.AdmitDelta(ctx, miss.Fingerprint, hetrta.TasksetDelta{Add: []hetrta.SporadicTask{t4}})
+	check("delta over a nil handle slot", rd, err, hetrta.Taskset{Tasks: []hetrta.SporadicTask{t1, t2, t4}}, true)
+	baseEnt, ok := peek(svc.cache, baseKey)
+	if !ok || baseEnt.anchor == nil {
+		t.Fatal("revived base not resident")
+	}
+	for i, dg := range baseEnt.anchor.digests {
+		if (baseEnt.anchor.handles[i] == nil) != (dg == t1.Digest()) {
+			t.Fatalf("revived base: handle slots %v; want nil exactly at t1's", baseEnt.anchor.handles)
+		}
+	}
+	res, ok := peek(svc.cache, svc.admitKeyOf(rd.Fingerprint))
+	if !ok || res.anchor == nil || slices.Contains(res.anchor.handles, nil) {
+		t.Fatal("the delta's entry does not anchor a handle for every task")
 	}
 }

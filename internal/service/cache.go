@@ -8,14 +8,15 @@ import (
 	hetrta "repro"
 )
 
-// entry is one cached outcome: the in-memory report (an analysis Report or
-// a taskset AdmitReport, depending on the key's namespace) plus its
-// serialized wire form, marshaled exactly once by the request that computed
-// it. Handing the same byte slice to every subsequent hit is what makes
-// repeat responses byte-identical.
+// entry is one cached outcome: its serialized wire form, marshaled exactly
+// once by the request that computed it, plus what the key's namespace
+// needs besides. Handing the same byte slice to every subsequent hit is
+// what makes repeat responses byte-identical. Analysis entries keep the
+// JSON-visible Report; admission entries keep no AdmitReport, only the
+// delta anchor, since nothing reads the report after its body is
+// marshaled.
 type entry struct {
 	report *hetrta.Report
-	admit  *hetrta.AdmitReport
 	body   []byte
 	// eval holds a per-task evaluation handle ("eval|" namespace entries):
 	// the platform-independent preparation plus memoized per-platform
@@ -26,23 +27,27 @@ type entry struct {
 	// source graph for a loss-free round trip (see persist.go).
 	eval      *hetrta.TaskEvalHandle
 	evalGraph *hetrta.Graph
-	// base holds the canonical taskset behind an "admit|" entry, anchoring
-	// delta admission: AdmitDelta resolves its base fingerprint to this set
-	// and applies the delta to it. digests is parallel to base.Tasks, so the
-	// delta path resolves removals and derives the resulting fingerprint
-	// without re-hashing the base. Both nil on non-admission entries.
-	base    *hetrta.Taskset
-	digests []hetrta.TaskDigest
-	// evals anchors the eval handles of the tasks in base, keyed by digest,
-	// so a delta admission resolves surviving tasks' handles by map lookup
-	// instead of going through the string-keyed eval cache. Written only by
-	// the leader that builds the entry (before publish); read-only after.
-	evals map[hetrta.TaskDigest]*hetrta.TaskEvalHandle
+	// anchor is the delta-admission anchor of an "admit|" entry; nil on
+	// every other entry.
+	anchor *admitAnchor
 	// cacheKey, when non-empty, overrides the flight key at insert time: a
 	// full attempt that came back degraded publishes normally to its
 	// flight's waiters but is cached under the "deg|" namespace, so full
 	// keys only ever hold non-degraded reports.
 	cacheKey string
+}
+
+// admitAnchor is what AdmitDelta needs of a resident admission: base is
+// the taskset behind the entry, which the delta is applied to. digests and
+// handles are parallel to base.Tasks. digests lets the delta path resolve
+// removals and derive the resulting fingerprint without re-hashing the
+// base. handles holds each task's eval handle, so surviving tasks skip the
+// string-keyed eval cache; a nil slot is re-prepared through taskEval.
+// Written only before the entry is published; read-only after.
+type admitAnchor struct {
+	base    hetrta.Taskset
+	digests []hetrta.TaskDigest
+	handles []*hetrta.TaskEvalHandle
 }
 
 // storeKey is the key this entry is cached under when its flight ran under

@@ -15,7 +15,9 @@ package service
 //
 //	recReport — the analysis Report's canonical JSON (the cached body)
 //	recAdmit  — {body, per-task digests, base task list with graphs}:
-//	            everything needed to re-anchor delta admission
+//	            everything needed to re-anchor delta admission; the eval
+//	            handles are not stored, but reconnected to resident eval
+//	            entries by digest
 //	recEval   — the ORIGINAL task graph JSON. A TaskEvalHandle retains
 //	            only the reduced work graph, so persisting that would
 //	            re-transform an already-transformed DAG on decode;
@@ -96,8 +98,8 @@ func (s *Service) AttachStore(st *store.Store) error {
 // counted and takes no slot, so the next-older record of its shard gets
 // it, as in a forward load. The kept entries are inserted oldest first,
 // which reproduces the forward load's recency order. Admit entries are
-// decoded without eval anchors and reconnected to the kept eval entries
-// before anything is inserted, so no entry changes after it is
+// decoded with nil handle slots, which are filled from the kept eval
+// entries before anything is inserted, so no entry changes after it is
 // published. Undecodable records are never fatal — the log is a cache,
 // not a source of truth.
 func (s *Service) warmStart() {
@@ -154,13 +156,16 @@ func (s *Service) warmStart() {
 	}
 }
 
-// anchorEvals reconnects an admit entry's digest→handle anchors to the
-// eval entries find resolves; for any other entry it does nothing.
-// Missing handles are fine: the delta path re-prepares through taskEval.
+// anchorEvals fills an admit entry's handle slots from the eval entries
+// find resolves; for any other entry it does nothing. A slot left nil is
+// fine: the delta path re-prepares that task through taskEval.
 func (s *Service) anchorEvals(ent *entry, find func(key string) (*entry, bool)) {
-	for _, dg := range ent.digests {
+	if ent.anchor == nil {
+		return
+	}
+	for i, dg := range ent.anchor.digests {
 		if ev, ok := find(s.evalKeyOf(dg)); ok && ev.eval != nil {
-			ent.evals[dg] = ev.eval
+			ent.anchor.handles[i] = ev.eval
 		}
 	}
 }
@@ -205,21 +210,19 @@ func (s *Service) persist(key string, ent *entry) {
 	}
 	switch {
 	case strings.HasPrefix(key, "admit|"):
-		if ent.admit == nil || ent.base == nil || len(ent.body) == 0 {
-			return
+		a := ent.anchor
+		if a == nil || len(ent.body) == 0 || len(a.digests) != len(a.base.Tasks) {
+			return // no anchor, or an incoherent one; do not make it durable
 		}
 		pa := persistedAdmit{
 			Body:    ent.body,
-			Digests: make([]string, len(ent.digests)),
-			Tasks:   make([]persistedTask, len(ent.base.Tasks)),
+			Digests: make([]string, len(a.digests)),
+			Tasks:   make([]persistedTask, len(a.base.Tasks)),
 		}
-		if len(ent.digests) != len(ent.base.Tasks) {
-			return // incoherent anchor; do not make it durable
-		}
-		for i, dg := range ent.digests {
+		for i, dg := range a.digests {
 			pa.Digests[i] = dg.String()
 		}
-		for i, t := range ent.base.Tasks {
+		for i, t := range a.base.Tasks {
 			pa.Tasks[i] = persistedTask{Graph: t.G, Period: t.Period, Deadline: t.Deadline, Jitter: t.Jitter}
 		}
 		val, err := json.Marshal(pa)
@@ -245,9 +248,10 @@ func (s *Service) persist(key string, ent *entry) {
 }
 
 // decodeRecord rebuilds a cache entry from its durable form, the
-// inverse of persist. Every field is re-validated on the way in. An
-// admit entry comes back with an empty eval anchor map; callers
-// reconnect it with anchorEvals before publishing the entry.
+// inverse of persist. Every field is re-validated on the way in: an
+// admit record's body must decode as an AdmitReport, though the entry
+// keeps only the body. An admit entry comes back with every handle slot
+// nil; callers fill them with anchorEvals before publishing the entry.
 func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 	switch kind {
 	case recReport:
@@ -264,25 +268,26 @@ func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 		if len(pa.Digests) != len(pa.Tasks) {
 			return nil, errors.New("service: admit record digests/tasks length mismatch")
 		}
-		rep := new(hetrta.AdmitReport)
-		if err := json.Unmarshal(pa.Body, rep); err != nil {
+		if err := json.Unmarshal(pa.Body, new(hetrta.AdmitReport)); err != nil {
 			return nil, fmt.Errorf("service: decoding admit record body: %w", err)
 		}
-		base := &hetrta.Taskset{Tasks: make([]hetrta.SporadicTask, len(pa.Tasks))}
-		ds := make([]hetrta.TaskDigest, len(pa.Digests))
+		a := &admitAnchor{
+			base:    hetrta.Taskset{Tasks: make([]hetrta.SporadicTask, len(pa.Tasks))},
+			digests: make([]hetrta.TaskDigest, len(pa.Digests)),
+			handles: make([]*hetrta.TaskEvalHandle, len(pa.Digests)),
+		}
 		for i, pt := range pa.Tasks {
 			if pt.Graph == nil {
 				return nil, errors.New("service: admit record task without graph")
 			}
-			base.Tasks[i] = hetrta.SporadicTask{G: pt.Graph, Period: pt.Period, Deadline: pt.Deadline, Jitter: pt.Jitter}
+			a.base.Tasks[i] = hetrta.SporadicTask{G: pt.Graph, Period: pt.Period, Deadline: pt.Deadline, Jitter: pt.Jitter}
 			dg, err := hetrta.ParseTaskDigest(pa.Digests[i])
 			if err != nil {
 				return nil, fmt.Errorf("service: decoding admit record digest: %w", err)
 			}
-			ds[i] = dg
+			a.digests[i] = dg
 		}
-		evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(ds))
-		return &entry{admit: rep, body: pa.Body, base: base, digests: ds, evals: evals}, nil
+		return &entry{body: pa.Body, anchor: a}, nil
 	case recEval:
 		g := new(hetrta.Graph)
 		if err := json.Unmarshal(value, g); err != nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -160,6 +161,76 @@ func TestStoreUndecodableReportMisses(t *testing.T) {
 	}
 }
 
+// TestStoreUndecodableAdmitMisses: a CRC-valid admit record that does not
+// decode into a coherent anchor is a cold base on the store tier. On the
+// lookup path and at warm start it counts one decode error and takes no
+// cache slot, and AdmitDelta against it returns ErrUnknownBase. The cases
+// are a truncated record, a body that is JSON but not an AdmitReport, and
+// digests and tasks of different lengths.
+func TestStoreUndecodableAdmitMisses(t *testing.T) {
+	ctx := context.Background()
+	base := hetrta.Taskset{Tasks: []hetrta.SporadicTask{
+		deltaChain(2, 8, 60, 50),
+		deltaChain(1, 4, 40, 40),
+	}}
+	rb, err := admitService(t, Options{}).Admit(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(body string, digests int) []byte {
+		pa := persistedAdmit{Body: []byte(body)}
+		for i, tk := range base.Tasks {
+			pa.Tasks = append(pa.Tasks, persistedTask{Graph: tk.G, Period: tk.Period, Deadline: tk.Deadline})
+			if i < digests {
+				pa.Digests = append(pa.Digests, tk.Digest().String())
+			}
+		}
+		val, err := json.Marshal(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return val
+	}
+	good := record(string(rb.Body), len(base.Tasks))
+	if _, err := admitService(t, Options{}).decodeRecord(recAdmit, good); err != nil {
+		t.Fatalf("reference record does not decode: %v", err)
+	}
+	cases := []struct {
+		name string
+		val  []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"not-a-report", record(`{"admitted":"x"}`, len(base.Tasks))},
+		{"short-digests", record(string(rb.Body), len(base.Tasks)-1)},
+		{"no-digests", record(string(rb.Body), 0)},
+	}
+	delta := hetrta.TasksetDelta{Add: []hetrta.SporadicTask{deltaChain(3, 5, 80, 70)}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cache.log")
+			svc := storedService(t, path, Options{})
+			svc.store.Append(recAdmit, svc.admitKeyOf(rb.Fingerprint), tc.val)
+			svc.store.Flush()
+			if _, err := svc.AdmitDelta(ctx, rb.Fingerprint, delta); !errors.Is(err, ErrUnknownBase) {
+				t.Fatalf("lookup path: AdmitDelta error = %v, want ErrUnknownBase", err)
+			}
+			if st := svc.Stats(); st.Store.DecodeErrors != 1 || st.Store.WarmHits != 0 || st.Entries != 0 || st.Executions != 0 {
+				t.Fatalf("lookup path: decode errors %d, warm hits %d, entries %d, executions %d; want 1, 0, 0, 0",
+					st.Store.DecodeErrors, st.Store.WarmHits, st.Entries, st.Executions)
+			}
+
+			restarted := storedService(t, path, Options{})
+			if st := restarted.Stats(); st.Store.DecodeErrors != 1 || st.Store.WarmLoaded != 0 || st.Entries != 0 {
+				t.Fatalf("warm start: decode errors %d, warm loaded %d, entries %d; want 1, 0, 0",
+					st.Store.DecodeErrors, st.Store.WarmLoaded, st.Entries)
+			}
+			if _, err := restarted.AdmitDelta(ctx, rb.Fingerprint, delta); !errors.Is(err, ErrUnknownBase) {
+				t.Fatalf("warm start: AdmitDelta error = %v, want ErrUnknownBase", err)
+			}
+		})
+	}
+}
+
 // TestStoreDeltaBaseRevival: the churn-serving acceptance criterion — a
 // base admitted before a restart anchors AdmitDelta afterwards (no 404),
 // and the delta result is byte-identical to a cold full admit.
@@ -181,19 +252,20 @@ func TestStoreDeltaBaseRevival(t *testing.T) {
 	svc1.store.Flush()
 
 	svc2 := storedService(t, path, Options{})
-	// The warm start reconnects the revived base's eval anchors to the
+	// The warm start fills the revived base's handle slots from the
 	// revived eval entries.
 	baseEnt, ok := svc2.cache.get(svc2.admitKeyOf(rb.Fingerprint))
-	if !ok {
-		t.Fatal("admitted base not warm-started")
+	if !ok || baseEnt.anchor == nil {
+		t.Fatal("admitted base not warm-started with an anchor")
 	}
-	if len(baseEnt.evals) != len(base.Tasks) {
-		t.Fatalf("revived base anchors %d eval handles, want %d", len(baseEnt.evals), len(base.Tasks))
+	a := baseEnt.anchor
+	if len(a.digests) != len(base.Tasks) || len(a.handles) != len(base.Tasks) {
+		t.Fatalf("revived base has %d digests and %d handle slots, want %d each", len(a.digests), len(a.handles), len(base.Tasks))
 	}
-	for _, dg := range baseEnt.digests {
+	for i, dg := range a.digests {
 		ev, ok := svc2.cache.get(svc2.evalKeyOf(dg))
-		if !ok || baseEnt.evals[dg] != ev.eval {
-			t.Fatalf("anchor for task %s is not the resident eval handle", dg)
+		if !ok || a.handles[i] == nil || a.handles[i] != ev.eval {
+			t.Fatalf("handle slot %d (task %s) is not the resident eval handle", i, dg)
 		}
 	}
 	before := svc2.Stats()
@@ -375,13 +447,13 @@ func TestStoreWarmStartMixedKinds(t *testing.T) {
 			if ent.eval != nil {
 				evalsResident++
 			}
-			if ent.admit == nil {
+			if ent.anchor == nil {
 				continue
 			}
 			admits++
-			for _, dg := range ent.digests {
+			for i, dg := range ent.anchor.digests {
 				ev, ok := peek(svc.cache, svc.evalKeyOf(dg))
-				if h := ent.evals[dg]; (ok && h != ev.eval) || (!ok && h != nil) {
+				if h := ent.anchor.handles[i]; (ok && h != ev.eval) || (!ok && h != nil) {
 					t.Fatalf("admit %s: anchor for task %s does not match the resident eval entry", key, dg)
 				}
 			}

@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -463,8 +464,8 @@ func (s *Service) serveWith(ctx context.Context, key string, ctrs serveCounters,
 		}
 		f, leader := s.leadOrJoin(key)
 		if leader {
-			ent, err := s.lead(ctx, key, f, ctrs, run)
-			return ent, false, false, err
+			ent, hit, err := s.lead(ctx, key, f, ctrs, run)
+			return ent, hit, false, err
 		}
 		s.coalesced.Add(1)
 		select {
@@ -484,8 +485,9 @@ func (s *Service) serveWith(ctx context.Context, key string, ctrs serveCounters,
 
 // lead executes `run` for key as the flight leader, caches success, and
 // publishes the outcome to waiters (also on panic, so a crashing execution
-// cannot strand them).
-func (s *Service) lead(ctx context.Context, key string, f *flight, ctrs serveCounters, run func(ctx context.Context) (*entry, error)) (ent *entry, err error) {
+// cannot strand them). hit says the entry was found by the double-check
+// instead, so `run` did not execute.
+func (s *Service) lead(ctx context.Context, key string, f *flight, ctrs serveCounters, run func(ctx context.Context) (*entry, error)) (ent *entry, hit bool, err error) {
 	published := false
 	defer func() {
 		if !published {
@@ -499,7 +501,7 @@ func (s *Service) lead(ctx context.Context, key string, f *flight, ctrs serveCou
 		ctrs.hits.Add(1)
 		published = true
 		s.publish(key, f, cached, nil)
-		return cached, nil
+		return cached, true, nil
 	}
 	ctrs.misses.Add(1)
 	ent, err = run(ctx)
@@ -507,7 +509,7 @@ func (s *Service) lead(ctx context.Context, key string, f *flight, ctrs serveCou
 		ctrs.failures.Add(1)
 		published = true
 		s.publish(key, f, nil, err)
-		return nil, err
+		return nil, false, err
 	}
 	// Must precede publish (see double-check above). A degraded outcome of
 	// a full attempt redirects to the "deg|" namespace via ent.cacheKey.
@@ -516,7 +518,7 @@ func (s *Service) lead(ctx context.Context, key string, f *flight, ctrs serveCou
 	s.cacheAdd(ent.storeKey(key), ent)
 	published = true
 	s.publish(key, f, ent, nil)
-	return ent, nil
+	return ent, false, nil
 }
 
 // runOne executes the analyzer for a single graph and serializes the
@@ -579,8 +581,11 @@ func marshalEntry(rep *hetrta.Report) (*entry, error) {
 // permuted-but-isomorphic taskset returns bytes identical to the original
 // response.
 type AdmitResult struct {
-	// Report is the admission outcome; Body its canonical JSON, identical
-	// bytes for every request served from the same cache entry.
+	// Report is the admission outcome, set only when this call ran the
+	// analysis (Hit and Shared both false); it is nil on memory hits,
+	// store hits and shared waits, because the cache keeps only the body.
+	// Body is the report's canonical JSON, identical bytes for every
+	// request served from the same cache entry, on every path.
 	Report *hetrta.AdmitReport
 	Body   []byte
 	// Hit says the result came from the cache; Shared says it came from
@@ -632,16 +637,17 @@ func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint
 	s.requests.Add(1)
 	// lookup consults the store tier too: a base evicted from the LRU —
 	// or admitted before a restart — revives from its admit record
-	// instead of 404ing every delta until the cache re-warms. Only a
-	// base with a coherent anchor (task list and parallel digest slice)
-	// can be replayed; anything else is indistinguishable from a cold
-	// base and must surface ErrUnknownBase, never a partial-reuse
-	// report or a 500.
+	// instead of 404ing every delta until the cache re-warms. Only an
+	// entry with an anchor can be replayed, and decodeRecord rejects any
+	// record whose anchor is incoherent; anything else is
+	// indistinguishable from a cold base and must surface ErrUnknownBase,
+	// never a partial-reuse report or a 500.
 	ent, ok := s.lookup(s.admitKeyOf(base))
-	if !ok || ent.base == nil || len(ent.digests) != len(ent.base.Tasks) {
+	if !ok || ent.anchor == nil {
 		return nil, fmt.Errorf("%w: fingerprint %s not resident (never admitted or evicted); fall back to full admit", ErrUnknownBase, base)
 	}
-	ts, ds, err := ent.base.ApplyDeltaDigests(ent.digests, delta)
+	a := ent.anchor
+	ts, ds, err := a.base.ApplyDeltaDigests(a.digests, delta)
 	if err != nil {
 		return nil, hetrta.MarkInvalidInput(err)
 	}
@@ -650,65 +656,68 @@ func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint
 	// slice, the fingerprint needs no second sort, and the analyzer's own
 	// canonical pass below becomes the identity.
 	ts, ds = ts.CanonicalWithGivenDigests(ds)
-	// Carry the base entry's eval handles forward (minus removals), so the
-	// admission resolves surviving tasks without touching the eval cache.
-	evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(ds))
-	//lint:ordered map copy: the destination is a map, so insert order is immaterial
-	for dg, h := range ent.evals {
-		evals[dg] = h
-	}
-	for _, rd := range delta.Remove {
-		delete(evals, rd)
-	}
 	// The resulting fingerprint falls out of the digest bookkeeping: only
 	// tasks the delta introduced were hashed, never the resident base.
-	return s.admitFP(ctx, hetrta.TasksetFingerprintFromDigests(ds), ts, ds, evals)
+	return s.admitFP(ctx, hetrta.TasksetFingerprintFromDigests(ds), ts, ds, a, delta.Remove)
 }
 
 // admit is Admit without the request accounting, so internal retries (the
 // cancelled-leader fallback) do not double-count.
 func (s *Service) admit(ctx context.Context, ts hetrta.Taskset) (*AdmitResult, error) {
-	return s.admitFP(ctx, ts.Fingerprint(), ts, nil, nil)
+	return s.admitFP(ctx, ts.Fingerprint(), ts, nil, nil, nil)
 }
 
 // admitFP is admit with the taskset's fingerprint — and optionally the
-// per-task digests (parallel to ts.Tasks) and anchored eval handles —
-// already in hand: the delta path derives all three from the base entry's
-// bookkeeping instead of full hash passes and cache lookups.
-func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, ts hetrta.Taskset, ds []hetrta.TaskDigest, evals map[hetrta.TaskDigest]*hetrta.TaskEvalHandle) (*AdmitResult, error) {
-	ent, hit, shared, err := s.serve(ctx, s.admitKeyOf(fp), func(ctx context.Context) (*entry, error) {
-		return s.runAdmit(ctx, ts, ds, evals)
+// per-task digests (parallel to ts.Tasks) and the base anchor a delta was
+// applied to — already in hand: the delta path derives them from the base
+// entry's bookkeeping instead of full hash passes and cache lookups. The
+// report exists only on the call that ran the analysis: the run closure
+// hands it to this call's result, and the cache entry keeps just the
+// body.
+func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, ts hetrta.Taskset, ds []hetrta.TaskDigest, from *admitAnchor, removed []hetrta.TaskDigest) (*AdmitResult, error) {
+	var rep *hetrta.AdmitReport
+	ent, hit, shared, err := s.serve(ctx, s.admitKeyOf(fp), func(ctx context.Context) (ent *entry, err error) {
+		ent, rep, err = s.runAdmit(ctx, ts, ds, from, removed)
+		return ent, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &AdmitResult{Report: ent.admit, Body: ent.body, Hit: hit, Shared: shared, Fingerprint: fp}, nil
+	return &AdmitResult{Report: rep, Body: ent.body, Hit: hit, Shared: shared, Fingerprint: fp}, nil
 }
 
 // runAdmit executes the taskset analyzer once and serializes the report
-// (the admission counterpart of runOne). The successful entry carries a
-// copy of the taskset so it can anchor later AdmitDelta calls; ds, when
-// non-nil, is the precomputed per-task digest slice parallel to ts.Tasks,
-// and evals seeds the entry's digest→handle anchor map (handles resolved
-// during this admission are added to it before the entry is published).
-func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.TaskDigest, evals map[hetrta.TaskDigest]*hetrta.TaskEvalHandle) (*entry, error) {
+// (the admission counterpart of runOne). The successful entry anchors
+// later AdmitDelta calls with a copy of the taskset, its per-task digests
+// and their eval handles. ds, when non-nil, is the precomputed digest
+// slice parallel to ts.Tasks. from, when non-nil, is the anchor of the
+// base a delta was applied to: its handles, minus the removed digests,
+// seed the digest→handle map this admission resolves through. Handles
+// resolved along the way join the map, and the entry's handle slots are
+// filled from it.
+func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.TaskDigest, from *admitAnchor, removed []hetrta.TaskDigest) (*entry, *hetrta.AdmitReport, error) {
 	if err := s.limiter.Acquire(ctx, costAdmit); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer s.limiter.Release(costAdmit)
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1) // deferred: the gauge survives analyzer panics
 	s.executions.Add(1)
 	if err := s.inj.Fire(faultinject.Exec); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if evals == nil {
-		evals = make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(ts.Tasks))
+	evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(ts.Tasks))
+	if from != nil {
+		for i, h := range from.handles {
+			if h != nil && !slices.Contains(removed, from.digests[i]) {
+				evals[from.digests[i]] = h
+			}
+		}
 	}
 	// Anchored handles satisfy lookups without the string-keyed eval cache;
 	// they still count as eval hits so churn metrics keep their meaning
 	// (only never-seen tasks are prepared). Misses go through taskEval —
-	// single-flight, counted, fault-injectable — and join the anchor map.
+	// single-flight, counted, fault-injectable — and join the map.
 	src := func(ctx context.Context, t hetrta.SporadicTask, dg hetrta.TaskDigest) (*hetrta.TaskEvalHandle, error) {
 		if h, ok := evals[dg]; ok {
 			s.evalHits.Add(1)
@@ -722,7 +731,7 @@ func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.T
 	}
 	rep, err := s.execAdmit(ctx, ts, ds, src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The direct MarshalJSON call sidesteps encoding/json's marshaler
 	// wrapper, whose compact/validate rescan of the output costs more than
@@ -730,21 +739,25 @@ func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.T
 	// insignificant whitespace and pre-escapes everything compact would.
 	body, err := rep.MarshalJSON()
 	if err != nil {
-		return nil, fmt.Errorf("service: marshaling admit report: %w", err)
+		return nil, nil, fmt.Errorf("service: marshaling admit report: %w", err)
 	}
 	// Anchor for later AdmitDelta calls: a private copy of the task list
 	// (ApplyDelta resolves digests in any order, so no canonicalization
 	// pass is needed here; the graphs themselves are immutable-by-contract
 	// once admitted) plus its per-task digests, cheap now that the member
 	// graphs' canonical fingerprints are memoized from the admission.
-	base := hetrta.Taskset{Tasks: append([]hetrta.SporadicTask(nil), ts.Tasks...)}
-	if ds == nil {
-		ds = make([]hetrta.TaskDigest, len(base.Tasks))
-		for i := range base.Tasks {
-			ds[i] = base.Tasks[i].Digest()
+	a := &admitAnchor{base: hetrta.Taskset{Tasks: append([]hetrta.SporadicTask(nil), ts.Tasks...)}, digests: ds}
+	if a.digests == nil {
+		a.digests = make([]hetrta.TaskDigest, len(a.base.Tasks))
+		for i := range a.base.Tasks {
+			a.digests[i] = a.base.Tasks[i].Digest()
 		}
 	}
-	return &entry{admit: rep, body: body, base: &base, digests: ds, evals: evals}, nil
+	a.handles = make([]*hetrta.TaskEvalHandle, len(a.digests))
+	for i, dg := range a.digests {
+		a.handles[i] = evals[dg]
+	}
+	return &entry{body: body, anchor: a}, rep, nil
 }
 
 // evalKeyOf derives the per-task eval cache key: the task digest under the
