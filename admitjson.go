@@ -256,16 +256,39 @@ func appendPolicyResultJSON(b []byte, r *taskset.PolicyResult, utils *utilMemo) 
 	return append(b, '}'), nil
 }
 
+// marshalBufs recycles MarshalJSON's scratch buffers (*[]byte).
+var marshalBufs sync.Pool
+
 // MarshalJSON implements json.Marshaler, producing exactly the bytes the
 // reflection-based encoder would — repeat admissions must stay
 // byte-identical across releases, so the wire format is pinned by golden
-// tests rather than derived per call.
+// tests rather than derived per call. The body is built in a pooled
+// scratch buffer and returned as an exact-size copy (capacity equals
+// length): the serving cache keeps it for the entry's lifetime, so it
+// must carry no headroom.
 func (r *AdmitReport) MarshalJSON() ([]byte, error) {
+	bp, _ := marshalBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	b, err := r.appendJSON((*bp)[:0])
+	if err == nil {
+		*bp = b
+		b = append(make([]byte, 0, len(b)), b...)
+	}
+	marshalBufs.Put(bp)
+	return b, err
+}
+
+// appendJSON appends the report's JSON to b.
+func (r *AdmitReport) appendJSON(b []byte) ([]byte, error) {
 	var err error
 	// Typical report: ~190 bytes fixed + ~315 per task across the summary
 	// and two policy decision lists; the headroom keeps the buffer from
 	// regrowing (one regrowth copies the whole nearly-finished body).
-	b := make([]byte, 0, 320+368*len(r.Tasks))
+	if n := 320 + 368*len(r.Tasks); cap(b) < n {
+		b = make([]byte, 0, n)
+	}
 	b = append(b, `{"platform":`...)
 	b = appendPlatformJSON(b, r.Platform)
 	if r.Fingerprint != "" {

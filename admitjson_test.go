@@ -73,6 +73,38 @@ func TestAdmitReportMarshalMatchesReflection(t *testing.T) {
 	}
 }
 
+// TestAdmitReportMarshalExactSize: MarshalJSON returns a body whose
+// capacity is its length, for a cache to keep without headroom, and
+// bodies do not share the pooled scratch buffer they were built in.
+func TestAdmitReportMarshalExactSize(t *testing.T) {
+	big := &AdmitReport{Platform: platform.Hetero(4), Fingerprint: "ab", Admitted: true}
+	for i := 0; i < 40; i++ {
+		big.Tasks = append(big.Tasks, AdmitTaskSummary{Task: i, Nodes: 3, Period: 60, Deadline: 50, Utilization: 0.25})
+	}
+	small := &AdmitReport{Platform: platform.Hetero(2), Err: "rejected"}
+	first, err := big.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(first)
+	for _, rep := range []*AdmitReport{small, big, small} {
+		b, err := rep.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(b) != len(b) {
+			t.Errorf("body len %d, cap %d; want equal", len(b), cap(b))
+		}
+	}
+	if cap(first) != len(first) || !bytes.Equal(first, want) {
+		t.Fatalf("first body changed after later marshals, or has headroom (len %d, cap %d)", len(first), cap(first))
+	}
+	if _, err := (&AdmitReport{Taskset: TasksetSummary{Utilization: math.NaN()}}).MarshalJSON(); err == nil {
+		t.Fatal("NaN utilization marshaled without an error")
+	}
+	assertSameJSON(t, big)
+}
+
 // Float corner cases sweep the format switch (f vs e) and the exponent
 // cleanup, where a divergence from encoding/json would silently split the
 // delta and whole-set cache namespaces.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	hetrta "repro"
@@ -960,4 +961,69 @@ func BenchmarkWarmStart(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+}
+
+// BenchmarkStore measures the store tier alone, on a log of 16,384 records
+// whose keys are 167 bytes long, as an analyze-miss cache key is (64 hex
+// digits, "|", a 102-byte signature), and whose values cycle 16
+// store-spill report bodies. "open" opens the log per op, which scans it
+// into the index, and reports the heap the open store retains per key as
+// B/key. "get" is one CRC-checked, key-verified read of a resident key.
+func BenchmarkStore(b *testing.B) {
+	const records = 16384
+	bodies := storeSpillBodies(b, 16)
+	sig := strings.Repeat("s", 102)
+	keys := make([]string, records)
+	opts := store.Options{Path: filepath.Join(b.TempDir(), "cache.log"), Generation: "bench"}
+	fillOpts := opts
+	fillOpts.QueueDepth = records // the fill sheds nothing; the measured opens keep the default queue
+	st, err := store.Open(fillOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%064x|%s", i, sig)
+		st.Append(1, keys[i], bodies[i%len(bodies)])
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if n := st.Stats().LiveKeys; n != records {
+		b.Fatalf("log holds %d live keys, want %d", n, records)
+	}
+
+	b.Run("open", func(b *testing.B) {
+		var retained int64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			before := liveHeap()
+			b.StartTimer()
+			st, err := store.Open(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			retained += liveHeap() - before
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(retained)/float64(b.N*records), "B/key")
+	})
+	b.Run("get", func(b *testing.B) {
+		st, err := store.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		key := keys[records/2]
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, ok := st.Get(key); !ok {
+				b.Fatal("resident key missed")
+			}
+		}
+	})
 }

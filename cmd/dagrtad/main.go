@@ -525,8 +525,8 @@ func (d *daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheStatus(res.Hit, res.Shared))
 	w.Header().Set("X-Fingerprint", res.Fingerprint.String())
-	if res.Report != nil && res.Report.Degraded {
-		w.Header().Set("X-Degraded", res.Report.DegradedReason)
+	if res.DegradedReason != "" {
+		w.Header().Set("X-Degraded", res.DegradedReason)
 	}
 	w.WriteHeader(http.StatusOK)
 	d.writeBody(w, res.Body)
@@ -641,7 +641,7 @@ func (d *daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		case res.Err != nil:
 			resp.Reports[i] = errorReport(d.svc, res.Err)
 		default:
-			if res.Report != nil && res.Report.Degraded {
+			if res.DegradedReason != "" {
 				degradedCount++
 			}
 			resp.Reports[i] = res.Body

@@ -6,18 +6,22 @@ import (
 	"sync/atomic"
 
 	hetrta "repro"
+	"repro/internal/dag"
+	"repro/internal/keyhash"
 )
 
 // entry is one cached outcome: its serialized wire form, marshaled exactly
 // once by the request that computed it, plus what the key's namespace
 // needs besides. Handing the same byte slice to every subsequent hit is
-// what makes repeat responses byte-identical. Analysis entries keep the
-// JSON-visible Report; admission entries keep no AdmitReport, only the
-// delta anchor, since nothing reads the report after its body is
-// marshaled.
+// what makes repeat responses byte-identical. No entry keeps the report
+// it was marshaled from: nothing reads a report after its body is
+// marshaled except an analysis entry's degraded reason, kept beside the
+// body, and an admission entry's delta anchor.
 type entry struct {
-	report *hetrta.Report
-	body   []byte
+	body []byte
+	// degraded is an analysis entry's Report.DegradedReason: empty for a
+	// full report, the cause for a degraded one.
+	degraded string
 	// eval holds a per-task evaluation handle ("eval|" namespace entries):
 	// the platform-independent preparation plus memoized per-platform
 	// bounds, shared across every admission that contains the task. Eval
@@ -62,7 +66,12 @@ func (e *entry) storeKey(flightKey string) string {
 // cache is a sharded LRU over string keys. Sharding keeps the lock a
 // request holds while touching recency state private to 1/nth of the key
 // space, so concurrent requests for different graphs do not serialize on
-// one mutex.
+// one mutex. A key's 64-bit hash (keyhash.Of) picks its shard and is its
+// slot in the shard's map, and the slot's item keeps the key for the
+// comparison: a lookup can hash and compare a key held in parts
+// (getFP) without building it. Two keys sharing a hash share a slot, and
+// the later insert takes it, so a collision costs a recomputation, never
+// another key's entry.
 type cache struct {
 	shards []*shard
 	mask   uint64
@@ -71,7 +80,7 @@ type cache struct {
 type shard struct {
 	mu        sync.Mutex
 	capacity  int
-	items     map[string]*list.Element
+	items     map[uint64]*list.Element
 	lru       *list.List // front = most recently used
 	evictions atomic.Uint64
 }
@@ -93,7 +102,7 @@ func newCache(totalEntries, shards int) *cache {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			capacity: per,
-			items:    make(map[string]*list.Element),
+			items:    make(map[uint64]*list.Element),
 			lru:      list.New(),
 		}
 	}
@@ -106,39 +115,58 @@ func (c *cache) shardFor(key string) *shard {
 
 // shardIndex returns the index of key's shard in c.shards.
 func (c *cache) shardIndex(key string) int {
-	return int(fnvString(key) & c.mask)
+	return c.shardOf(keyhash.Of(key))
 }
 
-func fnvString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// shardOf returns the index in c.shards of the shard of a key with hash h.
+func (c *cache) shardOf(h uint64) int {
+	return int(h & c.mask)
 }
 
 // get returns the cached entry for key, marking it most recently used.
 func (c *cache) get(key string) (*entry, bool) {
-	s := c.shardFor(key)
+	return c.getHashed(keyhash.Of(key), func(k string) bool { return k == key })
+}
+
+// getFP is get of the analysis key fp.String()+"|"+sig (Service.keyOf),
+// hashing and comparing the key in parts so that a hit builds no string.
+func (c *cache) getFP(fp dag.Fingerprint, sig string) (*entry, bool) {
+	h := keyhash.Add(keyhash.AddHex(keyhash.Offset, fp[:]), "|")
+	return c.getHashed(keyhash.Add(h, sig), func(k string) bool {
+		const n = 2 * len(fp)
+		return len(k) == n+1+len(sig) && k[n] == '|' && k[n+1:] == sig && keyhash.HexEqual(k[:n], fp[:])
+	})
+}
+
+// getHashed returns the entry in slot h, marking it most recently used,
+// if is accepts the key it was cached under.
+func (c *cache) getHashed(h uint64, is func(key string) bool) (*entry, bool) {
+	s := c.shards[c.shardOf(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	el, ok := s.items[h]
 	if !ok {
 		return nil, false
 	}
+	it := el.Value.(*lruItem)
+	if !is(it.key) {
+		return nil, false
+	}
 	s.lru.MoveToFront(el)
-	return el.Value.(*lruItem).val, true
+	return it.val, true
 }
 
 // add inserts (or refreshes) key, evicting the least recently used entry of
-// its shard when the shard is full.
+// its shard when the shard is full. A different key in key's slot is
+// replaced.
 func (c *cache) add(key string, val *entry) {
-	s := c.shardFor(key)
+	h := keyhash.Of(key)
+	s := c.shards[c.shardOf(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*lruItem).val = val
+	if el, ok := s.items[h]; ok {
+		it := el.Value.(*lruItem)
+		it.key, it.val = key, val
 		s.lru.MoveToFront(el)
 		return
 	}
@@ -146,23 +174,24 @@ func (c *cache) add(key string, val *entry) {
 		oldest := s.lru.Back()
 		if oldest != nil {
 			s.lru.Remove(oldest)
-			delete(s.items, oldest.Value.(*lruItem).key)
+			delete(s.items, keyhash.Of(oldest.Value.(*lruItem).key))
 			s.evictions.Add(1)
 		}
 	}
-	s.items[key] = s.lru.PushFront(&lruItem{key: key, val: val})
+	s.items[h] = s.lru.PushFront(&lruItem{key: key, val: val})
 }
 
 // remove deletes key if present (the degraded-entry upgrade path: a
 // successful full analysis invalidates the fingerprint's stale degraded
 // results).
 func (c *cache) remove(key string) {
-	s := c.shardFor(key)
+	h := keyhash.Of(key)
+	s := c.shards[c.shardOf(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
+	if el, ok := s.items[h]; ok && el.Value.(*lruItem).key == key {
 		s.lru.Remove(el)
-		delete(s.items, key)
+		delete(s.items, h)
 	}
 }
 

@@ -66,9 +66,8 @@ func allowedChaosErr(err error) bool {
 // bodyKey buckets a served body for the byte-identity invariant: full
 // bodies per fingerprint, degraded bodies per (fingerprint, reason).
 func bodyKey(r *Result) string {
-	rep := r.Report
-	if rep.Degraded {
-		return "deg:" + rep.DegradedReason + ":" + r.Fingerprint.String()
+	if r.DegradedReason != "" {
+		return "deg:" + r.DegradedReason + ":" + r.Fingerprint.String()
 	}
 	return "full:" + r.Fingerprint.String()
 }
@@ -204,8 +203,8 @@ func TestChaosReplayIsDeterministic(t *testing.T) {
 					trace = append(trace, "err:shed")
 				case err != nil:
 					trace = append(trace, "err:"+err.Error())
-				case r.Report.Degraded:
-					trace = append(trace, "deg:"+r.Report.DegradedReason+":"+fmt.Sprint(r.Hit))
+				case r.DegradedReason != "":
+					trace = append(trace, "deg:"+r.DegradedReason+":"+fmt.Sprint(r.Hit))
 				default:
 					trace = append(trace, "ok:"+fmt.Sprint(r.Hit))
 				}
@@ -386,7 +385,7 @@ func TestExecPanicUnblocksWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("key wedged after leader panic: %v", err)
 	}
-	if r.Report == nil || len(r.Body) == 0 {
+	if len(r.Body) == 0 {
 		t.Fatal("empty result after recovery")
 	}
 }

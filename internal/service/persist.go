@@ -119,8 +119,8 @@ func (s *Service) warmStart() {
 			return nil
 		}
 		var out []kept
-		s.store.WalkNewest(func(key string, kind byte) bool {
-			return (kind == recEval) == evals && free[s.cache.shardIndex(key)] > 0
+		s.store.WalkNewest(func(hash uint64, kind byte) bool {
+			return (kind == recEval) == evals && free[s.cache.shardOf(hash)] > 0
 		}, func(rec store.Record) bool {
 			ent, err := s.decodeRecord(rec.Kind, rec.Value)
 			if err != nil {
@@ -171,15 +171,19 @@ func (s *Service) anchorEvals(ent *entry, find func(key string) (*entry, bool)) 
 }
 
 // lookup is the two-tier cache read: the in-memory LRU first, then the
-// store. A store hit is decoded, promoted into the LRU (directly — the
-// store already holds the record, so promotion must not re-persist),
-// and counted as a warm hit. Callers treat a lookup hit exactly like a
-// cacheGet hit; a record that fails to decode is a miss, never an
-// error.
+// store. Callers treat a lookup hit exactly like a cacheGet hit.
 func (s *Service) lookup(key string) (*entry, bool) {
 	if ent, ok := s.cacheGet(key); ok {
 		return ent, true
 	}
+	return s.storeLookup(key)
+}
+
+// storeLookup is lookup's second tier. A store hit is decoded, promoted
+// into the LRU (directly — the store already holds the record, so
+// promotion must not re-persist), and counted as a warm hit; a record
+// that fails to decode is a miss, never an error.
+func (s *Service) storeLookup(key string) (*entry, bool) {
 	if s.store == nil {
 		return nil, false
 	}
@@ -240,7 +244,7 @@ func (s *Service) persist(key string, ent *entry) {
 		}
 		s.store.Append(recEval, key, val)
 	default:
-		if ent.report == nil || len(ent.body) == 0 || ent.report.Degraded {
+		if len(ent.body) == 0 || ent.degraded != "" {
 			return
 		}
 		s.store.Append(recReport, key, ent.body)
@@ -248,9 +252,10 @@ func (s *Service) persist(key string, ent *entry) {
 }
 
 // decodeRecord rebuilds a cache entry from its durable form, the
-// inverse of persist. Every field is re-validated on the way in: an
-// admit record's body must decode as an AdmitReport, though the entry
-// keeps only the body. An admit entry comes back with every handle slot
+// inverse of persist. Every field is re-validated on the way in: a
+// report record must decode as a Report and an admit record's body as an
+// AdmitReport, though each entry keeps only the body (and a report's
+// degraded reason). An admit entry comes back with every handle slot
 // nil; callers fill them with anchorEvals before publishing the entry.
 func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 	switch kind {
@@ -259,7 +264,7 @@ func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: decoding report record: %w", err)
 		}
-		return &entry{report: rep, body: value}, nil
+		return &entry{body: value, degraded: rep.DegradedReason}, nil
 	case recAdmit:
 		var pa persistedAdmit
 		if err := json.Unmarshal(value, &pa); err != nil {

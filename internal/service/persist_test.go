@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	hetrta "repro"
+	"repro/internal/keyhash"
 	"repro/internal/store"
 )
 
@@ -303,8 +304,8 @@ func lruKeys(c *cache) [][]string {
 
 // peek returns key's entry without touching its recency.
 func peek(c *cache, key string) (*entry, bool) {
-	el, ok := c.shardFor(key).items[key]
-	if !ok {
+	el, ok := c.shardFor(key).items[keyhash.Of(key)]
+	if !ok || el.Value.(*lruItem).key != key {
 		return nil, false
 	}
 	return el.Value.(*lruItem).val, true
@@ -553,8 +554,7 @@ func TestStoreSkipsDegradedEntries(t *testing.T) {
 	svc := storedService(t, path, Options{})
 	// Simulate what a degraded insert would look like via cacheAdd with a
 	// deg|-keyed entry: persist must drop it.
-	rep := &hetrta.Report{Degraded: true}
-	svc.cacheAdd("deg|feedbeef|"+svc.sig, &entry{report: rep, body: []byte(`{"degraded":true}`)})
+	svc.cacheAdd("deg|feedbeef|"+svc.sig, &entry{body: []byte(`{"degraded":true}`), degraded: hetrta.DegradedExactBudget})
 	svc.store.Flush()
 	if st := svc.store.Stats(); st.Appends != 0 {
 		t.Fatalf("degraded entry persisted: %+v", st)

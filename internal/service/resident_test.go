@@ -3,10 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -15,71 +15,49 @@ import (
 	"repro/internal/store"
 )
 
-// richAnalyzer are degradingAnalyzer's options plus a simulation policy:
-// on chainGraph a direct Analyze fills every rich field of the report
-// (transformations, both schedules, the exact outcome).
+// richAnalyzer are degradingAnalyzer's options plus a simulation policy,
+// so a report on chainGraph has every section its body can carry.
 func richAnalyzer() []hetrta.Option {
 	return append(degradingAnalyzer(), hetrta.WithPolicy(hetrta.BreadthFirst))
 }
 
-// richFields lists the fields of hetrta.Report that JSON excludes.
-func richFields() []reflect.StructField {
-	var fs []reflect.StructField
-	rt := reflect.TypeOf(hetrta.Report{})
-	for i := 0; i < rt.NumField(); i++ {
-		if f := rt.Field(i); f.Tag.Get("json") == "-" {
-			fs = append(fs, f)
-		}
-	}
-	return fs
-}
-
-// checkResident asserts the served-report invariant on one Result: the
-// Report equals the decode of its Body, and every rich field is unset.
-func checkResident(t *testing.T, path string, r *Result) {
+// checkResident asserts the served-result contract on one Result. On
+// every path, DegradedReason is the one its Body decodes to. Report is
+// set only when the call ran the analysis (ran), and then marshals to
+// Body; every other path gets nil, since the cache keeps only the body.
+func checkResident(t *testing.T, path string, r *Result, ran bool) {
 	t.Helper()
-	if r == nil || r.Err != nil || r.Report == nil {
-		t.Fatalf("%s: no report (%+v)", path, r)
+	if r == nil || r.Err != nil || len(r.Body) == 0 {
+		t.Fatalf("%s: no result (%+v)", path, r)
 	}
-	want, err := hetrta.DecodeReport(r.Body)
+	decoded, err := hetrta.DecodeReport(r.Body)
 	if err != nil {
 		t.Fatalf("%s: decoding body: %v", path, err)
 	}
-	if !reflect.DeepEqual(r.Report, want) {
-		t.Errorf("%s: Report differs from DecodeReport(Body):\n got %+v\nwant %+v", path, r.Report, want)
+	if r.DegradedReason != decoded.DegradedReason {
+		t.Errorf("%s: DegradedReason %q, body says %q", path, r.DegradedReason, decoded.DegradedReason)
 	}
-	rv := reflect.ValueOf(r.Report).Elem()
-	for _, f := range richFields() {
-		if !rv.FieldByIndex(f.Index).IsZero() {
-			t.Errorf("%s: Report.%s is set; the service must not retain it", path, f.Name)
+	switch {
+	case ran && (r.Hit || r.Shared):
+		t.Errorf("%s: ran the analysis but Hit=%v Shared=%v", path, r.Hit, r.Shared)
+	case ran && r.Report == nil:
+		t.Errorf("%s: the call that ran the analysis got no Report", path)
+	case ran:
+		if b, err := json.Marshal(r.Report); err != nil || !bytes.Equal(b, r.Body) {
+			t.Errorf("%s: Report marshals to other bytes than Body (%v)", path, err)
 		}
+	case r.Report != nil:
+		t.Errorf("%s: Report set on a result that ran nothing", path)
 	}
 }
 
 // TestResidentReportMatchesBody: every path that produces an analysis
-// Result hands out the same JSON-visible Report — the one its Body
-// decodes to — whether it ran the analyzer, hit memory, waited on
-// another request, filled a batch slot, degraded, or came from the store.
+// Result serves the body's degraded reason, and only the call that ran
+// the analyzer gets a Report, the one its Body was marshaled from —
+// whether the result ran the analyzer, hit memory, waited on another
+// request, filled a batch slot, degraded, or came from the store.
 func TestResidentReportMatchesBody(t *testing.T) {
 	ctx := context.Background()
-
-	// The premise: the analyzer itself fills every rich field, so the
-	// service is what drops them.
-	an, err := hetrta.NewAnalyzer(richAnalyzer()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := an.Analyze(ctx, chainGraph(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dv := reflect.ValueOf(direct).Elem()
-	for _, f := range richFields() {
-		if dv.FieldByIndex(f.Index).IsZero() {
-			t.Fatalf("direct Analyze leaves Report.%s unset; extend richAnalyzer or the graph so the test covers it", f.Name)
-		}
-	}
-
 	s := newTestService(t, Options{
 		Resilience: &ResilienceOptions{
 			Breaker:   resilience.BreakerOptions{FailureThreshold: 1, ProbeEvery: 2},
@@ -91,13 +69,13 @@ func TestResidentReportMatchesBody(t *testing.T) {
 	if err != nil || miss.Hit || miss.Shared {
 		t.Fatalf("miss: %+v, %v", miss, err)
 	}
-	checkResident(t, "miss", miss)
+	checkResident(t, "miss", miss, true)
 
 	hit, err := s.Analyze(ctx, relabeledChain(t, 8))
 	if err != nil || !hit.Hit {
 		t.Fatalf("memory hit: %+v, %v", hit, err)
 	}
-	checkResident(t, "memory hit", hit)
+	checkResident(t, "memory hit", hit, false)
 
 	// Coalesced waiter: the leader blocks inside the analyzer until a
 	// second request has joined its flight.
@@ -135,30 +113,39 @@ func TestResidentReportMatchesBody(t *testing.T) {
 	if shared == nil || !shared.Shared {
 		t.Fatalf("waiter did not share the leader's flight: %+v", shared)
 	}
-	checkResident(t, "leader", led)
-	checkResident(t, "coalesced waiter", shared)
+	checkResident(t, "leader", led, true)
+	checkResident(t, "coalesced waiter", shared, false)
 
 	rs, err := s.AnalyzeBatch(ctx, []*hetrta.Graph{chainGraph(t, 10), relabeledChain(t, 10), chainGraph(t, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range rs {
-		checkResident(t, fmt.Sprintf("batch slot %d", i), r)
+		checkResident(t, fmt.Sprintf("batch slot %d", i), r, i == 0)
+	}
+	if !rs[1].Shared || !rs[2].Hit {
+		t.Fatalf("batch: slot 1 Shared=%v, slot 2 Hit=%v; want a shared duplicate and a hit", rs[1].Shared, rs[2].Hit)
 	}
 
 	// A full attempt that exhausts the exact budget degrades and opens
 	// the breaker; the next new graph is routed to the bounds-only
 	// variant (Allow #1 is rejected with ProbeEvery 2).
 	full, err := s.Analyze(ctx, parallel3(t))
-	if err != nil || !full.Report.Degraded || full.Report.DegradedReason != hetrta.DegradedExactBudget {
+	if err != nil || full.DegradedReason != hetrta.DegradedExactBudget {
 		t.Fatalf("degraded full attempt: %+v, %v", full, err)
 	}
-	checkResident(t, "degraded full attempt", full)
+	checkResident(t, "degraded full attempt", full, true)
 	variant, err := s.Analyze(ctx, chainGraph(t, 11))
-	if err != nil || variant.Report.DegradedReason != hetrta.DegradedBreakerOpen {
+	if err != nil || variant.DegradedReason != hetrta.DegradedBreakerOpen {
 		t.Fatalf("degraded variant: %+v, %v", variant, err)
 	}
-	checkResident(t, "degraded variant", variant)
+	checkResident(t, "degraded variant", variant, true)
+	// The hard instance is routed to its cached degraded result.
+	degHit, err := s.Analyze(ctx, parallel3(t))
+	if err != nil || !degHit.Hit || degHit.DegradedReason != hetrta.DegradedExactBudget {
+		t.Fatalf("degraded hit: %+v, %v", degHit, err)
+	}
+	checkResident(t, "degraded hit", degHit, false)
 
 	// Store tier: one entry per shard, so the second graph evicts the
 	// first and the third request revives it from the log.
@@ -181,14 +168,14 @@ func TestResidentReportMatchesBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkResident(t, "stored miss", r)
+		checkResident(t, "stored miss", r, true)
 	}
 	sv1.store.Flush()
 	revived, err := sv1.Analyze(ctx, chainGraph(t, 8))
 	if err != nil || !revived.Hit || sv1.Stats().Store.WarmHits != 1 {
 		t.Fatalf("store hit: %+v, %v", revived, err)
 	}
-	checkResident(t, "store hit", revived)
+	checkResident(t, "store hit", revived, false)
 	sv1.store.Flush()
 
 	sv2 := openStored(Options{})
@@ -197,7 +184,7 @@ func TestResidentReportMatchesBody(t *testing.T) {
 		if err != nil || !r.Hit || sv2.Stats().Executions != 0 {
 			t.Fatalf("warm start: %+v, %v", r, err)
 		}
-		checkResident(t, "warm start", r)
+		checkResident(t, "warm start", r, false)
 	}
 
 	logBytes, err := os.ReadFile(path)
@@ -212,5 +199,5 @@ func TestResidentReportMatchesBody(t *testing.T) {
 	if err != nil || !warmed.Hit || peer.Stats().Executions != 0 {
 		t.Fatalf("Warmup hit: %+v, %v", warmed, err)
 	}
-	checkResident(t, "Warmup", warmed)
+	checkResident(t, "Warmup", warmed, false)
 }

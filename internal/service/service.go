@@ -5,9 +5,9 @@
 //   - a canonical cache key: (Graph.Fingerprint, Analyzer.Signature), so
 //     isomorphic graphs analyzed under the same configuration share one
 //     result regardless of node labeling or which client sent them;
-//   - a sharded LRU report cache holding the JSON-visible Report and its
-//     serialized JSON, marshaled once — repeat responses are byte-identical
-//     by construction;
+//   - a sharded LRU report cache holding each report's serialized JSON,
+//     marshaled once — repeat responses are byte-identical by
+//     construction — and not the report itself;
 //   - single-flight execution: concurrent requests for the same key run the
 //     Analyzer exactly once, with every other request waiting on the
 //     leader's result. A batch is no second path: it coalesces duplicate
@@ -204,14 +204,19 @@ var errNilGraph = analysisError{"hetrta: Analyze(nil graph)"}
 // transforms[].offload/sync/gate, parNodes) echo the computing request's
 // labeling, not necessarily the caller's.
 type Result struct {
-	// Report is the analysis outcome; nil when Err is set. It carries
-	// only the JSON-visible fields, on every path (miss, hit, coalesced
-	// wait, store hit): the rich fields tagged json:"-" are nil, so
-	// Report equals hetrta.DecodeReport(Body).
+	// Report is the analysis outcome as the analyzer returned it, set only
+	// when this call ran the analysis (Hit and Shared both false). It is
+	// nil on memory hits, store hits, warm-started and Warmup entries,
+	// shared waits and in-batch duplicates, because the cache keeps only
+	// the body; a caller that needs the report of such a result decodes
+	// Body with hetrta.DecodeReport.
 	Report *hetrta.Report
-	// Body is Report's canonical JSON, identical bytes for every request
-	// served from the same cache entry.
+	// Body is the report's canonical JSON, identical bytes for every
+	// request served from the same cache entry, on every path.
 	Body []byte
+	// DegradedReason is the report's DegradedReason on every path: empty
+	// for a full report, the cause for a degraded one.
+	DegradedReason string
 	// Hit says the result came from the cache; Shared says it came from
 	// another request's in-flight execution.
 	Hit    bool
@@ -286,6 +291,8 @@ func (s *Service) Signature() string { return s.sig }
 func (s *Service) Platform() hetrta.Platform { return s.an.Platform() }
 
 // keyOf derives the cache key of g under this service's configuration.
+// The hit path matches it in parts (cacheGetFP) and builds it only on a
+// miss.
 func (s *Service) keyOf(fp dag.Fingerprint) string {
 	return fp.String() + "|" + s.sig
 }
@@ -313,6 +320,14 @@ func (s *Service) cacheGet(key string) (*entry, bool) {
 		return nil, false
 	}
 	return s.cache.get(key)
+}
+
+// cacheGetFP is cacheGet of keyOf(fp), without building the key.
+func (s *Service) cacheGetFP(fp dag.Fingerprint) (*entry, bool) {
+	if err := s.inj.Fire(faultinject.CacheGet); err != nil {
+		return nil, false
+	}
+	return s.cache.getFP(fp, s.sig)
 }
 
 // cacheAdd is cache.add behind the CacheAdd fault seam: an injected error
@@ -367,16 +382,22 @@ func (s *Service) Analyze(ctx context.Context, g *hetrta.Graph) (*Result, error)
 }
 
 // analyze is Analyze without the request accounting, which AnalyzeBatch
-// does once per slot. With degraded routing enabled it decides the route
-// here: a full cache hit always serves; otherwise an open breaker or a
-// known-hard fingerprint diverts to the bounds-only path, and only
+// does once per slot. A memory hit is found by the key's parts, so it
+// builds no key string. With degraded routing enabled it decides the
+// route here: a full cache hit always serves; otherwise an open breaker or
+// a known-hard fingerprint diverts to the bounds-only path, and only
 // surviving requests attempt the full pipeline.
 func (s *Service) analyze(ctx context.Context, g *hetrta.Graph) (*Result, error) {
 	fp := g.Fingerprint()
+	if ent, ok := s.cacheGetFP(fp); ok {
+		s.hits.Add(1)
+		return s.result(ent, nil, fp, true, false), nil
+	}
+	key := s.keyOf(fp)
 	if s.breaker != nil {
-		if ent, ok := s.lookup(s.keyOf(fp)); ok {
+		if ent, ok := s.storeLookup(key); ok {
 			s.hits.Add(1)
-			return &Result{Report: ent.report, Body: ent.body, Hit: true, Fingerprint: fp}, nil
+			return s.result(ent, nil, fp, true, false), nil
 		}
 		if !s.breaker.Allow() {
 			return s.analyzeDegraded(ctx, g, fp, s.degBreaker, s.degBSig)
@@ -385,16 +406,24 @@ func (s *Service) analyze(ctx context.Context, g *hetrta.Graph) (*Result, error)
 			return s.analyzeDegraded(ctx, g, fp, s.degHard, s.degHSig)
 		}
 	}
-	ent, hit, shared, err := s.serve(ctx, s.keyOf(fp), func(ctx context.Context) (*entry, error) {
-		return s.runFull(ctx, g, fp)
+	var rep *hetrta.Report
+	ent, hit, shared, err := s.serveWith(ctx, key, s.requestCounters(), s.storeLookup, func(ctx context.Context) (ent *entry, err error) {
+		ent, rep, err = s.runFull(ctx, g, fp)
+		return ent, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if ent.report != nil && ent.report.Degraded {
+	return s.result(ent, rep, fp, hit, shared), nil
+}
+
+// result is the Result of an analysis served from ent, counting it when
+// degraded. rep is the report when this call ran the analysis, else nil.
+func (s *Service) result(ent *entry, rep *hetrta.Report, fp dag.Fingerprint, hit, shared bool) *Result {
+	if ent.degraded != "" {
 		s.degraded.Add(1)
 	}
-	return &Result{Report: ent.report, Body: ent.body, Hit: hit, Shared: shared, Fingerprint: fp}, nil
+	return &Result{Report: rep, Body: ent.body, DegradedReason: ent.degraded, Hit: hit, Shared: shared, Fingerprint: fp}
 }
 
 // analyzeDegraded serves the bounds-only fallback for fp via the given
@@ -406,34 +435,30 @@ func (s *Service) analyze(ctx context.Context, g *hetrta.Graph) (*Result, error)
 func (s *Service) analyzeDegraded(ctx context.Context, g *hetrta.Graph, fp dag.Fingerprint, variant *hetrta.Analyzer, vsig string) (*Result, error) {
 	if ent, ok := s.cacheGet(s.degFullKey(fp)); ok {
 		s.hits.Add(1)
-		s.degraded.Add(1)
-		return &Result{Report: ent.report, Body: ent.body, Hit: true, Fingerprint: fp}, nil
+		return s.result(ent, nil, fp, true, false), nil
 	}
-	ent, hit, shared, err := s.serve(ctx, degVariantKey(fp, vsig), func(ctx context.Context) (*entry, error) {
-		return s.runGraph(ctx, g, variant.Analyze)
+	var rep *hetrta.Report
+	ent, hit, shared, err := s.serve(ctx, degVariantKey(fp, vsig), func(ctx context.Context) (ent *entry, err error) {
+		ent, rep, err = s.runGraph(ctx, g, variant.Analyze)
+		return ent, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.degraded.Add(1)
-	return &Result{Report: ent.report, Body: ent.body, Hit: hit, Shared: shared, Fingerprint: fp}, nil
+	return s.result(ent, rep, fp, hit, shared), nil
 }
 
 // runFull is the full-pipeline flight body: it runs the analyzer, feeds
 // the breaker and hard-instance cache from the outcome, and redirects a
 // degraded result into the "deg|" cache namespace so the full key only
 // ever holds non-degraded reports.
-func (s *Service) runFull(ctx context.Context, g *hetrta.Graph, fp dag.Fingerprint) (*entry, error) {
-	ent, err := s.runOne(ctx, g)
-	var rep *hetrta.Report
-	if ent != nil {
-		rep = ent.report
-	}
+func (s *Service) runFull(ctx context.Context, g *hetrta.Graph, fp dag.Fingerprint) (*entry, *hetrta.Report, error) {
+	ent, rep, err := s.runGraph(ctx, g, s.exec)
 	s.noteFullOutcome(fp, rep, err)
-	if err == nil && rep != nil && rep.Degraded {
+	if err == nil && rep.Degraded {
 		ent.cacheKey = s.degFullKey(fp)
 	}
-	return ent, err
+	return ent, rep, err
 }
 
 // serveCounters selects which hit/miss/failure counters a serve call
@@ -445,6 +470,11 @@ type serveCounters struct {
 	hits, misses, failures *atomic.Uint64
 }
 
+// requestCounters are the request-level counters.
+func (s *Service) requestCounters() serveCounters {
+	return serveCounters{&s.hits, &s.misses, &s.failures}
+}
+
 // serve resolves one cache key through the cache and the single-flight
 // table, running `run` as the flight leader on a miss. It is the shared
 // core of the analysis and admission paths: cache hit → (hit=true); joined
@@ -452,13 +482,15 @@ type serveCounters struct {
 // waiter whose leader died of its own cancelled context retries with its
 // own, still-live context (re-checking the cache, possibly leading).
 func (s *Service) serve(ctx context.Context, key string, run func(ctx context.Context) (*entry, error)) (ent *entry, hit, shared bool, err error) {
-	return s.serveWith(ctx, key, serveCounters{&s.hits, &s.misses, &s.failures}, run)
+	return s.serveWith(ctx, key, s.requestCounters(), s.lookup, run)
 }
 
-// serveWith is serve with explicit counter routing.
-func (s *Service) serveWith(ctx context.Context, key string, ctrs serveCounters, run func(ctx context.Context) (*entry, error)) (ent *entry, hit, shared bool, err error) {
-	for {
-		if ent, ok := s.lookup(key); ok {
+// serveWith is serve with explicit counter routing and first-pass lookup:
+// s.lookup, or s.storeLookup when the caller has just missed the memory
+// tier itself. A retry looks up both tiers.
+func (s *Service) serveWith(ctx context.Context, key string, ctrs serveCounters, lookup func(key string) (*entry, bool), run func(ctx context.Context) (*entry, error)) (ent *entry, hit, shared bool, err error) {
+	for ; ; lookup = s.lookup {
+		if ent, ok := lookup(key); ok {
 			ctrs.hits.Add(1)
 			return ent, true, false, nil
 		}
@@ -521,56 +553,47 @@ func (s *Service) lead(ctx context.Context, key string, f *flight, ctrs serveCou
 	return ent, false, nil
 }
 
-// runOne executes the analyzer for a single graph and serializes the
-// report.
-func (s *Service) runOne(ctx context.Context, g *hetrta.Graph) (*entry, error) {
-	return s.runGraph(ctx, g, s.exec)
-}
-
-// runGraph is runOne over an explicit executor (the configured analyzer or
-// a bounds-only degraded variant), behind the limiter and the Exec fault
-// seam. The limiter is only consulted here — on the execution path — so
-// cache hits and single-flight joins are never shed. Cancellations pass
-// through unchanged; any other analyzer error is the analysis rejecting
-// the graph (ErrAnalysis).
-func (s *Service) runGraph(ctx context.Context, g *hetrta.Graph, exec func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error)) (*entry, error) {
+// runGraph executes one analysis with exec (the configured analyzer or a
+// bounds-only degraded variant) behind the limiter and the Exec fault
+// seam, and returns the report with its cache entry. The limiter is only
+// consulted here — on the execution path — so cache hits and
+// single-flight joins are never shed. Cancellations pass through
+// unchanged; any other analyzer error is the analysis rejecting the graph
+// (ErrAnalysis).
+func (s *Service) runGraph(ctx context.Context, g *hetrta.Graph, exec func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error)) (*entry, *hetrta.Report, error) {
 	if err := s.limiter.Acquire(ctx, costAnalyze); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer s.limiter.Release(costAnalyze)
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1) // deferred: the gauge survives analyzer panics
 	s.executions.Add(1)
 	if err := s.inj.Fire(faultinject.Exec); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep, err := exec(ctx, g)
 	if err != nil {
 		if isCancellation(err) {
-			return nil, err
+			return nil, nil, err
 		}
-		return nil, analysisError{err.Error()}
+		return nil, nil, analysisError{err.Error()}
 	}
-	return marshalEntry(rep)
+	ent, err := marshalEntry(rep)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ent, rep, nil
 }
 
 // marshalEntry builds the cache entry for a fresh analysis report: its
-// canonical JSON and a shallow copy of the report without the rich
-// objects excluded from JSON (transformations, full schedules, exact
-// spans). Nothing serves those, so an entry keeps only what its body
-// says: the report hetrta.DecodeReport(body) gives on a store hit or at
-// warm start, so every path hands out the same Report.
+// canonical JSON and its degraded reason, which is all any later request
+// reads of it.
 func marshalEntry(rep *hetrta.Report) (*entry, error) {
 	body, err := json.Marshal(rep)
 	if err != nil {
 		return nil, fmt.Errorf("service: marshaling report: %w", err)
 	}
-	served := *rep
-	served.TransformResult = nil
-	served.MultiTransformResult = nil
-	served.SimOriginal, served.SimTransformed = nil, nil
-	served.ExactResult = nil
-	return &entry{report: &served, body: body}, nil
+	return &entry{body: body, degraded: rep.DegradedReason}, nil
 }
 
 // AdmitResult is the outcome of one taskset admission.
@@ -687,7 +710,7 @@ func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, ts 
 }
 
 // runAdmit executes the taskset analyzer once and serializes the report
-// (the admission counterpart of runOne). The successful entry anchors
+// (the admission counterpart of runGraph). The successful entry anchors
 // later AdmitDelta calls with a copy of the taskset, its per-task digests
 // and their eval handles. ds, when non-nil, is the precomputed digest
 // slice parallel to ts.Tasks. from, when non-nil, is the anchor of the
@@ -778,7 +801,7 @@ func (s *Service) evalKeyOf(dg hetrta.TaskDigest) string {
 // the eval counters, not the request-level hit/miss economics.
 func (s *Service) taskEval(ctx context.Context, t hetrta.SporadicTask, dg hetrta.TaskDigest) (*hetrta.TaskEvalHandle, error) {
 	ent, _, _, err := s.serveWith(ctx, s.evalKeyOf(dg),
-		serveCounters{&s.evalHits, &s.evalMisses, &s.evalFailures},
+		serveCounters{&s.evalHits, &s.evalMisses, &s.evalFailures}, s.lookup,
 		func(ctx context.Context) (*entry, error) {
 			h, err := s.ta.PrepareTaskEval(t.G)
 			if err != nil {
@@ -872,13 +895,14 @@ func (s *Service) AnalyzeBatch(ctx context.Context, gs []*hetrta.Graph) ([]*Resu
 			continue
 		}
 		r := *res[j]
+		r.Report = nil // only the first occurrence ran the analysis
 		if r.Hit {
 			s.hits.Add(1)
 		} else {
 			s.coalesced.Add(1)
 			r.Shared = r.Err == nil
 		}
-		if r.Report != nil && r.Report.Degraded {
+		if r.DegradedReason != "" {
 			s.degraded.Add(1)
 		}
 		res[i] = &r

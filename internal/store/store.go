@@ -23,10 +23,15 @@
 // matches — the whole log is invalidated and restarted, never served).
 //
 // Records are append-only; a later record for the same key shadows an
-// earlier one in the index. Appends are write-behind: Append enqueues
-// and returns immediately, a single writer goroutine owns the file
-// offset, and a bounded queue sheds (and counts) writes under pressure
-// rather than blocking the serving path.
+// earlier one in the index. The index holds no keys: it maps each key's
+// 64-bit hash (internal/keyhash, the hash the service cache shards by) to
+// the span of the newest record under that hash, and a read checks the
+// key stored in the payload. Two keys that share a hash share a slot, so
+// the later one shadows the earlier, whose reads then miss: a collision
+// costs a recomputation, never another key's bytes. Appends are
+// write-behind: Append enqueues and returns immediately, a single writer
+// goroutine owns the file offset, and a bounded queue sheds (and counts)
+// writes under pressure rather than blocking the serving path.
 package store
 
 import (
@@ -40,6 +45,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/keyhash"
 )
 
 var magic = [8]byte{'h', 'e', 't', 'r', 't', 'a', 's', '1'}
@@ -77,15 +84,22 @@ type Options struct {
 	QueueDepth int
 }
 
-// span locates one record's payload inside the file. kind is the
-// record's kind byte, kept in the index so a walk can filter records
-// without reading them.
+// span locates one record's payload inside the file: its offset, length
+// and CRC, and the record's kind byte, kept in the index so a walk can
+// filter records without reading them. The offset and the kind share one
+// word, which keeps an index slot at 24 bytes with its hash.
 type span struct {
-	off  int64
-	n    int32
-	crc  uint32
-	kind byte
+	at  uint64 // offset<<8 | kind
+	n   uint32
+	crc uint32
 }
+
+func newSpan(off int64, n int, crc uint32, kind byte) span {
+	return span{at: uint64(off)<<8 | uint64(kind), n: uint32(n), crc: crc}
+}
+
+func (sp span) off() int64 { return int64(sp.at >> 8) }
+func (sp span) kind() byte { return byte(sp.at) }
 
 // Store is a disk-backed key→record map. Get and WalkNewest read through an
 // in-memory index with os.File.ReadAt, which is safe concurrently with
@@ -96,8 +110,11 @@ type Store struct {
 	f    *os.File
 
 	mu    sync.RWMutex
-	index map[string]span
-	size  int64 // file size == next append offset
+	index map[uint64]span // key hash → newest record under that hash
+	size  int64           // file size == next append offset
+	// slotMask is ANDed onto every key hash. It is all ones except in
+	// tests, which clear bits to force distinct keys into one slot.
+	slotMask uint64
 
 	sendMu sync.Mutex
 	closed bool
@@ -142,7 +159,7 @@ type Stats struct {
 	AppendErrors uint64 `json:"appendErrors,omitempty"`
 	Dropped      uint64 `json:"dropped,omitempty"`
 	// SizeBytes is the current log size; LiveKeys the index occupancy
-	// (distinct keys, latest record each).
+	// (distinct key hashes, latest record each).
 	SizeBytes int64 `json:"sizeBytes"`
 	LiveKeys  int   `json:"liveKeys"`
 }
@@ -166,11 +183,12 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: open %s: %w", opts.Path, err)
 	}
 	s := &Store{
-		path:  opts.Path,
-		gen:   opts.Generation,
-		f:     f,
-		index: make(map[string]span),
-		ch:    make(chan writeMsg, depth),
+		path:     opts.Path,
+		gen:      opts.Generation,
+		f:        f,
+		index:    make(map[uint64]span),
+		slotMask: ^uint64(0),
+		ch:       make(chan writeMsg, depth),
 	}
 	if err := s.load(); err != nil {
 		f.Close()
@@ -203,9 +221,9 @@ func (s *Store) load() error {
 		return s.restart()
 	}
 	off := hdrLen
-	var payload []byte // one buffer for every frame: only the key outlives it
+	var buf []byte // one buffer for every frame: nothing of it outlives the loop
 	for {
-		rec, frameLen, crc, err := readRecord(br, &payload)
+		payload, crc, err := readFrame(br, &buf)
 		if err == io.EOF {
 			break
 		}
@@ -214,8 +232,10 @@ func (s *Store) load() error {
 			s.tailTruncations.Add(1)
 			break
 		}
+		kind, key, _, _ := parsePayload(payload) // readFrame checked it parses
+		frameLen := int64(8 + len(payload))
 		payloadOff := off + 8 // skip length + crc words
-		s.index[rec.Key] = span{off: payloadOff, n: int32(frameLen - 8), crc: crc, kind: rec.Kind}
+		s.index[keyhash.Of(key)&s.slotMask] = newSpan(payloadOff, len(payload), crc, kind)
 		off += frameLen
 		s.recordsLoaded.Add(1)
 		s.bytesLoaded.Add(uint64(frameLen))
@@ -246,7 +266,7 @@ func (s *Store) restart() error {
 		return fmt.Errorf("store: write header: %w", err)
 	}
 	s.size = int64(len(hdr))
-	s.index = make(map[string]span)
+	s.index = make(map[uint64]span)
 	return nil
 }
 
@@ -258,19 +278,20 @@ func (s *Store) Path() string { return s.path }
 
 // Get returns the latest record value for key. The payload is re-read
 // from disk and CRC-checked, so a store hit can never return silently
-// corrupted bytes.
+// corrupted bytes, and its key is compared with key, so a hash collision
+// that let another key take the slot is a miss.
 func (s *Store) Get(key string) (kind byte, value []byte, ok bool) {
 	s.mu.RLock()
-	sp, found := s.index[key]
+	sp, found := s.index[keyhash.Of(key)&s.slotMask]
 	s.mu.RUnlock()
 	if !found {
 		return 0, nil, false
 	}
-	rec, err := s.readAt(sp)
-	if err != nil {
+	kind, k, value, err := s.readAt(sp)
+	if err != nil || string(k) != key {
 		return 0, nil, false
 	}
-	return rec.Kind, rec.Value, true
+	return kind, value, true
 }
 
 // Len returns the number of live keys.
@@ -282,45 +303,48 @@ func (s *Store) Len() int {
 
 // WalkNewest visits live records newest first (reverse log order), so a
 // warm start can fill a bounded cache with the most recently written
-// keys and stop. want sees each record's key and kind before anything is
-// read: a record it rejects costs no I/O. fn receives each wanted record
-// that reads back intact (CRC-checked, as in Get); an unreadable record
-// is skipped, as Get would miss it. fn returning false ends the walk.
-func (s *Store) WalkNewest(want func(key string, kind byte) bool, fn func(rec Record) bool) {
-	type keyed struct {
-		key string
-		sp  span
+// keys and stop. want sees each record's key hash (keyhash.Of of its key)
+// and kind before anything is read: a record it rejects costs no I/O. fn
+// receives each wanted record that reads back intact (CRC-checked, as in
+// Get); an unreadable record is skipped, as Get would miss it. A record
+// shadowed by a later one under the same hash is not visited, as Get
+// would miss it too. fn returning false ends the walk.
+func (s *Store) WalkNewest(want func(hash uint64, kind byte) bool, fn func(rec Record) bool) {
+	type slot struct {
+		hash uint64
+		sp   span
 	}
 	s.mu.RLock()
-	live := make([]keyed, 0, len(s.index))
-	for k, sp := range s.index {
-		live = append(live, keyed{k, sp})
+	live := make([]slot, 0, len(s.index))
+	for h, sp := range s.index {
+		live = append(live, slot{h, sp})
 	}
 	s.mu.RUnlock()
-	sort.Slice(live, func(i, j int) bool { return live[i].sp.off > live[j].sp.off })
+	sort.Slice(live, func(i, j int) bool { return live[i].sp.at > live[j].sp.at })
 	for _, r := range live {
-		if !want(r.key, r.sp.kind) {
+		if !want(r.hash, r.sp.kind()) {
 			continue
 		}
-		rec, err := s.readAt(r.sp)
+		kind, key, value, err := s.readAt(r.sp)
 		if err != nil {
 			continue
 		}
-		if !fn(rec) {
+		if !fn(Record{Kind: kind, Key: string(key), Value: value}) {
 			return
 		}
 	}
 }
 
-// readAt decodes the payload at sp, verifying its CRC.
-func (s *Store) readAt(sp span) (Record, error) {
+// readAt reads and parses the payload at sp, verifying its CRC. key and
+// value are subslices of one fresh buffer.
+func (s *Store) readAt(sp span) (kind byte, key, value []byte, err error) {
 	s.reads.Add(1)
 	buf := make([]byte, sp.n)
-	if _, err := s.f.ReadAt(buf, sp.off); err != nil {
-		return Record{}, err
+	if _, err := s.f.ReadAt(buf, sp.off()); err != nil {
+		return 0, nil, nil, err
 	}
 	if crc32.ChecksumIEEE(buf) != sp.crc {
-		return Record{}, errTorn
+		return 0, nil, nil, errTorn
 	}
 	return parsePayload(buf)
 }
@@ -410,7 +434,7 @@ func (s *Store) write(rec Record) error {
 		return err
 	}
 	s.mu.Lock()
-	s.index[rec.Key] = span{off: off + 8, n: int32(len(payload)), crc: crc, kind: rec.Kind}
+	s.index[keyhash.Of(rec.Key)&s.slotMask] = newSpan(off+8, len(payload), crc, rec.Kind)
 	s.size = off + int64(len(frame))
 	s.mu.Unlock()
 	s.appends.Add(1)
@@ -466,7 +490,7 @@ func ScanStream(r io.Reader, generation string, fn func(rec Record) error) (Scan
 		return sum, fmt.Errorf("%w: stream %q, want %q", ErrGenerationMismatch, gen, generation)
 	}
 	for {
-		rec, frameLen, _, err := readRecord(br, nil) // fn may keep rec.Value: Warmup re-appends it
+		payload, _, err := readFrame(br, nil) // fn may keep rec.Value: Warmup re-appends it
 		if err == io.EOF {
 			return sum, nil
 		}
@@ -475,8 +499,9 @@ func ScanStream(r io.Reader, generation string, fn func(rec Record) error) (Scan
 			return sum, nil
 		}
 		sum.Records++
-		sum.Bytes += frameLen
-		if err := fn(rec); err != nil {
+		sum.Bytes += int64(8 + len(payload))
+		kind, key, value, _ := parsePayload(payload) // readFrame checked it parses
+		if err := fn(Record{Kind: kind, Key: string(key), Value: value}); err != nil {
 			return sum, err
 		}
 	}
@@ -503,24 +528,27 @@ func readHeader(br *bufio.Reader) (gen string, hdrLen int64, err error) {
 	return string(genBuf), int64(8 + 2 + n), nil
 }
 
-// readRecord consumes one frame and returns it with the payload CRC it
-// was verified against. io.EOF means a clean end exactly at a frame
-// boundary; errTorn any syntactic breakage (the truncated-tail case).
-// With buf nil the payload, and so rec.Value, is a fresh allocation;
-// otherwise it is read into *buf, grown as needed, and rec.Value is valid
-// only until the next call with the same buf.
-func readRecord(br *bufio.Reader, buf *[]byte) (rec Record, frameLen int64, crc uint32, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return Record{}, 0, 0, io.EOF // clean boundary
+// readFrame consumes one frame and returns its payload, checked to parse,
+// with the CRC it was verified against. io.EOF means a clean end exactly
+// at a frame boundary; errTorn any syntactic breakage (the truncated-tail
+// case). With buf nil the payload is a fresh allocation; otherwise it is
+// read into *buf, grown as needed, and is valid only until the next call
+// with the same buf.
+func readFrame(br *bufio.Reader, buf *[]byte) (payload []byte, crc uint32, err error) {
+	// Peek reads the header in place: an array passed to io.ReadFull
+	// would escape, one allocation per frame.
+	hdr, err := br.Peek(8)
+	if len(hdr) == 0 {
+		return nil, 0, io.EOF // clean boundary
 	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return Record{}, 0, 0, errTorn
+	if err != nil {
+		return nil, 0, errTorn
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
 	crc = binary.LittleEndian.Uint32(hdr[4:])
+	_, _ = br.Discard(8) // the 8 bytes were just peeked, so this cannot fail
 	if n == 0 || n > maxPayload {
-		return Record{}, 0, 0, errTorn
+		return nil, 0, errTorn
 	}
 	if buf == nil {
 		buf = new([]byte)
@@ -528,18 +556,17 @@ func readRecord(br *bufio.Reader, buf *[]byte) (rec Record, frameLen int64, crc 
 	if cap(*buf) < int(n) {
 		*buf = make([]byte, n)
 	}
-	payload := (*buf)[:n]
+	payload = (*buf)[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
-		return Record{}, 0, 0, errTorn
+		return nil, 0, errTorn
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		return Record{}, 0, 0, errTorn
+		return nil, 0, errTorn
 	}
-	rec, perr := parsePayload(payload)
-	if perr != nil {
-		return Record{}, 0, 0, errTorn
+	if _, _, _, err := parsePayload(payload); err != nil {
+		return nil, 0, errTorn
 	}
-	return rec, int64(8 + n), crc, nil
+	return payload, crc, nil
 }
 
 // payloadBytes encodes kind | uvarint(keyLen) | key | value.
@@ -552,18 +579,17 @@ func payloadBytes(rec Record) []byte {
 	return buf
 }
 
-// parsePayload is the inverse of payloadBytes.
-func parsePayload(buf []byte) (Record, error) {
+// parsePayload is the inverse of payloadBytes. key and value are
+// subslices of buf.
+func parsePayload(buf []byte) (kind byte, key, value []byte, err error) {
 	if len(buf) < 2 {
-		return Record{}, errTorn
+		return 0, nil, nil, errTorn
 	}
-	kind := buf[0]
 	keyLen, n := binary.Uvarint(buf[1:])
 	if n <= 0 || keyLen > uint64(len(buf)-1-n) {
-		return Record{}, errTorn
+		return 0, nil, nil, errTorn
 	}
 	start := 1 + n
-	key := string(buf[start : start+int(keyLen)])
-	value := buf[start+int(keyLen):]
-	return Record{Kind: kind, Key: key, Value: value}, nil
+	end := start + int(keyLen)
+	return buf[0], buf[start:end], buf[end:], nil
 }

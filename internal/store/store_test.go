@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/keyhash"
 )
 
 func openTemp(t *testing.T, gen string) (*Store, string) {
@@ -99,7 +101,8 @@ func TestReopenReusedLoadBuffer(t *testing.T) {
 
 // TestWalkNewestFirst pins WalkNewest's contract: live records come
 // newest first (a rewrite moves its key to the front), a record rejected
-// by want is never read from disk, and fn returning false stops the walk.
+// by want is never read from disk, want sees the key's hash and the
+// index's kind, and fn returning false stops the walk.
 func TestWalkNewestFirst(t *testing.T) {
 	s, _ := openTemp(t, "g")
 	defer s.Close()
@@ -109,34 +112,40 @@ func TestWalkNewestFirst(t *testing.T) {
 	s.Append(2, "k1", []byte{99}) // rewrite moves k1 to the tail
 	s.Flush()
 
-	walk := func(want func(string, byte) bool, stopAfter int) (order, asked []string, reads uint64) {
+	walk := func(want func(uint64, byte) bool, stopAfter int) (order []string, asked []uint64, reads uint64) {
 		before := s.reads.Load()
-		s.WalkNewest(func(key string, kind byte) bool {
-			asked = append(asked, key)
-			return want(key, kind)
+		s.WalkNewest(func(hash uint64, kind byte) bool {
+			asked = append(asked, hash)
+			return want(hash, kind)
 		}, func(rec Record) bool {
 			order = append(order, rec.Key)
 			return len(order) < stopAfter
 		})
 		return order, asked, s.reads.Load() - before
 	}
-	all := func(string, byte) bool { return true }
+	all := func(uint64, byte) bool { return true }
 
-	order, _, reads := walk(all, 10)
+	order, asked, reads := walk(all, 10)
 	if want := []string{"k1", "k4", "k3", "k2", "k0"}; !slices.Equal(order, want) {
 		t.Fatalf("walk order %v, want %v", order, want)
 	}
 	if reads != 5 {
 		t.Fatalf("full walk read %d records, want 5", reads)
 	}
+	for i, key := range order {
+		if asked[i] != keyhash.Of(key) {
+			t.Fatalf("want saw hash %#x for %s, want keyhash.Of = %#x", asked[i], key, keyhash.Of(key))
+		}
+	}
 
 	// want sees the index's kind: the rewrite carries kind 2.
-	order, asked, reads := walk(func(key string, kind byte) bool { return kind == 1 && key != "k3" }, 10)
+	k3 := keyhash.Of("k3")
+	order, asked, reads = walk(func(hash uint64, kind byte) bool { return kind == 1 && hash != k3 }, 10)
 	if want := []string{"k4", "k2", "k0"}; !slices.Equal(order, want) {
 		t.Fatalf("filtered walk %v, want %v", order, want)
 	}
 	if len(asked) != 5 || reads != 3 {
-		t.Fatalf("filtered walk asked %v and read %d records, want all 5 asked and 3 read", asked, reads)
+		t.Fatalf("filtered walk asked %d records and read %d, want all 5 asked and 3 read", len(asked), reads)
 	}
 
 	order, asked, reads = walk(all, 2)
@@ -144,7 +153,42 @@ func TestWalkNewestFirst(t *testing.T) {
 		t.Fatalf("stopped walk %v, want %v", order, want)
 	}
 	if len(asked) != 2 || reads != 2 {
-		t.Fatalf("stopped walk asked %v and read %d records, want 2 each", asked, reads)
+		t.Fatalf("stopped walk asked %d records and read %d, want 2 each", len(asked), reads)
+	}
+}
+
+// TestHashCollisionShadows forces every key into one index slot: the
+// newer record shadows the older, whose Get misses rather than returning
+// the newer key's bytes, and a walk yields only the newer record.
+func TestHashCollisionShadows(t *testing.T) {
+	s, _ := openTemp(t, "g")
+	defer s.Close()
+	s.slotMask = 0
+	s.Append(1, "older", []byte("older-bytes"))
+	s.Append(2, "newer", []byte("newer-bytes"))
+	s.Flush()
+
+	if kind, val, ok := s.Get("older"); ok {
+		t.Fatalf("Get(older) = %d %q, want a miss", kind, val)
+	}
+	if kind, val, ok := s.Get("newer"); !ok || kind != 2 || string(val) != "newer-bytes" {
+		t.Fatalf("Get(newer) = %d %q %v", kind, val, ok)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d, want 1 slot", s.Len())
+	}
+	var walked []string
+	s.WalkNewest(func(hash uint64, _ byte) bool {
+		if hash != 0 {
+			t.Errorf("want saw hash %#x, want the forced slot 0", hash)
+		}
+		return true
+	}, func(rec Record) bool {
+		walked = append(walked, rec.Key)
+		return true
+	})
+	if !slices.Equal(walked, []string{"newer"}) {
+		t.Fatalf("walk yielded %v, want only [newer]", walked)
 	}
 }
 
