@@ -10,7 +10,7 @@ HETRTALINT := $(BIN)/hetrtalint
 STATICCHECK_VERSION := 2025.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all lint test bench serve chaos fmt vet vettool staticcheck govulncheck tools clean
+.PHONY: all lint test bench chaos fmt vet vettool staticcheck govulncheck tools clean
 
 all: lint test
 
@@ -78,13 +78,6 @@ bench:
 	@baseline=$$(ls BENCH_[0-9]*.json | sort -t_ -k2 -n | tail -1); \
 	echo "comparing against $$baseline"; \
 	$(GO) run ./cmd/benchreport -out bench_local.json -baseline "$$baseline" -benchtime 2x -threshold 2
-
-# --- serve: the CI load-smoke job — a deterministic dagrtaload mix
-# against a live daemon, cold then warm-restarted from the same store
-# log, gated by benchreport -serve against BENCH_SERVE_<n>.json.
-
-serve:
-	./scripts/serve_smoke.sh
 
 # --- tools: install the pinned external linters (requires network).
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -969,6 +970,8 @@ func BenchmarkWarmStart(b *testing.B) {
 // store-spill report bodies. "open" opens the log per op, which scans it
 // into the index, and reports the heap the open store retains per key as
 // B/key. "get" is one CRC-checked, key-verified read of a resident key.
+// "append" is one framed, CRC'd append of a 167-byte key and a report
+// body, timed through the Flush that waits for the write-behind writer.
 func BenchmarkStore(b *testing.B) {
 	const records = 16384
 	bodies := storeSpillBodies(b, 16)
@@ -1025,5 +1028,46 @@ func BenchmarkStore(b *testing.B) {
 				b.Fatal("resident key missed")
 			}
 		}
+	})
+	b.Run("append", func(b *testing.B) {
+		// The log is started afresh every appendsPerLog appends, untimed,
+		// so that long runs do not fill the disk.
+		const appendsPerLog = 4096
+		path := filepath.Join(b.TempDir(), "append.log")
+		open := func() *store.Store {
+			st, err := store.Open(store.Options{Path: path, Generation: "bench"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}
+		reset := func(st *store.Store) {
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if s := st.Stats(); s.Dropped != 0 || s.AppendErrors != 0 {
+				b.Fatalf("store dropped %d appends, failed %d", s.Dropped, s.AppendErrors)
+			}
+			if err := os.Remove(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		st := open()
+		body := bodies[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		n := 0
+		for i := 0; i < b.N; i++ {
+			if n == appendsPerLog {
+				b.StopTimer()
+				reset(st)
+				st, n = open(), 0
+				b.StartTimer()
+			}
+			st.Append(1, keys[n], body)
+			st.Flush()
+			n++
+		}
+		reset(st)
 	})
 }

@@ -11,13 +11,9 @@
 //	benchreport -out BENCH_3.json -count 5 -benchtime 2x  # median of 5 runs per benchmark
 //	benchreport -out report.json -baseline BENCH_2.json
 //	benchreport -input bench.txt -out report.json     # parse an existing `go test -bench` log
-//	benchreport -serve -input serve.json -out BENCH_SERVE_1.json  # gate a dagrtaload load run
 //
-// In -serve mode the input is a servereport/v1 document from
-// cmd/dagrtaload: the gate fails on structural problems (bad schema,
-// empty classes, transport errors, cacheable traffic with zero hits, a
-// baseline class disappearing) and only WARNS on latency ratios — serve
-// latency from shared CI hardware is too noisy to gate on.
+// It times benchmarks in-process; the daemon's end-to-end performance
+// record is the bench/ module (bash bench/run.sh).
 //
 // When -baseline is empty and -out matches BENCH_<n>.json, the baseline
 // defaults to the BENCH_<k>.json with the largest k < n in the same
@@ -107,13 +103,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		benchtime = fs.String("benchtime", "1x", "-benchtime value")
 		count     = fs.Int("count", 1, "-count value: runs per benchmark, folded into median, min and max ns/op")
 		threshold = fs.Float64("threshold", 2.0, "fail when allocs/op exceeds threshold × baseline")
-		serve     = fs.Bool("serve", false, "gate a servereport/v1 JSON (from cmd/dagrtaload) given via -input; latency is warn-only")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *serve {
-		return runServe(*input, *baseline, *out, stdout, stderr)
 	}
 	if *out == "" {
 		fmt.Fprintln(stderr, "benchreport: -out is required")

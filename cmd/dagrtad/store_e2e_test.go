@@ -1,8 +1,8 @@
 // End-to-end tests for the durable serving tier: restart-with-store warm
 // starts (byte-identical bodies, zero recomputation, delta bases that
-// survive the restart), torn-tail boot recovery, the /v1/warmup bulk-load
-// endpoint, and the X-Cache header contract across all three analysis
-// endpoints.
+// survive the restart), a mixed concurrent plan replayed across a restart,
+// torn-tail boot recovery, the /v1/warmup bulk-load endpoint, and the
+// X-Cache header contract across all three analysis endpoints.
 package main
 
 import (
@@ -11,15 +11,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	hetrta "repro"
 	"repro/internal/store"
+	"repro/internal/taskgen"
 )
 
 // stopDaemon shuts a launchDaemon-started daemon down and asserts a
@@ -137,6 +141,237 @@ func TestStoreRestartE2E(t *testing.T) {
 	}
 	if samples["dagrtad_executions_total"] != 1 {
 		t.Fatalf("executions_total = %v, want 1", samples["dagrtad_executions_total"])
+	}
+}
+
+// planOp is one request of a mixed replay plan.
+type planOp struct {
+	class string // repeat | iso | cold | delta
+	path  string
+	body  []byte
+}
+
+// served is one response of a replayed plan.
+type served struct {
+	status   int
+	cache    string
+	degraded string
+	body     []byte
+	err      error
+}
+
+// genTask generates a sporadic task whose deadline and period scale with
+// the graph's volume, so admission is non-trivial but deterministic.
+func genTask(t *testing.T, gen *taskgen.Generator) hetrta.SporadicTask {
+	t.Helper()
+	g, _, _, err := gen.HetTask(0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hetrta.SporadicTask{G: g, Period: g.Volume() * 4, Deadline: g.Volume() * 3}
+}
+
+func graphJSON(t *testing.T, g *hetrta.Graph) []byte {
+	t.Helper()
+	b, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// permuteGraphJSON re-serializes a graph with its node order shuffled and
+// its edge endpoints remapped: other bytes, an isomorphic graph.
+func permuteGraphJSON(t *testing.T, r *rand.Rand, data []byte) []byte {
+	t.Helper()
+	type wireGraph struct {
+		Nodes []json.RawMessage `json:"nodes"`
+		Edges [][2]int          `json:"edges"`
+	}
+	var wg wireGraph
+	if err := json.Unmarshal(data, &wg); err != nil {
+		t.Fatal(err)
+	}
+	perm := r.Perm(len(wg.Nodes)) // perm[old] = new position
+	nodes := make([]json.RawMessage, len(wg.Nodes))
+	for old, pos := range perm {
+		nodes[pos] = wg.Nodes[old]
+	}
+	for i, e := range wg.Edges {
+		wg.Edges[i] = [2]int{perm[e[0]], perm[e[1]]}
+	}
+	b, err := json.Marshal(wireGraph{Nodes: nodes, Edges: wg.Edges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// admitBases admits each setup taskset and returns their fingerprints.
+func admitBases(t *testing.T, base string, bodies [][]byte) []string {
+	t.Helper()
+	fps := make([]string, len(bodies))
+	for i, body := range bodies {
+		resp, data := post(t, base+"/v1/admit", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("setup admit %d: %d: %s", i, resp.StatusCode, data)
+		}
+		if fps[i] = resp.Header.Get("X-Taskset-Fingerprint"); fps[i] == "" {
+			t.Fatalf("setup admit %d: missing X-Taskset-Fingerprint", i)
+		}
+	}
+	return fps
+}
+
+// replayPlan sends the plan with the given number of concurrent workers
+// and returns the responses by plan index. It closes its client's idle
+// connections when done: the server's Shutdown waits up to 5 s for a
+// connection the client dialed but never sent a request on.
+func replayPlan(base string, plan []planOp, workers int) []served {
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+	defer client.CloseIdleConnections()
+	out := make([]served, len(plan))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				resp, err := client.Post(base+plan[i].path, "application/json", bytes.NewReader(plan[i].body))
+				if err != nil {
+					out[i].err = err
+					continue
+				}
+				out[i].body, out[i].err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				out[i].status = resp.StatusCode
+				out[i].cache = resp.Header.Get("X-Cache")
+				out[i].degraded = resp.Header.Get("X-Degraded")
+			}
+		}()
+	}
+	for i := range plan {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return out
+}
+
+// TestStoreMixedReplayE2E replays a seeded mixed plan concurrently against
+// a daemon on a store log, restarts the daemon on the same log, and
+// replays the plan again. The plan mixes Zipf repeats of a hot set,
+// isomorphic permutations of hot graphs, cold graphs, and delta churn
+// against bases admitted during setup, where every third delta repeats
+// the previous one. Every response must be a 200 without X-Degraded,
+// repeat and iso traffic must hit on the cold run, the restart must
+// warm-load entries and serve setup and replay without one execution, and
+// every warm response must be byte-identical to the cold response at the
+// same plan index. That holds although the workers race: every request of
+// one key is served the body its first requester computed, and that is
+// the body the store keeps.
+func TestStoreMixedReplayE2E(t *testing.T) {
+	const (
+		seed    = 1
+		n       = 400
+		hotN    = 12
+		bases   = 3
+		workers = 4
+	)
+	gen := taskgen.MustNew(taskgen.Small(8, 24), seed)
+	r := rand.New(rand.NewSource(seed ^ 0x5eed))
+
+	hot := make([][]byte, hotN)
+	for i := range hot {
+		hot[i] = graphJSON(t, genTask(t, gen).G)
+	}
+	zipf := rand.NewZipf(r, 1.3, 1, hotN-1)
+	baseBodies := make([][]byte, bases)
+	for i := range baseBodies {
+		baseBodies[i] = wholeSetBody(t, genTask(t, gen), genTask(t, gen))
+	}
+
+	logPath := filepath.Join(t.TempDir(), "cache.log")
+	h1 := launchDaemon(t, nil, storeArgs(logPath)...)
+	baseFPs := admitBases(t, h1.base, baseBodies)
+
+	// Weights: 55% repeat, 15% iso, 15% cold, 15% delta.
+	plan := make([]planOp, 0, n)
+	var lastDelta []byte
+	deltas := 0
+	for range n {
+		switch pick := r.Intn(100); {
+		case pick < 55:
+			plan = append(plan, planOp{"repeat", "/v1/analyze", hot[zipf.Uint64()]})
+		case pick < 70:
+			iso := permuteGraphJSON(t, r, hot[zipf.Uint64()])
+			if slices.ContainsFunc(hot, func(h []byte) bool { return bytes.Equal(h, iso) }) {
+				t.Fatal("an iso op repeats a hot graph's bytes")
+			}
+			plan = append(plan, planOp{"iso", "/v1/analyze", iso})
+		case pick < 85:
+			plan = append(plan, planOp{"cold", "/v1/analyze", graphJSON(t, genTask(t, gen).G)})
+		default:
+			if deltas%3 != 2 {
+				lastDelta = deltaBody(t, baseFPs[deltas%bases], map[string]any{
+					"add": []map[string]any{wireTask(t, genTask(t, gen))},
+				})
+			}
+			plan = append(plan, planOp{"delta", "/v1/admit/delta", lastDelta})
+			deltas++
+		}
+	}
+
+	check := func(run string, res []served) {
+		t.Helper()
+		for i, s := range res {
+			if s.err != nil || s.status != http.StatusOK || s.degraded != "" {
+				t.Fatalf("%s run, op %d (%s): status %d, X-Degraded %q, err %v: %s",
+					run, i, plan[i].class, s.status, s.degraded, s.err, s.body)
+			}
+		}
+	}
+	cold := replayPlan(h1.base, plan, workers)
+	check("cold", cold)
+	stopDaemon(t, h1)
+
+	count, hits := map[string]int{}, map[string]int{}
+	for i, op := range plan {
+		count[op.class]++
+		if cold[i].cache == "hit" {
+			hits[op.class]++
+		}
+	}
+	t.Logf("ops per class %v, cold-run hits %v", count, hits)
+	for _, class := range []string{"repeat", "iso", "cold", "delta"} {
+		if count[class] == 0 {
+			t.Errorf("class %s has no ops", class)
+		}
+	}
+	for _, class := range []string{"repeat", "iso"} {
+		if hits[class] == 0 {
+			t.Errorf("class %s produced no cache hits on the cold run", class)
+		}
+	}
+
+	h2 := launchDaemon(t, nil, storeArgs(logPath)...)
+	defer stopDaemon(t, h2)
+	if st := getStats(t, h2.base); st.Store == nil || st.Store.WarmLoaded == 0 {
+		t.Fatalf("warm start loaded nothing: %+v", st.Store)
+	}
+	if got := admitBases(t, h2.base, baseBodies); !slices.Equal(got, baseFPs) {
+		t.Fatalf("base fingerprints after restart %v, want %v", got, baseFPs)
+	}
+	warm := replayPlan(h2.base, plan, workers)
+	check("warm", warm)
+	if st := getStats(t, h2.base); st.Executions != 0 {
+		t.Fatalf("warm setup and replay executed %d analyses, want 0", st.Executions)
+	}
+	for i := range plan {
+		if !bytes.Equal(warm[i].body, cold[i].body) {
+			t.Fatalf("op %d (%s): warm body differs from cold:\n%s\n%s", i, plan[i].class, warm[i].body, cold[i].body)
+		}
 	}
 }
 

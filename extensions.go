@@ -2,29 +2,14 @@ package hetrta
 
 import (
 	"repro/internal/rta"
-	"repro/internal/taskset"
 	"repro/internal/transform"
 )
 
-// This file exposes the extensions beyond the paper's core model:
-// system-level federated scheduling and the Section 7 generalizations
-// (multiple offloaded nodes, multiple devices, multiple device classes),
-// which the core pipeline now carries end to end.
-
-// TaskSystem is a set of sporadic DAG tasks sharing an execution Platform
-// (host cores plus accelerators), analyzed with federated scheduling.
-type TaskSystem = taskset.System
-
-// Allocation is a feasible federated core assignment for a TaskSystem.
-type Allocation = taskset.Allocation
-
-// Grant is the per-task outcome of an Allocation.
-type Grant = taskset.Grant
-
-// Allocate performs federated scheduling: heavy tasks get the minimal
-// dedicated cores proven sufficient by Rhet (or Rhom), light tasks share
-// the remainder. The test is sufficient, not necessary.
-func Allocate(sys TaskSystem) (*Allocation, error) { return taskset.Allocate(sys) }
+// This file exposes the extensions beyond the paper's core model: the
+// Section 7 generalizations (multiple offloaded nodes, multiple devices,
+// multiple device classes), which the core pipeline now carries end to
+// end. Federated scheduling of tasksets is FederatedPolicy, run by a
+// TasksetAnalyzer.
 
 // TypedRhomOn generalizes Equation 1 to tasks whose nodes are spread over
 // any number of resource classes (the paper's future work (i) and (ii)):

@@ -109,29 +109,46 @@ func TestTypedBoundConsistentWithRhet(t *testing.T) {
 }
 
 // TestFederatedAllocationThroughPublicAPI runs the system-level analysis
-// end to end: generated tasks, federated grants, and per-grant safety
-// (simulating each heavy task on its granted cores never exceeds its
-// deadline bound).
+// end to end: generated tasks, federated grants through a TasksetAnalyzer,
+// and per-grant safety (simulating each heavy task on its granted cores
+// never exceeds its admitted bound).
 func TestFederatedAllocationThroughPublicAPI(t *testing.T) {
 	gen, err := hetrta.NewGenerator(hetrta.SmallTasks(10, 50), 314)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tasks []hetrta.Task
+	var ts hetrta.Taskset
 	for i := 0; i < 3; i++ {
 		g, _, _, err := gen.HetTask(0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := int64(float64(g.Volume()) * 0.8) // heavy: U = 1.25
-		tasks = append(tasks, hetrta.Task{G: g, Period: d, Deadline: d})
+		ts.Tasks = append(ts.Tasks, hetrta.SporadicTask{G: g, Period: d, Deadline: d})
 	}
-	alloc, err := hetrta.Allocate(hetrta.TaskSystem{Tasks: tasks, Platform: hetrta.HeteroPlatform(64)})
+	an, err := hetrta.NewAnalyzer(
+		hetrta.WithPlatform(hetrta.HeteroPlatform(64)),
+		hetrta.WithBounds(hetrta.RhomBound(), hetrta.RhetBound(), hetrta.TypedRhomBound()),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ta, err := hetrta.NewTasksetAnalyzer(an, hetrta.WithTasksetPolicies(hetrta.FederatedPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ta.Admit(context.Background(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, ok := rep.PolicyReport("federated")
+	if !ok || !fed.Admitted {
+		t.Fatalf("federated verdict %+v (present %v)", fed, ok)
+	}
+	// Decisions index the taskset in canonical order.
+	tasks := ts.Canonical().Tasks
 	deviceUsers := 0
-	for _, gr := range alloc.Grants {
+	for _, gr := range fed.Tasks {
 		if !gr.Heavy {
 			t.Errorf("task %d with U=1.25 not heavy", gr.Task)
 		}
@@ -159,6 +176,9 @@ func TestFederatedAllocationThroughPublicAPI(t *testing.T) {
 		if float64(sim.Makespan) > gr.R+1e-9 {
 			t.Errorf("task %d: simulated %d exceeds admitted bound %v", gr.Task, sim.Makespan, gr.R)
 		}
+	}
+	if len(fed.Tasks) != len(tasks) {
+		t.Errorf("%d decisions for %d tasks", len(fed.Tasks), len(tasks))
 	}
 	if deviceUsers > 1 {
 		t.Errorf("%d tasks use the single device", deviceUsers)

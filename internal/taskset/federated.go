@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"repro/internal/platform"
-	"repro/internal/rta"
 )
 
 // MaxCoresPerTask caps the per-task core scan; tasks needing more are
@@ -281,76 +280,4 @@ func hetForClasses(p platform.Platform, m int, needed []int) platform.Platform {
 		classes[c].Count = 1
 	}
 	return platform.New(classes...)
-}
-
-// ------------------------------------------------------------------------
-// Legacy interface, kept for the facade's Allocate entry point: the
-// pre-subsystem federated API, rebuilt as a thin wrapper over
-// FederatedPolicy with the default rta-backed TaskEval.
-
-// System is a set of sporadic DAG tasks sharing an execution platform
-// (host cores plus accelerator devices).
-type System struct {
-	Tasks    []rta.Task
-	Platform platform.Platform
-}
-
-// Grant is the outcome of the federated allocation for one task.
-type Grant struct {
-	// Task is the index into System.Tasks.
-	Task int
-	// Cores is the number of dedicated host cores granted (0 for
-	// low-utilization tasks scheduled on the shared partition).
-	Cores int
-	// UsesDevice says whether the task's analysis assumed exclusive
-	// accelerator access.
-	UsesDevice bool
-	// R is the response-time bound used for admission.
-	R float64
-	// Heavy marks tasks with utilization > 1 that need dedicated cores.
-	Heavy bool
-}
-
-// Allocation is a feasible federated schedule of the system.
-type Allocation struct {
-	Grants []Grant
-	// DedicatedCores is the total number of cores granted to heavy tasks.
-	DedicatedCores int
-	// SharedCores is what remains for light tasks.
-	SharedCores int
-}
-
-// Allocate performs the federated allocation. It returns an error when the
-// system is not schedulable under this analysis (which is sufficient, not
-// necessary).
-func Allocate(sys System) (*Allocation, error) {
-	if err := sys.Platform.Validate(); err != nil {
-		return nil, fmt.Errorf("taskset: %w", err)
-	}
-	ts := Taskset{Tasks: make([]SporadicTask, len(sys.Tasks))}
-	evals := make([]TaskEval, len(sys.Tasks))
-	for i, t := range sys.Tasks {
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("taskset: task %d: %w", i, err)
-		}
-		ts.Tasks[i] = SporadicTask{G: t.G, Period: t.Period, Deadline: t.Deadline}
-		evals[i] = NewRTAEval(t.G)
-	}
-	res, err := FederatedPolicy().Admit(context.Background(),
-		AdmitInput{Set: ts, Platform: sys.Platform, Evals: evals})
-	if err != nil {
-		return nil, err
-	}
-	if !res.Admitted {
-		return nil, fmt.Errorf("taskset: %s", res.Reason)
-	}
-	alloc := &Allocation{
-		Grants:         make([]Grant, len(res.Tasks)),
-		DedicatedCores: res.DedicatedCores,
-		SharedCores:    res.SharedCores,
-	}
-	for i, d := range res.Tasks {
-		alloc.Grants[i] = Grant{Task: d.Task, Cores: d.Cores, UsesDevice: d.UsesDevice, R: d.R, Heavy: d.Heavy}
-	}
-	return alloc, nil
 }

@@ -129,11 +129,11 @@ type Policy interface {
 	Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error)
 }
 
-// rtaEval is the default TaskEval used by the legacy Allocate wrapper, the
-// acceptance-ratio sweep, and anyone without a facade analyzer: the minimum
-// over Rhom (offloaded work as host work, where safe — see RhomSafeFor and
-// DESIGN.md §4.3), Rhet (single-offload tasks whose device class has a
-// machine), and TypedRhom (when every populated class has a machine).
+// rtaEval is the default TaskEval used by the acceptance-ratio sweep and
+// anyone without a facade analyzer: the minimum over Rhom (offloaded work
+// as host work, where safe — see RhomSafeFor and DESIGN.md §4.3), Rhet
+// (single-offload tasks whose device class has a machine), and TypedRhom
+// (when every populated class has a machine).
 // Platform-independent work (transitive reduction, Algorithm 1) is computed
 // once and reused across Bound calls.
 //
@@ -142,7 +142,7 @@ type Policy interface {
 // typedRhomBound) — the facade's facadeEval evaluates those and this type
 // hand-inlines them, because this package sits below the facade and cannot
 // import its Bound set. A change to either side's applicability rules must
-// be mirrored in the other, or legacy Allocate and the facade diverge.
+// be mirrored in the other, or the sweep and the facade diverge.
 type rtaEval struct {
 	work  *dag.Graph
 	multi *transform.MultiResult

@@ -1,6 +1,7 @@
 package taskset_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dag"
@@ -12,7 +13,7 @@ import (
 
 // mkTask builds a random heterogeneous task with the given deadline slack:
 // deadline = slack × vol.
-func mkTask(t testing.TB, seed int64, frac, slack float64) rta.Task {
+func mkTask(t testing.TB, seed int64, frac, slack float64) taskset.SporadicTask {
 	t.Helper()
 	gen := taskgen.MustNew(taskgen.Small(10, 60), seed)
 	g, _, _, err := gen.HetTask(frac)
@@ -23,17 +24,35 @@ func mkTask(t testing.TB, seed int64, frac, slack float64) rta.Task {
 	if d < 1 {
 		d = 1
 	}
-	return rta.Task{G: g, Period: d, Deadline: d}
+	return taskset.SporadicTask{G: g, Period: d, Deadline: d}
+}
+
+// federatedAdmit runs the federated test on tasks, in the given order, with
+// the default rta-backed evals.
+func federatedAdmit(t *testing.T, p platform.Platform, tasks ...taskset.SporadicTask) *taskset.PolicyResult {
+	t.Helper()
+	ts := taskset.Taskset{Tasks: tasks}
+	res, err := taskset.FederatedPolicy().Admit(context.Background(),
+		taskset.AdmitInput{Set: ts, Platform: p, Evals: evalsFor(ts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustAdmit is federatedAdmit for a taskset the test expects admitted.
+func mustAdmit(t *testing.T, p platform.Platform, tasks ...taskset.SporadicTask) *taskset.PolicyResult {
+	t.Helper()
+	res := federatedAdmit(t, p, tasks...)
+	if !res.Admitted {
+		t.Fatalf("not admitted: %s", res.Reason)
+	}
+	return res
 }
 
 func TestAllocateSingleHeavyTask(t *testing.T) {
 	tk := mkTask(t, 1, 0.3, 0.5) // deadline = vol/2 → heavy (U = 2)
-	sys := taskset.System{Tasks: []rta.Task{tk}, Platform: platform.Hetero(16)}
-	alloc, err := taskset.Allocate(sys)
-	if err != nil {
-		t.Fatalf("Allocate: %v", err)
-	}
-	g := alloc.Grants[0]
+	g := mustAdmit(t, platform.Hetero(16), tk).Tasks[0]
 	if !g.Heavy {
 		t.Fatal("task with U=2 not marked heavy")
 	}
@@ -46,11 +65,12 @@ func TestAllocateSingleHeavyTask(t *testing.T) {
 	// Minimality: one fewer core must not be schedulable by the same path.
 	if g.Cores > 1 {
 		m := g.Cores - 1
-		okHet, _, err := tk.SchedulableHet(platform.Hetero(m))
+		rt := rta.Task{G: tk.G, Period: tk.Period, Deadline: tk.Deadline}
+		okHet, _, err := rt.SchedulableHet(platform.Hetero(m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		okHom, _ := tk.SchedulableHom(platform.Homogeneous(m))
+		okHom, _ := rt.SchedulableHom(platform.Homogeneous(m))
 		if okHet || okHom {
 			t.Fatalf("grant of %d cores not minimal: %d suffices", g.Cores, m)
 		}
@@ -59,19 +79,16 @@ func TestAllocateSingleHeavyTask(t *testing.T) {
 
 func TestAllocateLightTasksShareCores(t *testing.T) {
 	// Three light tasks (deadline = 4×vol → U = 0.25) on 2 cores.
-	var tasks []rta.Task
+	var tasks []taskset.SporadicTask
 	for s := int64(0); s < 3; s++ {
 		tasks = append(tasks, mkTask(t, 10+s, 0.2, 4))
 	}
-	alloc, err := taskset.Allocate(taskset.System{Tasks: tasks, Platform: platform.Hetero(2)})
-	if err != nil {
-		t.Fatalf("Allocate: %v", err)
+	res := mustAdmit(t, platform.Hetero(2), tasks...)
+	if res.DedicatedCores != 0 {
+		t.Fatalf("light-only system granted %d dedicated cores", res.DedicatedCores)
 	}
-	if alloc.DedicatedCores != 0 {
-		t.Fatalf("light-only system granted %d dedicated cores", alloc.DedicatedCores)
-	}
-	if alloc.SharedCores != 2 {
-		t.Fatalf("shared cores = %d, want 2", alloc.SharedCores)
+	if res.SharedCores != 2 {
+		t.Fatalf("shared cores = %d, want 2", res.SharedCores)
 	}
 }
 
@@ -81,9 +98,8 @@ func TestAllocateRejectsOverload(t *testing.T) {
 	a := g.AddNode("", 50, dag.Host)
 	b := g.AddNode("", 50, dag.Host)
 	g.MustAddEdge(a, b)
-	tk := rta.Task{G: g, Period: 60, Deadline: 60} // len = 100 > 60
-	_, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{tk}, Platform: platform.Hetero(64)})
-	if err == nil {
+	tk := taskset.SporadicTask{G: g, Period: 60, Deadline: 60} // len = 100 > 60
+	if federatedAdmit(t, platform.Hetero(64), tk).Admitted {
 		t.Fatal("admitted task with deadline below critical path")
 	}
 }
@@ -92,8 +108,7 @@ func TestAllocateRejectsTooFewCores(t *testing.T) {
 	// Two heavy tasks each needing several cores on a tiny platform.
 	t1 := mkTask(t, 21, 0.1, 0.4)
 	t2 := mkTask(t, 22, 0.1, 0.4)
-	_, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{t1, t2}, Platform: platform.Hetero(2)})
-	if err == nil {
+	if federatedAdmit(t, platform.Hetero(2), t1, t2).Admitted {
 		t.Fatal("admitted two heavy tasks on 2 cores")
 	}
 }
@@ -102,12 +117,8 @@ func TestDeviceBudgetRespected(t *testing.T) {
 	// Two heavy offloading tasks, one device: at most one grant may use it.
 	t1 := mkTask(t, 31, 0.4, 0.6)
 	t2 := mkTask(t, 32, 0.4, 0.6)
-	alloc, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{t1, t2}, Platform: platform.Hetero(64)})
-	if err != nil {
-		t.Fatalf("Allocate: %v", err)
-	}
 	used := 0
-	for _, g := range alloc.Grants {
+	for _, g := range mustAdmit(t, platform.Hetero(64), t1, t2).Tasks {
 		if g.UsesDevice {
 			used++
 		}
@@ -116,12 +127,9 @@ func TestDeviceBudgetRespected(t *testing.T) {
 		t.Fatalf("%d grants use the single device", used)
 	}
 	// With two devices both may use one.
-	alloc2, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{t1, t2}, Platform: platform.New(platform.ResourceClass{Name: "host", Count: 64}, platform.ResourceClass{Name: "dev", Count: 2})})
-	if err != nil {
-		t.Fatal(err)
-	}
 	used2 := 0
-	for _, g := range alloc2.Grants {
+	twoDev := platform.New(platform.ResourceClass{Name: "host", Count: 64}, platform.ResourceClass{Name: "dev", Count: 2})
+	for _, g := range mustAdmit(t, twoDev, t1, t2).Tasks {
 		if g.UsesDevice {
 			used2++
 		}
@@ -135,27 +143,11 @@ func TestHetAnalysisSavesCores(t *testing.T) {
 	// A task whose offloaded share is large: the heterogeneous analysis
 	// should need no more dedicated cores than the homogeneous one.
 	tk := mkTask(t, 41, 0.5, 0.7)
-	withDev, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{tk}, Platform: platform.Hetero(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withoutDev, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{tk}, Platform: platform.Homogeneous(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withDev.Grants[0].Cores > withoutDev.Grants[0].Cores {
+	withDev := mustAdmit(t, platform.Hetero(64), tk).Tasks[0]
+	withoutDev := mustAdmit(t, platform.Homogeneous(64), tk).Tasks[0]
+	if withDev.Cores > withoutDev.Cores {
 		t.Fatalf("device-aware grant %d cores > homogeneous grant %d cores",
-			withDev.Grants[0].Cores, withoutDev.Grants[0].Cores)
-	}
-}
-
-func TestAllocateValidatesInput(t *testing.T) {
-	if _, err := taskset.Allocate(taskset.System{}); err == nil {
-		t.Fatal("accepted 0-core platform")
-	}
-	bad := rta.Task{G: nil, Period: 1, Deadline: 1}
-	if _, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{bad}, Platform: platform.Homogeneous(4)}); err == nil {
-		t.Fatal("accepted nil-graph task")
+			withDev.Cores, withoutDev.Cores)
 	}
 }
 
@@ -191,7 +183,7 @@ func TestRhetMonotoneInCores(t *testing.T) {
 // class must not both be admitted via Rhet just because an idle FPGA
 // exists, and a task offloading to a later class gets that class's device.
 func TestDeviceBudgetIsPerClass(t *testing.T) {
-	mkTask := func(class int) rta.Task {
+	mkTask := func(class int) taskset.SporadicTask {
 		g := dag.New()
 		s := g.AddNode("s", 10, dag.Host)
 		o := g.AddNode("o", 40, dag.Offload)
@@ -203,7 +195,7 @@ func TestDeviceBudgetIsPerClass(t *testing.T) {
 		g.MustAddEdge(o, e)
 		g.MustAddEdge(h, e)
 		d := int64(float64(g.Volume()) * 0.8) // heavy: U = 1.25
-		return rta.Task{G: g, Period: d, Deadline: d}
+		return taskset.SporadicTask{G: g, Period: d, Deadline: d}
 	}
 	p := platform.New(
 		platform.ResourceClass{Name: "host", Count: 64},
@@ -212,12 +204,8 @@ func TestDeviceBudgetIsPerClass(t *testing.T) {
 	)
 	// Two GPU tasks + one FPGA task: exactly one task may hold the gpu and
 	// one the fpga; the remaining GPU task must fall back to Rhom.
-	alloc, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{mkTask(1), mkTask(1), mkTask(2)}, Platform: p})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gpuUsers, fpgaUsers := 0, 0
-	for _, g := range alloc.Grants {
+	for _, g := range mustAdmit(t, p, mkTask(1), mkTask(1), mkTask(2)).Tasks {
 		if !g.UsesDevice {
 			continue
 		}
@@ -240,11 +228,7 @@ func TestDeviceBudgetIsPerClass(t *testing.T) {
 		platform.ResourceClass{Name: "host", Count: 64},
 		platform.ResourceClass{Name: "gpu", Count: 1},
 	)
-	alloc2, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{mkTask(2)}, Platform: noFpga})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc2.Grants[0].UsesDevice {
+	if mustAdmit(t, noFpga, mkTask(2)).Tasks[0].UsesDevice {
 		t.Error("task granted a device of a class the platform lacks")
 	}
 }
