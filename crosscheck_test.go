@@ -33,6 +33,9 @@ func TestCrossValidationDominance(t *testing.T) {
 	const eps = 1e-6
 	rng := rand.New(rand.NewSource(2018))
 	dumps := 0
+	// checks counts the (instance, bound) upper-bound assertions made, so a
+	// narrowed applicability rule cannot quietly shrink the sweep.
+	checks := 0
 
 	dump := func(i int, g *Graph, p Platform, rep *Report, why string) {
 		if dumps >= 5 {
@@ -137,11 +140,13 @@ func TestCrossValidationDominance(t *testing.T) {
 				if entry.SingleOffloadOnly && rep.Graph.Offloads > 1 {
 					continue
 				}
+				checks++
 				if sim > v+eps {
 					fail(fmt.Sprintf("sim %v exceeds %s %v", sim, name, v))
 				}
 			case BoundsSimTransformed:
 				simT := float64(rep.Simulation.MakespanTransformed)
+				checks++
 				if simT > v+eps {
 					fail(fmt.Sprintf("sim(τ') %v exceeds %s %v", simT, name, v))
 				}
@@ -171,5 +176,10 @@ func TestCrossValidationDominance(t *testing.T) {
 		if t.Failed() && dumps >= 5 {
 			t.Fatalf("stopping after %d dumped repros", dumps)
 		}
+	}
+	// 922 is the count of the sweep before the bound registry merged the
+	// lattice and admission-safety tables; the merge must not lose any.
+	if t.Logf("%d (instance, bound) upper-bound checks", checks); checks < 922 {
+		t.Errorf("sweep made %d upper-bound checks, fewer than the 922 it made before", checks)
 	}
 }

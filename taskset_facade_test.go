@@ -289,7 +289,39 @@ func TestAdmitMixedOffloadClassesRejectsNotErrors(t *testing.T) {
 			t.Fatalf("%s rejected without a reason", pr.Policy)
 		}
 	}
-	if !strings.Contains(rep.Policies[1].Reason, "no safe response-time bound") {
-		t.Fatalf("global reason does not name the cause: %q", rep.Policies[1].Reason)
+	checkNoSafeReasons(t, "fresh", rep)
+
+	// The same rejection served from a TaskEvalHandle's memo: the second
+	// admission through one cached handle replays the memoized no-safe
+	// verdict and must name it in exactly the same bytes.
+	h, err := ta.PrepareTaskEval(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func(context.Context, SporadicTask, TaskDigest) (*TaskEvalHandle, error) { return h, nil }
+	ts := Taskset{Tasks: []SporadicTask{{G: g, Period: 11, Deadline: 11}}}
+	for _, label := range []string{"handle first", "handle memo"} {
+		rep, err := ta.AdmitWith(context.Background(), ts, cached, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		checkNoSafeReasons(t, label, rep)
+	}
+}
+
+// checkNoSafeReasons pins the served global-policy reasons of the
+// mixed-offload-class rejection byte for byte.
+func checkNoSafeReasons(t *testing.T, label string, rep *AdmitReport) {
+	t.Helper()
+	global, ok := rep.PolicyReport("global")
+	if !ok {
+		t.Fatalf("%s: no global verdict", label)
+	}
+	const want = "hetrta: no safe response-time bound applies on m=4+1dev"
+	if global.Reason != "task 0: "+want {
+		t.Errorf("%s: global reason = %q, want %q", label, global.Reason, "task 0: "+want)
+	}
+	if len(global.Tasks) != 1 || global.Tasks[0].Reason != want {
+		t.Errorf("%s: global task decisions = %+v, want one with reason %q", label, global.Tasks, want)
 	}
 }
