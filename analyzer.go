@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/exact"
+	"repro/internal/rta"
 	"repro/internal/sched"
-	"repro/internal/transform"
 )
 
 // Degradation reasons carried in Report.DegradedReason. The first two are
@@ -334,11 +334,15 @@ func (a *Analyzer) Analyze(ctx context.Context, g *Graph) (*Report, error) {
 		}
 	}
 
-	work := g.Clone()
-	removed, err := work.TransitiveReduction()
+	// The reduced clone and the iterated Algorithm 1 (every offloaded
+	// region gated, the paper's single-offload model being the one-step
+	// case), computed once and shared by every bound.
+	in, removed, err := rta.PrepareInput(g)
 	if err != nil {
 		return nil, err
 	}
+	in.Platform = a.platform
+	work := in.Graph
 
 	rep := &Report{Platform: a.platform}
 	rep.Graph = GraphSummary{
@@ -364,14 +368,7 @@ func (a *Analyzer) Analyze(ctx context.Context, g *Graph) (*Report, error) {
 		}
 	}
 
-	// Iterated Algorithm 1, computed once and shared by every bound: every
-	// offloaded region is gated, the paper's single-offload model being the
-	// one-step case.
-	if len(offs) >= 1 {
-		mt, err := transform.All(work)
-		if err != nil {
-			return nil, err
-		}
+	if mt := in.Multi; mt != nil {
 		rep.MultiTransformResult = mt
 		rep.Transforms = make([]TransformStepSummary, len(mt.Steps))
 		for i, step := range mt.Steps {
@@ -386,8 +383,7 @@ func (a *Analyzer) Analyze(ctx context.Context, g *Graph) (*Report, error) {
 				VolPar:  step.Par.Volume(),
 			}
 		}
-		if len(mt.Steps) == 1 {
-			tr := mt.Steps[0]
+		if tr := in.Transform; tr != nil {
 			rep.TransformResult = tr
 			rep.Transform = &TransformSummary{
 				Sync:     tr.Sync,
@@ -400,7 +396,6 @@ func (a *Analyzer) Analyze(ctx context.Context, g *Graph) (*Report, error) {
 		}
 	}
 
-	in := BoundInput{Graph: work, Platform: a.platform, Transform: rep.TransformResult, Multi: rep.MultiTransformResult}
 	for _, b := range a.bounds {
 		if err := ctx.Err(); err != nil {
 			return nil, err

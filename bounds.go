@@ -1,71 +1,21 @@
 package hetrta
 
-import (
-	"context"
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/rta"
-)
+import "repro/internal/rta"
 
 // BoundInput is what a Bound implementation gets to work with: the
 // (transitively reduced) task graph, the target platform, and the iterated
 // Algorithm 1 transformation, computed once by the Analyzer and shared by
 // every bound.
-type BoundInput struct {
-	// Graph is the task graph G, transitively reduced.
-	Graph *Graph
-	// Platform is the execution platform under analysis.
-	Platform Platform
-	// Transform is the paper's single-offload τ ⇒ τ' transformation, or
-	// nil when the graph has no offload node or more than one. When
-	// non-nil it is Multi.Steps[0].
-	Transform *Transformation
-	// Multi is the iterated transformation gating every offloaded region,
-	// or nil when the graph is homogeneous. The single-offload case is
-	// Multi with one step.
-	Multi *MultiTransformation
-}
+type BoundInput = rta.BoundInput
 
 // BoundResult is one computed response-time bound inside a Report.
-type BoundResult struct {
-	// Name identifies the bound ("rhom", "rhet", ...).
-	Name string `json:"name"`
-	// Value is the response-time bound. Meaningless when Skipped is set.
-	Value float64 `json:"value"`
-	// Scenario is the Theorem 1 case label for Rhet-style bounds.
-	Scenario string `json:"scenario,omitempty"`
-	// Unsafe marks bounds that are NOT valid upper bounds (the §3.2 naive
-	// reduction, kept for demonstration).
-	Unsafe bool `json:"unsafe,omitempty"`
-	// Skipped is a human-readable reason the bound did not apply to this
-	// graph/platform combination (e.g. Rhet on a graph with no offload
-	// node, or a node whose resource class has no machines). A skipped
-	// bound is not an error: the rest of the report stands.
-	Skipped string `json:"skipped,omitempty"`
-	// Detail carries the named intermediate quantities of the bound
-	// (len(G'), vol(GPar), ... for Rhet).
-	Detail map[string]float64 `json:"detail,omitempty"`
-}
+type BoundResult = rta.BoundResult
 
 // Bound is a pluggable response-time bound. Implementations must be safe
 // for concurrent use: AnalyzeBatch calls Compute from its worker pool.
-//
-// The built-in implementations are RhomBound (Eq. 1), RhetBound (Theorem
-// 1), TypedRhomBound (the typed multi-offload/multi-class generalization),
-// and NaiveBound (the unsafe §3.2 reduction). Future analyses — e.g. the
-// long-path bounds of He et al. — plug in here without touching the
-// Analyzer.
-type Bound interface {
-	// Name is the stable identifier under which the result appears in
-	// Report.Bounds. Names must be unique within one Analyzer.
-	Name() string
-	// Compute evaluates the bound. Returning a BoundResult with Skipped
-	// set records a benign non-applicability; returning an error aborts
-	// the whole Report.
-	Compute(ctx context.Context, in BoundInput) (BoundResult, error)
-}
+// The built-ins and their registry live in internal/rta; future analyses —
+// e.g. the long-path bounds of He et al. — are one entry there.
+type Bound = rta.Bound
 
 // DefaultBounds returns the bounds an Analyzer computes when WithBounds is
 // not given: Rhom (the homogeneous baseline) and Rhet (the paper's
@@ -74,132 +24,40 @@ func DefaultBounds() []Bound { return []Bound{RhomBound(), RhetBound()} }
 
 // RhomBound returns the homogeneous bound of Equation 1, the baseline that
 // treats offloaded work as host work. It applies to every graph.
-func RhomBound() Bound { return rhomBound{} }
-
-type rhomBound struct{}
-
-func (rhomBound) Name() string { return "rhom" }
-
-func (rhomBound) Compute(_ context.Context, in BoundInput) (BoundResult, error) {
-	return BoundResult{Name: "rhom", Value: rta.Rhom(in.Graph, in.Platform)}, nil
-}
+func RhomBound() Bound { return rta.RhomBound() }
 
 // RhetBound returns the paper's heterogeneous bound (Theorem 1, Eqs. 2–4)
-// on the transformed task τ'. It is skipped — with the reason recorded —
-// when the graph has no offload node, has more than one (Theorem 1 is a
-// single-offload analysis; TypedRhomBound covers the general case), or
-// when the offloaded node's resource class has no machine on the platform;
-// ties between scenarios 2.1 and 2.2 follow the rule documented on the
-// Scenario type.
-func RhetBound() Bound { return rhetBound{} }
-
-type rhetBound struct{}
-
-func (rhetBound) Name() string { return "rhet" }
-
-func (rhetBound) Compute(_ context.Context, in BoundInput) (BoundResult, error) {
-	if in.Transform == nil {
-		switch n := len(in.Graph.OffloadNodes()); {
-		case n == 0:
-			return BoundResult{Name: "rhet", Skipped: "no offload node (homogeneous task)"}, nil
-		case n > 1:
-			return BoundResult{Name: "rhet", Skipped: fmt.Sprintf("%d offload nodes; Theorem 1 analyzes single-offload tasks (typed-rhom covers the general case)", n)}, nil
-		default:
-			return BoundResult{Name: "rhet", Skipped: "transformation unavailable"}, nil
-		}
-	}
-	if cls := in.Graph.Class(in.Transform.Offload); in.Platform.Count(cls) < 1 {
-		return BoundResult{Name: "rhet", Skipped: fmt.Sprintf(
-			"offloaded node %d needs resource class %d (%s), which has no machine on %v",
-			in.Transform.Offload, cls, in.Platform.ClassName(cls), in.Platform)}, nil
-	}
-	het, err := rta.Rhet(in.Transform, in.Platform)
-	if err != nil {
-		return BoundResult{}, err
-	}
-	return BoundResult{
-		Name:     "rhet",
-		Value:    het.R,
-		Scenario: het.Scenario.String(),
-		Detail: map[string]float64{
-			"lenPrime": float64(het.LenPrime),
-			"volPrime": float64(het.VolPrime),
-			"cOff":     float64(het.COff),
-			"lenPar":   float64(het.LenPar),
-			"volPar":   float64(het.VolPar),
-			"rhomPar":  het.RhomPar,
-		},
-	}, nil
-}
+// on the transformed task τ', skipped with the reason recorded off the
+// single-offload model or when the offloaded node's class has no machine.
+func RhetBound() Bound { return rta.RhetBound() }
 
 // TypedRhomBound returns the typed generalization of Equation 1 to any
-// number of offloaded nodes spread over any number of device classes (the
-// paper's future work (i)/(ii); see extensions.go). With no offload nodes
-// it equals Rhom. It is skipped — naming the classes — when a node's
-// resource class has no machine on the platform.
-func TypedRhomBound() Bound { return typedRhomBound{} }
+// number of offloaded nodes over any number of device classes (see
+// extensions.go), skipped when a node's class has no machine.
+func TypedRhomBound() Bound { return rta.TypedRhomBound() }
 
-type typedRhomBound struct{}
+// NaiveBound returns the UNSAFE bound of Section 3.2, kept to demonstrate
+// why the transformation is necessary; its results carry Unsafe: true.
+func NaiveBound() Bound { return rta.NaiveBound() }
 
-func (typedRhomBound) Name() string { return "typed-rhom" }
+// LatticeRelation names the dominance relation a registered bound
+// maintains with the simulated makespan.
+type LatticeRelation = rta.Relation
 
-func (typedRhomBound) Compute(_ context.Context, in BoundInput) (BoundResult, error) {
-	if reason := missingClasses(in.Graph, in.Platform); reason != "" {
-		return BoundResult{Name: "typed-rhom", Skipped: reason}, nil
-	}
-	v, err := rta.TypedRhom(in.Graph, in.Platform)
-	if err != nil {
-		return BoundResult{}, err
-	}
-	return BoundResult{Name: "typed-rhom", Value: v}, nil
-}
+// Dominance relations of the bound registry.
+const (
+	BoundsSim            = rta.BoundsSim
+	BoundsSimTransformed = rta.BoundsSimTransformed
+	UnsafeDemo           = rta.UnsafeDemo
+)
 
-// missingClasses reports, per resource class, the nodes that cannot run on
-// p because their class has no machine; empty when every class is covered.
-func missingClasses(g *Graph, p Platform) string {
-	counts := map[int]int{}
-	for n := range g.EachNode() {
-		if n.Kind == Sync {
-			continue
-		}
-		if p.Count(n.Class) < 1 {
-			counts[n.Class]++
-		}
-	}
-	if len(counts) == 0 {
-		return ""
-	}
-	classes := make([]int, 0, len(counts))
-	for c := range counts { //lint:ordered sorted before use
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
-	parts := make([]string, 0, len(classes))
-	for _, c := range classes {
-		parts = append(parts, fmt.Sprintf("%d node(s) need resource class %d (%s), which has no machine on %v",
-			counts[c], c, p.ClassName(c), p))
-	}
-	return strings.Join(parts, "; ")
-}
+// LatticeEntry is one bound's registry declaration: constructor, relation,
+// safety restriction and note.
+type LatticeEntry = rta.RegistryEntry
 
-// NaiveBound returns the UNSAFE bound of Section 3.2 (Rhom with COff
-// blindly subtracted from the self-interference factor). It is not a valid
-// upper bound — its results carry Unsafe: true — and exists to let reports
-// demonstrate why the transformation is necessary. Skipped on graphs
-// without an offload node.
-func NaiveBound() Bound { return naiveBound{} }
+// BoundLattice is the bound registry (rta.Registry) the cross-validation
+// sweep iterates and admission reads.
+var BoundLattice = rta.Registry
 
-type naiveBound struct{}
-
-func (naiveBound) Name() string { return "naive" }
-
-func (naiveBound) Compute(_ context.Context, in BoundInput) (BoundResult, error) {
-	if _, ok := in.Graph.OffloadNode(); !ok {
-		return BoundResult{Name: "naive", Skipped: "no offload node", Unsafe: true}, nil
-	}
-	v, err := rta.Naive(in.Graph, in.Platform)
-	if err != nil {
-		return BoundResult{}, err
-	}
-	return BoundResult{Name: "naive", Value: v, Unsafe: true}, nil
-}
+// LatticeNames returns the registered bound names in sorted order.
+func LatticeNames() []string { return rta.RegistryNames() }

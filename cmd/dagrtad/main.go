@@ -92,6 +92,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -242,9 +243,11 @@ func runWith(ctx context.Context, args []string, stdout, stderr io.Writer, inj *
 	fmt.Fprintf(stdout, "dagrtad listening on %s (platform %s, signature %q)\n",
 		ln.Addr(), svc.Platform(), svc.Signature())
 
+	unused := &newConns{conns: make(map[net.Conn]struct{})}
 	srv := &http.Server{
 		Handler:           d.handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState:         unused.track,
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
@@ -258,6 +261,7 @@ func runWith(ctx context.Context, args []string, stdout, stderr io.Writer, inj *
 		if cfg.drainDelay > 0 {
 			time.Sleep(cfg.drainDelay)
 		}
+		unused.drain()
 		shutCtx, cancel := context.WithTimeout(context.Background(), cfg.grace)
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
@@ -273,6 +277,41 @@ func runWith(ctx context.Context, args []string, stdout, stderr io.Writer, inj *
 		}
 		return 0
 	}
+}
+
+// newConns tracks the connections that have not sent a request yet
+// (http.StateNew). Shutdown would wait up to 5 s for each of them to send
+// one; once draining starts they are closed instead, as is any connection
+// accepted after that.
+type newConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	draining bool
+}
+
+// track is the server's ConnState hook.
+func (nc *newConns) track(c net.Conn, state http.ConnState) {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(nc.conns, c)
+	case nc.draining:
+		c.Close()
+	default:
+		nc.conns[c] = struct{}{}
+	}
+}
+
+// drain closes every unused connection, now and from now on.
+func (nc *newConns) drain() {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	nc.draining = true
+	for c := range nc.conns { //lint:ordered closing order is unobservable
+		c.Close()
+	}
+	nc.conns = nil
 }
 
 // buildService assembles the Analyzer from daemon flags and wraps it in the

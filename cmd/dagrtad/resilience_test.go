@@ -447,6 +447,40 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// TestShutdownClosesUnusedConnections: a connection dialed but never used
+// does not hold the drain. Shutdown closes it and the daemon exits at
+// once, instead of waiting out http.Server's 5 s allowance for a new
+// connection to send its first request.
+func TestShutdownClosesUnusedConnections(t *testing.T) {
+	h := launchDaemon(t, nil)
+	raw, err := net.Dial("tcp", strings.TrimPrefix(h.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The server accepts connections in order, so once a later one is
+	// served the raw connection has been accepted too.
+	resp, err := http.Get(h.base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	start := time.Now()
+	h.cancel()
+	select {
+	case code := <-h.done:
+		if code != 0 {
+			t.Errorf("daemon exited with code %d, want 0", code)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("drain took %v with one unused connection open, want well under 5s", d)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not exit")
+	}
+}
+
 // TestShutdownGraceExceeded: an analysis outliving -grace forces the
 // error exit path (code 1) after the stragglers are hard-closed.
 func TestShutdownGraceExceeded(t *testing.T) {

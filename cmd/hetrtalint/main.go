@@ -7,11 +7,9 @@
 //	hetrtalint ./...                              # standalone mode
 //
 // In unit mode cmd/go invokes the binary once per package with a vet.cfg
-// job file (plus -V=full / -flags handshakes); facts flow between packages
-// through the .vetx files cmd/go manages, so cross-package checks like
-// boundreg see the taskset admission table from the root package. In
-// standalone mode the binary shells out to `go list -export -deps` itself
-// and analyzes the matched packages in dependency order.
+// job file (plus -V=full / -flags handshakes). In standalone mode the
+// binary shells out to `go list -export -deps` itself and analyzes the
+// matched packages. Every analyzer checks one package at a time.
 //
 // Exit codes follow the vet convention: 0 clean, 1 internal error,
 // 2 findings.
@@ -74,7 +72,7 @@ func run(args []string) int {
 	for _, a := range args {
 		if strings.HasSuffix(a, ".cfg") {
 			// Unit mode: one vet.cfg job per package, written by cmd/go.
-			return driver.RunUnit(lint.Suite(), a, nil, os.Stderr)
+			return driver.RunUnit(lint.Suite(), a, os.Stderr)
 		}
 		if strings.HasPrefix(a, "-") {
 			fmt.Fprintf(os.Stderr, "hetrtalint: unknown flag %s\n", a)

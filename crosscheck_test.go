@@ -19,10 +19,11 @@ import (
 //	Rhet vs the simulated τ′)
 //	Naive ≤ Rhom (the §3.2 reduction only ever subtracts)
 //
-// Rhom is asserted only on tasks with at most one offload node: this very
-// sweep exhibits counterexamples beyond that model — with k ≥ 2 offloads
-// serializing on one device, the simulated heterogeneous makespan can
-// exceed len + (vol − len)/m, because Graham's argument cannot charge
+// Each bound is asserted only where its registry entry's SafeFor holds.
+// For Rhom that is RhomSafeFor: this very sweep exhibits counterexamples
+// beyond the single-offload model — with k ≥ 2 offloads serializing on one
+// device, the simulated heterogeneous makespan can exceed
+// len + (vol − len)/m, because Graham's argument cannot charge
 // device-serialized work against m host cores (see DESIGN.md §4.3/§10;
 // TypedRhom is the safe bound there and is asserted unconditionally).
 //
@@ -127,19 +128,16 @@ func TestCrossValidationDominance(t *testing.T) {
 			t.Errorf("iter %d (%v, n=%d): %s", i, p, g.NumNodes(), why)
 		}
 
-		// Each registered bound is asserted per its declared lattice
-		// relation (BoundLattice, registry.go).
+		// Each registered bound is asserted per its declared relation,
+		// where its SafeFor holds (BoundLattice, i.e. rta.Registry).
 		for _, name := range LatticeNames() {
 			entry := BoundLattice[name]
 			v, ok := rep.BoundValue(name)
-			if !ok {
+			if !ok || (entry.SafeFor != nil && !entry.SafeFor(g, p)) {
 				continue
 			}
 			switch entry.Relation {
 			case BoundsSim:
-				if entry.SingleOffloadOnly && rep.Graph.Offloads > 1 {
-					continue
-				}
 				checks++
 				if sim > v+eps {
 					fail(fmt.Sprintf("sim %v exceeds %s %v", sim, name, v))
@@ -177,8 +175,9 @@ func TestCrossValidationDominance(t *testing.T) {
 			t.Fatalf("stopping after %d dumped repros", dumps)
 		}
 	}
-	// 922 is the count of the sweep before the bound registry merged the
-	// lattice and admission-safety tables; the merge must not lose any.
+	// 922 is the count of the sweep when Rhom's restriction was still a
+	// separate single-offload flag beside the admission table's
+	// RhomSafeFor; reading SafeFor alone must not lose any.
 	if t.Logf("%d (instance, bound) upper-bound checks", checks); checks < 922 {
 		t.Errorf("sweep made %d upper-bound checks, fewer than the 922 it made before", checks)
 	}

@@ -1,10 +1,9 @@
 // Package analysis is a self-contained miniature of the
 // golang.org/x/tools/go/analysis framework, carrying exactly what the
 // repo-specific analyzers of package lint need: a named Analyzer with a Run
-// function, a per-package Pass with full type information, positional
-// Diagnostics, and JSON-serializable package facts that flow along import
-// edges (the mechanism boundreg uses to see the taskset admission-safety
-// table from the package that implements the bounds).
+// function, a per-package Pass with full type information, and positional
+// Diagnostics. Every analyzer checks one package at a time; there are no
+// package facts.
 //
 // The x/tools module is deliberately not a dependency: the toolchain is the
 // only thing this repo builds against. The drivers in internal/lint/driver
@@ -13,7 +12,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -49,9 +47,6 @@ type Pass struct {
 
 	// Report records a finding.
 	Report func(Diagnostic)
-
-	// facts is the inter-package channel, owned by the driver.
-	facts *FactStore
 }
 
 // Reportf is the printf convenience over Report.
@@ -59,149 +54,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// ExportFact records this package's fact for the running analyzer. v must
-// be JSON-encodable. At most one fact per (analyzer, package); a second
-// call overwrites the first.
-func (p *Pass) ExportFact(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("analysis: encoding %s fact for %s: %w", p.Analyzer.Name, p.Pkg.Path(), err)
-	}
-	p.facts.put(p.Analyzer.Name, p.Pkg.Path(), data)
-	return nil
-}
-
-// EachImportedFact calls fn with every fact this analyzer exported from a
-// package in the current package's import closure (facts are re-exported
-// transitively by the drivers, so indirect dependencies are visible). fn
-// receives the fact package's path and a decoder into v; decode errors
-// abort the iteration.
-func (p *Pass) EachImportedFact(v any, fn func(pkgPath string) error) error {
-	for _, pf := range p.facts.imported(p.Analyzer.Name, p.Pkg.Path()) {
-		if err := json.Unmarshal(pf.data, v); err != nil {
-			return fmt.Errorf("analysis: decoding %s fact of %s: %w", p.Analyzer.Name, pf.pkg, err)
-		}
-		if err := fn(pf.pkg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FactStore holds the facts of every analyzed package plus facts read from
-// dependency vetx files. It is keyed (analyzer, package path). The drivers
-// populate the import graph so imported() can restrict visibility to the
-// dependency closure of the asking package.
-type FactStore struct {
-	facts map[string]map[string]json.RawMessage // analyzer → pkg → fact
-	deps  map[string]map[string]bool            // pkg → transitive dep set (nil = see everything)
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{
-		facts: map[string]map[string]json.RawMessage{},
-		deps:  map[string]map[string]bool{},
-	}
-}
-
-// SetDeps declares pkg's transitive dependency set, restricting which facts
-// its passes may import. Without a declaration the package sees every fact
-// in the store (the vettool driver relies on this: cmd/go already hands it
-// exactly the dependency-closure vetx files).
-func (s *FactStore) SetDeps(pkg string, deps []string) {
-	m := make(map[string]bool, len(deps))
-	for _, d := range deps {
-		m[d] = true
-	}
-	s.deps[pkg] = m
-}
-
-// Add inserts one fact read from a serialized store.
-func (s *FactStore) Add(analyzer, pkg string, data json.RawMessage) {
-	s.put(analyzer, pkg, data)
-}
-
-func (s *FactStore) put(analyzer, pkg string, data json.RawMessage) {
-	m := s.facts[analyzer]
-	if m == nil {
-		m = map[string]json.RawMessage{}
-		s.facts[analyzer] = m
-	}
-	m[pkg] = data
-}
-
-type pkgFact struct {
-	pkg  string
-	data json.RawMessage
-}
-
-// imported returns the facts of analyzer visible to asker, in deterministic
-// (sorted by package path) order.
-func (s *FactStore) imported(analyzer, asker string) []pkgFact {
-	m := s.facts[analyzer]
-	if len(m) == 0 {
-		return nil
-	}
-	restrict, restricted := s.deps[asker]
-	out := make([]pkgFact, 0, len(m))
-	for pkg, data := range m { //lint:ordered sorted below before returning
-		if pkg == asker {
-			continue
-		}
-		if restricted && !restrict[pkg] {
-			continue
-		}
-		out = append(out, pkgFact{pkg: pkg, data: data})
-	}
-	sortFacts(out)
-	return out
-}
-
-func sortFacts(fs []pkgFact) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].pkg < fs[j-1].pkg; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-}
-
-// MarshalJSON serializes every fact (analyzer → package → fact), the vetx
-// wire format. Facts are re-exported wholesale: a package's vetx includes
-// the facts of its dependencies, so indirect visibility survives cmd/go
-// handing each compilation only its direct imports' files.
-func (s *FactStore) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.facts)
-}
-
-// UnmarshalJSON merges a serialized store into s (existing entries for the
-// same (analyzer, package) are overwritten — they originate from the same
-// pass, so the content is identical).
-func (s *FactStore) UnmarshalJSON(data []byte) error {
-	var m map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	if s.facts == nil {
-		s.facts = map[string]map[string]json.RawMessage{}
-	}
-	if s.deps == nil {
-		s.deps = map[string]map[string]bool{}
-	}
-	for analyzer, pkgs := range m { //lint:ordered merge into maps, order-insensitive
-		for pkg, fact := range pkgs { //lint:ordered merge into maps, order-insensitive
-			s.put(analyzer, pkg, fact)
-		}
-	}
-	return nil
-}
-
 // NewPass assembles a Pass for one package. report receives diagnostics as
-// they are emitted; facts may be nil for fact-free runs.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *FactStore, report func(Diagnostic)) *Pass {
-	if facts == nil {
-		facts = NewFactStore()
-	}
+// they are emitted.
+func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
 	return &Pass{
 		Analyzer:  a,
 		Fset:      fset,
@@ -209,6 +64,5 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 		Pkg:       pkg,
 		TypesInfo: info,
 		Report:    report,
-		facts:     facts,
 	}
 }

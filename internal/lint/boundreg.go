@@ -6,94 +6,55 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"repro/internal/lint/analysis"
 )
 
-// registryFact is the package fact boundreg exports: the bound names
-// declared by this package's registries (plus, transitively, those of its
-// dependencies — the driver re-exports facts wholesale). It is how the
-// root package's Bound implementations see the admission-safety table that
-// lives below them in internal/taskset.
-type registryFact struct {
-	Lattice   []string `json:"lattice,omitempty"`
-	Admission []string `json:"admission,omitempty"`
-}
-
 // Boundreg enforces the registration invariant behind the dominance
 // lattice (exact ≤ sim ≤ bound): every type implementing the Bound
 // interface — structurally, Name() string plus
-// Compute(context.Context, BoundInput) (BoundResult, error) — must appear,
-// under its static Name() string, in
-//
-//   - the crosscheck dominance-lattice registry (a map variable annotated
-//     //hetrta:registry lattice), which the 520-instance sweep iterates, and
-//   - the taskset admission-safety table (//hetrta:registry admission),
-//     which decides whether the bound may enter admission minima.
+// Compute(context.Context, BoundInput) (BoundResult, error) — must be
+// declared, under its static Name() string, in the bound registry of its
+// own package: a map variable annotated //hetrta:registry bounds. Each
+// entry states the bound's relation to the simulated makespan, which the
+// 520-instance crosscheck sweep asserts, and where it is safe, which
+// decides whether it may enter admission minima.
 //
 // This is the machine check for the failure mode PR 5 caught by sweep
 // luck: Rhom entering multi-offload admission without a safety
-// declaration. A bound whose Name() is not a compile-time constant cannot
-// be checked and is reported; //lint:boundreg <why> exempts
-// deliberately unregistered implementations (e.g. decorators).
+// declaration. The check is per package and fails closed: a Bound declared
+// in a package without a registry is reported, since no table there can
+// vouch for it. A bound whose Name() is not a compile-time constant cannot
+// be checked and is reported; //lint:boundreg <why> exempts deliberately
+// unregistered implementations (e.g. decorators).
 var Boundreg = &analysis.Analyzer{
 	Name: "boundreg",
-	Doc:  "every Bound implementation must be declared in the lattice registry and the admission-safety table",
+	Doc:  "every Bound implementation must be declared in the bound registry of its package",
 	Run:  runBoundreg,
 }
 
 func runBoundreg(pass *analysis.Pass) error {
-	lattice, admission := collectRegistries(pass)
-
-	// Union in the registries visible through imports.
-	var imported registryFact
-	err := pass.EachImportedFact(&imported, func(string) error {
-		for _, n := range imported.Lattice {
-			lattice[n] = true
-		}
-		for _, n := range imported.Admission {
-			admission[n] = true
-		}
-		imported = registryFact{}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Re-export the union so importers see registries any dependency
-	// declared, however deep.
-	if len(lattice) > 0 || len(admission) > 0 {
-		if err := pass.ExportFact(registryFact{
-			Lattice:   sortedKeys(lattice),
-			Admission: sortedKeys(admission),
-		}); err != nil {
-			return err
-		}
-	}
-
+	registry, found := collectRegistry(pass)
 	for _, impl := range findBoundImpls(pass) {
-		if impl.exempt {
-			continue
-		}
-		if impl.name == "" {
+		switch {
+		case impl.exempt:
+		case !found:
+			pass.Reportf(impl.pos, "Bound implementation %s is declared outside the bound registry's package (//hetrta:registry bounds): declare bounds beside their registry entry so the crosscheck sweep and admission see them", impl.typeName)
+		case impl.name == "":
 			pass.Reportf(impl.pos, "Bound implementation %s: Name() does not return a compile-time constant, so registration cannot be checked; return a constant or annotate the type //lint:boundreg <why>", impl.typeName)
-			continue
-		}
-		if !lattice[impl.name] {
-			pass.Reportf(impl.pos, "Bound %q (%s) is missing from the crosscheck dominance-lattice registry (//hetrta:registry lattice): declare its relation to the simulated makespan so the cross-validation sweep exercises it", impl.name, impl.typeName)
-		}
-		if !admission[impl.name] {
-			pass.Reportf(impl.pos, "Bound %q (%s) is missing from the taskset admission-safety table (//hetrta:registry admission): declare when it may enter admission minima (cf. RhomSafeFor and DESIGN.md §10.3)", impl.name, impl.typeName)
+		case !registry[impl.name]:
+			pass.Reportf(impl.pos, "Bound %q (%s) is missing from the bound registry (//hetrta:registry bounds): declare its relation to the simulated makespan and where it is safe (cf. RhomSafeFor and DESIGN.md §10.3)", impl.name, impl.typeName)
 		}
 	}
 	return nil
 }
 
-// collectRegistries finds //hetrta:registry lattice|admission map variables
-// in the package and returns the sets of string keys they declare.
-func collectRegistries(pass *analysis.Pass) (lattice, admission map[string]bool) {
-	lattice, admission = map[string]bool{}, map[string]bool{}
+// collectRegistry finds the //hetrta:registry bounds map variables of the
+// package and returns the set of string keys they declare; found reports
+// whether the package has a registry at all.
+func collectRegistry(pass *analysis.Pass) (names map[string]bool, found bool) {
+	names = map[string]bool{}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -109,19 +70,19 @@ func collectRegistries(pass *analysis.Pass) (lattice, admission map[string]bool)
 				if kind == "" {
 					kind = registryDirective(gd.Doc)
 				}
-				var into map[string]bool
 				switch kind {
-				case "lattice":
-					into = lattice
-				case "admission":
-					into = admission
+				case "":
+					continue
+				case "bounds":
+					found = true
 				default:
+					pass.Reportf(vs.Pos(), "unknown registry kind //hetrta:registry %s: the one bound registry is //hetrta:registry bounds", kind)
 					continue
 				}
 				for _, v := range vs.Values {
 					cl, ok := v.(*ast.CompositeLit)
 					if !ok {
-						pass.Reportf(v.Pos(), "//hetrta:registry %s variable must be initialized with a map composite literal so the key set is statically known", kind)
+						pass.Reportf(v.Pos(), "//hetrta:registry bounds variable must be initialized with a map composite literal so the key set is statically known")
 						continue
 					}
 					for _, elt := range cl.Elts {
@@ -130,16 +91,16 @@ func collectRegistries(pass *analysis.Pass) (lattice, admission map[string]bool)
 							continue
 						}
 						if name, ok := constString(pass, kv.Key); ok {
-							into[name] = true
+							names[name] = true
 						} else {
-							pass.Reportf(kv.Key.Pos(), "//hetrta:registry %s key must be a compile-time string constant", kind)
+							pass.Reportf(kv.Key.Pos(), "//hetrta:registry bounds key must be a compile-time string constant")
 						}
 					}
 				}
 			}
 		}
 	}
-	return lattice, admission
+	return names, found
 }
 
 // boundImpl is one detected Bound implementation.
@@ -196,7 +157,7 @@ func findBoundImpls(pass *analysis.Pass) []boundImpl {
 			continue
 		}
 		obj, ok := pass.Pkg.Scope().Lookup(typeName).(*types.TypeName)
-		if !ok || isTestFile(pass.Fset, obj.Pos()) {
+		if !ok || strings.HasSuffix(pass.Fset.Position(obj.Pos()).Filename, "_test.go") {
 			continue
 		}
 		if !implementsBound(obj.Type()) {
@@ -292,7 +253,7 @@ func namedCalled(t types.Type, name string) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	return ok && named.Obj().Name() == name
 }
 
@@ -308,13 +269,4 @@ func fileOf(pass *analysis.Pass, pos token.Pos) *ast.File {
 		}
 	}
 	return nil
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m { //lint:ordered sorted below before returning
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

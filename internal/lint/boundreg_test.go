@@ -7,13 +7,9 @@ import (
 	"repro/internal/lint/linttest"
 )
 
+// TestBoundreg covers both findings of the per-package check: an
+// unregistered bound beside the registry (boundreg/a) and a bound declared
+// in a package without one (boundreg/outside).
 func TestBoundreg(t *testing.T) {
-	linttest.Run(t, lint.Boundreg, "boundreg/a")
-}
-
-// TestBoundregFacts checks registration visibility across an import edge:
-// the registry package is analyzed first (driver dependency order), its
-// fact flows to the implementation package.
-func TestBoundregFacts(t *testing.T) {
-	linttest.Run(t, lint.Boundreg, "boundreg/registry", "boundreg/impls")
+	linttest.Run(t, lint.Boundreg, "boundreg/a", "boundreg/outside")
 }

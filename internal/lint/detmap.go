@@ -15,6 +15,7 @@ import (
 var canonicalPackages = map[string]bool{
 	"repro":                      true, // report.go, taskset.go: canonical report JSON
 	"repro/internal/dag":         true, // Fingerprint, DOT output
+	"repro/internal/rta":         true, // served bound results and Skipped reasons
 	"repro/internal/service":     true, // byte-identical cached responses, /statsz
 	"repro/internal/taskset":     true, // order-insensitive taskset fingerprints, AdmitReport parts
 	"repro/internal/experiments": true, // CSV/JSON emitters behind -fig sweeps

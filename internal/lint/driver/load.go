@@ -3,11 +3,11 @@
 //
 //   - standalone: `hetrtalint ./...` resolves packages with
 //     `go list -export -deps -json`, type-checks each module package against
-//     its dependencies' compiler export data, and runs every analyzer in
-//     dependency order so package facts flow to importers (Run).
+//     its dependencies' compiler export data, and runs every analyzer on
+//     it (Run).
 //   - vettool: `go vet -vettool=hetrtalint ./...` invokes the binary once
-//     per package with a vet.cfg file; cmd/go supplies the file lists,
-//     export data, and dependency fact files (RunUnit, unit.go).
+//     per package with a vet.cfg file; cmd/go supplies the file lists and
+//     export data (RunUnit, unit.go).
 //
 // Both dialects share the export-data importer and type-checking below.
 package driver

@@ -22,7 +22,6 @@ type listPackage struct {
 	GoFiles    []string
 	ImportMap  map[string]string
 	Module     *struct{ Path string }
-	Deps       []string
 	DepOnly    bool
 	Incomplete bool
 }
@@ -35,14 +34,13 @@ type Finding struct {
 }
 
 // Run executes analyzers over the packages matching patterns (resolved in
-// dir, "" = current directory) in dependency order, so facts of imported
-// packages are visible to their importers. Findings are printed to out as
+// dir, "" = current directory). Findings are printed to out as
 // "file:line:col: message (analyzer)" sorted by position, and returned.
 // Test files are loaded but never reported on (IsTestFile).
 func Run(analyzers []*analysis.Analyzer, patterns []string, dir string, out io.Writer) ([]Finding, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,ImportMap,Module,Deps,DepOnly,Incomplete",
+		"-json=ImportPath,Dir,Export,GoFiles,ImportMap,Module,DepOnly,Incomplete",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -72,10 +70,7 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, dir string, out io.W
 		}
 	}
 
-	facts := analysis.NewFactStore()
 	var findings []Finding
-	// `go list -deps` emits dependencies before dependents, exactly the
-	// order fact propagation needs.
 	for _, t := range targets {
 		if t.Incomplete {
 			return nil, fmt.Errorf("driver: package %s did not build; fix compile errors first", t.ImportPath)
@@ -89,14 +84,20 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, dir string, out io.W
 		if err != nil {
 			return nil, fmt.Errorf("driver: type-checking %s: %w", t.ImportPath, err)
 		}
-		facts.SetDeps(t.ImportPath, t.Deps)
-		fs, err := runPackage(analyzers, pkg, facts)
+		fs, err := runPackage(analyzers, pkg)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, fs...)
 	}
 
+	printFindings(findings, out)
+	return findings, nil
+}
+
+// printFindings sorts findings by position and prints each as
+// "file:line:col: message (analyzer)".
+func printFindings(findings []Finding, out io.Writer) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Position.Filename != b.Position.Filename {
@@ -115,12 +116,11 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, dir string, out io.W
 		pos.Filename = shortPath(pos.Filename)
 		fmt.Fprintf(out, "%s: %s (%s)\n", pos, f.Message, f.Analyzer)
 	}
-	return findings, nil
 }
 
 // runPackage executes every analyzer on one loaded package, collecting
 // findings outside _test.go files.
-func runPackage(analyzers []*analysis.Analyzer, pkg *Package, facts *analysis.FactStore) ([]Finding, error) {
+func runPackage(analyzers []*analysis.Analyzer, pkg *Package) ([]Finding, error) {
 	var findings []Finding
 	for _, a := range analyzers {
 		report := func(d analysis.Diagnostic) {
@@ -133,7 +133,7 @@ func runPackage(analyzers []*analysis.Analyzer, pkg *Package, facts *analysis.Fa
 				Message:  d.Message,
 			})
 		}
-		pass := analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, facts, report)
+		pass := analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, report)
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("driver: analyzer %s on %s: %w", a.Name, pkg.Path, err)
 		}

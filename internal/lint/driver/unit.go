@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"sort"
 
 	"repro/internal/lint/analysis"
 )
@@ -15,29 +14,20 @@ import (
 // binaries (one file per package; unknown fields are ignored). The shape is
 // the same one golang.org/x/tools/go/analysis/unitchecker consumes.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ModulePath                string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
 // RunUnit executes one vet.cfg job: type-check the package cmd/go
-// described, run the enabled analyzers (nil = all), write the fact file the
-// dependents' jobs will read, and print findings to stderr. The returned
-// exit code follows the unitchecker convention: 0 clean, 1 internal error,
-// 2 findings.
-func RunUnit(analyzers []*analysis.Analyzer, cfgFile string, enabled map[string]bool, stderr io.Writer) int {
+// described, run the analyzers, and print findings to stderr. The returned exit code follows the unitchecker convention:
+// 0 clean, 1 internal error, 2 findings.
+func RunUnit(analyzers []*analysis.Analyzer, cfgFile string, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
 		fmt.Fprintf(stderr, "hetrtalint: %v\n", err)
@@ -49,92 +39,38 @@ func RunUnit(analyzers []*analysis.Analyzer, cfgFile string, enabled map[string]
 		return 1
 	}
 
-	// Facts from the dependency closure: cmd/go hands us one vetx file per
-	// import; each already re-exports its own dependencies' facts, so the
-	// merge sees the whole closure.
-	facts := analysis.NewFactStore()
-	for _, file := range cfg.PackageVetx { //lint:ordered merge into the fact store, order-insensitive
-		raw, err := os.ReadFile(file)
-		if err != nil || len(raw) == 0 {
-			continue // a dependency analyzed by an older tool build; facts are best-effort
-		}
-		if err := json.Unmarshal(raw, facts); err != nil {
-			fmt.Fprintf(stderr, "hetrtalint: reading facts %s: %v\n", file, err)
+	// cmd/go expects the vetx output file its dependents' jobs would read;
+	// the analyzers keep no package facts, so it is always empty.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			fmt.Fprintf(stderr, "hetrtalint: writing %s: %v\n", cfg.VetxOutput, err)
 			return 1
 		}
 	}
-
-	writeVetx := func() int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		out, err := json.Marshal(facts)
-		if err == nil {
-			err = os.WriteFile(cfg.VetxOutput, out, 0o666)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "hetrtalint: writing facts: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
 	// Packages outside any module (the standard library) carry none of the
-	// repo invariants; pass their dependency facts through untouched.
-	if cfg.ModulePath == "" {
-		return writeVetx()
+	// repo invariants; so does a dependency analyzed only for its vetx.
+	if cfg.ModulePath == "" || cfg.VetxOnly {
+		return 0
 	}
 
 	imp := ExportImporter(token.NewFileSet(), cfg.ImportMap, cfg.PackageFile)
 	pkg, err := TypeCheck(cfg.ImportPath, cfg.GoFiles, imp)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx()
+			return 0
 		}
 		fmt.Fprintf(stderr, "hetrtalint: type-checking %s: %v\n", cfg.ImportPath, err)
 		return 1
 	}
 
-	var findings []Finding
-	for _, a := range analyzers {
-		run := enabled == nil || enabled[a.Name]
-		if !run && a.Name != "boundreg" {
-			continue // boundreg always runs for its facts; its findings are filtered below
-		}
-		name, collect := a.Name, run
-		report := func(d analysis.Diagnostic) {
-			if !collect || cfg.VetxOnly || IsTestFile(pkg.Fset, d.Pos) {
-				return
-			}
-			findings = append(findings, Finding{
-				Position: pkg.Fset.Position(d.Pos),
-				Analyzer: name,
-				Message:  d.Message,
-			})
-		}
-		pass := analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, facts, report)
-		if err := a.Run(pass); err != nil {
-			fmt.Fprintf(stderr, "hetrtalint: analyzer %s on %s: %v\n", a.Name, cfg.ImportPath, err)
-			return 1
-		}
-	}
-	if code := writeVetx(); code != 0 {
-		return code
+	findings, err := runPackage(analyzers, pkg)
+	if err != nil {
+		fmt.Fprintf(stderr, "hetrtalint: %v\n", err)
+		return 1
 	}
 	if len(findings) == 0 {
 		return 0
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.Position.Filename != b.Position.Filename {
-			return a.Position.Filename < b.Position.Filename
-		}
-		return a.Position.Line < b.Position.Line
-	})
-	for _, f := range findings {
-		pos := f.Position
-		pos.Filename = shortPath(pos.Filename)
-		fmt.Fprintf(stderr, "%s: %s (%s)\n", pos, f.Message, f.Analyzer)
-	}
+	printFindings(findings, stderr)
 	return 2
 }

@@ -131,10 +131,3 @@ func checkEscape(pass *analysis.Pass, idx escapeIndex, marker string, pos token.
 	}
 	pass.Reportf(pos, "%s", message)
 }
-
-// isTestFile reports whether pos lies in a _test.go file; analyzer stages
-// that build cross-package facts or scoped indexes use it to keep test
-// scaffolding out.
-func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
-}

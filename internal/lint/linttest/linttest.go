@@ -10,9 +10,8 @@
 // construct's own line belongs to the hatch).
 //
 // Fixture imports resolve in two steps: paths that exist under testdata/src
-// are loaded (and analyzed facts flow between them in the order given to
-// Run); anything else is imported from the toolchain's compiler export
-// data via `go list -export`.
+// are loaded; anything else is imported from the toolchain's compiler
+// export data via `go list -export`.
 package linttest
 
 import (
@@ -37,18 +36,15 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Run analyzes the fixture packages at testdata/src/<pkgs[i]> in order with
-// a, sharing one fact store, and checks every package's diagnostics against
-// its want comments. Order matters for fact-flow tests: list registries
-// before implementations, the way a driver's dependency order would.
+// Run analyzes each fixture package at testdata/src/<pkgs[i]> with a and
+// checks its diagnostics against its want comments.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	l := newLoader(t, filepath.Join("testdata", "src"))
-	facts := analysis.NewFactStore()
 	for _, path := range pkgs {
 		lp := l.load(path)
 		var diags []analysis.Diagnostic
-		pass := analysis.NewPass(a, l.fset, lp.files, lp.pkg, lp.info, facts, func(d analysis.Diagnostic) {
+		pass := analysis.NewPass(a, l.fset, lp.files, lp.pkg, lp.info, func(d analysis.Diagnostic) {
 			// Mirror the drivers: findings in _test.go files are dropped.
 			if !strings.HasSuffix(l.fset.Position(d.Pos).Filename, "_test.go") {
 				diags = append(diags, d)

@@ -1,7 +1,7 @@
 // Package a exercises boundreg against a miniature Bound world: the
 // analyzer matches implementations structurally (Name() string +
 // Compute(context.Context, BoundInput) (BoundResult, error)), so the
-// fixture declares its own input/result types and registries.
+// fixture declares its own input/result types and registry.
 package a
 
 import "context"
@@ -12,24 +12,20 @@ type BoundInput struct{ N int }
 // BoundResult mirrors the real bound outcome.
 type BoundResult struct{ R int }
 
-// lattice declares each bound's relation to the simulated makespan; the
-// crosscheck sweep iterates it.
+// registry declares each bound's relation to the simulated makespan and
+// where it is safe; the crosscheck sweep and admission both read it.
+//
+//hetrta:registry bounds
+var registry = map[string]string{
+	"reg": "bounds-sim",
+}
+
+// lattice is a registry of a retired kind.
 //
 //hetrta:registry lattice
-var lattice = map[string]string{
-	"reg":    "bounds-sim",
-	"unsafe": "unsafe-demo",
-}
+var lattice = map[string]string{} // want "unknown registry kind //hetrta:registry lattice"
 
-// admission declares which bounds may enter admission minima.
-//
-//hetrta:registry admission
-var admission = map[string]bool{
-	"reg":  true,
-	"rhom": false,
-}
-
-// Registered appears in both registries: clean.
+// Registered appears in the registry: clean.
 type Registered struct{}
 
 func (Registered) Name() string { return "reg" }
@@ -39,23 +35,14 @@ func (Registered) Compute(ctx context.Context, in BoundInput) (BoundResult, erro
 }
 
 // Rhom replays the PR-5 incident: a bound wired into admission thinking
-// but never added to the dominance lattice, so no sweep ever checked it
-// against the simulated makespan.
-type Rhom struct{} // want "Bound \"rhom\" \\(Rhom\\) is missing from the crosscheck dominance-lattice registry"
+// but never registered, so no sweep ever checked it against the simulated
+// makespan and nothing declared where it is safe.
+type Rhom struct{} // want "Bound \"rhom\" \\(Rhom\\) is missing from the bound registry"
 
 func (Rhom) Name() string { return "rhom" }
 
 func (Rhom) Compute(ctx context.Context, in BoundInput) (BoundResult, error) {
 	return BoundResult{R: 2 * in.N}, ctx.Err()
-}
-
-// Unsafe is swept by the lattice but has no admission-safety declaration.
-type Unsafe struct{} // want "Bound \"unsafe\" \\(Unsafe\\) is missing from the taskset admission-safety table"
-
-func (Unsafe) Name() string { return "unsafe" }
-
-func (Unsafe) Compute(ctx context.Context, in BoundInput) (BoundResult, error) {
-	return BoundResult{R: 3 * in.N}, ctx.Err()
 }
 
 // Dynamic computes its name at runtime: unverifiable.

@@ -24,7 +24,8 @@ import (
 // chain's own work and maximize over paths.
 //
 // Every class that actually hosts a node must have at least one machine on
-// p; violations are reported per class.
+// p; violations are reported per class (the class coverage rule of
+// TypedRhomBound's skip).
 func TypedRhom(g *dag.Graph, p platform.Platform) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, fmt.Errorf("rta: TypedRhom: %w", err)
@@ -34,17 +35,14 @@ func TypedRhom(g *dag.Graph, p platform.Platform) (float64, error) {
 		return 0, fmt.Errorf("rta: TypedRhom: %w", dag.ErrCyclic)
 	}
 	// Per-class volumes; a populated class without machines is an error.
+	if reason := missingClasses(g, p); reason != "" {
+		return 0, fmt.Errorf("rta: TypedRhom: %s", reason)
+	}
 	vol := make([]float64, p.NumClasses())
 	for n := range g.EachNode() {
-		c := n.Class
-		if p.Count(c) < 1 {
-			if n.WCET == 0 && n.Kind == dag.Sync {
-				continue // sync nodes consume no resource
-			}
-			return 0, fmt.Errorf("rta: TypedRhom: node %d runs on class %d (%s), which has no machine on %v",
-				n.ID, c, p.ClassName(c), p)
+		if p.Count(n.Class) >= 1 { // else a resource-free sync node
+			vol[n.Class] += float64(n.WCET)
 		}
-		vol[c] += float64(n.WCET)
 	}
 	// Longest path under modified weights C_v·(1 − 1/m_cls(v)).
 	weight := func(v int) float64 {

@@ -41,6 +41,9 @@ type federated struct{}
 func (federated) Name() string { return "federated" }
 
 func (federated) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error) {
+	if err := checkGraphs("federated", in.Set); err != nil {
+		return nil, err
+	}
 	p := in.Platform
 	res := &PolicyResult{
 		Policy:   "federated",

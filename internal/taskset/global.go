@@ -66,6 +66,9 @@ func (global) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error) {
 	if p.Cores() < 1 {
 		return nil, fmt.Errorf("taskset: global: platform %v has no host cores", p)
 	}
+	if err := checkGraphs("global", in.Set); err != nil {
+		return nil, err
+	}
 	res := &PolicyResult{
 		Policy:   "global",
 		Admitted: true,
@@ -92,26 +95,17 @@ func (global) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error) {
 		}
 	})
 
-	// Per-task per-class volumes. Work of a class without machines (or of
-	// the host class) lands in the host bucket: it can only execute there.
-	// Evals that carry the graph (the facade's handles) serve these from a
-	// per-platform memo — node sums are graph content, identical either way.
+	// Per-task per-class volumes (ClassVolumes). Evals that carry the graph
+	// (the facade's handles) serve these from a per-platform memo — node
+	// sums are graph content, identical either way.
 	nC := p.NumClasses()
 	vols := make([][]float64, len(in.Set.Tasks))
 	for i, t := range in.Set.Tasks {
 		if cv, ok := in.Evals[i].(ClassVolumeSource); ok {
 			vols[i] = cv.ClassVolumes(p)
-			continue
+		} else {
+			vols[i] = ClassVolumes(t.G, p)
 		}
-		v := make([]float64, nC)
-		for n := range t.G.EachNode() {
-			c := n.Class
-			if c < 1 || c >= nC || p.Count(c) < 1 {
-				c = 0
-			}
-			v[c] += float64(n.WCET)
-		}
-		vols[i] = v
 	}
 
 	memo := in.GlobalSteps != nil && len(in.Digests) == len(in.Set.Tasks)

@@ -3,6 +3,7 @@ package taskset_test
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dag"
@@ -412,5 +413,23 @@ func TestFederatedLightDensityPacking(t *testing.T) {
 	}
 	if lightAdmitted != 1 {
 		t.Fatalf("%d light tasks report admitted on one shared core, want 1: %+v", lightAdmitted, res4.Tasks)
+	}
+}
+
+// TestPoliciesRejectNilGraph: a task without a graph is an admission error
+// naming the task, from every policy, not a nil dereference.
+func TestPoliciesRejectNilGraph(t *testing.T) {
+	ts := taskset.Taskset{Tasks: []taskset.SporadicTask{
+		mkSporadic(t, 1, 0.2, 0.3),
+		{G: nil, Period: 10, Deadline: 10},
+	}}
+	for _, pol := range []taskset.Policy{taskset.FederatedPolicy(), taskset.GlobalPolicy()} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			in := taskset.AdmitInput{Set: ts, Platform: platform.Hetero(4), Evals: evalsFor(ts)}
+			res, err := pol.Admit(context.Background(), in)
+			if err == nil || !strings.Contains(err.Error(), "task 1") {
+				t.Fatalf("Admit = %+v, %v; want an error naming task 1", res, err)
+			}
+		})
 	}
 }

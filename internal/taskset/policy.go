@@ -9,13 +9,12 @@ import (
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/rta"
-	"repro/internal/transform"
 )
 
 // ErrNoSafeBound is wrapped by TaskEval.Bound when no safe analysis applies
 // to the task's DAG on the probed platform (e.g. a multi-offload task whose
 // classes are only partially backed by machines: Rhom is out per
-// RhomSafeFor, Rhet needs a single offload, TypedRhom needs every class
+// rta.RhomSafeFor, Rhet needs a single offload, TypedRhom needs every class
 // populated). Policies treat it as a per-task rejection — the task cannot
 // be certified on that platform — never as a fatal admission error.
 var ErrNoSafeBound = errors.New("no safe response-time bound applies")
@@ -35,10 +34,9 @@ type TaskEval interface {
 }
 
 // ClassVolumeSource is an optional TaskEval extension: per-class WCET
-// volumes of the task's graph, bucketed for platform p — work of a class
-// with no machines on p (or of the host class) lands in bucket 0, exactly
-// the bucketing the Global policy computes for itself when the eval does
-// not implement this. Implementations may memoize per platform shape; the
+// volumes of the task's graph, bucketed for platform p as ClassVolumes
+// does, which the Global policy calls itself when the eval does not
+// implement this. Implementations may memoize per platform shape; the
 // returned slice is read-only to the caller and must stay valid for the
 // policy call.
 type ClassVolumeSource interface {
@@ -129,57 +127,46 @@ type Policy interface {
 	Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error)
 }
 
-// rtaEval is the default TaskEval used by the acceptance-ratio sweep and
-// anyone without a facade analyzer: the minimum over Rhom (offloaded work
-// as host work, where safe — see RhomSafeFor and DESIGN.md §4.3), Rhet
-// (single-offload tasks whose device class has a machine), and TypedRhom
-// (when every populated class has a machine).
-// Platform-independent work (transitive reduction, Algorithm 1) is computed
-// once and reused across Bound calls.
-//
-// The applicability conditions here deliberately mirror the Skipped
-// conditions of the facade's pluggable bounds (bounds.go: rhetBound /
-// typedRhomBound) — the facade's facadeEval evaluates those and this type
-// hand-inlines them, because this package sits below the facade and cannot
-// import its Bound set. A change to either side's applicability rules must
-// be mirrored in the other, or the sweep and the facade diverge.
-type rtaEval struct {
-	work  *dag.Graph
-	multi *transform.MultiResult
-	err   error
+// BoundEval is the TaskEval over a bound list: the minimum over the bounds
+// that apply (did not skip themselves), are not unsafe demonstrations, and
+// are admission-safe for the task on the probed platform (rta.AdmissionSafe,
+// read from the bound registry). The platform-independent prefix — clone,
+// transitive reduction, iterated Algorithm 1 — runs once at construction
+// and is shared by every Bound call. The facade's TaskEvalHandle wraps one
+// over its Analyzer's bounds; NewRTAEval is the acceptance-ratio sweep's.
+type BoundEval struct {
+	bounds []rta.Bound
+	in     rta.BoundInput // Platform is set per Bound call
+	err    error
 }
 
-// PrepareDAG clones and transitively reduces g and computes the iterated
-// Algorithm 1 transformation when offloaded nodes exist — the
-// platform-independent prefix shared by every TaskEval implementation
-// (rtaEval here, the facade's bound-set eval in the root package). multi
-// is nil for homogeneous graphs.
-func PrepareDAG(g *dag.Graph) (work *dag.Graph, multi *transform.MultiResult, err error) {
-	if g == nil {
-		return nil, nil, fmt.Errorf("taskset: nil graph")
+// NewBoundEval prepares the evaluation of g over bounds (rta.PrepareInput).
+// A preparation failure (nil or cyclic graph) is returned by Err and by
+// every Bound call.
+func NewBoundEval(bounds []rta.Bound, g *dag.Graph) *BoundEval {
+	e := &BoundEval{bounds: bounds, err: fmt.Errorf("taskset: nil graph")}
+	if g != nil {
+		e.in, _, e.err = rta.PrepareInput(g)
 	}
-	work = g.Clone()
-	if _, err := work.TransitiveReduction(); err != nil {
-		return nil, nil, err
-	}
-	if len(work.OffloadNodes()) > 0 {
-		multi, err = transform.All(work)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return work, multi, nil
-}
-
-// NewRTAEval builds the default TaskEval for g. The graph is cloned and
-// transitively reduced once; the transformation is computed once.
-func NewRTAEval(g *dag.Graph) TaskEval {
-	e := &rtaEval{}
-	e.work, e.multi, e.err = PrepareDAG(g)
 	return e
 }
 
-func (e *rtaEval) Bound(ctx context.Context, p platform.Platform) (float64, error) {
+// NewRTAEval is the default TaskEval for g, used by the acceptance-ratio
+// sweep and anyone without a facade analyzer: the BoundEval over Rhom,
+// Rhet and TypedRhom.
+func NewRTAEval(g *dag.Graph) *BoundEval {
+	return NewBoundEval([]rta.Bound{rta.RhomBound(), rta.RhetBound(), rta.TypedRhomBound()}, g)
+}
+
+// Err returns the preparation failure, if any.
+func (e *BoundEval) Err() error { return e.err }
+
+// Graph returns the transitively reduced clone the bounds evaluate (nil
+// after a preparation failure).
+func (e *BoundEval) Graph() *dag.Graph { return e.in.Graph }
+
+// Bound implements TaskEval.
+func (e *BoundEval) Bound(ctx context.Context, p platform.Platform) (float64, error) {
 	if e.err != nil {
 		return 0, e.err
 	}
@@ -189,26 +176,18 @@ func (e *rtaEval) Bound(ctx context.Context, p platform.Platform) (float64, erro
 	if p.Cores() < 1 {
 		return 0, fmt.Errorf("taskset: bound on %v: no host cores", p)
 	}
+	in := e.in
+	in.Platform = p
 	best := math.Inf(1)
-	if AdmissionSafe("rhom", e.work, p) {
-		best = rta.Rhom(e.work, p)
-	}
-	if e.multi != nil && len(e.multi.Steps) == 1 {
-		step := e.multi.Steps[0]
-		if p.Count(e.work.Class(step.Offload)) >= 1 {
-			het, err := rta.Rhet(step, p)
-			if err != nil {
-				return 0, err
-			}
-			best = math.Min(best, het.R)
-		}
-	}
-	if typedApplies(e.work, p) {
-		v, err := rta.TypedRhom(e.work, p)
+	for _, b := range e.bounds {
+		res, err := b.Compute(ctx, in)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("taskset: bound %q: %w", b.Name(), err)
 		}
-		best = math.Min(best, v)
+		if res.Skipped != "" || res.Unsafe || !rta.AdmissionSafe(res.Name, in.Graph, p) {
+			continue
+		}
+		best = math.Min(best, res.Value)
 	}
 	if math.IsInf(best, 1) {
 		return 0, fmt.Errorf("taskset: %w on %v", ErrNoSafeBound, p)
@@ -216,39 +195,29 @@ func (e *rtaEval) Bound(ctx context.Context, p platform.Platform) (float64, erro
 	return best, nil
 }
 
-// RhomSafeFor reports whether the homogeneous bound Rhom is a safe
-// response-time bound for g executing on p. It is safe on the paper's
-// model (at most one offload node — the device then never serializes
-// offloaded work) and whenever none of g's offload classes has a machine
-// on p (the work necessarily executes on the host, which is exactly what
-// Rhom models). With k ≥ 2 offload nodes contending for devices it is NOT
-// safe: the cross-validation sweep (crosscheck_test.go) exhibits simulated
-// heterogeneous makespans above len + (vol − len)/m, because Graham's
-// argument cannot charge device-serialized work against the m host cores.
-// TypedRhom is the safe bound there.
-func RhomSafeFor(g *dag.Graph, p platform.Platform) bool {
-	offs := g.OffloadNodes()
-	if len(offs) <= 1 {
-		return true
-	}
-	for _, v := range offs {
-		if p.Count(g.Class(v)) >= 1 {
-			return false
+// ClassVolumes returns g's per-class WCET volumes bucketed for p: work of
+// a class with no machines on p, or of the host class, lands in bucket 0 —
+// it can only execute there.
+func ClassVolumes(g *dag.Graph, p platform.Platform) []float64 {
+	nC := p.NumClasses()
+	v := make([]float64, nC)
+	for n := range g.EachNode() {
+		c := n.Class
+		if c < 1 || c >= nC || p.Count(c) < 1 {
+			c = 0
 		}
+		v[c] += float64(n.WCET)
 	}
-	return true
+	return v
 }
 
-// typedApplies reports whether every resource-consuming node's class has a
-// machine on p, the applicability condition of TypedRhom.
-func typedApplies(g *dag.Graph, p platform.Platform) bool {
-	for n := range g.EachNode() {
-		if n.Kind == dag.Sync && n.WCET == 0 {
-			continue
-		}
-		if p.Count(n.Class) < 1 {
-			return false
+// checkGraphs rejects a taskset with a graph-less task, naming the task:
+// the policies read every task's graph.
+func checkGraphs(policy string, ts Taskset) error {
+	for i, t := range ts.Tasks {
+		if t.G == nil {
+			return fmt.Errorf("taskset: %s: task %d: nil graph", policy, i)
 		}
 	}
-	return true
+	return nil
 }

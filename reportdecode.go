@@ -56,7 +56,7 @@ func (r *Report) scan(s *dag.Scanner) bool {
 		case "graph":
 			return 2, r.Graph.scan(s)
 		case "bounds":
-			return 4, scanSlice(s, &r.Bounds, func(b *BoundResult) bool { return b.scan(s) })
+			return 4, scanSlice(s, &r.Bounds, func(b *BoundResult) bool { return scanBound(s, b) })
 		case "transform":
 			r.Transform = new(TransformSummary)
 			return 8, r.Transform.scan(s)
@@ -152,7 +152,8 @@ func (o *OffloadSummary) scan(s *dag.Scanner) bool {
 	})
 }
 
-func (b *BoundResult) scan(s *dag.Scanner) bool {
+// scanBound is the BoundResult scanner (the type lives in internal/rta).
+func scanBound(s *dag.Scanner, b *BoundResult) bool {
 	return scanObject(s, func(key []byte) (bit uint16, ok bool) {
 		switch string(key) {
 		case "name":

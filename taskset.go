@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -275,70 +274,17 @@ func (r *AdmitReport) PolicyReport(name string) (taskset.PolicyResult, bool) {
 	return taskset.PolicyResult{}, false
 }
 
-// facadeEval adapts the Analyzer's Bound set to the taskset.TaskEval
-// interface: platform-independent work (reduction, Algorithm 1) happens
-// once at construction, each Bound call evaluates the configured bounds on
-// the requested platform and returns the minimum over the safe, applicable
-// ones.
-type facadeEval struct {
-	an    *Analyzer
-	work  *Graph
-	tr    *Transformation
-	multi *MultiTransformation
-}
-
-func newFacadeEval(an *Analyzer, g *Graph) (*facadeEval, error) {
-	work, multi, err := taskset.PrepareDAG(g)
-	if err != nil {
-		return nil, err
-	}
-	e := &facadeEval{an: an, work: work, multi: multi}
-	if multi != nil && len(multi.Steps) == 1 {
-		e.tr = multi.Steps[0]
-	}
-	return e, nil
-}
-
-func (e *facadeEval) Bound(ctx context.Context, p platform.Platform) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	in := BoundInput{Graph: e.work, Platform: p, Transform: e.tr, Multi: e.multi}
-	best := math.Inf(1)
-	for _, b := range e.an.bounds {
-		res, err := b.Compute(ctx, in)
-		if err != nil {
-			return 0, fmt.Errorf("hetrta: bound %q: %w", b.Name(), err)
-		}
-		if res.Skipped != "" || res.Unsafe {
-			continue
-		}
-		// A bound is a report artifact everywhere but enters *admission*
-		// minima only per the declared admission-safety table: Rhom is
-		// gated to the single-offload model, the naive demo never enters,
-		// and an unregistered bound does not certify anything (see
-		// taskset.BoundSafety and the boundreg analyzer).
-		if !taskset.AdmissionSafe(res.Name, e.work, p) {
-			continue
-		}
-		best = math.Min(best, res.Value)
-	}
-	if math.IsInf(best, 1) {
-		return 0, fmt.Errorf("hetrta: %w on %v", taskset.ErrNoSafeBound, p)
-	}
-	return best, nil
-}
-
-// TaskEvalHandle is one task's reusable evaluation state: the
-// platform-independent preparation (transitive reduction, Algorithm 1) done
-// once, the report summary precomputed, and every Bound probe memoized per
-// platform shape. Handles are what delta admission shares across calls —
-// re-admitting a set whose task was already evaluated replays the memoized
-// bounds instead of re-running the analyses, bit-identically (bounds are
-// pure functions of the reduced graph and the platform's class counts).
-// Safe for concurrent use; obtain one from PrepareTaskEval.
+// TaskEvalHandle is one task's reusable evaluation state: a
+// taskset.BoundEval over the Analyzer's bounds (reduction and Algorithm 1
+// done once), the report summary precomputed, and every Bound probe
+// memoized per platform shape. Handles are what delta admission shares
+// across calls — re-admitting a set whose task was already evaluated
+// replays the memoized bounds instead of re-running the analyses,
+// bit-identically (bounds are pure functions of the reduced graph and the
+// platform's class counts). Safe for concurrent use; obtain one from
+// PrepareTaskEval.
 type TaskEvalHandle struct {
-	eval *facadeEval
+	eval *taskset.BoundEval
 
 	// Report summary of the reduced graph, fixed at construction.
 	nodes        int
@@ -349,6 +295,12 @@ type TaskEvalHandle struct {
 	mu   sync.Mutex
 	memo map[string]evalBound
 	vols map[string][]float64
+}
+
+// noSafeBound is the served no-safe-bound rejection on p, the same bytes
+// whether the verdict was just computed or replayed from the memo.
+func noSafeBound(p platform.Platform) error {
+	return fmt.Errorf("hetrta: %w on %v", taskset.ErrNoSafeBound, p)
 }
 
 // evalBound is one memoized Bound outcome: either a value or the
@@ -376,15 +328,16 @@ func (h *TaskEvalHandle) Bound(ctx context.Context, p platform.Platform) (float6
 	// task, builds its key entirely on the stack.
 	if b, ok := h.memo[string(key)]; ok {
 		if b.noSafe {
-			return 0, fmt.Errorf("hetrta: %w on %v", taskset.ErrNoSafeBound, p)
+			return 0, noSafeBound(p)
 		}
 		return b.v, nil
 	}
 	v, err := h.eval.Bound(ctx, p)
+	if errors.Is(err, taskset.ErrNoSafeBound) {
+		h.memo[string(key)] = evalBound{noSafe: true}
+		return 0, noSafeBound(p)
+	}
 	if err != nil {
-		if errors.Is(err, taskset.ErrNoSafeBound) {
-			h.memo[string(key)] = evalBound{noSafe: true}
-		}
 		return 0, err
 	}
 	h.memo[string(key)] = evalBound{v: v}
@@ -403,15 +356,7 @@ func (h *TaskEvalHandle) ClassVolumes(p platform.Platform) []float64 {
 	if v, ok := h.vols[string(key)]; ok {
 		return v
 	}
-	nC := p.NumClasses()
-	v := make([]float64, nC)
-	for n := range h.eval.work.EachNode() {
-		c := n.Class
-		if c < 1 || c >= nC || p.Count(c) < 1 {
-			c = 0
-		}
-		v[c] += float64(n.WCET)
-	}
+	v := taskset.ClassVolumes(h.eval.Graph(), p)
 	h.vols[string(key)] = v
 	return v
 }
@@ -434,16 +379,17 @@ func platformCountsKey(buf []byte, p platform.Platform) []byte {
 // clone, transitive reduction, Algorithm 1 when offloads exist, and the
 // report summary. The input graph is not modified or retained.
 func (ta *TasksetAnalyzer) PrepareTaskEval(g *Graph) (*TaskEvalHandle, error) {
-	e, err := newFacadeEval(ta.an, g)
-	if err != nil {
+	e := taskset.NewBoundEval(ta.an.bounds, g)
+	if err := e.Err(); err != nil {
 		return nil, err
 	}
+	work := e.Graph()
 	return &TaskEvalHandle{
 		eval:         e,
-		nodes:        e.work.NumNodes(),
-		offloads:     len(e.work.OffloadNodes()),
-		volume:       e.work.Volume(),
-		criticalPath: e.work.CriticalPathLength(),
+		nodes:        work.NumNodes(),
+		offloads:     len(work.OffloadNodes()),
+		volume:       work.Volume(),
+		criticalPath: work.CriticalPathLength(),
 		memo:         make(map[string]evalBound),
 		vols:         make(map[string][]float64),
 	}, nil
