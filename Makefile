@@ -28,7 +28,7 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own analyzers (detmap, ctxpoll, boundreg, hotalloc) run as a
-# vettool so cross-package facts flow through cmd/go's vet cache.
+# vettool, so cmd/go caches their per-package results.
 vettool: $(HETRTALINT)
 	$(GO) vet -vettool=$(HETRTALINT) ./...
 

@@ -175,9 +175,8 @@ func TestCrossValidationDominance(t *testing.T) {
 			t.Fatalf("stopping after %d dumped repros", dumps)
 		}
 	}
-	// 922 is the count of the sweep when Rhom's restriction was still a
-	// separate single-offload flag beside the admission table's
-	// RhomSafeFor; reading SafeFor alone must not lose any.
+	// 922 is the sweep's count with Rhom asserted on every single-offload
+	// instance; gating by SafeFor must not assert less.
 	if t.Logf("%d (instance, bound) upper-bound checks", checks); checks < 922 {
 		t.Errorf("sweep made %d upper-bound checks, fewer than the 922 it made before", checks)
 	}

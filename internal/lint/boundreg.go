@@ -70,15 +70,10 @@ func collectRegistry(pass *analysis.Pass) (names map[string]bool, found bool) {
 				if kind == "" {
 					kind = registryDirective(gd.Doc)
 				}
-				switch kind {
-				case "":
-					continue
-				case "bounds":
-					found = true
-				default:
-					pass.Reportf(vs.Pos(), "unknown registry kind //hetrta:registry %s: the one bound registry is //hetrta:registry bounds", kind)
+				if kind != "bounds" {
 					continue
 				}
+				found = true
 				for _, v := range vs.Values {
 					cl, ok := v.(*ast.CompositeLit)
 					if !ok {

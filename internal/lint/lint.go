@@ -8,9 +8,9 @@
 //   - ctxpoll: the exact search oracle must keep every unbounded search
 //     loop promptly cancellable and must never accept a context just to
 //     drop it.
-//   - boundreg: every Bound implementation must be declared in the
-//     crosscheck dominance-lattice registry and the taskset
-//     admission-safety table, so no new bound can silently enter admission
+//   - boundreg: every Bound implementation must be declared in the bound
+//     registry of its own package, which states its crosscheck relation
+//     and admission safety, so no new bound can silently enter admission
 //     minima un-vetted the way Rhom once did (DESIGN.md §10.3).
 //   - hotalloc: functions annotated //hetrta:hotpath (the PR-2
 //     scratch-reuse surfaces) must not reintroduce per-call allocations.

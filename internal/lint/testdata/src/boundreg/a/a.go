@@ -20,11 +20,6 @@ var registry = map[string]string{
 	"reg": "bounds-sim",
 }
 
-// lattice is a registry of a retired kind.
-//
-//hetrta:registry lattice
-var lattice = map[string]string{} // want "unknown registry kind //hetrta:registry lattice"
-
 // Registered appears in the registry: clean.
 type Registered struct{}
 
