@@ -544,31 +544,34 @@ func readAll(r io.Reader, n int64) ([]byte, error) {
 	}
 }
 
+// handleAnalyze serves a body the service has decoded before, and whose
+// report is resident, by the body's hash alone: no decode, no fingerprint,
+// no request-timeout context. Every other body takes the full path.
 func (d *daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	body, ok := d.readBody(w, r)
 	if !ok {
 		return
 	}
-	g, err := dag.Decode(body)
-	if err != nil {
-		d.httpError(w, http.StatusBadRequest, err.Error())
-		return
+	res, key := d.svc.LookupBody(body)
+	if res == nil {
+		g, err := dag.Decode(body)
+		if err != nil {
+			d.httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		ctx, cancel := d.requestCtx(r)
+		defer cancel()
+		if res, err = d.svc.AnalyzeBody(ctx, g, key); err != nil {
+			d.writeAnalysisError(w, err)
+			return
+		}
 	}
-	ctx, cancel := d.requestCtx(r)
-	defer cancel()
-	res, err := d.svc.Analyze(ctx, g)
-	if err != nil {
-		d.writeAnalysisError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheStatus(res.Hit, res.Shared))
 	w.Header().Set("X-Fingerprint", res.Fingerprint.String())
 	if res.DegradedReason != "" {
 		w.Header().Set("X-Degraded", res.DegradedReason)
 	}
-	w.WriteHeader(http.StatusOK)
-	d.writeBody(w, res.Body)
+	d.writeOK(w, res.Body)
 }
 
 func (d *daemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
@@ -588,11 +591,9 @@ func (d *daemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		d.writeAnalysisError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheStatus(res.Hit, res.Shared))
 	w.Header().Set("X-Taskset-Fingerprint", res.Fingerprint.String())
-	w.WriteHeader(http.StatusOK)
-	d.writeBody(w, res.Body)
+	d.writeOK(w, res.Body)
 }
 
 func (d *daemon) handleAdmitDelta(w http.ResponseWriter, r *http.Request) {
@@ -612,11 +613,9 @@ func (d *daemon) handleAdmitDelta(w http.ResponseWriter, r *http.Request) {
 		d.writeAnalysisError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheStatus(res.Hit, res.Shared))
 	w.Header().Set("X-Taskset-Fingerprint", res.Fingerprint.String())
-	w.WriteHeader(http.StatusOK)
-	d.writeBody(w, res.Body)
+	d.writeOK(w, res.Body)
 }
 
 // handleWarmup bulk-loads a store log stream — typically another replica's
@@ -769,6 +768,17 @@ func (d *daemon) writeJSON(w http.ResponseWriter, code int, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		d.noteWriteError(err)
 	}
+}
+
+// writeOK writes a 200 carrying one pre-serialized JSON body. The declared
+// Content-Length lets net/http send a body past its 2 KB buffer as is,
+// not chunked.
+func (d *daemon) writeOK(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	d.writeBody(w, body)
 }
 
 // writeBody writes pre-serialized response bytes, counting (not masking)

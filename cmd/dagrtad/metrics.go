@@ -77,6 +77,7 @@ func renderMetrics(st statsResponse) string {
 	p.counter("dagrtad_executions_total", "Analyzer runs (one per distinct missed key).", st.Executions)
 	p.counter("dagrtad_failures_total", "Analyses that returned an error (never cached).", st.Failures)
 	p.counter("dagrtad_degraded_total", "Degraded (bounds-only) results served.", st.Degraded)
+	p.counter("dagrtad_body_memo_hits_total", "Analyze bodies whose graph fingerprint was known from an identical earlier body.", st.BodyMemoHits)
 	p.counter("dagrtad_eval_hits_total", "Per-task eval-cache hits on the admission path.", st.EvalHits)
 	p.counter("dagrtad_eval_misses_total", "Per-task eval-cache misses on the admission path.", st.EvalMisses)
 	p.counter("dagrtad_eval_failures_total", "Per-task eval preparations that failed.", st.EvalFailures)

@@ -99,7 +99,7 @@ func TestRenderMetricsValid(t *testing.T) {
 	st := statsResponse{
 		Stats: service.Stats{
 			Requests: 10, Hits: 4, Misses: 6, Executions: 6, Coalesced: 2,
-			Failures: 1, Degraded: 3, EvalHits: 7, EvalMisses: 5,
+			Failures: 1, Degraded: 3, BodyMemoHits: 8, EvalHits: 7, EvalMisses: 5,
 			InFlight: 2, Entries: 9, Capacity: 64, Evictions: 1,
 			ShardEntries: []int{3, 6},
 			Overload:     &resilience.LimiterStats{Capacity: 8, InUse: 2, Admitted: 20, Shed: 4},
@@ -126,6 +126,7 @@ func TestRenderMetricsValid(t *testing.T) {
 		"dagrtad_cache_shared_total":             2,
 		"dagrtad_cache_evictions_total":          1,
 		"dagrtad_degraded_total":                 3,
+		"dagrtad_body_memo_hits_total":           8,
 		"dagrtad_in_flight":                      2,
 		"dagrtad_draining":                       1,
 		`dagrtad_cache_shard_entries{shard="1"}`: 6,
@@ -169,8 +170,10 @@ func TestRenderMetricsMinimal(t *testing.T) {
 // plus the advertised content type.
 func TestMetricsEndpoint(t *testing.T) {
 	base := startDaemon(t)
-	if _, body := post(t, base+"/v1/analyze", chainTask(t)); len(body) == 0 {
-		t.Fatal("analyze returned empty body")
+	for range 2 {
+		if _, body := post(t, base+"/v1/analyze", chainTask(t)); len(body) == 0 {
+			t.Fatal("analyze returned empty body")
+		}
 	}
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -193,5 +196,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if samples["dagrtad_executions_total"] != 1 {
 		t.Fatalf("executions_total = %v, want 1", samples["dagrtad_executions_total"])
+	}
+	if got := samples["dagrtad_body_memo_hits_total"]; got != 1 {
+		t.Fatalf("body_memo_hits_total = %v after a byte-identical repeat, want 1", got)
 	}
 }

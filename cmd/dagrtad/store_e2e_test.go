@@ -171,7 +171,7 @@ func genTask(t *testing.T, gen *taskgen.Generator) hetrta.SporadicTask {
 	return hetrta.SporadicTask{G: g, Period: g.Volume() * 4, Deadline: g.Volume() * 3}
 }
 
-func graphJSON(t *testing.T, g *hetrta.Graph) []byte {
+func graphJSON(t testing.TB, g *hetrta.Graph) []byte {
 	t.Helper()
 	b, err := json.Marshal(g)
 	if err != nil {
@@ -182,7 +182,7 @@ func graphJSON(t *testing.T, g *hetrta.Graph) []byte {
 
 // permuteGraphJSON re-serializes a graph with its node order shuffled and
 // its edge endpoints remapped: other bytes, an isomorphic graph.
-func permuteGraphJSON(t *testing.T, r *rand.Rand, data []byte) []byte {
+func permuteGraphJSON(t testing.TB, r *rand.Rand, data []byte) []byte {
 	t.Helper()
 	type wireGraph struct {
 		Nodes []json.RawMessage `json:"nodes"`

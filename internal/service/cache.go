@@ -206,6 +206,15 @@ func (c *cache) len() int {
 	return total
 }
 
+// capacity returns the total entry capacity across all shards.
+func (c *cache) capacity() int {
+	total := 0
+	for _, s := range c.shards {
+		total += s.capacity
+	}
+	return total
+}
+
 // shardLens returns the per-shard occupancy, in shard order.
 func (c *cache) shardLens() []int {
 	out := make([]int, len(c.shards))

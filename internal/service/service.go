@@ -1,10 +1,13 @@
 // Package service is the serving layer of the toolkit: a long-running
 // wrapper around one hetrta.Analyzer that deduplicates work across
-// requests. Three mechanisms compose:
+// requests. Four mechanisms compose:
 //
 //   - a canonical cache key: (Graph.Fingerprint, Analyzer.Signature), so
 //     isomorphic graphs analyzed under the same configuration share one
 //     result regardless of node labeling or which client sent them;
+//   - a body memo from the SHA-256 of a request body to that key's
+//     fingerprint, so a byte-identical repeat is served without decoding
+//     or fingerprinting (LookupBody);
 //   - a sharded LRU report cache holding each report's serialized JSON,
 //     marshaled once — repeat responses are byte-identical by
 //     construction — and not the report itself;
@@ -34,6 +37,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,6 +52,7 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/store"
+	"repro/internal/taskset"
 )
 
 // Limiter cost classes: one graph analysis — a single request, or one
@@ -106,6 +111,8 @@ type Service struct {
 	sig   string
 	tsig  string
 	cache *cache
+	// memo maps request-body hashes to graph fingerprints (LookupBody).
+	memo *bodyMemo
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -118,6 +125,7 @@ type Service struct {
 	failures   atomic.Uint64
 	inFlight   atomic.Int64
 	degraded   atomic.Uint64
+	memoHits   atomic.Uint64
 
 	// Per-task eval-cache counters, disjoint from the request-level
 	// hit/miss economics above (an admission that reuses 32 evals is still
@@ -261,6 +269,7 @@ func New(an *hetrta.Analyzer, opts Options) (*Service, error) {
 		flights: make(map[string]*flight),
 		steps:   hetrta.NewGlobalStepCache(entries),
 	}
+	s.memo = newBodyMemo(s.cache.capacity())
 	s.exec = an.Analyze
 	s.execAdmit = s.admitCached
 	s.inj = opts.FaultInjector
@@ -381,18 +390,69 @@ func (s *Service) Analyze(ctx context.Context, g *hetrta.Graph) (*Result, error)
 	return s.analyze(ctx, g)
 }
 
+// BodyKey is what LookupBody learned of a request body: its SHA-256 and,
+// when the body memo knew the body, the fingerprint of its graph.
+type BodyKey struct {
+	sum   [sha256.Size]byte
+	fp    dag.Fingerprint
+	known bool // fp is memoized, and its report was not in memory
+}
+
+// LookupBody serves a single-graph request body from the memory tier
+// without decoding it. When the body memo knows the fingerprint of the
+// graph body decodes to, and that report is resident, the result is a hit,
+// counted as Analyze counts one. Otherwise the result is nil, and the
+// caller decodes body and passes the graph and the returned key to
+// AnalyzeBody.
+func (s *Service) LookupBody(body []byte) (*Result, BodyKey) {
+	k := BodyKey{sum: sha256.Sum256(body)}
+	if k.fp, k.known = s.memo.get(k.sum); !k.known {
+		return nil, k
+	}
+	s.memoHits.Add(1)
+	ent, ok := s.cacheGetFP(k.fp)
+	if !ok {
+		return nil, k
+	}
+	s.requests.Add(1)
+	s.hits.Add(1)
+	return s.result(ent, nil, k.fp, true, false), k
+}
+
+// AnalyzeBody is Analyze of g, the graph decoded from the body LookupBody
+// returned k for without a result. A body the memo did not know is
+// memoized with g's fingerprint. A known one skips the fingerprint and the
+// memory tier, which LookupBody has already tried.
+func (s *Service) AnalyzeBody(ctx context.Context, g *hetrta.Graph, k BodyKey) (*Result, error) {
+	if g == nil {
+		return nil, errors.New("service: AnalyzeBody(nil graph)")
+	}
+	s.requests.Add(1)
+	if k.known {
+		return s.analyzeUncached(ctx, g, k.fp)
+	}
+	s.memo.put(k.sum, g.Fingerprint())
+	return s.analyze(ctx, g)
+}
+
 // analyze is Analyze without the request accounting, which AnalyzeBatch
 // does once per slot. A memory hit is found by the key's parts, so it
-// builds no key string. With degraded routing enabled it decides the
-// route here: a full cache hit always serves; otherwise an open breaker or
-// a known-hard fingerprint diverts to the bounds-only path, and only
-// surviving requests attempt the full pipeline.
+// builds no key string.
 func (s *Service) analyze(ctx context.Context, g *hetrta.Graph) (*Result, error) {
 	fp := g.Fingerprint()
 	if ent, ok := s.cacheGetFP(fp); ok {
 		s.hits.Add(1)
 		return s.result(ent, nil, fp, true, false), nil
 	}
+	return s.analyzeUncached(ctx, g, fp)
+}
+
+// analyzeUncached is analyze after the memory tier missed fp, the
+// fingerprint of g. With degraded routing enabled it decides the route
+// here: a store hit always serves; otherwise an open breaker or a
+// known-hard fingerprint diverts to the bounds-only path, and only
+// surviving requests attempt the full pipeline.
+func (s *Service) analyzeUncached(ctx context.Context, g *hetrta.Graph, fp dag.Fingerprint) (*Result, error) {
 	key := s.keyOf(fp)
 	if s.breaker != nil {
 		if ent, ok := s.storeLookup(key); ok {
@@ -670,36 +730,51 @@ func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint
 		return nil, fmt.Errorf("%w: fingerprint %s not resident (never admitted or evicted); fall back to full admit", ErrUnknownBase, base)
 	}
 	a := ent.anchor
-	ts, ds, err := a.base.ApplyDeltaDigests(a.digests, delta)
+	// The resulting fingerprint falls out of the digest bookkeeping: only
+	// tasks the delta introduced are hashed, never the resident base, and
+	// the resulting taskset is built only if its report is not resident.
+	ds, err := taskset.ApplyDeltaToDigests(a.digests, delta)
 	if err != nil {
 		return nil, hetrta.MarkInvalidInput(err)
 	}
-	// One canonicalization covers the whole event: entries anchored by the
-	// delta path hold canonical order, so this sorts an almost-sorted
-	// slice, the fingerprint needs no second sort, and the analyzer's own
-	// canonical pass below becomes the identity.
-	ts, ds = ts.CanonicalWithGivenDigests(ds)
-	// The resulting fingerprint falls out of the digest bookkeeping: only
-	// tasks the delta introduced were hashed, never the resident base.
-	return s.admitFP(ctx, hetrta.TasksetFingerprintFromDigests(ds), ts, ds, a, delta.Remove)
+	return s.admitFP(ctx, hetrta.TasksetFingerprintFromDigests(ds), func() (hetrta.Taskset, []hetrta.TaskDigest, error) {
+		ts, ds, err := a.base.ApplyDeltaDigests(a.digests, delta)
+		if err != nil {
+			return hetrta.Taskset{}, nil, hetrta.MarkInvalidInput(err)
+		}
+		// One canonicalization covers the whole event: entries anchored by
+		// the delta path hold canonical order, so this sorts an
+		// almost-sorted slice, and the analyzer's own canonical pass
+		// becomes the identity.
+		ts, ds = ts.CanonicalWithGivenDigests(ds)
+		return ts, ds, nil
+	}, a, delta.Remove)
 }
 
 // admit is Admit without the request accounting, so internal retries (the
 // cancelled-leader fallback) do not double-count.
 func (s *Service) admit(ctx context.Context, ts hetrta.Taskset) (*AdmitResult, error) {
-	return s.admitFP(ctx, ts.Fingerprint(), ts, nil, nil, nil)
+	return s.admitFP(ctx, ts.Fingerprint(), func() (hetrta.Taskset, []hetrta.TaskDigest, error) {
+		return ts, nil, nil
+	}, nil, nil)
 }
 
 // admitFP is admit with the taskset's fingerprint — and optionally the
-// per-task digests (parallel to ts.Tasks) and the base anchor a delta was
-// applied to — already in hand: the delta path derives them from the base
-// entry's bookkeeping instead of full hash passes and cache lookups. The
-// report exists only on the call that ran the analysis: the run closure
-// hands it to this call's result, and the cache entry keeps just the
-// body.
-func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, ts hetrta.Taskset, ds []hetrta.TaskDigest, from *admitAnchor, removed []hetrta.TaskDigest) (*AdmitResult, error) {
+// base anchor a delta was applied to — already in hand: the delta path
+// derives the fingerprint from the base entry's bookkeeping instead of
+// full hash passes and cache lookups. build returns the taskset and,
+// optionally, its per-task digests (parallel to its tasks); it runs only
+// when the admission executes. The report exists only on the call that
+// ran the analysis: the run closure hands it to this call's result, and
+// the cache entry keeps just the body.
+func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, build func() (hetrta.Taskset, []hetrta.TaskDigest, error), from *admitAnchor, removed []hetrta.TaskDigest) (*AdmitResult, error) {
 	var rep *hetrta.AdmitReport
-	ent, hit, shared, err := s.serve(ctx, s.admitKeyOf(fp), func(ctx context.Context) (ent *entry, err error) {
+	ent, hit, shared, err := s.serve(ctx, s.admitKeyOf(fp), func(ctx context.Context) (*entry, error) {
+		ts, ds, err := build()
+		if err != nil {
+			return nil, err
+		}
+		var ent *entry
 		ent, rep, err = s.runAdmit(ctx, ts, ds, from, removed)
 		return ent, err
 	})
@@ -954,6 +1029,11 @@ type Stats struct {
 	// (breaker open, hard instance) plus full attempts that exhausted
 	// their exact budget or deadline slice.
 	Degraded uint64 `json:"degraded"`
+	// BodyMemoHits counts single-graph request bodies whose graph
+	// fingerprint the body memo knew, so they were neither decoded nor
+	// fingerprinted when their report was resident. It is no Hits/Misses
+	// partition: a known body whose report was evicted is also a miss.
+	BodyMemoHits uint64 `json:"bodyMemoHits"`
 	// EvalHits / EvalMisses / EvalFailures count per-task eval-cache
 	// lookups on the admission path ("eval|" namespace). They are
 	// deliberately disjoint from Hits/Misses: a delta admission that
@@ -1024,18 +1104,17 @@ func (s *Service) Stats() Stats {
 		Coalesced:    s.coalesced.Load(),
 		Failures:     s.failures.Load(),
 		Degraded:     s.degraded.Load(),
+		BodyMemoHits: s.memoHits.Load(),
 		EvalHits:     s.evalHits.Load(),
 		EvalMisses:   s.evalMisses.Load(),
 		EvalFailures: s.evalFailures.Load(),
 		InFlight:     s.inFlight.Load(),
+		Capacity:     s.cache.capacity(),
 		Entries:      s.cache.len(),
 		Evictions:    s.cache.evicted(),
 		ShardEntries: s.cache.shardLens(),
 	}
 	st.StepHits, st.StepMisses, st.StepEntries = s.steps.Stats()
-	for _, sh := range s.cache.shards {
-		st.Capacity += sh.capacity
-	}
 	if total := st.Hits + st.Misses; total > 0 {
 		st.HitRate = float64(st.Hits) / float64(total)
 	}

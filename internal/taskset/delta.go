@@ -1,6 +1,9 @@
 package taskset
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Delta is an incremental edit against a base taskset: arrivals in Add,
 // departures in Remove (named by task digest), and parameter or graph
@@ -62,14 +65,13 @@ func (ts Taskset) ApplyDeltaDigests(digests []TaskDigest, d Delta) (Taskset, []T
 		}
 	}
 	remove := func(dg TaskDigest, what string) error {
-		for i := range out.Tasks {
-			if ds[i] == dg {
-				out.Tasks = append(out.Tasks[:i], out.Tasks[i+1:]...)
-				ds = append(ds[:i], ds[i+1:]...)
-				return nil
-			}
+		i, err := indexOfDigest(ds, dg, what)
+		if err != nil {
+			return err
 		}
-		return fmt.Errorf("taskset: delta %s: task digest %s not in base set", what, dg)
+		out.Tasks = append(out.Tasks[:i], out.Tasks[i+1:]...)
+		ds = append(ds[:i], ds[i+1:]...)
+		return nil
 	}
 	for _, dg := range d.Remove {
 		if err := remove(dg, "remove"); err != nil {
@@ -88,4 +90,46 @@ func (ts Taskset) ApplyDeltaDigests(digests []TaskDigest, d Delta) (Taskset, []T
 		ds = append(ds, t.Digest())
 	}
 	return out, ds, nil
+}
+
+// ApplyDeltaToDigests returns, in canonical (ascending) order, the digests
+// of the set ApplyDeltaDigests(digests, d) returns, without building that
+// set: FingerprintFromDigests of the result is its fingerprint. digests
+// must be parallel to the base tasks; it is not modified. Edits apply in
+// ApplyDeltaDigests' order and fail with its errors.
+func ApplyDeltaToDigests(digests []TaskDigest, d Delta) ([]TaskDigest, error) {
+	ds := make([]TaskDigest, len(digests), len(digests)+len(d.Add)+len(d.Update))
+	copy(ds, digests)
+	remove := func(dg TaskDigest, what string) error {
+		i, err := indexOfDigest(ds, dg, what)
+		if err == nil {
+			ds = append(ds[:i], ds[i+1:]...)
+		}
+		return err
+	}
+	for _, dg := range d.Remove {
+		if err := remove(dg, "remove"); err != nil {
+			return nil, err
+		}
+	}
+	for _, u := range d.Update {
+		if err := remove(u.Old, "update"); err != nil {
+			return nil, err
+		}
+		ds = append(ds, u.Task.Digest())
+	}
+	for _, t := range d.Add {
+		ds = append(ds, t.Digest())
+	}
+	slices.SortFunc(ds, func(a, b TaskDigest) int { return compareDigests(a, b) })
+	return ds, nil
+}
+
+// indexOfDigest returns the index of the first dg in ds. A digest not in
+// ds is the error of a delta edit (what) naming a task its base lacks.
+func indexOfDigest(ds []TaskDigest, dg TaskDigest, what string) (int, error) {
+	if i := slices.Index(ds, dg); i >= 0 {
+		return i, nil
+	}
+	return -1, fmt.Errorf("taskset: delta %s: task digest %s not in base set", what, dg)
 }
