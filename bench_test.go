@@ -742,8 +742,10 @@ func liveHeap() int64 {
 // per op, and reports the heap the filled cache retains per admit entry
 // as B/entry: the live heap after the fill against the same before it,
 // over the 65 admit entries. That heap also holds the 96 per-task eval
-// entries and the Global step memo behind them. "hit" serves one
-// resident delta.
+// entries and the Global step memo behind them. Each fill decodes its
+// arrivals from their /v1/admit/delta bodies, as the daemon does, so no
+// arrival graph outlives the fill unless the service keeps it. "hit"
+// serves one resident delta.
 func BenchmarkServiceAdmitResident(b *testing.B) {
 	const baseN, deltas = 32, 64
 	ctx := context.Background()
@@ -767,22 +769,43 @@ func BenchmarkServiceAdmitResident(b *testing.B) {
 		return svc
 	}
 	// fill admits the base and every arrival; the first pass, on a
-	// throwaway service, fills the graphs' own memoized properties, so
-	// the measured fills see only what the service retains.
-	arrivals := make([]hetrta.TasksetDelta, deltas)
+	// throwaway service, fills the base graphs' own memoized properties,
+	// so the measured fills see only what the service retains.
+	baseFP := base.Fingerprint()
+	arrival := pool.Tasks[baseN]
+	arrivals := make([][]byte, deltas)
 	for i := range arrivals {
-		t := pool.Tasks[baseN]
-		t.G = t.G.Clone()
-		t.Period += int64(i)
-		arrivals[i] = hetrta.TasksetDelta{Add: []hetrta.SporadicTask{t}}
+		type wireTask struct {
+			Graph    *hetrta.Graph `json:"graph"`
+			Period   int64         `json:"period"`
+			Deadline int64         `json:"deadline"`
+		}
+		arrivals[i], err = json.Marshal(struct {
+			Base string     `json:"base"`
+			Add  []wireTask `json:"add"`
+		}{baseFP.String(), []wireTask{{arrival.G, arrival.Period + int64(i), arrival.Deadline}}})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	decode := func(b *testing.B, body []byte) (hetrta.TasksetFingerprint, hetrta.TasksetDelta) {
+		fp, d, err := hetrta.DecodeAdmitDeltaRequest(body, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fp, d
 	}
 	fill := func(b *testing.B, svc *service.Service) hetrta.TasksetFingerprint {
 		warm, err := svc.Admit(ctx, base)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, d := range arrivals {
-			if _, err := svc.AdmitDelta(ctx, warm.Fingerprint, d); err != nil {
+		if warm.Fingerprint != baseFP {
+			b.Fatal("base fingerprint differs from its admission's")
+		}
+		for _, body := range arrivals {
+			fp, d := decode(b, body)
+			if _, err := svc.AdmitDelta(ctx, fp, d); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -810,11 +833,12 @@ func BenchmarkServiceAdmitResident(b *testing.B) {
 	})
 	b.Run("hit", func(b *testing.B) {
 		svc := newSvc(b)
-		fp := fill(b, svc)
+		fill(b, svc)
+		fp, d := decode(b, arrivals[0])
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r, err := svc.AdmitDelta(ctx, fp, arrivals[0])
+			r, err := svc.AdmitDelta(ctx, fp, d)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -17,9 +17,11 @@
 //
 // When -baseline is empty and -out matches BENCH_<n>.json, the baseline
 // defaults to the BENCH_<k>.json with the largest k < n in the same
-// directory (no comparison if none exists). Only allocs/op regressions fail
-// the run: ns/op is too noisy on shared CI hardware, while allocation
-// counts are deterministic for deterministic code.
+// directory (no comparison if none exists). Only regressions of allocs/op
+// and of the resident-memory metrics B/entry and B/key fail the run, all
+// at the same threshold: ns/op is too noisy on shared CI hardware, while
+// allocation counts are deterministic for deterministic code and the
+// memory metrics vary far less than the threshold.
 package main
 
 import (
@@ -74,9 +76,18 @@ type Delta struct {
 	// <1 is an improvement.
 	NsRatio     float64 `json:"ns_ratio"`
 	AllocsRatio float64 `json:"allocs_ratio"`
-	// Regressed marks an allocs/op ratio above the threshold.
+	// MetricRatios holds current/baseline of each gated metric (see
+	// gatedMetrics) both runs report, by unit.
+	MetricRatios map[string]float64 `json:"metric_ratios,omitempty"`
+	// Regressed marks an allocs/op or gated-metric ratio above the
+	// threshold.
 	Regressed bool `json:"regressed,omitempty"`
 }
+
+// gatedMetrics are the custom metrics compare holds to the allocs/op
+// threshold: the heap a resident cache or store index keeps per entry or
+// per key.
+var gatedMetrics = []string{"B/entry", "B/key"}
 
 // Report is the emitted JSON document.
 type Report struct {
@@ -102,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bench     = fs.String("bench", ".", "-bench regexp")
 		benchtime = fs.String("benchtime", "1x", "-benchtime value")
 		count     = fs.Int("count", 1, "-count value: runs per benchmark, folded into median, min and max ns/op")
-		threshold = fs.Float64("threshold", 2.0, "fail when allocs/op exceeds threshold × baseline")
+		threshold = fs.Float64("threshold", 2.0, "fail when allocs/op, B/entry or B/key exceeds threshold × baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -182,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	printSummary(stdout, rep)
 	if regressed {
-		fmt.Fprintf(stderr, "benchreport: allocs/op regression above %.1f× baseline %s\n", *threshold, base)
+		fmt.Fprintf(stderr, "benchreport: allocs/op or memory regression above %.1f× baseline %s\n", *threshold, base)
 		return 1
 	}
 	return 0
@@ -333,7 +344,7 @@ func readReport(path string) (*Report, error) {
 
 // compare produces per-benchmark deltas (for benchmarks present in both
 // runs), the baseline benchmarks missing from the current run, and whether
-// any allocs/op ratio exceeds the threshold.
+// any allocs/op or gated-metric ratio exceeds the threshold.
 func compare(baseline, current []Benchmark, threshold float64) (deltas []Delta, missing []string, regressed bool) {
 	prev := make(map[string]Benchmark, len(baseline))
 	for _, b := range baseline {
@@ -350,10 +361,20 @@ func compare(baseline, current []Benchmark, threshold float64) (deltas []Delta, 
 			AllocsRatio: ratio(float64(b.AllocsPerOp), float64(p.AllocsPerOp))}
 		// A zero-alloc baseline is a hard promise (e.g. cache-hit paths):
 		// ANY allocation there regresses, ratio or no ratio.
-		if d.AllocsRatio > threshold || (p.AllocsPerOp == 0 && b.AllocsPerOp > 0) {
-			d.Regressed = true
-			regressed = true
+		d.Regressed = d.AllocsRatio > threshold || (p.AllocsPerOp == 0 && b.AllocsPerOp > 0)
+		for _, unit := range gatedMetrics {
+			pv, okP := p.Metrics[unit]
+			cv, okC := b.Metrics[unit]
+			if !okP || !okC {
+				continue
+			}
+			if d.MetricRatios == nil {
+				d.MetricRatios = make(map[string]float64)
+			}
+			d.MetricRatios[unit] = ratio(cv, pv)
+			d.Regressed = d.Regressed || d.MetricRatios[unit] > threshold
 		}
+		regressed = regressed || d.Regressed
 		deltas = append(deltas, d)
 	}
 	for _, b := range baseline {
@@ -395,7 +416,13 @@ func printSummary(w io.Writer, rep *Report) {
 			if d.Regressed {
 				mark = "  REGRESSED"
 			}
-			fmt.Fprintf(w, "%-55s %8.2fx ns %8.2fx allocs%s\n", d.Name, d.NsRatio, d.AllocsRatio, mark)
+			fmt.Fprintf(w, "%-55s %8.2fx ns %8.2fx allocs", d.Name, d.NsRatio, d.AllocsRatio)
+			for _, unit := range gatedMetrics {
+				if r, ok := d.MetricRatios[unit]; ok {
+					fmt.Fprintf(w, " %8.2fx %s", r, unit)
+				}
+			}
+			fmt.Fprintln(w, mark)
 		}
 	}
 }

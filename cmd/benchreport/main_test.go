@@ -134,6 +134,39 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 	}
 }
 
+// TestCompareGatesMemoryMetrics: B/entry and B/key are held to the
+// allocs/op threshold when both runs report them; other custom metrics,
+// and a metric only one run reports, are not gated.
+func TestCompareGatesMemoryMetrics(t *testing.T) {
+	baseline := []Benchmark{
+		{Name: "BenchmarkFill", AllocsPerOp: 10, Metrics: map[string]float64{"B/entry": 1000, "exp/op": 5}},
+		{Name: "BenchmarkOpen", AllocsPerOp: 10, Metrics: map[string]float64{"B/key": 50}},
+		{Name: "BenchmarkNew", AllocsPerOp: 10},
+	}
+	current := []Benchmark{
+		{Name: "BenchmarkFill", AllocsPerOp: 10, Metrics: map[string]float64{"B/entry": 1900, "exp/op": 50}},
+		{Name: "BenchmarkOpen", AllocsPerOp: 10, Metrics: map[string]float64{"B/key": 120}},
+		{Name: "BenchmarkNew", AllocsPerOp: 10, Metrics: map[string]float64{"B/entry": 9999}},
+	}
+	deltas, _, regressed := compare(baseline, current, 2.0)
+	if !regressed {
+		t.Fatal("2.4x B/key growth not flagged as regression")
+	}
+	byName := map[string]Delta{}
+	for _, d := range deltas {
+		byName[d.Name] = d
+	}
+	if d := byName["BenchmarkFill"]; d.Regressed || d.MetricRatios["B/entry"] != 1.9 || len(d.MetricRatios) != 1 {
+		t.Errorf("BenchmarkFill: %+v; want B/entry 1.9x, not regressed, exp/op ungated", d)
+	}
+	if d := byName["BenchmarkOpen"]; !d.Regressed || d.MetricRatios["B/key"] != 2.4 {
+		t.Errorf("BenchmarkOpen: %+v; want B/key 2.4x, regressed", d)
+	}
+	if d := byName["BenchmarkNew"]; d.Regressed || d.MetricRatios != nil {
+		t.Errorf("BenchmarkNew: %+v; a metric without a baseline value is not gated", d)
+	}
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bench.txt")

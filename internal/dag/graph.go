@@ -390,24 +390,30 @@ func (g *Graph) OffloadNodes() []int {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. Like FromAdjacency and the
+// decoder, it packs every adjacency row into one backing array, each row
+// capacity-capped so that AddEdge regrowing one row never writes into a
+// sibling: a clone costs four allocations whatever its size.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		nodes:     make([]Node, len(g.nodes)),
-		succs:     make([][]int, len(g.succs)),
-		preds:     make([][]int, len(g.preds)),
-		edgeCount: g.edgeCount,
+	n := len(g.nodes)
+	nodes := make([]Node, n)
+	copy(nodes, g.nodes)
+	total := 0
+	for u := range n {
+		total += len(g.succs[u]) + len(g.preds[u])
 	}
-	copy(c.nodes, g.nodes)
-	for i := range g.succs {
-		if len(g.succs[i]) > 0 {
-			c.succs[i] = append([]int(nil), g.succs[i]...)
-		}
-		if len(g.preds[i]) > 0 {
-			c.preds[i] = append([]int(nil), g.preds[i]...)
+	rows := make([][]int, 2*n)
+	back := make([]int, 0, total)
+	for u := range n {
+		for r, row := range [2][]int{g.succs[u], g.preds[u]} {
+			if len(row) > 0 {
+				start := len(back)
+				back = append(back, row...)
+				rows[r*n+u] = back[start:len(back):len(back)]
+			}
 		}
 	}
-	return c
+	return &Graph{nodes: nodes, succs: rows[:n:n], preds: rows[n:], edgeCount: g.edgeCount}
 }
 
 // FromAdjacency builds a graph in one pass from a node slice and per-node

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -149,6 +150,87 @@ func TestCloneIsDeep(t *testing.T) {
 	c.SetWCET(0, 99)
 	if g.WCET(0) == 99 {
 		t.Fatal("mutating clone WCET changed original")
+	}
+}
+
+// TestCloneIsolation: a clone packs its adjacency into one array, so
+// every mutation of either side (an edge into a non-empty row, an edge
+// removal, a WCET, a transitive reduction) must leave the other side, and
+// every other row of the mutated side, as they were.
+func TestCloneIsolation(t *testing.T) {
+	// v0→{v1,v2,v3}, v1→v3, v2→v3 and the redundant v0→v3: every row of
+	// both directions is non-empty except v0's preds and v3's succs.
+	build := func() *Graph {
+		g := New()
+		for i := range 5 {
+			g.AddNode("", int64(i+1), Host)
+		}
+		for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 3}, {2, 3}, {1, 4}} {
+			g.MustAddEdge(e[0], e[1])
+		}
+		return g
+	}
+	mutations := []struct {
+		name string
+		mut  func(*Graph)
+		// rows lists the nodes whose succ or pred rows the mutation may
+		// change; every other row must stay as it was.
+		rows []int
+	}{
+		{"AddEdge", func(g *Graph) { g.MustAddEdge(1, 2) }, []int{1, 2}},
+		{"RemoveEdge", func(g *Graph) { g.RemoveEdge(0, 2) }, []int{0, 2}},
+		{"SetWCET", func(g *Graph) { g.SetWCET(2, 99) }, nil},
+		{"TransitiveReduction", func(g *Graph) {
+			if _, err := g.TransitiveReduction(); err != nil {
+				t.Fatal(err)
+			}
+		}, []int{0, 3}},
+	}
+	for _, m := range mutations {
+		for _, side := range []string{"clone", "original"} {
+			t.Run(m.name+"/"+side, func(t *testing.T) {
+				orig := build()
+				clone := orig.Clone()
+				mutated, other := clone, orig
+				if side == "original" {
+					mutated, other = orig, clone
+				}
+				m.mut(mutated)
+				if !other.Equal(build()) {
+					t.Fatalf("mutating the %s changed the other side", side)
+				}
+				// The mutated side's untouched rows keep their contents.
+				ref := build()
+				for u := range ref.NumNodes() {
+					if slices.Contains(m.rows, u) {
+						continue
+					}
+					if !slices.Equal(mutated.Succs(u), ref.Succs(u)) || !slices.Equal(mutated.Preds(u), ref.Preds(u)) {
+						t.Fatalf("row %d changed: succs %v preds %v, want %v %v", u, mutated.Succs(u), mutated.Preds(u), ref.Succs(u), ref.Preds(u))
+					}
+				}
+				if m.name == "SetWCET" && (mutated.WCET(2) != 99 || other.WCET(2) != 3) {
+					t.Fatalf("WCET of v2: mutated %d, other %d", mutated.WCET(2), other.WCET(2))
+				}
+				if !mutated.IsAcyclic() || mutated.NumEdges() != len(mutated.Edges()) {
+					t.Fatalf("mutated graph inconsistent: %v", mutated.Edges())
+				}
+			})
+		}
+	}
+	// Regrowing a row whose tail was freed by a removal stays in place.
+	g := build()
+	c := g.Clone()
+	c.RemoveEdge(0, 1)
+	c.MustAddEdge(0, 4)
+	if got := c.Succs(0); !slices.Equal(got, []int{2, 3, 4}) {
+		t.Fatalf("clone v0 succs %v, want [2 3 4]", got)
+	}
+	if got := c.Succs(1); !slices.Equal(got, []int{3, 4}) {
+		t.Fatalf("clone v1 succs %v, want [3 4]", got)
+	}
+	if !g.Equal(build()) {
+		t.Fatal("mutating the clone changed the original")
 	}
 }
 

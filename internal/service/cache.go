@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	hetrta "repro"
-	"repro/internal/dag"
 	"repro/internal/keyhash"
 )
 
@@ -26,9 +25,10 @@ type entry struct {
 	// the platform-independent preparation plus memoized per-platform
 	// bounds, shared across every admission that contains the task. Eval
 	// entries have no body — they are never served over the wire.
-	// evalGraph retains the ORIGINAL task graph alongside it: the handle
-	// only keeps the reduced work graph, and the store tier needs the
-	// source graph for a loss-free round trip (see persist.go).
+	// evalGraph is the ORIGINAL task graph, which the store tier needs
+	// for a loss-free round trip (see persist.go): the handle's own work
+	// graph when the reduction removed nothing, so one copy is kept, and
+	// the decoded graph otherwise.
 	eval      *hetrta.TaskEvalHandle
 	evalGraph *hetrta.Graph
 	// anchor is the delta-admission anchor of an "admit|" entry; nil on
@@ -39,19 +39,6 @@ type entry struct {
 	// flight's waiters but is cached under the "deg|" namespace, so full
 	// keys only ever hold non-degraded reports.
 	cacheKey string
-}
-
-// admitAnchor is what AdmitDelta needs of a resident admission: base is
-// the taskset behind the entry, which the delta is applied to. digests and
-// handles are parallel to base.Tasks. digests lets the delta path resolve
-// removals and derive the resulting fingerprint without re-hashing the
-// base. handles holds each task's eval handle, so surviving tasks skip the
-// string-keyed eval cache; a nil slot is re-prepared through taskEval.
-// Written only before the entry is published; read-only after.
-type admitAnchor struct {
-	base    hetrta.Taskset
-	digests []hetrta.TaskDigest
-	handles []*hetrta.TaskEvalHandle
 }
 
 // storeKey is the key this entry is cached under when its flight ran under
@@ -128,13 +115,14 @@ func (c *cache) get(key string) (*entry, bool) {
 	return c.getHashed(keyhash.Of(key), func(k string) bool { return k == key })
 }
 
-// getFP is get of the analysis key fp.String()+"|"+sig (Service.keyOf),
-// hashing and comparing the key in parts so that a hit builds no string.
-func (c *cache) getFP(fp dag.Fingerprint, sig string) (*entry, bool) {
-	h := keyhash.Add(keyhash.AddHex(keyhash.Offset, fp[:]), "|")
+// getFP is get of the key prefix+hex(fp)+"|"+sig (Service.keyOf with no
+// prefix, Service.admitKeyOf with admitPrefix), hashing and comparing the
+// key in parts so that a hit builds no string.
+func (c *cache) getFP(prefix string, fp []byte, sig string) (*entry, bool) {
+	h := keyhash.Add(keyhash.AddHex(keyhash.Add(keyhash.Offset, prefix), fp), "|")
 	return c.getHashed(keyhash.Add(h, sig), func(k string) bool {
-		const n = 2 * len(fp)
-		return len(k) == n+1+len(sig) && k[n] == '|' && k[n+1:] == sig && keyhash.HexEqual(k[:n], fp[:])
+		p, n := len(prefix), 2*len(fp)
+		return len(k) == p+n+1+len(sig) && k[:p] == prefix && k[p+n] == '|' && k[p+n+1:] == sig && keyhash.HexEqual(k[p:p+n], fp)
 	})
 }
 

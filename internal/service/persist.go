@@ -14,10 +14,12 @@ package service
 // Record kinds and their values:
 //
 //	recReport — the analysis Report's canonical JSON (the cached body)
-//	recAdmit  — {body, per-task digests, base task list with graphs}:
-//	            everything needed to re-anchor delta admission; the eval
-//	            handles are not stored, but reconnected to resident eval
-//	            entries by digest
+//	recAdmit  — {body, per-task digests, task list with graphs}, in
+//	            canonical order: everything needed to re-anchor delta
+//	            admission. A reference anchor is written flattened, and
+//	            every record decodes to a full anchor. The eval handles
+//	            are not stored, but reconnected to resident eval entries
+//	            by digest
 //	recEval   — the ORIGINAL task graph JSON. A TaskEvalHandle retains
 //	            only the reduced work graph, so persisting that would
 //	            re-transform an already-transformed DAG on decode;
@@ -37,6 +39,7 @@ import (
 
 	hetrta "repro"
 	"repro/internal/store"
+	"repro/internal/taskset"
 )
 
 // Store record kinds (the store treats them as opaque).
@@ -156,9 +159,11 @@ func (s *Service) warmStart() {
 	}
 }
 
-// anchorEvals fills an admit entry's handle slots from the eval entries
-// find resolves; for any other entry it does nothing. A slot left nil is
-// fine: the delta path re-prepares that task through taskEval.
+// anchorEvals fills the handle slots of a decoded admit entry's (full)
+// anchor from the eval entries find resolves, and lets each member whose
+// handle's work graph equals its graph keep the work graph; for any other
+// entry it does nothing. A slot left nil is fine: the delta path
+// re-prepares that task through taskEval.
 func (s *Service) anchorEvals(ent *entry, find func(key string) (*entry, bool)) {
 	if ent.anchor == nil {
 		return
@@ -168,6 +173,7 @@ func (s *Service) anchorEvals(ent *entry, find func(key string) (*entry, bool)) 
 			ent.anchor.handles[i] = ev.eval
 		}
 	}
+	ent.anchor.shareGraphs()
 }
 
 // lookup is the two-tier cache read: the in-memory LRU first, then the
@@ -215,20 +221,17 @@ func (s *Service) persist(key string, ent *entry) {
 	switch {
 	case strings.HasPrefix(key, "admit|"):
 		a := ent.anchor
-		if a == nil || len(ent.body) == 0 || len(a.digests) != len(a.base.Tasks) {
-			return // no anchor, or an incoherent one; do not make it durable
+		if a == nil || len(ent.body) == 0 {
+			return // no anchor; do not make it durable
 		}
-		pa := persistedAdmit{
-			Body:    ent.body,
-			Digests: make([]string, len(a.digests)),
-			Tasks:   make([]persistedTask, len(a.base.Tasks)),
-		}
-		for i, dg := range a.digests {
-			pa.Digests[i] = dg.String()
-		}
-		for i, t := range a.base.Tasks {
-			pa.Tasks[i] = persistedTask{Graph: t.G, Period: t.Period, Deadline: t.Deadline, Jitter: t.Jitter}
-		}
+		// A record holds the full member list: a reference anchor is
+		// flattened here, into a fresh list.
+		pa := persistedAdmit{Body: ent.body}
+		a.walk(taskset.Edit{}, func(t *hetrta.SporadicTask, dg hetrta.TaskDigest, _ *hetrta.TaskEvalHandle) bool {
+			pa.Digests = append(pa.Digests, dg.String())
+			pa.Tasks = append(pa.Tasks, persistedTask{Graph: t.G, Period: t.Period, Deadline: t.Deadline, Jitter: t.Jitter})
+			return true
+		})
 		val, err := json.Marshal(pa)
 		if err != nil {
 			return
@@ -276,33 +279,34 @@ func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
 		if err := json.Unmarshal(pa.Body, new(hetrta.AdmitReport)); err != nil {
 			return nil, fmt.Errorf("service: decoding admit record body: %w", err)
 		}
-		a := &admitAnchor{
-			base:    hetrta.Taskset{Tasks: make([]hetrta.SporadicTask, len(pa.Tasks))},
-			digests: make([]hetrta.TaskDigest, len(pa.Digests)),
-			handles: make([]*hetrta.TaskEvalHandle, len(pa.Digests)),
-		}
+		ts := hetrta.Taskset{Tasks: make([]hetrta.SporadicTask, len(pa.Tasks))}
+		ds := make([]hetrta.TaskDigest, len(pa.Digests))
 		for i, pt := range pa.Tasks {
 			if pt.Graph == nil {
 				return nil, errors.New("service: admit record task without graph")
 			}
-			a.base.Tasks[i] = hetrta.SporadicTask{G: pt.Graph, Period: pt.Period, Deadline: pt.Deadline, Jitter: pt.Jitter}
+			ts.Tasks[i] = hetrta.SporadicTask{G: pt.Graph, Period: pt.Period, Deadline: pt.Deadline, Jitter: pt.Jitter}
 			dg, err := hetrta.ParseTaskDigest(pa.Digests[i])
 			if err != nil {
 				return nil, fmt.Errorf("service: decoding admit record digest: %w", err)
 			}
-			a.digests[i] = dg
+			ds[i] = dg
 		}
+		// Records are written in canonical order; one written in another
+		// order (an older writer's) is sorted here.
+		ts, ds = ts.CanonicalWithGivenDigests(ds)
+		a := &admitAnchor{tasks: ts.Tasks, digests: ds, handles: make([]*hetrta.TaskEvalHandle, len(ds))}
 		return &entry{body: pa.Body, anchor: a}, nil
 	case recEval:
 		g := new(hetrta.Graph)
 		if err := json.Unmarshal(value, g); err != nil {
 			return nil, fmt.Errorf("service: decoding eval record graph: %w", err)
 		}
-		h, err := s.ta.PrepareTaskEval(g)
+		ent, err := s.prepareEval(g)
 		if err != nil {
 			return nil, fmt.Errorf("service: re-preparing eval record: %w", err)
 		}
-		return &entry{eval: h, evalGraph: g}, nil
+		return ent, nil
 	default:
 		return nil, fmt.Errorf("service: unknown store record kind %d", kind)
 	}

@@ -52,7 +52,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/store"
-	"repro/internal/taskset"
 )
 
 // Limiter cost classes: one graph analysis — a single request, or one
@@ -331,12 +330,14 @@ func (s *Service) cacheGet(key string) (*entry, bool) {
 	return s.cache.get(key)
 }
 
-// cacheGetFP is cacheGet of keyOf(fp), without building the key.
-func (s *Service) cacheGetFP(fp dag.Fingerprint) (*entry, bool) {
+// cacheGetFP is cacheGet of the key prefix+hex(fp)+"|"+sig, without
+// building it: keyOf(fp) is ("", fp, s.sig), admitKeyOf(fp) is
+// (admitPrefix, fp, s.tsig).
+func (s *Service) cacheGetFP(prefix string, fp []byte, sig string) (*entry, bool) {
 	if err := s.inj.Fire(faultinject.CacheGet); err != nil {
 		return nil, false
 	}
-	return s.cache.getFP(fp, s.sig)
+	return s.cache.getFP(prefix, fp, sig)
 }
 
 // cacheAdd is cache.add behind the CacheAdd fault seam: an injected error
@@ -410,7 +411,7 @@ func (s *Service) LookupBody(body []byte) (*Result, BodyKey) {
 		return nil, k
 	}
 	s.memoHits.Add(1)
-	ent, ok := s.cacheGetFP(k.fp)
+	ent, ok := s.cacheGetFP("", k.fp[:], s.sig)
 	if !ok {
 		return nil, k
 	}
@@ -440,7 +441,7 @@ func (s *Service) AnalyzeBody(ctx context.Context, g *hetrta.Graph, k BodyKey) (
 // builds no key string.
 func (s *Service) analyze(ctx context.Context, g *hetrta.Graph) (*Result, error) {
 	fp := g.Fingerprint()
-	if ent, ok := s.cacheGetFP(fp); ok {
+	if ent, ok := s.cacheGetFP("", fp[:], s.sig); ok {
 		s.hits.Add(1)
 		return s.result(ent, nil, fp, true, false), nil
 	}
@@ -683,11 +684,15 @@ type AdmitResult struct {
 // baked into every admission cache key.
 func (s *Service) TasksetSignature() string { return s.tsig }
 
+// admitPrefix is the "admit|" namespace, which keeps admission entries
+// disjoint from analysis entries in the shared sharded cache.
+const admitPrefix = "admit|"
+
 // admitKeyOf derives the admission cache key of ts under this service's
-// configuration. The "admit|" namespace keeps admission entries disjoint
-// from analysis entries in the shared sharded cache.
+// configuration. The hit paths match it in parts (cacheGetFP) and build it
+// only on a miss.
 func (s *Service) admitKeyOf(fp hetrta.TasksetFingerprint) string {
-	return "admit|" + fp.String() + "|" + s.tsig
+	return admitPrefix + fp.String() + "|" + s.tsig
 }
 
 // ErrUnknownBase is returned by AdmitDelta when the base fingerprint is
@@ -718,14 +723,17 @@ func (s *Service) Admit(ctx context.Context, ts hetrta.Taskset) (*AdmitResult, e
 // digest not in the base) satisfy errors.Is(err, hetrta.ErrInvalidInput).
 func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint, delta hetrta.TasksetDelta) (*AdmitResult, error) {
 	s.requests.Add(1)
-	// lookup consults the store tier too: a base evicted from the LRU —
-	// or admitted before a restart — revives from its admit record
-	// instead of 404ing every delta until the cache re-warms. Only an
-	// entry with an anchor can be replayed, and decodeRecord rejects any
-	// record whose anchor is incoherent; anything else is
-	// indistinguishable from a cold base and must surface ErrUnknownBase,
-	// never a partial-reuse report or a 500.
-	ent, ok := s.lookup(s.admitKeyOf(base))
+	// The store tier is consulted too: a base evicted from the LRU — or
+	// admitted before a restart — revives from its admit record instead
+	// of 404ing every delta until the cache re-warms. Only an entry with
+	// an anchor can be replayed, and decodeRecord rejects any record
+	// whose anchor is incoherent; anything else is indistinguishable from
+	// a cold base and must surface ErrUnknownBase, never a partial-reuse
+	// report or a 500.
+	ent, ok := s.cacheGetFP(admitPrefix, base[:], s.tsig)
+	if !ok {
+		ent, ok = s.storeLookup(s.admitKeyOf(base))
+	}
 	if !ok || ent.anchor == nil {
 		return nil, fmt.Errorf("%w: fingerprint %s not resident (never admitted or evicted); fall back to full admit", ErrUnknownBase, base)
 	}
@@ -733,49 +741,75 @@ func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint
 	// The resulting fingerprint falls out of the digest bookkeeping: only
 	// tasks the delta introduced are hashed, never the resident base, and
 	// the resulting taskset is built only if its report is not resident.
-	ds, err := taskset.ApplyDeltaToDigests(a.digests, delta)
+	e, err := delta.Resolve(a.count)
 	if err != nil {
 		return nil, hetrta.MarkInvalidInput(err)
 	}
-	return s.admitFP(ctx, hetrta.TasksetFingerprintFromDigests(ds), func() (hetrta.Taskset, []hetrta.TaskDigest, error) {
-		ts, ds, err := a.base.ApplyDeltaDigests(a.digests, delta)
-		if err != nil {
-			return hetrta.Taskset{}, nil, hetrta.MarkInvalidInput(err)
+	return s.admitFP(ctx, a.fingerprintWith(e), func(ctx context.Context) (*entry, *hetrta.AdmitReport, error) {
+		// The members come in canonical order, so the analyzer's own
+		// canonical pass is the identity. Surviving members' handles seed
+		// the admission's eval map.
+		tasks, ds, handles := a.members(e)
+		evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(tasks))
+		for i, h := range handles {
+			if h != nil {
+				evals[ds[i]] = h
+			}
 		}
-		// One canonicalization covers the whole event: entries anchored by
-		// the delta path hold canonical order, so this sorts an
-		// almost-sorted slice, and the analyzer's own canonical pass
-		// becomes the identity.
-		ts, ds = ts.CanonicalWithGivenDigests(ds)
-		return ts, ds, nil
-	}, a, delta.Remove)
+		ent, rep, err := s.runAdmit(ctx, hetrta.Taskset{Tasks: tasks}, ds, evals)
+		if err != nil {
+			return nil, nil, err
+		}
+		// The result refers to a full base and holds only the edit; the
+		// result of a delta against a reference is anchored in full, so
+		// references never chain.
+		if a.ref == nil {
+			ent.anchor = newRefAnchor(a, e, evals)
+		} else {
+			ent.anchor = newFullAnchor(tasks, ds, evals)
+		}
+		return ent, rep, nil
+	})
 }
 
 // admit is Admit without the request accounting, so internal retries (the
 // cancelled-leader fallback) do not double-count.
 func (s *Service) admit(ctx context.Context, ts hetrta.Taskset) (*AdmitResult, error) {
-	return s.admitFP(ctx, ts.Fingerprint(), func() (hetrta.Taskset, []hetrta.TaskDigest, error) {
-		return ts, nil, nil
-	}, nil, nil)
+	return s.admitFP(ctx, ts.Fingerprint(), func(ctx context.Context) (*entry, *hetrta.AdmitReport, error) {
+		evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(ts.Tasks))
+		ent, rep, err := s.runAdmit(ctx, ts, nil, evals)
+		if err != nil {
+			return nil, nil, err
+		}
+		// A private copy of the task list in canonical order; the member
+		// graphs' canonical fingerprints are memoized from the admission,
+		// so the digests are cheap.
+		tasks := slices.Clone(ts.Tasks)
+		ds := make([]hetrta.TaskDigest, len(tasks))
+		for i := range tasks {
+			ds[i] = tasks[i].Digest()
+		}
+		canon, ds := hetrta.Taskset{Tasks: tasks}.CanonicalWithGivenDigests(ds)
+		ent.anchor = newFullAnchor(canon.Tasks, ds, evals)
+		return ent, rep, nil
+	})
 }
 
-// admitFP is admit with the taskset's fingerprint — and optionally the
-// base anchor a delta was applied to — already in hand: the delta path
-// derives the fingerprint from the base entry's bookkeeping instead of
-// full hash passes and cache lookups. build returns the taskset and,
-// optionally, its per-task digests (parallel to its tasks); it runs only
-// when the admission executes. The report exists only on the call that
+// admitFP is admit with the taskset's fingerprint already in hand: the
+// delta path derives it from the base entry's bookkeeping instead of full
+// hash passes. A memory hit is found by the key's parts, so it builds no
+// key string. run executes the admission on a miss and returns the entry,
+// anchor set, with the report. The report exists only on the call that
 // ran the analysis: the run closure hands it to this call's result, and
 // the cache entry keeps just the body.
-func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, build func() (hetrta.Taskset, []hetrta.TaskDigest, error), from *admitAnchor, removed []hetrta.TaskDigest) (*AdmitResult, error) {
+func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, run func(ctx context.Context) (*entry, *hetrta.AdmitReport, error)) (*AdmitResult, error) {
+	if ent, ok := s.cacheGetFP(admitPrefix, fp[:], s.tsig); ok {
+		s.hits.Add(1)
+		return &AdmitResult{Body: ent.body, Hit: true, Fingerprint: fp}, nil
+	}
 	var rep *hetrta.AdmitReport
-	ent, hit, shared, err := s.serve(ctx, s.admitKeyOf(fp), func(ctx context.Context) (*entry, error) {
-		ts, ds, err := build()
-		if err != nil {
-			return nil, err
-		}
-		var ent *entry
-		ent, rep, err = s.runAdmit(ctx, ts, ds, from, removed)
+	ent, hit, shared, err := s.serveWith(ctx, s.admitKeyOf(fp), s.requestCounters(), s.storeLookup, func(ctx context.Context) (ent *entry, err error) {
+		ent, rep, err = run(ctx)
 		return ent, err
 	})
 	if err != nil {
@@ -785,15 +819,12 @@ func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, bui
 }
 
 // runAdmit executes the taskset analyzer once and serializes the report
-// (the admission counterpart of runGraph). The successful entry anchors
-// later AdmitDelta calls with a copy of the taskset, its per-task digests
-// and their eval handles. ds, when non-nil, is the precomputed digest
-// slice parallel to ts.Tasks. from, when non-nil, is the anchor of the
-// base a delta was applied to: its handles, minus the removed digests,
-// seed the digest→handle map this admission resolves through. Handles
-// resolved along the way join the map, and the entry's handle slots are
-// filled from it.
-func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.TaskDigest, from *admitAnchor, removed []hetrta.TaskDigest) (*entry, *hetrta.AdmitReport, error) {
+// (the admission counterpart of runGraph); the caller anchors the entry.
+// ds, when non-nil, is the precomputed digest slice parallel to ts.Tasks.
+// evals maps digests to eval handles the admission resolves through; it
+// may come seeded with the handles of a delta's base, and every handle
+// resolved along the way joins it.
+func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.TaskDigest, evals map[hetrta.TaskDigest]*hetrta.TaskEvalHandle) (*entry, *hetrta.AdmitReport, error) {
 	if err := s.limiter.Acquire(ctx, costAdmit); err != nil {
 		return nil, nil, err
 	}
@@ -804,15 +835,7 @@ func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.T
 	if err := s.inj.Fire(faultinject.Exec); err != nil {
 		return nil, nil, err
 	}
-	evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(ts.Tasks))
-	if from != nil {
-		for i, h := range from.handles {
-			if h != nil && !slices.Contains(removed, from.digests[i]) {
-				evals[from.digests[i]] = h
-			}
-		}
-	}
-	// Anchored handles satisfy lookups without the string-keyed eval cache;
+	// Seeded handles satisfy lookups without the string-keyed eval cache;
 	// they still count as eval hits so churn metrics keep their meaning
 	// (only never-seen tasks are prepared). Misses go through taskEval —
 	// single-flight, counted, fault-injectable — and join the map.
@@ -839,23 +862,7 @@ func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.T
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: marshaling admit report: %w", err)
 	}
-	// Anchor for later AdmitDelta calls: a private copy of the task list
-	// (ApplyDelta resolves digests in any order, so no canonicalization
-	// pass is needed here; the graphs themselves are immutable-by-contract
-	// once admitted) plus its per-task digests, cheap now that the member
-	// graphs' canonical fingerprints are memoized from the admission.
-	a := &admitAnchor{base: hetrta.Taskset{Tasks: append([]hetrta.SporadicTask(nil), ts.Tasks...)}, digests: ds}
-	if a.digests == nil {
-		a.digests = make([]hetrta.TaskDigest, len(a.base.Tasks))
-		for i := range a.base.Tasks {
-			a.digests[i] = a.base.Tasks[i].Digest()
-		}
-	}
-	a.handles = make([]*hetrta.TaskEvalHandle, len(a.digests))
-	for i, dg := range a.digests {
-		a.handles[i] = evals[dg]
-	}
-	return &entry{body: body, anchor: a}, rep, nil
+	return &entry{body: body}, rep, nil
 }
 
 // evalKeyOf derives the per-task eval cache key: the task digest under the
@@ -878,14 +885,7 @@ func (s *Service) taskEval(ctx context.Context, t hetrta.SporadicTask, dg hetrta
 	ent, _, _, err := s.serveWith(ctx, s.evalKeyOf(dg),
 		serveCounters{&s.evalHits, &s.evalMisses, &s.evalFailures}, s.lookup,
 		func(ctx context.Context) (*entry, error) {
-			h, err := s.ta.PrepareTaskEval(t.G)
-			if err != nil {
-				return nil, err
-			}
-			// evalGraph keeps the ORIGINAL graph for the store tier:
-			// the handle only retains the reduced work graph, which is
-			// not a loss-free round trip (see persist.go).
-			return &entry{eval: h, evalGraph: t.G}, nil
+			return s.prepareEval(t.G)
 		})
 	if err != nil {
 		return nil, err
@@ -895,15 +895,26 @@ func (s *Service) taskEval(ctx context.Context, t hetrta.SporadicTask, dg hetrta
 		// foreign insert; preparation is pure and content-addressed, so
 		// repairing in place is always sound — the admission must never
 		// fail (500) or partially reuse over a malformed handle.
-		h, perr := s.ta.PrepareTaskEval(t.G)
-		if perr != nil {
+		ent, err := s.prepareEval(t.G)
+		if err != nil {
 			s.evalFailures.Add(1)
-			return nil, perr
+			return nil, err
 		}
-		s.cache.add(s.evalKeyOf(dg), &entry{eval: h, evalGraph: t.G})
-		return h, nil
+		s.cache.add(s.evalKeyOf(dg), ent)
+		return ent.eval, nil
 	}
 	return ent.eval, nil
+}
+
+// prepareEval builds the eval entry of one task graph. evalGraph keeps the
+// original graph for the store tier, which is the handle's own work graph
+// whenever the reduction removed nothing (workGraph).
+func (s *Service) prepareEval(g *hetrta.Graph) (*entry, error) {
+	h, err := s.ta.PrepareTaskEval(g)
+	if err != nil {
+		return nil, err
+	}
+	return &entry{eval: h, evalGraph: workGraph(h, g)}, nil
 }
 
 // admitCached is the default execAdmit: AdmitWith over the shared per-task

@@ -217,32 +217,46 @@ func TestCacheSlotCollision(t *testing.T) {
 }
 
 // TestGetFPMatchesGet: the hit path's lookup by key parts finds exactly
-// the entry of the built key, and a key differing in one hex digit or in
-// the signature misses, also when it is filed in the entry's slot.
+// the entry of the built key, analysis and admission alike, and a key
+// differing in one hex digit, in the prefix or in the signature misses,
+// also when it is filed in the entry's slot.
 func TestGetFPMatchesGet(t *testing.T) {
 	s := newTestService(t, Options{Shards: 1})
 	fp := chainGraph(t, 8).Fingerprint()
 	ent := &entry{body: []byte("x")}
 	s.cache.add(s.keyOf(fp), ent)
-	if got, ok := s.cache.getFP(fp, s.sig); !ok || got != ent {
+	if got, ok := s.cache.getFP("", fp[:], s.sig); !ok || got != ent {
 		t.Fatalf("getFP missed the entry of keyOf(fp): %v", ok)
 	}
 	other := fp
 	other[31] ^= 0x01
-	if _, ok := s.cache.getFP(other, s.sig); ok {
+	if _, ok := s.cache.getFP("", other[:], s.sig); ok {
 		t.Fatal("getFP hit for a fingerprint one digit off")
 	}
 	sig := []byte(s.sig)
 	sig[len(sig)-1] ^= 0x01
-	if _, ok := s.cache.getFP(fp, string(sig)); ok {
+	if _, ok := s.cache.getFP("", fp[:], string(sig)); ok {
 		t.Fatal("getFP hit under another signature of the same length")
 	}
 	// The same must hold when the other key's hash lands on the entry's
 	// slot: getFP compares the key, not only the hash.
 	sh := s.cache.shardFor(s.keyOf(fp))
 	sh.items[keyhash.Of(s.keyOf(other))] = sh.items[keyhash.Of(s.keyOf(fp))]
-	if _, ok := s.cache.getFP(other, s.sig); ok {
+	if _, ok := s.cache.getFP("", other[:], s.sig); ok {
 		t.Fatal("getFP hit for another fingerprint filed in the entry's slot")
+	}
+
+	tfp := hetrta.Taskset{Tasks: []hetrta.SporadicTask{deltaChain(2, 8, 60, 50)}}.Fingerprint()
+	admitEnt := &entry{body: []byte("y")}
+	s.cache.add(s.admitKeyOf(tfp), admitEnt)
+	if got, ok := s.cache.getFP(admitPrefix, tfp[:], s.tsig); !ok || got != admitEnt {
+		t.Fatalf("getFP missed the entry of admitKeyOf(fp): %v", ok)
+	}
+	if _, ok := s.cache.getFP("admit/", tfp[:], s.tsig); ok {
+		t.Fatal("getFP hit under another prefix of the same length")
+	}
+	if _, ok := s.cache.getFP("", tfp[:], s.tsig); ok {
+		t.Fatal("getFP hit without the admission prefix")
 	}
 }
 

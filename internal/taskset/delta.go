@@ -92,37 +92,63 @@ func (ts Taskset) ApplyDeltaDigests(digests []TaskDigest, d Delta) (Taskset, []T
 	return out, ds, nil
 }
 
-// ApplyDeltaToDigests returns, in canonical (ascending) order, the digests
-// of the set ApplyDeltaDigests(digests, d) returns, without building that
-// set: FingerprintFromDigests of the result is its fingerprint. digests
-// must be parallel to the base tasks; it is not modified. Edits apply in
-// ApplyDeltaDigests' order and fail with its errors.
-func ApplyDeltaToDigests(digests []TaskDigest, d Delta) ([]TaskDigest, error) {
-	ds := make([]TaskDigest, len(digests), len(digests)+len(d.Add)+len(d.Update))
-	copy(ds, digests)
+// Edit is a delta resolved against a base set: the base members it
+// removes, named by digest, and the tasks it adds with their digests. Each
+// list is in canonical (ascending digest) order, so the resulting set is a
+// merge of three sorted lists.
+type Edit struct {
+	Removed      []TaskDigest
+	Added        []SporadicTask
+	AddedDigests []TaskDigest
+}
+
+// Resolve resolves d against a base set without building the resulting
+// set: count(dg) is the number of base members with digest dg. The edits
+// apply in ApplyDeltaDigests' order and fail with its errors, and the base
+// with the returned edit applied holds the tasks ApplyDeltaDigests would
+// return. Only the added tasks are hashed.
+func (d Delta) Resolve(count func(TaskDigest) int) (Edit, error) {
+	var e Edit
 	remove := func(dg TaskDigest, what string) error {
-		i, err := indexOfDigest(ds, dg, what)
-		if err == nil {
-			ds = append(ds[:i], ds[i+1:]...)
+		// A base member goes first, as in ApplyDeltaDigests; an update may
+		// also replace a task an earlier update added.
+		i, _ := slices.BinarySearchFunc(e.Removed, dg, CompareDigests)
+		j := i
+		for j < len(e.Removed) && e.Removed[j] == dg {
+			j++
 		}
-		return err
+		if j-i < count(dg) {
+			e.Removed = slices.Insert(e.Removed, j, dg)
+			return nil
+		}
+		if k, ok := slices.BinarySearchFunc(e.AddedDigests, dg, CompareDigests); ok {
+			e.Added = slices.Delete(e.Added, k, k+1)
+			e.AddedDigests = slices.Delete(e.AddedDigests, k, k+1)
+			return nil
+		}
+		return errNotInBase(what, dg)
+	}
+	add := func(t SporadicTask) {
+		dg := t.Digest()
+		j, _ := slices.BinarySearchFunc(e.AddedDigests, dg, CompareDigests)
+		e.Added = slices.Insert(e.Added, j, t)
+		e.AddedDigests = slices.Insert(e.AddedDigests, j, dg)
 	}
 	for _, dg := range d.Remove {
 		if err := remove(dg, "remove"); err != nil {
-			return nil, err
+			return Edit{}, err
 		}
 	}
 	for _, u := range d.Update {
 		if err := remove(u.Old, "update"); err != nil {
-			return nil, err
+			return Edit{}, err
 		}
-		ds = append(ds, u.Task.Digest())
+		add(u.Task)
 	}
 	for _, t := range d.Add {
-		ds = append(ds, t.Digest())
+		add(t)
 	}
-	slices.SortFunc(ds, func(a, b TaskDigest) int { return compareDigests(a, b) })
-	return ds, nil
+	return e, nil
 }
 
 // indexOfDigest returns the index of the first dg in ds. A digest not in
@@ -131,5 +157,11 @@ func indexOfDigest(ds []TaskDigest, dg TaskDigest, what string) (int, error) {
 	if i := slices.Index(ds, dg); i >= 0 {
 		return i, nil
 	}
-	return -1, fmt.Errorf("taskset: delta %s: task digest %s not in base set", what, dg)
+	return -1, errNotInBase(what, dg)
+}
+
+// errNotInBase is the error of a delta edit (what) naming a task its base
+// lacks.
+func errNotInBase(what string, dg TaskDigest) error {
+	return fmt.Errorf("taskset: delta %s: task digest %s not in base set", what, dg)
 }

@@ -24,10 +24,12 @@
 package taskset
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 
@@ -188,7 +190,7 @@ func (ts Taskset) Fingerprint() Fingerprint {
 	for i, t := range ts.Tasks {
 		digests[i] = t.Digest()
 	}
-	sort.Slice(digests, func(a, b int) bool { return compareDigests(digests[a], digests[b]) < 0 })
+	sort.Slice(digests, func(a, b int) bool { return CompareDigests(digests[a], digests[b]) < 0 })
 	return FingerprintFromDigests(digests)
 }
 
@@ -197,11 +199,18 @@ func (ts Taskset) Fingerprint() Fingerprint {
 // same value Fingerprint computes, without re-hashing every task. The
 // digests returned by CanonicalWithDigests are in this order.
 func FingerprintFromDigests(ds []TaskDigest) Fingerprint {
+	return FingerprintOfSeq(len(ds), slices.Values(ds))
+}
+
+// FingerprintOfSeq is FingerprintFromDigests of the n digests seq yields
+// in canonical order, without collecting them: a merge of sorted lists
+// hashes straight through.
+func FingerprintOfSeq(n int, seq iter.Seq[TaskDigest]) Fingerprint {
 	h := sha256.New()
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(ds)))
-	h.Write(n[:])
-	for _, d := range ds {
+	var nb [8]byte
+	binary.LittleEndian.PutUint64(nb[:], uint64(n))
+	h.Write(nb[:])
+	for d := range seq {
 		h.Write(d[:])
 	}
 	var out Fingerprint
@@ -214,7 +223,7 @@ func FingerprintFromDigests(ds []TaskDigest) Fingerprint {
 // task. ds is not modified.
 func FingerprintOfDigests(ds []TaskDigest) Fingerprint {
 	sorted := append([]TaskDigest(nil), ds...)
-	sort.Slice(sorted, func(a, b int) bool { return compareDigests(sorted[a], sorted[b]) < 0 })
+	sort.Slice(sorted, func(a, b int) bool { return CompareDigests(sorted[a], sorted[b]) < 0 })
 	return FingerprintFromDigests(sorted)
 }
 
@@ -250,7 +259,7 @@ func (ts Taskset) CanonicalWithGivenDigests(ds []TaskDigest) (Taskset, []TaskDig
 	// the same slices.
 	if sorted := func() bool {
 		for i := 1; i < len(ds); i++ {
-			if compareDigests(ds[i-1], ds[i]) > 0 {
+			if CompareDigests(ds[i-1], ds[i]) > 0 {
 				return false
 			}
 		}
@@ -263,7 +272,7 @@ func (ts Taskset) CanonicalWithGivenDigests(ds []TaskDigest) (Taskset, []TaskDig
 		idx[i] = i
 	}
 	slices.SortStableFunc(idx, func(a, b int) int {
-		if c := compareDigests(ds[a], ds[b]); c != 0 {
+		if c := CompareDigests(ds[a], ds[b]); c != 0 {
 			return c
 		}
 		return a - b
@@ -277,14 +286,7 @@ func (ts Taskset) CanonicalWithGivenDigests(ds []TaskDigest) (Taskset, []TaskDig
 	return out, digests
 }
 
-func compareDigests(a, b [sha256.Size]byte) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
+// CompareDigests orders task digests canonically: bytewise ascending.
+func CompareDigests(a, b TaskDigest) int {
+	return bytes.Compare(a[:], b[:])
 }

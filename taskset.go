@@ -46,17 +46,9 @@ func ParseTaskDigest(s string) (TaskDigest, error) { return taskset.ParseTaskDig
 
 // TasksetFingerprintOfDigests returns the canonical fingerprint of the
 // taskset whose member digests are ds, in any order — the same value
-// Taskset.Fingerprint computes, without re-hashing any task. The serving
-// layer's delta path uses it to derive the resulting set's cache key from
-// digest bookkeeping alone.
+// Taskset.Fingerprint computes, without re-hashing any task.
 func TasksetFingerprintOfDigests(ds []TaskDigest) TasksetFingerprint {
 	return taskset.FingerprintOfDigests(ds)
-}
-
-// TasksetFingerprintFromDigests is TasksetFingerprintOfDigests for digests
-// already in canonical (ascending) order — no copy, no sort.
-func TasksetFingerprintFromDigests(ds []TaskDigest) TasksetFingerprint {
-	return taskset.FingerprintFromDigests(ds)
 }
 
 // TasksetDelta is an incremental edit against a base taskset (arrivals,
@@ -360,6 +352,12 @@ func (h *TaskEvalHandle) ClassVolumes(p platform.Platform) []float64 {
 	h.vols[string(key)] = v
 	return v
 }
+
+// Graph returns the transitively reduced work graph the handle's bounds
+// evaluate. It equals the prepared task graph whenever the reduction
+// removed no edge, so a caller holding both may keep this one alone. It
+// must not be modified.
+func (h *TaskEvalHandle) Graph() *Graph { return h.eval.Graph() }
 
 // platformCountsKey appends the class-count vector ("4" host-only,
 // "4+1+2" host plus devices) to buf. Unlike Platform.String it ignores
