@@ -25,7 +25,8 @@ const jsonHex = "0123456789abcdef"
 // appendJSONString appends s as a JSON string literal with encoding/json's
 // default escaping: HTML-sensitive characters (<, >, &) and the JS line
 // separators U+2028/U+2029 escape to \u form, control characters likewise
-// (with the \n, \r, \t shorthands), and invalid UTF-8 becomes U+FFFD.
+// (with the \n, \r, \t shorthands), and each invalid UTF-8 byte becomes
+// the escape \ufffd.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
@@ -55,7 +56,7 @@ func appendJSONString(b []byte, s string) []byte {
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if r == utf8.RuneError && size == 1 {
 			b = append(b, s[start:i]...)
-			b = append(b, "\ufffd"...)
+			b = append(b, `\ufffd`...)
 			i += size
 			start = i
 			continue
@@ -361,9 +362,5 @@ func (r *AdmitReport) appendJSON(b []byte) ([]byte, error) {
 	}
 	b = append(b, `,"admitted":`...)
 	b = appendBool(b, r.Admitted)
-	if r.Err != "" {
-		b = append(b, `,"error":`...)
-		b = appendJSONString(b, r.Err)
-	}
 	return append(b, '}'), nil
 }

@@ -20,7 +20,6 @@ type shadowReport struct {
 	Tasks       []AdmitTaskSummary     `json:"tasks,omitempty"`
 	Policies    []taskset.PolicyResult `json:"policies,omitempty"`
 	Admitted    bool                   `json:"admitted"`
-	Err         string                 `json:"error,omitempty"`
 }
 
 func assertSameJSON(t *testing.T, rep *AdmitReport) {
@@ -41,7 +40,12 @@ func assertSameJSON(t *testing.T, rep *AdmitReport) {
 func TestAdmitReportMarshalMatchesReflection(t *testing.T) {
 	reports := []*AdmitReport{
 		{}, // zero value: nil classes render as null, empties omitted
-		{Platform: platform.Hetero(4), Err: "boom <&> \"quoted\"\nnewline\ttab\x01ctl"},
+		// Every escape the string encoder makes, through both reason fields.
+		{Platform: platform.Hetero(4), Policies: []taskset.PolicyResult{{
+			Policy: "global",
+			Reason: "boom <&> \"quoted\"\nnewline\ttab\x01ctl",
+			Tasks:  []taskset.TaskDecision{{Reason: "back\\slash\rreturn\x1f\u2028\u2029 bad\xffutf8 <é>"}},
+		}}},
 		{
 			Platform:    platform.New(platform.ResourceClass{Name: "höst", Count: 4}, platform.ResourceClass{Name: "gpu", Count: 2}, platform.ResourceClass{Name: "fpga", Count: 0}),
 			Fingerprint: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -81,7 +85,7 @@ func TestAdmitReportMarshalExactSize(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		big.Tasks = append(big.Tasks, AdmitTaskSummary{Task: i, Nodes: 3, Period: 60, Deadline: 50, Utilization: 0.25})
 	}
-	small := &AdmitReport{Platform: platform.Hetero(2), Err: "rejected"}
+	small := &AdmitReport{Platform: platform.Hetero(2), Policies: []taskset.PolicyResult{{Policy: "global", Reason: "rejected"}}}
 	first, err := big.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)

@@ -287,11 +287,10 @@ func BenchmarkAblationPolicies(b *testing.B) {
 }
 
 // BenchmarkAdmitDelta measures the serving layer's delta-admission path on
-// a warm 32-task resident base (the churn experiment's acceptance floor)
-// against the from-scratch whole-set baseline. Every iteration is a cold
-// delta: the newcomer is a freshly cloned graph (the request-decode
-// analog, charged to the path that hashes it) with a unique period, so no
-// iteration is an admit-cache hit.
+// a warm 32-task resident base against the from-scratch whole-set
+// baseline. Every iteration is a cold delta: the newcomer is a freshly
+// cloned graph (the request-decode analog, charged to the path that
+// hashes it) with a unique period, so no iteration is an admit-cache hit.
 func BenchmarkAdmitDelta(b *testing.B) {
 	ctx := context.Background()
 	const baseN = 32
@@ -340,7 +339,7 @@ func BenchmarkAdmitDelta(b *testing.B) {
 		}
 	})
 	// An arrival/departure pair per op, the departure anchored at the
-	// arrival's result — the churn experiment's event shape.
+	// arrival's result — one event of a churning resident set.
 	b.Run("churn", func(b *testing.B) {
 		svc, fp := warmSvc(b)
 		victims := make([]hetrta.TaskDigest, len(base))

@@ -17,11 +17,13 @@
 //
 // When -baseline is empty and -out matches BENCH_<n>.json, the baseline
 // defaults to the BENCH_<k>.json with the largest k < n in the same
-// directory (no comparison if none exists). Only regressions of allocs/op
-// and of the resident-memory metrics B/entry and B/key fail the run, all
-// at the same threshold: ns/op is too noisy on shared CI hardware, while
+// directory (no comparison if none exists). Regressions of allocs/op and
+// of the resident-memory metrics B/entry and B/key fail the run, all at
+// the same threshold: ns/op is too noisy on shared CI hardware, while
 // allocation counts are deterministic for deterministic code and the
-// memory metrics vary far less than the threshold.
+// memory metrics vary far less than the threshold. A benchmark with no row
+// in the baseline fails the run too, so none lands ungated; the report is
+// still written, ready to be committed as the next baseline.
 package main
 
 import (
@@ -100,6 +102,9 @@ type Report struct {
 	// MissingFromCurrent lists baseline benchmarks absent from this run —
 	// a renamed or deleted benchmark silently leaves the gate otherwise.
 	MissingFromCurrent []string `json:"missing_from_current,omitempty"`
+	// MissingFromBaseline lists benchmarks of this run that the baseline
+	// has no row for, so no regression of theirs could be seen.
+	MissingFromBaseline []string `json:"missing_from_baseline,omitempty"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -175,9 +180,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		rep.BaselineFile = filepath.Base(base)
-		rep.Deltas, rep.MissingFromCurrent, regressed = compare(prev.Benchmarks, benches, *threshold)
+		rep.Deltas, rep.MissingFromCurrent, rep.MissingFromBaseline, regressed = compare(prev.Benchmarks, benches, *threshold)
 		for _, name := range rep.MissingFromCurrent {
 			fmt.Fprintf(stderr, "benchreport: warning: baseline benchmark %s missing from this run (renamed or deleted?)\n", name)
+		}
+		for _, name := range rep.MissingFromBaseline {
+			fmt.Fprintf(stderr, "benchreport: benchmark %s has no row in baseline %s; record a baseline that has it\n", name, base)
 		}
 	}
 
@@ -194,6 +202,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	printSummary(stdout, rep)
 	if regressed {
 		fmt.Fprintf(stderr, "benchreport: allocs/op or memory regression above %.1f× baseline %s\n", *threshold, base)
+		return 1
+	}
+	if len(rep.MissingFromBaseline) > 0 {
 		return 1
 	}
 	return 0
@@ -343,9 +354,10 @@ func readReport(path string) (*Report, error) {
 }
 
 // compare produces per-benchmark deltas (for benchmarks present in both
-// runs), the baseline benchmarks missing from the current run, and whether
-// any allocs/op or gated-metric ratio exceeds the threshold.
-func compare(baseline, current []Benchmark, threshold float64) (deltas []Delta, missing []string, regressed bool) {
+// runs), the baseline benchmarks missing from the current run, the current
+// benchmarks missing from the baseline, and whether any allocs/op or
+// gated-metric ratio exceeds the threshold.
+func compare(baseline, current []Benchmark, threshold float64) (deltas []Delta, missing, unbaselined []string, regressed bool) {
 	prev := make(map[string]Benchmark, len(baseline))
 	for _, b := range baseline {
 		prev[b.Name] = b
@@ -355,6 +367,7 @@ func compare(baseline, current []Benchmark, threshold float64) (deltas []Delta, 
 		seen[b.Name] = true
 		p, ok := prev[b.Name]
 		if !ok {
+			unbaselined = append(unbaselined, b.Name)
 			continue
 		}
 		d := Delta{Name: b.Name, NsRatio: ratio(b.NsPerOp, p.NsPerOp),
@@ -383,8 +396,9 @@ func compare(baseline, current []Benchmark, threshold float64) (deltas []Delta, 
 		}
 	}
 	sort.Strings(missing)
+	sort.Strings(unbaselined)
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
-	return deltas, missing, regressed
+	return deltas, missing, unbaselined, regressed
 }
 
 // ratio returns cur/base. A zero base with nonzero cur has no meaningful

@@ -97,9 +97,9 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	current := []Benchmark{
 		{Name: "BenchmarkA", NsPerOp: 120, AllocsPerOp: 150}, // 1.5x: fine
 		{Name: "BenchmarkB", NsPerOp: 90, AllocsPerOp: 250},  // 2.5x: regressed
-		{Name: "BenchmarkNew", NsPerOp: 5, AllocsPerOp: 5},   // no baseline: skipped
+		{Name: "BenchmarkNew", NsPerOp: 5, AllocsPerOp: 5},   // no baseline: reported
 	}
-	deltas, missing, regressed := compare(baseline, current, 2.0)
+	deltas, missing, unbaselined, regressed := compare(baseline, current, 2.0)
 	if !regressed {
 		t.Fatal("2.5x allocs growth not flagged as regression")
 	}
@@ -115,19 +115,22 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	if len(missing) != 1 || missing[0] != "BenchmarkGone" {
 		t.Errorf("missing = %v, want [BenchmarkGone]: a vanished benchmark must be reported", missing)
 	}
+	if len(unbaselined) != 1 || unbaselined[0] != "BenchmarkNew" {
+		t.Errorf("unbaselined = %v, want [BenchmarkNew]: a benchmark without a baseline row must be reported", unbaselined)
+	}
 }
 
 func TestCompareZeroAllocBaseline(t *testing.T) {
 	baseline := []Benchmark{{Name: "BenchmarkCacheHit", NsPerOp: 10, AllocsPerOp: 0}}
 	// Even a single allocation against a zero-alloc baseline must fail,
 	// regardless of the ratio threshold.
-	deltas, _, regressed := compare(baseline,
+	deltas, _, _, regressed := compare(baseline,
 		[]Benchmark{{Name: "BenchmarkCacheHit", NsPerOp: 10, AllocsPerOp: 1}}, 2.0)
 	if !regressed || !deltas[0].Regressed {
 		t.Fatalf("0 -> 1 allocs/op not flagged: %+v", deltas)
 	}
 	// 0 -> 0 is clean.
-	deltas, _, regressed = compare(baseline,
+	deltas, _, _, regressed = compare(baseline,
 		[]Benchmark{{Name: "BenchmarkCacheHit", NsPerOp: 12, AllocsPerOp: 0}}, 2.0)
 	if regressed || deltas[0].Regressed || deltas[0].AllocsRatio != 1 {
 		t.Fatalf("0 -> 0 allocs/op flagged: %+v", deltas)
@@ -148,7 +151,7 @@ func TestCompareGatesMemoryMetrics(t *testing.T) {
 		{Name: "BenchmarkOpen", AllocsPerOp: 10, Metrics: map[string]float64{"B/key": 120}},
 		{Name: "BenchmarkNew", AllocsPerOp: 10, Metrics: map[string]float64{"B/entry": 9999}},
 	}
-	deltas, _, regressed := compare(baseline, current, 2.0)
+	deltas, _, _, regressed := compare(baseline, current, 2.0)
 	if !regressed {
 		t.Fatal("2.4x B/key growth not flagged as regression")
 	}
@@ -232,6 +235,27 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if doc["schema"] != "benchreport/v1" {
 		t.Errorf("schema = %v", doc["schema"])
+	}
+
+	// A benchmark the baseline has no row for fails the run, and the
+	// report naming it is still written.
+	extra := sampleOutput + "BenchmarkAnalyzeHandler-2   \t       2\t     50000 ns/op\t    4096 B/op\t      12 allocs/op\n"
+	if err := os.WriteFile(in, []byte(extra), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out4 := filepath.Join(dir, "BENCH_4.json")
+	stderr.Reset()
+	if code := run([]string{"-input", in, "-out", out4}, &stdout, &stderr); code != 1 {
+		t.Fatalf("unbaselined benchmark: exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "BenchmarkAnalyzeHandler has no row in baseline") {
+		t.Errorf("stderr does not name the unbaselined benchmark: %s", stderr.String())
+	}
+	if rep, err = readReport(out4); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.MissingFromBaseline, []string{"BenchmarkAnalyzeHandler"}) {
+		t.Errorf("missing_from_baseline = %v, want [BenchmarkAnalyzeHandler]", rep.MissingFromBaseline)
 	}
 }
 

@@ -11,9 +11,6 @@
 //	             (generate → transform-all → typed bound → simulate → exact)
 //	-fig taskset acceptance ratios of sporadic tasksets (utilization grid ×
 //	             task count × offload mix, federated + global policies)
-//	-fig churn   admission churn: delta-admission latency vs from-scratch
-//	             re-analysis under task arrivals/departures, with report
-//	             byte-identity checked at every event
 //	-fig all     everything
 //
 // -scale quick runs a reduced sweep (minutes); -scale paper reproduces the
@@ -45,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig      = fs.String("fig", "all", "which figure to regenerate: 6|7|8|9|tables|naive|multi|taskset|churn|all")
+		fig      = fs.String("fig", "all", "which figure to regenerate: 6|7|8|9|tables|naive|multi|taskset|all")
 		scale    = fs.String("scale", "quick", "experiment scale: quick, medium, or paper")
 		seed     = fs.Int64("seed", 2018, "random seed")
 		csvDir   = fs.String("csv", "", "directory for CSV output (optional)")
@@ -158,18 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		runner.emit("taskset_acceptance", res.Table())
-	}
-	if want("churn") {
-		ccfg := experiments.DefaultChurn(*seed)
-		if *scale == "quick" {
-			ccfg = experiments.QuickChurn(*seed)
-		}
-		res, err := experiments.Churn(ctx, ccfg)
-		if !runner.check(err) {
-			return 1
-		}
-		runner.emit("churn_latency", res.Table())
-		runner.emit("churn_summary", res.SummaryTable())
 	}
 	if runner.failed {
 		return 1

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,48 +17,15 @@ var update = flag.Bool("update", false, "rewrite the quick-sweep golden instead 
 //	go test ./cmd/experiments -run TestQuickFiguresGolden -update
 const figuresGolden = "../../internal/experiments/testdata/figures_quick.txt"
 
-// maskWallClock replaces the wall-clock cells of the admission-churn
-// tables with "*": the latency table's µs columns and the summary's
-// p50 speedup. Every other line is deterministic at any -parallel. The
-// latency table's lines are re-joined with single spaces, because its
-// column widths follow the masked cells.
-func maskWallClock(out string) string {
-	lines := strings.Split(out, "\n")
-	block := ""
-	for i, l := range lines {
-		f := strings.Fields(l)
-		switch {
-		case len(f) == 0:
-			block = ""
-		case strings.HasPrefix(l, "Admission churn on "):
-			block = "latency"
-		case l == "Admission churn summary":
-			block = "summary"
-		case block == "latency" && strings.Trim(l, "-") == "":
-			lines[i] = "-"
-		case block == "latency" && len(f) == 6 && (f[0] == "delta" || f[0] == "full"):
-			lines[i] = strings.Join(append(f[:2], "*", "*", "*", "*"), " ")
-		case block == "latency":
-			lines[i] = strings.Join(f, " ")
-		case block == "summary":
-			if _, err := strconv.ParseFloat(f[0], 64); err == nil {
-				lines[i] = "*" + strings.TrimPrefix(l, f[0])
-			}
-		}
-	}
-	return strings.Join(lines, "\n")
-}
-
 // TestQuickFiguresGolden: the quick sweep of every figure and table is
-// byte-identical to the golden, apart from the masked wall-clock cells,
-// so a generator, transform or bound change that moves any figure fails
-// tier-1.
+// byte-identical to the golden, so a generator, transform or bound change
+// that moves any figure fails tier-1.
 func TestQuickFiguresGolden(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-fig", "all", "-scale", "quick"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	got := maskWallClock(out.String())
+	got := out.String()
 	if *update {
 		if err := os.WriteFile(figuresGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

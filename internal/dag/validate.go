@@ -168,12 +168,13 @@ func (g *Graph) TransitiveReduction() (removed int, err error) {
 	}
 	sc := newPathScratch(g.NumNodes(), order)
 	for _, u := range order {
-		// Copy because we mutate g.succs[u] while iterating. (Removing
-		// edges never changes topological positions, so sc.pos stays valid;
+		// Walk the row from its end: RemoveEdge deletes in place from the
+		// sorted row, shifting only the entries after the removed one, so
+		// the entries still to visit keep their indices. (Removing edges
+		// never changes topological positions, so sc.pos stays valid;
 		// order is a cache snapshot, safe across the mutations.)
-		targets := append([]int(nil), g.succs[u]...)
-		for _, v := range targets {
-			if g.hasLongerPath(u, v, sc) {
+		for i := len(g.succs[u]) - 1; i >= 0; i-- {
+			if v := g.succs[u][i]; g.hasLongerPath(u, v, sc) {
 				g.RemoveEdge(u, v)
 				removed++
 			}

@@ -144,6 +144,39 @@ func TestTransitiveReductionCyclic(t *testing.T) {
 	}
 }
 
+// TestTransitiveReductionAllocsFlat: reducing an already-reduced graph
+// allocates only its fixed scratch buffers, however many nodes have
+// successors — no successor row is copied.
+func TestTransitiveReductionAllocsFlat(t *testing.T) {
+	// forkJoins chains k fork-join diamonds: no edge is redundant, and
+	// 3k of its 3k+1 nodes have successors.
+	forkJoins := func(k int) *Graph {
+		g := New()
+		prev := g.AddNode("", 1, Host)
+		for range k {
+			a, b := g.AddNode("", 1, Host), g.AddNode("", 1, Host)
+			join := g.AddNode("", 1, Host)
+			g.MustAddEdge(prev, a)
+			g.MustAddEdge(prev, b)
+			g.MustAddEdge(a, join)
+			g.MustAddEdge(b, join)
+			prev = join
+		}
+		return g
+	}
+	allocs := func(g *Graph) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if removed, err := g.TransitiveReduction(); err != nil || removed != 0 {
+				t.Fatalf("reduced graph: removed %d, err %v", removed, err)
+			}
+		})
+	}
+	small, large := allocs(forkJoins(2)), allocs(forkJoins(60))
+	if large != small {
+		t.Fatalf("allocs/op %v with 180 non-empty rows, %v with 6; want equal", large, small)
+	}
+}
+
 // randomDAG builds a random layered DAG for property-style tests.
 func randomDAG(r *rand.Rand, n int, p float64) *Graph {
 	g := New()

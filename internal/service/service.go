@@ -169,10 +169,10 @@ type Service struct {
 	// to an.Analyze, letting tests count executions.
 	exec func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error)
 	// execAdmit runs the taskset analyzer for an admission miss; a test
-	// hook that defaults to admitCached (AdmitWith over the shared per-task
-	// eval cache and Global step memo — byte-identical to ta.Admit). src,
-	// when non-nil, overrides the per-task eval source (the delta path's
-	// entry-anchored handles).
+	// hook that defaults to admitCached (AdmitPrepared over the shared
+	// per-task eval cache and Global step memo — byte-identical to
+	// ta.Admit). src, when non-nil, overrides the per-task eval source (the
+	// delta path's entry-anchored handles).
 	execAdmit func(ctx context.Context, ts hetrta.Taskset, ds []hetrta.TaskDigest, src hetrta.TaskEvalSource) (*hetrta.AdmitReport, error)
 }
 
@@ -917,8 +917,8 @@ func (s *Service) prepareEval(g *hetrta.Graph) (*entry, error) {
 	return &entry{eval: h, evalGraph: workGraph(h, g)}, nil
 }
 
-// admitCached is the default execAdmit: AdmitWith over the shared per-task
-// eval cache and the Global step memo. Byte-identical to ta.Admit — eval
+// admitCached is the default execAdmit: AdmitPrepared over the shared
+// per-task eval cache and the Global step memo. Byte-identical to ta.Admit — eval
 // handles memoize pure per-platform bound values and the step cache
 // replays fixpoint iterations keyed on their full inputs — but an
 // admission whose tasks are warm (the delta path) skips all per-task

@@ -24,33 +24,21 @@ type TaskUpdate struct {
 	Task SporadicTask
 }
 
-// Empty reports whether the delta changes nothing.
-func (d Delta) Empty() bool {
-	return len(d.Add) == 0 && len(d.Remove) == 0 && len(d.Update) == 0
-}
-
-// Size returns the number of edits (adds + removes + updates).
-func (d Delta) Size() int { return len(d.Add) + len(d.Remove) + len(d.Update) }
-
-// ApplyDelta returns the taskset obtained by applying d to ts. Each Remove
-// (and each Update's Old) deletes exactly one instance of the named digest
-// — duplicates are interchangeable, so which instance is dropped is
-// unobservable — and a digest not present in the remaining set is an
-// error, since it signals a client working against a stale base. Added
-// tasks are not validated here; the facade validates the resulting set.
-// The receiver is not modified; member graphs are shared, not cloned.
-func (ts Taskset) ApplyDelta(d Delta) (Taskset, error) {
-	out, _, err := ts.ApplyDeltaDigests(nil, d)
-	return out, err
-}
-
-// ApplyDeltaDigests is ApplyDelta with digest bookkeeping: digests, when
-// parallel to ts.Tasks, carries the base tasks' digests so removals resolve
-// without re-hashing the base, and the returned slice holds the resulting
-// set's digests (parallel to the returned tasks) so the caller can derive
-// the resulting fingerprint without another pass. Only tasks the delta
-// introduces are hashed. A nil (or mismatched) digests is computed on the
-// spot — ApplyDelta is exactly that spelling.
+// ApplyDeltaDigests returns the taskset obtained by applying d to ts, with
+// its digests. Each Remove (and each Update's Old) deletes exactly one
+// instance of the named digest — duplicates are interchangeable, so which
+// instance is dropped is unobservable — and a digest not present in the
+// remaining set is an error, since it signals a client working against a
+// stale base. Added tasks are not validated here; the facade validates the
+// resulting set. The receiver is not modified; member graphs are shared,
+// not cloned.
+//
+// digests, when parallel to ts.Tasks, carries the base tasks' digests so
+// removals resolve without re-hashing the base, and the returned slice
+// holds the resulting set's digests (parallel to the returned tasks) so
+// the caller can derive the resulting fingerprint without another pass.
+// Only tasks the delta introduces are hashed. A nil (or mismatched)
+// digests is computed on the spot.
 func (ts Taskset) ApplyDeltaDigests(digests []TaskDigest, d Delta) (Taskset, []TaskDigest, error) {
 	n := len(ts.Tasks)
 	grown := n + len(d.Add) + len(d.Update)

@@ -218,15 +218,6 @@ func FingerprintOfSeq(n int, seq iter.Seq[TaskDigest]) Fingerprint {
 	return out
 }
 
-// FingerprintOfDigests returns the fingerprint of the taskset whose member
-// digests are ds, in any order — Taskset.Fingerprint without re-hashing any
-// task. ds is not modified.
-func FingerprintOfDigests(ds []TaskDigest) Fingerprint {
-	sorted := append([]TaskDigest(nil), ds...)
-	sort.Slice(sorted, func(a, b int) bool { return CompareDigests(sorted[a], sorted[b]) < 0 })
-	return FingerprintFromDigests(sorted)
-}
-
 // Canonical returns a copy of the taskset with tasks in canonical order
 // (ascending per-task digest). Analyses and reports over the canonical
 // order are permutation-invariant by construction; identical tasks have

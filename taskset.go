@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/batch"
 	"repro/internal/platform"
 	"repro/internal/taskset"
 )
@@ -44,13 +43,6 @@ type TaskDigest = taskset.TaskDigest
 // TaskDigest.String.
 func ParseTaskDigest(s string) (TaskDigest, error) { return taskset.ParseTaskDigest(s) }
 
-// TasksetFingerprintOfDigests returns the canonical fingerprint of the
-// taskset whose member digests are ds, in any order — the same value
-// Taskset.Fingerprint computes, without re-hashing any task.
-func TasksetFingerprintOfDigests(ds []TaskDigest) TasksetFingerprint {
-	return taskset.FingerprintOfDigests(ds)
-}
-
 // TasksetDelta is an incremental edit against a base taskset (arrivals,
 // digest-named departures, updates); TaskDeltaUpdate is one replacement.
 // Applying a delta and re-admitting is byte-equivalent to admitting the
@@ -61,7 +53,7 @@ type TasksetDelta = taskset.Delta
 type TaskDeltaUpdate = taskset.TaskUpdate
 
 // GlobalStepCache memoizes the Global policy's per-task response-time
-// fixpoint across AdmitWith calls, keyed on everything the iteration
+// fixpoint across AdmitPrepared calls, keyed on everything the iteration
 // depends on, so unchanged tasks of a delta-edited set replay instead of
 // re-iterating — bit-identically, including iteration counts. Safe for
 // concurrent use.
@@ -124,15 +116,13 @@ func DefaultTasksetPolicies() []TasksetPolicy {
 var ErrNoSafeBound = taskset.ErrNoSafeBound
 
 // TasksetAnalyzer is the taskset-level counterpart of the Analyzer: wrap a
-// per-DAG Analyzer once, then call Admit for one taskset or AdmitBatch for
-// many. Each policy consumes the Analyzer's configured per-DAG Bounds
+// per-DAG Analyzer once, then call Admit for each taskset. Each policy consumes the Analyzer's configured per-DAG Bounds
 // (evaluated on the platform shapes the policy needs — dedicated-core
 // slices for federated, the full platform for global). Immutable after
 // construction and safe for concurrent use.
 type TasksetAnalyzer struct {
-	an          *Analyzer
-	policies    []TasksetPolicy
-	parallelism int
+	an       *Analyzer
+	policies []TasksetPolicy
 }
 
 // TasksetOption configures a TasksetAnalyzer at construction time.
@@ -146,19 +136,6 @@ func WithTasksetPolicies(ps ...TasksetPolicy) TasksetOption {
 			return fmt.Errorf("hetrta: WithTasksetPolicies needs at least one policy")
 		}
 		ta.policies = append([]TasksetPolicy(nil), ps...)
-		return nil
-	}
-}
-
-// WithTasksetParallelism sets the AdmitBatch worker-pool size. The default
-// (0) is one worker per CPU; 1 forces sequential processing. Output order
-// is deterministic at any parallelism.
-func WithTasksetParallelism(n int) TasksetOption {
-	return func(ta *TasksetAnalyzer) error {
-		if n < 0 {
-			return fmt.Errorf("hetrta: negative taskset parallelism %d", n)
-		}
-		ta.parallelism = n
 		return nil
 	}
 }
@@ -227,10 +204,6 @@ type AdmitReport struct {
 	// policy is enough.
 	Policies []taskset.PolicyResult `json:"policies,omitempty"`
 	Admitted bool                   `json:"admitted"`
-	// Err records the per-taskset failure inside an AdmitBatch, which
-	// reports errors item-by-item instead of failing the whole batch. A
-	// report with Err set has no other fields populated beyond Platform.
-	Err string `json:"error,omitempty"`
 }
 
 // TasksetSummary captures the taskset's headline metrics.
@@ -404,12 +377,12 @@ type TaskEvalSource func(ctx context.Context, t SporadicTask, digest TaskDigest)
 // Cancelling ctx aborts promptly with the context's error. Validation
 // failures satisfy errors.Is(err, ErrInvalidInput).
 func (ta *TasksetAnalyzer) Admit(ctx context.Context, ts Taskset) (*AdmitReport, error) {
-	return ta.AdmitWith(ctx, ts, func(ctx context.Context, t SporadicTask, _ TaskDigest) (*TaskEvalHandle, error) {
+	return ta.AdmitPrepared(ctx, ts, nil, func(ctx context.Context, t SporadicTask, _ TaskDigest) (*TaskEvalHandle, error) {
 		return ta.PrepareTaskEval(t.G)
 	}, nil)
 }
 
-// AdmitWith is Admit with the per-task evaluation source and the Global
+// AdmitPrepared is Admit with the per-task evaluation source and the Global
 // fixpoint memo pluggable — the incremental path under delta admission.
 // With a source that returns cached handles and a shared step cache, only
 // the delta's tasks pay for bound evaluation and only tasks whose
@@ -417,14 +390,11 @@ func (ta *TasksetAnalyzer) Admit(ctx context.Context, ts Taskset) (*AdmitReport,
 // byte-identical to a from-scratch Admit of the same set either way,
 // because handles memoize pure per-platform values and the step cache
 // replays iterations (counts included) keyed on their full inputs.
-func (ta *TasksetAnalyzer) AdmitWith(ctx context.Context, ts Taskset, src TaskEvalSource, steps *GlobalStepCache) (*AdmitReport, error) {
-	return ta.AdmitPrepared(ctx, ts, nil, src, steps)
-}
-
-// AdmitPrepared is AdmitWith with the per-task digests (parallel to
-// ts.Tasks) optionally precomputed — the delta path resolves them from its
-// base entry's bookkeeping, so canonicalization re-hashes nothing. A nil or
-// mismatched-length ds is computed from scratch.
+//
+// The per-task digests ds (parallel to ts.Tasks) are optional: the delta
+// path resolves them from its base entry's bookkeeping, so
+// canonicalization re-hashes nothing. A nil or mismatched-length ds is
+// computed from scratch.
 func (ta *TasksetAnalyzer) AdmitPrepared(ctx context.Context, ts Taskset, ds []TaskDigest, src TaskEvalSource, steps *GlobalStepCache) (*AdmitReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -495,36 +465,4 @@ func (ta *TasksetAnalyzer) AdmitPrepared(ctx context.Context, ts Taskset, ds []T
 		}
 	}
 	return rep, nil
-}
-
-// AdmitBatch admits many tasksets on the analyzer's worker pool
-// (WithTasksetParallelism) and returns one AdmitReport per input, in input
-// order — deterministic at any parallelism. Per-taskset failures do not
-// abort the batch: the failing taskset's report carries the error in Err.
-// The returned error is non-nil only when ctx is cancelled, in which case
-// reports of unfinished tasksets record the cancellation.
-func (ta *TasksetAnalyzer) AdmitBatch(ctx context.Context, tss []Taskset) ([]*AdmitReport, error) {
-	reports := make([]*AdmitReport, len(tss))
-	err := batch.Run(ctx, len(tss), ta.parallelism, func(ctx context.Context, i int) error {
-		rep, err := ta.Admit(ctx, tss[i])
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				reports[i] = &AdmitReport{Platform: ta.an.platform, Err: ctxErr.Error()}
-				return ctxErr
-			}
-			reports[i] = &AdmitReport{Platform: ta.an.platform, Err: err.Error()}
-			return nil
-		}
-		reports[i] = rep
-		return nil
-	})
-	if err != nil {
-		for i, r := range reports {
-			if r == nil {
-				reports[i] = &AdmitReport{Platform: ta.an.platform, Err: err.Error()}
-			}
-		}
-		return reports, err
-	}
-	return reports, nil
 }

@@ -152,77 +152,6 @@ func TestAdmitReportPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchDeterministic mirrors the AnalyzeBatch coverage: parallel
-// and serial batches yield identical reports and identical error slots.
-func TestAdmitBatchDeterministic(t *testing.T) {
-	mkBatch := func() []Taskset {
-		var tss []Taskset
-		for s := int64(0); s < 6; s++ {
-			tss = append(tss, Taskset{Tasks: []SporadicTask{
-				mkAdmitTask(t, 100+s, 0.3, 0.4),
-				mkAdmitTask(t, 200+s, 0, 0.6),
-			}})
-		}
-		// Two failure slots: an empty taskset and a nil-graph member.
-		tss = append(tss, Taskset{})
-		tss = append(tss, Taskset{Tasks: []SporadicTask{{G: nil, Period: 10, Deadline: 10}}})
-		return tss
-	}
-
-	serialTA := admitTestAnalyzer(t, 8, WithTasksetParallelism(1))
-	parallelTA := admitTestAnalyzer(t, 8, WithTasksetParallelism(8))
-
-	serial, err := serialTA.AdmitBatch(context.Background(), mkBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := parallelTA.AdmitBatch(context.Background(), mkBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("length mismatch: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		sj, err := json.Marshal(serial[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		pj, err := json.Marshal(parallel[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sj, pj) {
-			t.Errorf("slot %d differs between parallelism 1 and 8:\n%s\n%s", i, sj, pj)
-		}
-	}
-	if serial[6].Err == "" || serial[7].Err == "" {
-		t.Fatalf("error slots not recorded: %q, %q", serial[6].Err, serial[7].Err)
-	}
-	if serial[6].Admitted || len(serial[6].Policies) != 0 {
-		t.Fatal("error slot carries analysis results")
-	}
-}
-
-func TestAdmitBatchCancellation(t *testing.T) {
-	ta := admitTestAnalyzer(t, 4, WithTasksetParallelism(1))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var tss []Taskset
-	for s := int64(0); s < 4; s++ {
-		tss = append(tss, Taskset{Tasks: []SporadicTask{mkAdmitTask(t, 300+s, 0.2, 0.4)}})
-	}
-	reports, err := ta.AdmitBatch(ctx, tss)
-	if err == nil {
-		t.Fatal("cancelled batch returned nil error")
-	}
-	for i, r := range reports {
-		if r == nil || r.Err == "" {
-			t.Fatalf("slot %d: cancellation not recorded: %+v", i, r)
-		}
-	}
-}
-
 func TestTasksetAnalyzerSignature(t *testing.T) {
 	both := admitTestAnalyzer(t, 4)
 	fedOnly := admitTestAnalyzer(t, 4, WithTasksetPolicies(FederatedPolicy()))
@@ -242,9 +171,6 @@ func TestTasksetAnalyzerSignature(t *testing.T) {
 	an, _ := NewAnalyzer()
 	if _, err := NewTasksetAnalyzer(an, WithTasksetPolicies(FederatedPolicy(), FederatedPolicy())); err == nil {
 		t.Fatal("duplicate policies accepted")
-	}
-	if _, err := NewTasksetAnalyzer(an, WithTasksetParallelism(-1)); err == nil {
-		t.Fatal("negative parallelism accepted")
 	}
 }
 
@@ -301,7 +227,7 @@ func TestAdmitMixedOffloadClassesRejectsNotErrors(t *testing.T) {
 	cached := func(context.Context, SporadicTask, TaskDigest) (*TaskEvalHandle, error) { return h, nil }
 	ts := Taskset{Tasks: []SporadicTask{{G: g, Period: 11, Deadline: 11}}}
 	for _, label := range []string{"handle first", "handle memo"} {
-		rep, err := ta.AdmitWith(context.Background(), ts, cached, nil)
+		rep, err := ta.AdmitPrepared(context.Background(), ts, nil, cached, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
