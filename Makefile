@@ -71,13 +71,15 @@ chaos:
 	$(GO) test -race -cpu=1,2,4 ./internal/exact
 
 # --- bench: the CI bench job — the serving harness's own tests, then the
-# benchmark regression gate against the latest baseline.
+# benchmark regression gates: the root suite against the latest
+# BENCH_<n>.json, the daemon handler against BENCH_DAGRTAD_1.json.
 
 bench:
 	$(GO) -C bench test .
 	@baseline=$$(ls BENCH_[0-9]*.json | sort -t_ -k2 -n | tail -1); \
 	echo "comparing against $$baseline"; \
 	$(GO) run ./cmd/benchreport -out bench_local.json -baseline "$$baseline" -benchtime 2x -threshold 2
+	$(GO) run ./cmd/benchreport -pkg ./cmd/dagrtad -out bench_local_dagrtad.json -baseline BENCH_DAGRTAD_1.json -benchtime 2x -threshold 2
 
 # --- tools: install the pinned external linters (requires network).
 
@@ -86,4 +88,4 @@ tools:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
 clean:
-	rm -rf $(BIN) bench_local.json
+	rm -rf $(BIN) bench_local.json bench_local_dagrtad.json

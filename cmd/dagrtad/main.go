@@ -638,15 +638,11 @@ func (d *daemon) handleWarmup(w http.ResponseWriter, r *http.Request) {
 	d.writeJSON(w, http.StatusOK, ws)
 }
 
-// batchResponse is the wire shape of /v1/analyze/batch's answer (the
-// request is hetrta.DecodeBatchRequest's). Reports mirrors
-// Analyzer.AnalyzeBatch: one element per input graph, in order, with
-// per-item failures carried in the report's "error" field — the same
-// schema cmd/dagrta -json emits.
-type batchResponse struct {
-	Reports []json.RawMessage `json:"reports"`
-}
-
+// /v1/analyze/batch answers {"reports":[...]} (the request is
+// hetrta.DecodeBatchRequest's). The reports mirror Analyzer.AnalyzeBatch:
+// one element per input graph, in order, with per-item failures carried
+// in the report's "error" field — the same schema cmd/dagrta -json emits.
+// Each element is the pre-serialized report body, sent verbatim.
 func (d *daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := d.readBody(w, r)
 	if !ok {
@@ -671,25 +667,37 @@ func (d *daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degradedCount := 0
-	resp := batchResponse{Reports: make([]json.RawMessage, len(results))}
+	out := []byte(batchOpen)
 	for i, res := range results {
+		if i > 0 {
+			out = append(out, ',')
+		}
 		switch {
 		case decodeErrs[i] != nil:
-			resp.Reports[i] = errorReport(d.svc, decodeErrs[i])
+			out = append(out, errorReport(d.svc, decodeErrs[i])...)
 		case res.Err != nil:
-			resp.Reports[i] = errorReport(d.svc, res.Err)
+			out = append(out, errorReport(d.svc, res.Err)...)
 		default:
 			if res.DegradedReason != "" {
 				degradedCount++
 			}
-			resp.Reports[i] = res.Body
+			out = append(out, res.Body...)
 		}
 	}
+	out = append(out, batchClose...)
 	// Batch callers get the degraded tally up front; each affected item
 	// also carries its own "degraded"/"degradedReason" fields inline.
 	w.Header().Set("X-Degraded-Count", strconv.Itoa(degradedCount))
-	d.writeJSON(w, http.StatusOK, resp)
+	d.writeOK(w, out)
 }
+
+// The batch response's frame around its comma-joined reports. The closing
+// newline is the framing json.Encoder gives the daemon's other JSON
+// answers.
+const (
+	batchOpen  = `{"reports":[`
+	batchClose = "]}\n"
+)
 
 // errorReport renders a per-item failure in the Report wire schema
 // ({"error": "..."} alongside the platform), matching the error slots of

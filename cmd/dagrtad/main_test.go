@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -265,6 +267,88 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	if st.Coalesced != 1 {
 		t.Fatalf("coalesced = %d, want 1", st.Coalesced)
+	}
+}
+
+// TestBatchBodyVerbatim: a batch answer is its report bodies joined
+// verbatim, byte for byte what encoding the slots with json.Encoder gives,
+// sent with a Content-Length. The batch holds a fresh miss, a resident
+// hit, a store hit (evicted from the one-entry cache, answered from the
+// log), a degraded report, a decode error and an analysis error; the hit
+// and miss slots also match the single-graph answers for their graphs.
+func TestBatchBodyVerbatim(t *testing.T) {
+	base := startDaemon(t, "-store", filepath.Join(t.TempDir(), "cache.log"), "-cache", "1", "-cache-shards", "1",
+		"-parallel", "1", "-platform", "2+1", "-exact", "-budget", "1")
+	single := map[string][]byte{}
+	for name, g := range map[string][]byte{"stored": chainTask(t), "resident": hostPairTask(t)} {
+		resp, data := post(t, base+"/v1/analyze", g)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d: %s", name, resp.StatusCode, data)
+		}
+		single[name] = data
+	}
+	warmBefore := getStats(t, base).Store.WarmHits
+	slots := []json.RawMessage{
+		hostPairTask(t),      // resident hit
+		chainTask(t),         // store hit
+		hostChainTaskW(t, 7), // miss
+		parallel3Task(t),     // degraded
+		json.RawMessage(`{"nodes":[{"kind":"bogus"}]}`),                            // decode error
+		json.RawMessage(`{"nodes":[{"wcet":1},{"wcet":2}],"edges":[[0,1],[1,0]]}`), // analysis error
+	}
+	req, err := json.Marshal(map[string]any{"graphs": slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data := post(t, base+"/v1/analyze/batch", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch = %d: %s", resp.StatusCode, data)
+	}
+	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(data)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %q, Transfer-Encoding %v, body %d bytes", got, resp.TransferEncoding, len(data))
+	}
+	if got := resp.Header.Get("X-Degraded-Count"); got != "1" {
+		t.Errorf("X-Degraded-Count = %q, want 1", got)
+	}
+	if got := getStats(t, base).Store.WarmHits; got != warmBefore+1 {
+		t.Errorf("store hits %d -> %d, want one more", warmBefore, got)
+	}
+	var out struct {
+		Reports []json.RawMessage `json:"reports"`
+	}
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	var encoded bytes.Buffer
+	if err := json.NewEncoder(&encoded).Encode(out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, encoded.Bytes()) {
+		t.Fatalf("batch bytes differ from the encoder's:\n got %s\nwant %s", data, encoded.Bytes())
+	}
+	if len(out.Reports) != len(slots) {
+		t.Fatalf("got %d reports, want %d", len(out.Reports), len(slots))
+	}
+	if !bytes.Equal(out.Reports[0], single["resident"]) || !bytes.Equal(out.Reports[1], single["stored"]) {
+		t.Errorf("hit slots differ from the single-graph answers:\n%s\n%s", out.Reports[0], out.Reports[1])
+	}
+	for i, want := range []string{"", "", "", "", "unknown kind", "cycl"} {
+		var rep hetrta.Report
+		if err := json.Unmarshal(out.Reports[i], &rep); err != nil {
+			t.Fatal(err)
+		}
+		if want == "" && rep.Err != "" || want != "" && !strings.Contains(rep.Err, want) {
+			t.Errorf("slot %d error %q, want %q", i, rep.Err, want)
+		}
+	}
+	var degraded hetrta.Report
+	if err := json.Unmarshal(out.Reports[3], &degraded); err != nil || !degraded.Degraded {
+		t.Errorf("slot 3 not degraded (%v): %s", err, out.Reports[3])
+	}
+	// The miss was evicted by the slot after it; its re-analysis must
+	// serve the bytes the batch did.
+	if resp, again := post(t, base+"/v1/analyze", slots[2]); resp.StatusCode != http.StatusOK || !bytes.Equal(again, out.Reports[2]) {
+		t.Errorf("miss slot differs from the single-graph answer (%d):\n got %s\nwant %s", resp.StatusCode, out.Reports[2], again)
 	}
 }
 

@@ -43,6 +43,7 @@
 package exact
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -227,7 +228,7 @@ func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Optio
 	sh.best = seedBest
 	w := newWorker(sh)
 	w.reset(&w.cur)
-	w.dfs(0)
+	w.search()
 	// Not deferred: a search that panics leaves its memo to the collector.
 	putMemo(sh.memo)
 	if sh.err != nil {
@@ -275,7 +276,6 @@ type shared struct {
 	// direct predecessors/successors as node bitmasks, zeroMask the
 	// zero-WCET nodes.
 	topo     []int
-	tbit     []uint64 // tbit[v] is 1 << (v's position in topo)
 	tail     []int64
 	cls      []int
 	wcet     []int64
@@ -290,6 +290,14 @@ type shared struct {
 	// floor once per call.
 	feedIdx   []int
 	feedMasks []uint64
+	// The non-zero nodes ranked by tail, longest first (lowest ID on
+	// ties): rbit[v] is 1 << v's rank (0 for a zero-WCET node),
+	// rankTail[r] the tail of rank r, and rankMask[c] the ranks of class
+	// c's nodes, so the lowest open bit of rankMask[c] is the class's
+	// longest open tail.
+	rbit     []uint64
+	rankTail []int64
+	rankMask []uint64
 
 	maxExp       int64
 	ctxEvery     int64
@@ -341,10 +349,6 @@ func (sh *shared) classify(g *dag.Graph) error {
 func (sh *shared) flatten(g *dag.Graph, topo []int) {
 	n := sh.n
 	sh.topo = topo
-	sh.tbit = make([]uint64, n)
-	for i, v := range topo {
-		sh.tbit[v] = 1 << uint(i)
-	}
 	sh.tail = g.LongestToEnd()
 	sh.wcet = make([]int64, n)
 	sh.preds = make([][]int, n)
@@ -385,6 +389,42 @@ func (sh *shared) flatten(g *dag.Graph, topo []int) {
 		}
 		sh.feedIdx[v] = fi
 	}
+	ranked := make([]int, 0, n)
+	for v := 0; v < n; v++ {
+		if sh.wcet[v] > 0 {
+			ranked = append(ranked, v)
+		}
+	}
+	// Stable, so equal tails keep ascending ID order.
+	slices.SortStableFunc(ranked, func(a, b int) int { return cmp.Compare(sh.tail[b], sh.tail[a]) })
+	sh.rbit = make([]uint64, n)
+	sh.rankTail = make([]int64, len(ranked))
+	sh.rankMask = make([]uint64, sh.nClasses)
+	for r, v := range ranked {
+		sh.rbit[v] = 1 << uint(r)
+		sh.rankTail[r] = sh.tail[v]
+		sh.rankMask[sh.cls[v]] |= 1 << uint(r)
+	}
+}
+
+// expand counts one node expansion against the budget and polls the
+// context every ctxEvery expansions; it reports false once the search has
+// to stop.
+//
+//hetrta:hotpath
+func (sh *shared) expand() bool {
+	sh.spent++
+	if sh.spent > sh.maxExp {
+		sh.budgetHit, sh.stop = true, true
+		return false
+	}
+	if sh.spent%sh.ctxEvery == 0 {
+		if err := sh.ctx.Err(); err != nil {
+			sh.err, sh.stop = err, true
+			return false
+		}
+	}
+	return true
 }
 
 // publish installs makespan ms, achieved by the SGS order, as the incumbent

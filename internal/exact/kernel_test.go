@@ -161,14 +161,14 @@ func checkAgainstRef(t *testing.T, sh *shared, st *state, ref *refState, where s
 			t.Fatalf("%s: node %d span %+v, reference %+v", where, v, st.spans[v], ref.spans[v])
 		}
 	}
-	var tmask uint64
-	for i, v := range sh.topo {
+	var rmask uint64
+	for v := 0; v < sh.n; v++ {
 		if st.mask&(1<<uint(v)) != 0 {
-			tmask |= 1 << uint(i)
+			rmask |= sh.rbit[v]
 		}
 	}
-	if st.tmask != tmask {
-		t.Fatalf("%s: tmask %b, want %b", where, st.tmask, tmask)
+	if st.rmask != rmask {
+		t.Fatalf("%s: rmask %b, want %b", where, st.rmask, rmask)
 	}
 	for c, avail := range ref.avail {
 		var sum, rem int64
@@ -269,9 +269,9 @@ func TestSortedRowsMatchMinScan(t *testing.T) {
 // makespan, every unscheduled node's estimated start plus its remaining
 // critical path, and every class's availability plus remaining work spread
 // over its machines, each input recomputed from scratch. It also returns
-// the start estimates and class minima.
-func fullBound(sh *shared, st *state) (lb int64, est, classMin []int64) {
-	classMin = make([]int64, sh.nClasses)
+// the start estimates.
+func fullBound(sh *shared, st *state) (lb int64, est []int64) {
+	classMin := make([]int64, sh.nClasses)
 	sum := make([]int64, sh.nClasses)
 	rem := make([]int64, sh.nClasses)
 	for c, row := range st.avail {
@@ -306,50 +306,123 @@ func fullBound(sh *shared, st *state) (lb int64, est, classMin []int64) {
 			lb = max(lb, divCeil(sum[c]+rem[c], int64(len(st.avail[c]))))
 		}
 	}
-	return lb, est, classMin
+	return lb, est
 }
 
-// TestPruneMatchesFullBound checks, on random search states, that the
-// short-circuit prune decides exactly as lb >= best with the full bound,
-// for incumbents just below, at and above the bound; and that a prune that
-// does not fire leaves the same start estimates and class minima.
+// bestsAround lists incumbents just below, at and above lb, plus one
+// random one on each side.
+func bestsAround(rng *rand.Rand, lb int64) []int64 {
+	return []int64{lb - 1, lb, lb + 1, lb + 1 + rng.Int63n(20), 1 + rng.Int63n(lb+1)}
+}
+
+// TestPruneMatchesFullBound walks random branching sequences and
+// checks, at every state, that the bound dfs carries decides exactly as
+// lb >= best with the full bound recomputed from scratch, both on the
+// state itself (prune) and for every child decided before it is applied
+// (childPrunes), for incumbents below, at and above the bound. It also
+// checks that the carried path term agrees with a fresh pathBound up to
+// the makespan, and that candidates carry the estimated starts of the
+// full pass.
 func TestPruneMatchesFullBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	checked := 0
 	for i, sh := range kernelInstances(t, 160) {
 		w := newWorker(sh)
 		st := &w.cur
-		est := make([]int64, sh.n)
+		var lv level
 		for walk := 0; walk < 4; walk++ {
 			w.reset(st)
+			m := w.pathBound(st)
 			for {
-				lb, wantEst, wantMin := fullBound(sh, st)
-				for _, best := range []int64{lb - 1, lb, lb + 1, lb + 1 + rng.Int63n(20), 1 + rng.Int63n(lb+1)} {
-					if got := w.prune(st, est, best); got != (lb >= best) {
+				lb, wantEst := fullBound(sh, st)
+				for _, best := range bestsAround(rng, lb) {
+					if got := w.prune(st, m, best); got != (lb >= best) {
 						t.Fatalf("instance %d, mask %b: prune(best=%d) = %v, full bound %d", i, st.mask, best, got, lb)
 					}
 					checked++
 				}
-				if w.prune(st, est, math.MaxInt64) {
-					t.Fatalf("instance %d: pruned against an infinite incumbent", i)
+				if pass := w.pathBound(st); max(st.makespan, pass) != max(st.makespan, m) {
+					t.Fatalf("instance %d, mask %b: carried path term %d, full pass %d, makespan %d", i, st.mask, m, pass, st.makespan)
 				}
-				for v := 0; v < sh.n; v++ {
-					if st.mask&(1<<uint(v)) == 0 && est[v] != wantEst[v] {
-						t.Fatalf("instance %d: est[%d] = %d, reference %d", i, v, est[v], wantEst[v])
-					}
+				cands := w.candidates(st, &lv)
+				if len(cands) != len(branchable(sh, st.mask)) {
+					t.Fatalf("instance %d, mask %b: %d candidates, %d branchable", i, st.mask, len(cands), len(branchable(sh, st.mask)))
 				}
-				if !slices.Equal(w.classMin, wantMin) {
-					t.Fatalf("instance %d: classMin %v, reference %v", i, w.classMin, wantMin)
-				}
-				open := branchable(sh, st.mask)
-				if len(open) == 0 {
+				if len(cands) == 0 {
 					break
 				}
-				w.applyTo(st, open[rng.Intn(len(open))])
+				for _, c := range cands {
+					// st.finish holds the pass's estimated finish of every
+					// unscheduled node.
+					if pass := st.finish[c.v] - sh.wcet[c.v]; c.est != pass || c.est != wantEst[c.v] || c.ect != c.est+sh.wcet[c.v] {
+						t.Fatalf("instance %d, mask %b: candidate %+v, pass est %d, reference %d", i, st.mask, c, pass, wantEst[c.v])
+					}
+				}
+				for _, c := range cands {
+					mc := w.childBound(st, m, c)
+					rec := w.applyTo(st, c.v)
+					childLB, _ := fullBound(sh, st)
+					w.undo(rec)
+					for _, best := range bestsAround(rng, childLB) {
+						if got := w.childPrunes(st, c, mc, best); got != (childLB >= best) {
+							t.Fatalf("instance %d, mask %b, child %d: childPrunes(best=%d) = %v, full bound %d", i, st.mask, c.v, best, got, childLB)
+						}
+						checked++
+					}
+				}
+				c := cands[rng.Intn(len(cands))]
+				m = w.childBound(st, m, c)
+				w.applyTo(st, c.v)
 			}
 		}
 	}
 	if checked < 10_000 {
 		t.Fatalf("only %d prune decisions checked", checked)
+	}
+}
+
+// TestBudgetBoundary pins that every expansion counts against the budget,
+// children pruned before they are applied included: a search that proves
+// its optimum in E expansions still proves it with MaxExpansions = E, and
+// caps with MaxExpansions = E-1.
+func TestBudgetBoundary(t *testing.T) {
+	gen := taskgen.MustNew(taskgen.Small(8, 24), 2)
+	p := sched.Hetero(4)
+	checked := 0
+	for i := 0; i < 200 && checked < 20; i++ {
+		g, _, _, err := gen.HetTask(0.15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.TransitiveReduction(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := MinMakespan(context.Background(), g, p, Options{MaxExpansions: 10_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := r.Expansions
+		if r.Status != Optimal || e < 2 {
+			continue
+		}
+		checked++
+		at, err := MinMakespan(context.Background(), g, p, Options{MaxExpansions: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at.Status != Optimal || at.Expansions != e || at.Makespan != r.Makespan {
+			t.Fatalf("graph %d: budget %d gives %v after %d expansions (makespan %d), want optimal %d after %d",
+				i, e, at.Status, at.Expansions, at.Makespan, r.Makespan, e)
+		}
+		below, err := MinMakespan(context.Background(), g, p, Options{MaxExpansions: e - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if below.Status != Feasible || below.Expansions != e {
+			t.Fatalf("graph %d: budget %d gives %v after %d expansions, want feasible after %d", i, e-1, below.Status, below.Expansions, e)
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("only %d searches checked", checked)
 	}
 }

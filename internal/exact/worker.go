@@ -19,15 +19,15 @@ type worker struct {
 	// availability vector.
 	cur state
 
-	// levels holds per-recursion-depth scratch (start estimates, candidate
-	// lists); depth is bounded by the number of branchable nodes, so the
-	// buffers are allocated once and reused across the whole search.
+	// levels holds per-recursion-depth scratch (candidate lists); depth is
+	// bounded by the number of branchable nodes, so the buffers grow once
+	// and are reused across the whole search.
 	levels []level
 
-	// Scratch for prune and signature: the dominance vector is built in
-	// sigBuf and only copied when it is actually inserted into the memo;
-	// classMin holds each class's earliest machine availability, floors
-	// the clamp floor of each distinct feed mask (sh.feedMasks).
+	// Scratch for signature: the dominance vector is built in sigBuf and
+	// only copied when it is actually inserted into the memo; classMin
+	// holds each class's earliest machine availability, floors the clamp
+	// floor of each distinct feed mask (sh.feedMasks).
 	sigBuf   []int64
 	classMin []int64
 	floors   []int64
@@ -35,19 +35,18 @@ type worker struct {
 
 // level is the per-depth scratch of one dfs frame.
 type level struct {
-	est      []int64
 	cands    []cand
 	filtered []cand
 }
 
 type state struct {
 	mask uint64 // scheduled nodes
-	// tmask is mask by topological position: bit i is set when node
-	// sh.topo[i] is scheduled, so prune visits only the unscheduled nodes,
-	// in topological order.
-	tmask uint64
+	// rmask is the scheduled non-zero nodes by tail rank: bit r is set when
+	// the node of rank r (sh.rbit) is scheduled, so the longest tail among
+	// a class's open nodes is one TrailingZeros64 away.
+	rmask uint64
 	// finish holds the finish time of every scheduled node. Entries of
-	// unscheduled nodes are scratch: prune writes their estimated
+	// unscheduled nodes are scratch: pathBound writes their estimated
 	// finish there, and nothing reads them once the pass is over.
 	finish []int64
 	// avail[c] is class c's machine availability, kept sorted by
@@ -69,11 +68,10 @@ type state struct {
 // undoRec is what applyTo changed beyond the append-only order slice: the
 // previous mask and makespan, plus the machine the branched node occupied —
 // it left row position 0 at prevAvail and was re-inserted at pos. Finish
-// times of newly scheduled nodes need no restoration — outside prune,
+// times of newly scheduled nodes need no restoration — outside pathBound,
 // finish is only ever read for nodes whose mask bit is set.
 type undoRec struct {
 	prevMask     uint64
-	prevTMask    uint64
 	prevMakespan int64
 	orderLen     int
 	class        int
@@ -119,7 +117,7 @@ func (w *worker) newState() state {
 // reset puts st at the search root: every machine free at time 0 (rows in
 // machine order), all work remaining, and the forced zero-WCET moves made.
 func (w *worker) reset(st *state) {
-	st.mask, st.tmask = 0, 0
+	st.mask, st.rmask = 0, 0
 	st.makespan = 0
 	st.order = st.order[:0]
 	for c, row := range st.avail {
@@ -131,15 +129,6 @@ func (w *worker) reset(st *state) {
 	}
 	copy(st.rem, w.sh.work)
 	w.scheduleFreeNodes(st)
-}
-
-// levelAt returns depth d's scratch, allocating its buffers on first use.
-func (w *worker) levelAt(d int) *level {
-	l := &w.levels[d]
-	if l.est == nil {
-		l.est = make([]int64, w.sh.n)
-	}
-	return l
 }
 
 // undo reverts applyTo: the branched machine moves from row position pos
@@ -157,8 +146,10 @@ func (w *worker) undo(u undoRec) {
 	}
 	row[0], ids[0] = u.prevAvail, mid
 	st.availSum[u.class] -= fin - u.prevAvail
-	st.rem[u.class] += w.sh.wcet[st.order[u.orderLen]]
-	st.mask, st.tmask = u.prevMask, u.prevTMask
+	v := st.order[u.orderLen]
+	st.rem[u.class] += w.sh.wcet[v]
+	st.mask = u.prevMask
+	st.rmask &^= w.sh.rbit[v]
 	st.makespan = u.prevMakespan
 	st.order = st.order[:u.orderLen]
 }
@@ -187,7 +178,6 @@ func (w *worker) scheduleFreeNodes(st *state) {
 				}
 			}
 			st.mask |= 1 << uint(v)
-			st.tmask |= sh.tbit[v]
 			st.finish[v] = t
 			if st.spans != nil {
 				st.spans[v] = sched.Span{Node: v, Start: t, Finish: t, Resource: -1}
@@ -228,12 +218,12 @@ func (w *worker) applyTo(st *state, v int) undoRec {
 		row[k-1], ids[k-1] = row[k], ids[k]
 	}
 	row[k-1], ids[k-1] = fin, mid
-	u := undoRec{prevMask: st.mask, prevTMask: st.tmask, prevMakespan: st.makespan,
+	u := undoRec{prevMask: st.mask, prevMakespan: st.makespan,
 		orderLen: len(st.order), class: cls, pos: k - 1, prevAvail: prev}
 	st.availSum[cls] += fin - prev
 	st.rem[cls] -= sh.wcet[v]
 	st.mask |= 1 << uint(v)
-	st.tmask |= sh.tbit[v]
+	st.rmask |= sh.rbit[v]
 	st.finish[v] = fin
 	st.order = append(st.order, v)
 	if st.spans != nil {
@@ -259,44 +249,25 @@ func (w *worker) replay(order []int) []sched.Span {
 	return st.spans
 }
 
-// prune reports whether the admissible lower bound of st reaches best, the
-// incumbent: the partial makespan, every class's availability plus
-// remaining work spread over its machines, and every unscheduled node's
-// estimated start plus its remaining critical path. The bound is a
-// maximum, so prune checks the O(classes) terms first and stops the
-// topological pass at the first node whose term reaches best; it prunes
-// exactly when the full maximum would.
-//
-// A pass that runs to the end leaves, for each unscheduled node, a lower
-// bound on its start time in est (one scratch slice per dfs depth) — its
-// predecessors' (estimated) finishes and the earliest machine availability
-// of its class — and each class's earliest availability in w.classMin for
-// signature. est is only read when prune returns false.
-//
-//hetrta:hotpath
-func (w *worker) prune(st *state, est []int64, best int64) bool {
+// pathBound is the full estimate pass: in topological order it bounds each
+// unscheduled node's start by its predecessors' (estimated) finishes and,
+// for a non-zero node, its class's earliest machine availability, writes
+// the estimated finish into st.finish, and returns the maximum over the
+// unscheduled nodes of estimated start plus remaining critical path — the
+// path term of the search's lower bound. It costs O(n·deg), so the search
+// runs it only at the root; below the root dfs carries the term down
+// (childBound).
+func (w *worker) pathBound(st *state) int64 {
 	sh := w.sh
-	if st.makespan >= best {
-		return true
-	}
-	for c, row := range st.avail {
-		w.classMin[c] = math.MaxInt64
-		if len(row) == 0 {
+	finish := st.finish
+	var m int64
+	for _, v := range sh.topo {
+		if st.mask&(1<<uint(v)) != 0 {
 			continue
 		}
-		w.classMin[c] = row[0]
-		if rem := st.rem[c]; rem > 0 && divCeil(st.availSum[c]+rem, int64(len(row))) >= best {
-			return true
-		}
-	}
-	finish := st.finish
-	for open := sh.full &^ st.tmask; open != 0; open &= open - 1 {
-		v := sh.topo[bits.TrailingZeros64(open)]
 		var e int64
-		if sh.wcet[v] > 0 {
-			if m := w.classMin[sh.cls[v]]; m != math.MaxInt64 && m > e {
-				e = m
-			}
+		if row := st.avail[sh.cls[v]]; sh.wcet[v] > 0 && row[0] > e {
+			e = row[0]
 		}
 		// A scheduled predecessor's entry is its finish time, an
 		// unscheduled one's the estimate written earlier in this pass.
@@ -305,11 +276,84 @@ func (w *worker) prune(st *state, est []int64, best int64) bool {
 				e = finish[p]
 			}
 		}
-		if e+sh.tail[v] >= best {
+		finish[v] = e + sh.wcet[v]
+		if e+sh.tail[v] > m {
+			m = e + sh.tail[v]
+		}
+	}
+	return m
+}
+
+// prune reports whether the admissible lower bound of st reaches best, the
+// incumbent: the partial makespan, m — the path term carried down from the
+// root (pathBound, childBound) — and every class's availability plus
+// remaining work spread over its machines.
+func (w *worker) prune(st *state, m, best int64) bool {
+	return st.makespan >= best || m >= best || w.loadReaches(st, best, -1, 0, 0)
+}
+
+// childBound returns the path term of the child that branching c creates,
+// from m, the path term of st, without applying c. The child's estimate
+// pass would differ from st's in one input only: c's class front rises
+// from its row's head to f′ — the second entry or c's finish, whichever
+// is earlier (c's finish alone on a one-machine class). Every other node
+// the child schedules (c itself, then the forced zero-WCET moves) lands at
+// the finish st's pass estimated for it, so each open node's estimate
+// either stays or rises through f′, and the child's maximum is m or f′
+// plus the longest tail among the class's other open non-zero nodes. The
+// terms m keeps for the nodes the child schedules are each covered by a
+// child term or by the child's makespan, so prune decides as the full
+// pass would (DESIGN.md §4.3).
+//
+//hetrta:hotpath
+func (w *worker) childBound(st *state, m int64, c cand) int64 {
+	sh := w.sh
+	cls := sh.cls[c.v]
+	row := st.avail[cls]
+	front := c.ect
+	if len(row) > 1 && row[1] < front {
+		front = row[1]
+	}
+	if open := sh.rankMask[cls] &^ st.rmask &^ sh.rbit[c.v]; open != 0 {
+		if t := front + sh.rankTail[bits.TrailingZeros64(open)]; t > m {
+			m = t
+		}
+	}
+	return m
+}
+
+// childPrunes is prune for the child that branching c creates, with mc its
+// path term (childBound), decided on st before applyTo. The child's
+// makespan is not needed: c's finish and every forced finish are at most
+// their estimated start plus tail in st, so they never exceed mc. The
+// child's loads differ from st's in c's class only, whose availability
+// grows by c's finish minus the row's head while its remaining work drops
+// by c's WCET.
+//
+//hetrta:hotpath
+func (w *worker) childPrunes(st *state, c cand, mc, best int64) bool {
+	if st.makespan >= best || mc >= best {
+		return true
+	}
+	cls := w.sh.cls[c.v]
+	return w.loadReaches(st, best, cls, c.est-st.avail[cls][0], w.sh.wcet[c.v])
+}
+
+// loadReaches reports whether some class's availability plus remaining
+// work, spread over its machines, reaches best, with class cls's total
+// shifted by shift and its remaining work lowered by used (cls -1 shifts
+// nothing).
+//
+//hetrta:hotpath
+func (w *worker) loadReaches(st *state, best int64, cls int, shift, used int64) bool {
+	for c, row := range st.avail {
+		total, rem := st.availSum[c]+st.rem[c], st.rem[c]
+		if c == cls {
+			total, rem = total+shift, rem-used
+		}
+		if rem > 0 && divCeil(total, int64(len(row))) >= best {
 			return true
 		}
-		est[v] = e
-		finish[v] = e + sh.wcet[v]
 	}
 	return false
 }
@@ -329,23 +373,24 @@ func (w *worker) prune(st *state, est []int64, best int64) bool {
 // States differing only in such irrelevant finishes merge; this collapse is
 // what keeps small-m instances tractable.
 // The vector is built in the worker's scratch buffer, valid until the next
-// signature call; the memo copies it only on insertion. It reads the class
-// minima prune left in w.classMin, so it must follow a prune that returned
-// false on the same state.
+// signature call; the memo copies it only on insertion.
 //
 //hetrta:hotpath
 func (w *worker) signature(st *state) []int64 {
 	sh := w.sh
 	sig := w.sigBuf[:0]
-	for _, row := range st.avail {
-		sig = append(sig, row...) // already sorted
-	}
 	// Fallback floor when a finish only feeds the makespan (zero-WCET sink
 	// chains): any current availability lower-bounds the final makespan,
 	// so the largest of the class minima is a sound clamp.
 	sinkFloor := int64(math.MaxInt64)
-	for c := 0; c < sh.nClasses; c++ {
-		if m := w.classMin[c]; m != math.MaxInt64 && (sinkFloor == math.MaxInt64 || m > sinkFloor) {
+	for c, row := range st.avail {
+		sig = append(sig, row...) // already sorted
+		m := int64(math.MaxInt64)
+		if len(row) > 0 {
+			m = row[0]
+		}
+		w.classMin[c] = m
+		if m != math.MaxInt64 && (sinkFloor == math.MaxInt64 || m > sinkFloor) {
 			sinkFloor = m
 		}
 	}
@@ -386,6 +431,9 @@ func (w *worker) signature(st *state) []int64 {
 
 // candidates collects the branchable nodes of st — unscheduled, non-zero
 // WCET, every predecessor scheduled — in ascending ID order into lv.cands.
+// A candidate's estimated start is pathBound's formula with every input
+// exact: its class's earliest machine availability and its predecessors'
+// finishes.
 //
 //hetrta:hotpath
 func (w *worker) candidates(st *state, lv *level) []cand {
@@ -396,7 +444,12 @@ func (w *worker) candidates(st *state, lv *level) []cand {
 		if sh.predMask[v]&^st.mask != 0 {
 			continue
 		}
-		e := lv.est[v]
+		e := st.avail[sh.cls[v]][0]
+		for _, p := range sh.preds[v] {
+			if st.finish[p] > e {
+				e = st.finish[p]
+			}
+		}
 		cands = append(cands, cand{v: v, est: e, ect: e + sh.wcet[v], tail: sh.tail[v]})
 	}
 	lv.cands = cands
@@ -440,42 +493,42 @@ func sortCands(cs []cand) {
 	}
 }
 
-// dfs is the branch-and-bound search over schedule-generation orders, the
-// hottest code in the package: every expansion passes through here. The
-// expansion counter drives both the budget and the context poll.
-//
-//hetrta:hotpath
-func (w *worker) dfs(depth int) {
+// search runs the branch-and-bound from the root state in w.cur. The root
+// is the one state whose path term comes from the full estimate pass.
+func (w *worker) search() {
 	sh := w.sh
-	if sh.stop {
-		return
-	}
 	st := &w.cur
 	if st.mask == sh.full {
 		sh.publish(st.makespan, st.order)
 		return
 	}
-	sh.spent++
-	if sh.spent > sh.maxExp {
-		sh.budgetHit, sh.stop = true, true
+	if !sh.expand() {
 		return
 	}
-	if sh.spent%sh.ctxEvery == 0 {
-		if err := sh.ctx.Err(); err != nil {
-			sh.err, sh.stop = err, true
-			return
-		}
-	}
-	lv := w.levelAt(depth)
-	if w.prune(st, lv.est, sh.best) {
+	m := w.pathBound(st)
+	if w.prune(st, m, sh.best) {
 		return
 	}
+	w.dfs(0, m)
+}
+
+// dfs is the branch-and-bound search over schedule-generation orders, the
+// hottest code in the package. It enters a state that has been counted as
+// an expansion and survived the bound, with m its path term; it decides
+// each child's bound before applying the child, so a pruned child costs
+// O(classes) and no applyTo. A child that completes the schedule is not an
+// expansion: it only offers its makespan as the incumbent.
+//
+//hetrta:hotpath
+func (w *worker) dfs(depth int, m int64) {
+	sh := w.sh
+	st := &w.cur
 	if sh.memo.dominated(st.mask, w.signature(st)) {
 		return
 	}
 
+	lv := &w.levels[depth]
 	cands := w.candidates(st, lv)
-
 	// Giffler–Thompson active-schedule restriction: branch only on the
 	// class achieving the minimum earliest completion time (lowest class
 	// index on ties), and only on its candidates that could start strictly
@@ -520,9 +573,24 @@ func (w *worker) dfs(depth int) {
 	}
 	lv.filtered = filtered
 	sortCands(filtered)
+	// With one non-zero node left open, every child completes the schedule.
+	last := sh.full&^st.mask&^sh.zeroMask == 1<<uint(filtered[0].v)
 	for _, c := range filtered {
+		if last {
+			rec := w.applyTo(st, c.v)
+			sh.publish(st.makespan, st.order)
+			w.undo(rec)
+			continue
+		}
+		if !sh.expand() {
+			return
+		}
+		mc := w.childBound(st, m, c)
+		if w.childPrunes(st, c, mc, sh.best) {
+			continue
+		}
 		rec := w.applyTo(st, c.v)
-		w.dfs(depth + 1)
+		w.dfs(depth+1, mc)
 		w.undo(rec)
 		if sh.stop {
 			return

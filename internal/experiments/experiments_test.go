@@ -166,6 +166,41 @@ func TestFig8QuickShape(t *testing.T) {
 	_ = res.SummaryTable().Text()
 }
 
+// TestFig8Intersection pins the summary rule: stray scenario-2.1 shares
+// while scenario 1 still holds the majority never count, and the reported
+// point is the first past that majority where 2.1 holds at least 2.2's
+// share.
+func TestFig8Intersection(t *testing.T) {
+	pt := func(frac, s1, s21, s22 float64) Fig8Point {
+		return Fig8Point{TargetFrac: frac, S1: s1, S21: s21, S22: s22}
+	}
+	for _, tc := range []struct {
+		name   string
+		points []Fig8Point
+		want   float64
+		ok     bool
+	}{
+		{"stray 2.1 under a scenario-1 majority", []Fig8Point{
+			pt(0.01, 91.67, 0, 8.33), pt(0.05, 83.33, 8.33, 8.33), pt(0.14, 0, 0, 100),
+			pt(0.32, 0, 41.67, 58.33), pt(0.5, 0, 100, 0)}, 0.5, true},
+		{"stray 2.1 over an empty 2.2", []Fig8Point{
+			pt(0.005, 99, 1, 0), pt(0.01, 92, 5, 3), pt(0.2, 40, 10, 50), pt(0.26, 0, 60, 40)}, 0.26, true},
+		{"2.1 takes over from scenario 1", []Fig8Point{
+			pt(0.01, 90, 5, 5), pt(0.05, 30, 70, 0)}, 0.05, true},
+		{"no majority for scenario 1 at all", []Fig8Point{
+			pt(0.01, 40, 10, 50), pt(0.05, 0, 50, 50)}, 0.05, true},
+		{"scenario 1 never loses the majority", []Fig8Point{
+			pt(0.01, 95, 5, 0), pt(0.05, 60, 30, 10)}, 0, false},
+		{"2.2 never overtaken", []Fig8Point{
+			pt(0.01, 95, 5, 0), pt(0.05, 0, 30, 70)}, 0, false},
+	} {
+		got, ok := Fig8Series{M: 2, Points: tc.points}.Intersection()
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("%s: Intersection() = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestNaiveViolationStudy(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Platforms = platform.Heteros(2)

@@ -28,6 +28,28 @@ type Fig8Series struct {
 	Points []Fig8Point
 }
 
+// Intersection returns the COff fraction where scenario 2.1 overtakes 2.2:
+// the first grid point past the last one where scenario 1 holds a strict
+// majority at which 2.1's share is non-zero and at least 2.2's. Theorem 1's
+// scenarios take over in the order 1, 2.2, 2.1 as COff grows; the few
+// scenario-2.1 tasks that already occur while scenario 1 dominates lie
+// before that cut, so their shares cannot fire the rule. ok is false when
+// no grid point qualifies.
+func (s Fig8Series) Intersection() (frac float64, ok bool) {
+	from := 0
+	for i, p := range s.Points {
+		if p.S1 > 50 {
+			from = i + 1
+		}
+	}
+	for _, p := range s.Points[from:] {
+		if p.S21 > 0 && p.S21 >= p.S22 {
+			return p.TargetFrac, true
+		}
+	}
+	return 0, false
+}
+
 // Fig8Result reproduces Figure 8: "Percentage of scenarios occurrence,
 // n ∈ [100,250]" — which of Theorem 1's cases classified each randomly
 // generated task as COff grows. Boundary tasks with COff = Rhom(GPar) are
@@ -93,15 +115,8 @@ func Fig8(ctx context.Context, cfg Config) (*Fig8Result, error) {
 		return nil, err
 	}
 	for _, series := range res.Series {
-		// Intersection of scenarios 2.1 and 2.2: first point where a
-		// non-trivial share of 2.1 overtakes 2.2 (both-zero ties, which
-		// occur while scenario 1 still dominates, do not count).
-		for i := 1; i < len(series.Points); i++ {
-			p, prev := series.Points[i], series.Points[i-1]
-			if p.S21 > 0 && p.S21 >= p.S22 && prev.S21 < prev.S22 {
-				res.Intersections[series.M] = p.TargetFrac
-				break
-			}
+		if x, ok := series.Intersection(); ok {
+			res.Intersections[series.M] = x
 		}
 	}
 	return res, nil
