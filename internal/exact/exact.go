@@ -281,15 +281,20 @@ type shared struct {
 	wcet     []int64
 	work     []int64 // total WCET per class
 	preds    [][]int
+	succs    [][]int
 	predMask []uint64
 	succMask []uint64
 	zeroMask uint64
-	// feedMasks[feedIdx[v]] is the bitmask of classes whose node starts
-	// v's finish time can influence through zero-WCET chains; feedMasks
-	// holds each distinct mask once, so signature computes each clamp
-	// floor once per call.
-	feedIdx   []int
+	// feedMasks holds each distinct feed mask once: the bitmask of classes
+	// whose node starts a finish time can influence through zero-WCET
+	// chains. feedNodes[i] is the nodes whose feed mask is feedMasks[i],
+	// so signature computes each clamp floor once per call.
 	feedMasks []uint64
+	feedNodes []uint64
+	// twins is the nodes that share their machine class, WCET and
+	// successor set with another node: the only candidates the symmetry
+	// filter has to check.
+	twins uint64
 	// The non-zero nodes ranked by tail, longest first (lowest ID on
 	// ties): rbit[v] is 1 << v's rank (0 for a zero-WCET node),
 	// rankTail[r] the tail of rank r, and rankMask[c] the ranks of class
@@ -352,6 +357,7 @@ func (sh *shared) flatten(g *dag.Graph, topo []int) {
 	sh.tail = g.LongestToEnd()
 	sh.wcet = make([]int64, n)
 	sh.preds = make([][]int, n)
+	sh.succs = make([][]int, n)
 	sh.predMask = make([]uint64, n)
 	sh.succMask = make([]uint64, n)
 	for v := 0; v < n; v++ {
@@ -360,6 +366,7 @@ func (sh *shared) flatten(g *dag.Graph, topo []int) {
 			sh.zeroMask |= 1 << uint(v)
 		}
 		sh.preds[v] = g.Preds(v)
+		sh.succs[v] = g.Succs(v)
 		for _, u := range sh.preds[v] {
 			sh.predMask[v] |= 1 << uint(u)
 		}
@@ -370,7 +377,6 @@ func (sh *shared) flatten(g *dag.Graph, topo []int) {
 	// Influence masks for signature clamping: which classes' node starts
 	// does v's finish time reach, through chains of zero-WCET nodes?
 	feeds := make([]uint64, n)
-	sh.feedIdx = make([]int, n)
 	for i := n - 1; i >= 0; i-- {
 		v := topo[i]
 		for _, w := range g.Succs(v) {
@@ -386,8 +392,16 @@ func (sh *shared) flatten(g *dag.Graph, topo []int) {
 		if fi < 0 {
 			fi = len(sh.feedMasks)
 			sh.feedMasks = append(sh.feedMasks, fm)
+			sh.feedNodes = append(sh.feedNodes, 0)
 		}
-		sh.feedIdx[v] = fi
+		sh.feedNodes[fi] |= 1 << uint(v)
+	}
+	for v := 0; v < n; v++ {
+		for u := 0; u < v; u++ {
+			if sh.cls[u] == sh.cls[v] && sh.wcet[u] == sh.wcet[v] && sh.succMask[u] == sh.succMask[v] {
+				sh.twins |= 1<<uint(u) | 1<<uint(v)
+			}
+		}
 	}
 	ranked := make([]int, 0, n)
 	for v := 0; v < n; v++ {

@@ -51,7 +51,7 @@ func kernelInstances(t *testing.T, count int) []*shared {
 }
 
 // kernelShared builds the search context MinMakespan would, minus the
-// seed and the memo.
+// seed, with a fresh memo.
 func kernelShared(t *testing.T, g *dag.Graph, p sched.Platform) *shared {
 	t.Helper()
 	n := g.NumNodes()
@@ -72,6 +72,7 @@ func kernelShared(t *testing.T, g *dag.Graph, p sched.Platform) *shared {
 		t.Fatal("cyclic graph")
 	}
 	sh.flatten(g, topo)
+	sh.memo = newMemo(math.MaxInt64)
 	return sh
 }
 
@@ -146,7 +147,8 @@ func (r *refState) apply(sh *shared, v int) {
 
 // checkAgainstRef compares the worker's in-place state with the reference:
 // mask, finish times of scheduled nodes, spans (which carry the chosen
-// machine ids), the sorted rows and the maintained sums.
+// machine ids), the rank, front and ready masks, the sorted rows and the
+// maintained sums.
 func checkAgainstRef(t *testing.T, sh *shared, st *state, ref *refState, where string) {
 	t.Helper()
 	if st.mask != ref.mask {
@@ -169,6 +171,24 @@ func checkAgainstRef(t *testing.T, sh *shared, st *state, ref *refState, where s
 	}
 	if st.rmask != rmask {
 		t.Fatalf("%s: rmask %b, want %b", where, st.rmask, rmask)
+	}
+	var front uint64
+	for v := 0; v < sh.n; v++ {
+		if st.mask&(1<<uint(v)) != 0 && sh.succMask[v]&^st.mask != 0 {
+			front |= 1 << uint(v)
+		}
+	}
+	if st.front != front {
+		t.Fatalf("%s: front %b, want %b", where, st.front, front)
+	}
+	var ready uint64
+	for v := 0; v < sh.n; v++ {
+		if st.mask&(1<<uint(v)) == 0 && sh.predMask[v]&^st.mask == 0 {
+			ready |= 1 << uint(v)
+		}
+	}
+	if st.ready != ready || ready&sh.zeroMask != 0 {
+		t.Fatalf("%s: ready %b, want %b with no zero-WCET node", where, st.ready, ready)
 	}
 	for c, avail := range ref.avail {
 		var sum, rem int64

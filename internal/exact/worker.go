@@ -20,23 +20,27 @@ type worker struct {
 	cur state
 
 	// levels holds per-recursion-depth scratch (candidate lists); depth is
-	// bounded by the number of branchable nodes, so the buffers grow once
-	// and are reused across the whole search.
+	// bounded by the number of branchable nodes. The buffers come from the
+	// pooled memo, so they grow once and serve search after search.
 	levels []level
 
-	// Scratch for signature: the dominance vector is built in sigBuf and
-	// only copied when it is actually inserted into the memo; classMin
-	// holds each class's earliest machine availability, floors the clamp
-	// floor of each distinct feed mask (sh.feedMasks).
-	sigBuf   []int64
-	classMin []int64
-	floors   []int64
+	// maxSig is the longest signature the instance has.
+	maxSig int
 }
 
 // level is the per-depth scratch of one dfs frame.
 type level struct {
-	cands    []cand
-	filtered []cand
+	cands []cand
+}
+
+// stateBuf is the backing of a search state; newState reuses its
+// capacity and stores what it grew back into it.
+type stateBuf struct {
+	words  []int64
+	ids    []int
+	avail  [][]int64
+	idRows [][]int
+	order  []int
 }
 
 type state struct {
@@ -45,16 +49,30 @@ type state struct {
 	// the node of rank r (sh.rbit) is scheduled, so the longest tail among
 	// a class's open nodes is one TrailingZeros64 away.
 	rmask uint64
+	// front is the scheduled nodes that still have an unscheduled
+	// successor: the nodes whose finish times enter the signature.
+	front uint64
+	// ready is the unscheduled nodes whose predecessors are all
+	// scheduled. Outside scheduleFreeNodes it holds no zero-WCET node, so
+	// it is the branchable set.
+	ready uint64
 	// finish holds the finish time of every scheduled node. Entries of
 	// unscheduled nodes are scratch: pathBound writes their estimated
 	// finish there, and nothing reads them once the pass is over.
 	finish []int64
+	// readyAt[v] is the latest finish among v's predecessors, written
+	// when v joins ready and valid while it stays there: its predecessors'
+	// finishes cannot change before v is scheduled.
+	readyAt []int64
 	// avail[c] is class c's machine availability, kept sorted by
 	// (time, machine): ids[c][i] is the class-local index of the machine
 	// free at avail[c][i]. avail[c][0] is therefore the machine the SGS
 	// rule picks — earliest available, lowest index on ties.
 	avail [][]int64
 	ids   [][]int
+	// rows is every class's row back to back, in class order: the avail
+	// rows are windows of it.
+	rows []int64
 	// availSum[c] is the sum of avail[c]; rem[c] is the WCET still
 	// unscheduled in class c. applyTo and undo maintain both, so the
 	// class-load bound costs O(1) per class.
@@ -66,12 +84,15 @@ type state struct {
 }
 
 // undoRec is what applyTo changed beyond the append-only order slice: the
-// previous mask and makespan, plus the machine the branched node occupied —
-// it left row position 0 at prevAvail and was re-inserted at pos. Finish
-// times of newly scheduled nodes need no restoration — outside pathBound,
-// finish is only ever read for nodes whose mask bit is set.
+// previous mask, front, ready set and makespan, plus the machine the
+// branched node occupied — it left row position 0 at prevAvail and was
+// re-inserted at pos. Finish and readyAt entries need no restoration:
+// outside pathBound, finish is only ever read for nodes whose mask bit is
+// set, and readyAt for nodes whose ready bit is.
 type undoRec struct {
 	prevMask     uint64
+	prevFront    uint64
+	prevReady    uint64
 	prevMakespan int64
 	orderLen     int
 	class        int
@@ -79,33 +100,51 @@ type undoRec struct {
 	prevAvail    int64
 }
 
+// newWorker builds the searcher for sh; its state and scratch come from
+// the pooled memo sh.memo, so a memo backs one worker at a time.
 func newWorker(sh *shared) *worker {
+	mm := sh.memo
 	w := &worker{sh: sh}
-	w.cur = w.newState()
-	w.levels = make([]level, sh.n+1)
-	w.sigBuf = make([]int64, 0, sh.p.Total()+sh.n+1)
-	w.classMin = make([]int64, sh.nClasses)
-	w.floors = make([]int64, len(sh.feedMasks))
+	w.cur = w.newState(&mm.state)
+	w.levels = fit(mm.levels, sh.n+1)
+	mm.levels = w.levels
+	w.maxSig = sh.p.Total() + sh.n + 1
 	return w
 }
 
-// newState allocates a search state: one availability row (and machine-id
-// row) per class, sized to the class; the int64 vectors share one backing
-// array, the machine ids another. reset puts it at the root.
-func (w *worker) newState() state {
+// fit returns s with length n, reusing its capacity when it suffices.
+// Existing elements keep their values; newState and reset overwrite
+// everything the search reads.
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// newState builds a search state on b: one availability row (and
+// machine-id row) per class, sized to the class; the int64 vectors share
+// one backing array, the machine ids another. reset puts it at the root.
+func (w *worker) newState(b *stateBuf) state {
 	sh := w.sh
 	nc, total := sh.nClasses, sh.p.Total()
-	words := make([]int64, sh.n+2*nc+total)
-	idWords := make([]int, total)
+	b.words = fit(b.words, 2*sh.n+2*nc+total)
+	b.ids = fit(b.ids, total)
+	b.avail = fit(b.avail, nc)
+	b.idRows = fit(b.idRows, nc)
+	b.order = fit(b.order, sh.n)
+	words, idWords := b.words, b.ids
 	st := state{
 		finish:   words[:sh.n:sh.n],
-		availSum: words[sh.n : sh.n+nc : sh.n+nc],
-		rem:      words[sh.n+nc : sh.n+2*nc : sh.n+2*nc],
-		avail:    make([][]int64, nc),
-		ids:      make([][]int, nc),
-		order:    make([]int, 0, sh.n),
+		readyAt:  words[sh.n : 2*sh.n : 2*sh.n],
+		availSum: words[2*sh.n : 2*sh.n+nc : 2*sh.n+nc],
+		rem:      words[2*sh.n+nc : 2*sh.n+2*nc : 2*sh.n+2*nc],
+		avail:    b.avail,
+		ids:      b.idRows,
+		order:    b.order[:0],
 	}
-	words = words[sh.n+2*nc:]
+	words = words[2*sh.n+2*nc:]
+	st.rows = words
 	for c := range st.avail {
 		k := sh.p.Count(c)
 		st.avail[c], words = words[:k:k], words[k:]
@@ -117,7 +156,13 @@ func (w *worker) newState() state {
 // reset puts st at the search root: every machine free at time 0 (rows in
 // machine order), all work remaining, and the forced zero-WCET moves made.
 func (w *worker) reset(st *state) {
-	st.mask, st.rmask = 0, 0
+	st.mask, st.rmask, st.front, st.ready = 0, 0, 0, 0
+	for v, pm := range w.sh.predMask {
+		if pm == 0 {
+			st.ready |= 1 << uint(v)
+			st.readyAt[v] = 0
+		}
+	}
 	st.makespan = 0
 	st.order = st.order[:0]
 	for c, row := range st.avail {
@@ -148,7 +193,7 @@ func (w *worker) undo(u undoRec) {
 	st.availSum[u.class] -= fin - u.prevAvail
 	v := st.order[u.orderLen]
 	st.rem[u.class] += w.sh.wcet[v]
-	st.mask = u.prevMask
+	st.mask, st.front, st.ready = u.prevMask, u.prevFront, u.prevReady
 	st.rmask &^= w.sh.rbit[v]
 	st.makespan = u.prevMakespan
 	st.order = st.order[:u.orderLen]
@@ -157,56 +202,85 @@ func (w *worker) undo(u undoRec) {
 // scheduleFreeNodes places every ready zero-WCET node (sync nodes, dummy
 // sources/sinks) immediately at its predecessors' max finish. These are
 // forced moves: they consume no resource, so delaying them never helps.
-// Only the unscheduled bits of zeroMask are visited; the fixpoint does not
-// depend on the visiting order, since each node's time is fixed by its
-// predecessors alone.
+// Each placed node joins front if it has successors, each of its
+// predecessors whose last open successor it was leaves it, and each of its
+// successors whose last open predecessor it was becomes ready. Only the
+// ready bits of zeroMask are visited; the fixpoint does not depend on the
+// visiting order, since each node's time is fixed by its predecessors
+// alone.
 //
 //hetrta:hotpath
 func (w *worker) scheduleFreeNodes(st *state) {
 	sh := w.sh
-	for changed := true; changed; {
-		changed = false
-		for free := sh.zeroMask &^ st.mask; free != 0; free &= free - 1 {
+	for free := st.ready & sh.zeroMask; free != 0; free = st.ready & sh.zeroMask {
+		for ; free != 0; free &= free - 1 {
 			v := bits.TrailingZeros64(free)
-			if sh.predMask[v]&^st.mask != 0 {
-				continue
-			}
-			var t int64
+			t := st.readyAt[v]
+			st.mask |= 1 << uint(v)
+			st.ready &^= 1 << uint(v)
+			st.finish[v] = t
+			w.readySuccs(st, v)
 			for _, p := range sh.preds[v] {
-				if st.finish[p] > t {
-					t = st.finish[p]
+				if sh.succMask[p]&^st.mask == 0 {
+					st.front &^= 1 << uint(p)
 				}
 			}
-			st.mask |= 1 << uint(v)
-			st.finish[v] = t
+			if sh.succMask[v] != 0 {
+				st.front |= 1 << uint(v)
+			}
 			if st.spans != nil {
 				st.spans[v] = sched.Span{Node: v, Start: t, Finish: t, Resource: -1}
 			}
 			if t > st.makespan {
 				st.makespan = t
 			}
-			changed = true
 		}
 	}
 }
 
+// readySuccs adds to st.ready the successors of v, just scheduled and
+// finished, whose last open predecessor v was, and records their readyAt.
+//
+//hetrta:hotpath
+func (w *worker) readySuccs(st *state, v int) {
+	sh := w.sh
+	for _, s := range sh.succs[v] {
+		if sh.predMask[s]&^st.mask != 0 {
+			continue
+		}
+		st.ready |= 1 << uint(s)
+		var t int64
+		for _, p := range sh.preds[s] {
+			t = max(t, st.finish[p])
+		}
+		st.readyAt[s] = t
+	}
+}
+
 // applyTo schedules node v on st in place using the serial SGS rule (with
-// forced zero-WCET moves applied) and returns the undo record.
+// forced zero-WCET moves applied) and returns the undo record. v joins
+// front if it has successors; a predecessor whose last open successor v
+// was leaves it, and a successor whose last open predecessor v was
+// becomes ready.
 //
 //hetrta:hotpath
 func (w *worker) applyTo(st *state, v int) undoRec {
 	sh := w.sh
-	var ready int64
+	mask := st.mask | 1<<uint(v)
+	front := st.front
+	if sh.succMask[v] != 0 {
+		front |= 1 << uint(v)
+	}
 	for _, p := range sh.preds[v] {
-		if st.finish[p] > ready {
-			ready = st.finish[p]
+		if sh.succMask[p]&^mask == 0 {
+			front &^= 1 << uint(p)
 		}
 	}
 	cls := sh.cls[v]
 	row, ids := st.avail[cls], st.ids[cls]
 	// Earliest-available machine, lowest index on ties: the row's front.
 	prev, mid := row[0], ids[0]
-	start := ready
+	start := st.readyAt[v]
 	if prev > start {
 		start = prev
 	}
@@ -218,13 +292,15 @@ func (w *worker) applyTo(st *state, v int) undoRec {
 		row[k-1], ids[k-1] = row[k], ids[k]
 	}
 	row[k-1], ids[k-1] = fin, mid
-	u := undoRec{prevMask: st.mask, prevMakespan: st.makespan,
-		orderLen: len(st.order), class: cls, pos: k - 1, prevAvail: prev}
+	u := undoRec{prevMask: st.mask, prevFront: st.front, prevReady: st.ready,
+		prevMakespan: st.makespan, orderLen: len(st.order), class: cls, pos: k - 1, prevAvail: prev}
 	st.availSum[cls] += fin - prev
 	st.rem[cls] -= sh.wcet[v]
-	st.mask |= 1 << uint(v)
+	st.mask, st.front = mask, front
 	st.rmask |= sh.rbit[v]
 	st.finish[v] = fin
+	st.ready &^= 1 << uint(v)
+	w.readySuccs(st, v)
 	st.order = append(st.order, v)
 	if st.spans != nil {
 		st.spans[v] = sched.Span{Node: v, Start: start, Finish: fin, Resource: sh.p.Base(cls) + mid}
@@ -240,7 +316,8 @@ func (w *worker) applyTo(st *state, v int) undoRec {
 // once per search (for the final incumbent), so it allocates its own
 // state.
 func (w *worker) replay(order []int) []sched.Span {
-	st := w.newState()
+	var b stateBuf
+	st := w.newState(&b)
 	st.spans = make([]sched.Span, w.sh.n)
 	w.reset(&st)
 	for _, v := range order {
@@ -360,10 +437,12 @@ func (w *worker) loadReaches(st *state, best int64, cls int, shift, used int64) 
 
 // signature builds the dominance vector for memoization: sorted per-class
 // machine availability (classes in platform order), the finish times of
-// scheduled nodes that still have unscheduled successors (in node-ID
-// order), and the partial makespan. Two states with equal masks compare
-// componentwise; a state dominated by a stored one cannot lead to a better
-// completion.
+// the front — scheduled nodes that still have unscheduled successors — and
+// the partial makespan. Two states with equal masks compare componentwise;
+// a state dominated by a stored one cannot lead to a better completion.
+// Front finishes are grouped by feed mask (sh.feedMasks order), in node-ID
+// order within a group: the front, and so the layout, is a function of the
+// mask, which is all componentwise comparison needs.
 //
 // Finish times are clamped up to the earliest machine availability of the
 // classes the node's finish can actually influence (through zero-WCET
@@ -372,61 +451,58 @@ func (w *worker) loadReaches(st *state, best int64, cls int, shift, used int64) 
 // availability, so a finish below the relevant floor can never matter.
 // States differing only in such irrelevant finishes merge; this collapse is
 // what keeps small-m instances tractable.
-// The vector is built in the worker's scratch buffer, valid until the next
-// signature call; the memo copies it only on insertion.
+//
+// The vector is written where the memo reads it (memo.sigBuf), so it is
+// never copied; signature returns its length and saturating sum, which it
+// accumulates as it writes.
 //
 //hetrta:hotpath
-func (w *worker) signature(st *state) []int64 {
+func (w *worker) signature(st *state) (int, int64) {
 	sh := w.sh
-	sig := w.sigBuf[:0]
-	// Fallback floor when a finish only feeds the makespan (zero-WCET sink
-	// chains): any current availability lower-bounds the final makespan,
-	// so the largest of the class minima is a sound clamp.
-	sinkFloor := int64(math.MaxInt64)
-	for c, row := range st.avail {
-		sig = append(sig, row...) // already sorted
-		m := int64(math.MaxInt64)
-		if len(row) > 0 {
-			m = row[0]
-		}
-		w.classMin[c] = m
-		if m != math.MaxInt64 && (sinkFloor == math.MaxInt64 || m > sinkFloor) {
-			sinkFloor = m
-		}
+	buf := sh.memo.sigBuf(w.maxSig)
+	j := copy(buf, st.rows) // each row already sorted
+	var sum int64
+	for _, x := range buf[:j] {
+		sum = satAdd(sum, x)
 	}
-	// Each distinct feed mask's floor is computed once per call, on first
-	// use; have marks the ones computed so far.
-	var have uint64
-	unscheduled := ^st.mask
-	for done := st.mask; done != 0; done &= done - 1 {
-		v := bits.TrailingZeros64(done)
-		if sh.succMask[v]&unscheduled == 0 {
+	for g, nodes := range sh.feedNodes {
+		nodes &= st.front
+		if nodes == 0 {
 			continue
 		}
-		fi := sh.feedIdx[v]
-		if have&(1<<uint(fi)) == 0 {
-			floor := int64(math.MaxInt64)
-			for mask := sh.feedMasks[fi]; mask != 0; mask &= mask - 1 {
-				if m := w.classMin[bits.TrailingZeros64(mask)]; m < floor {
-					floor = m
-				}
+		floor := int64(math.MaxInt64)
+		for mask := sh.feedMasks[g]; mask != 0; mask &= mask - 1 {
+			if row := st.avail[bits.TrailingZeros64(mask)]; len(row) > 0 && row[0] < floor {
+				floor = row[0]
 			}
-			if floor == math.MaxInt64 {
-				floor = sinkFloor
-			}
-			w.floors[fi] = floor
-			have |= 1 << uint(fi)
 		}
-		floor := w.floors[fi]
-		f := st.finish[v]
-		if f < floor {
-			f = floor
+		if floor == math.MaxInt64 {
+			floor = sinkFloor(st)
 		}
-		sig = append(sig, f)
+		for ; nodes != 0; nodes &= nodes - 1 {
+			f := max(st.finish[bits.TrailingZeros64(nodes)], floor)
+			buf[j] = f
+			sum = satAdd(sum, f)
+			j++
+		}
 	}
-	sig = append(sig, st.makespan)
-	w.sigBuf = sig
-	return sig
+	buf[j] = st.makespan
+	return j + 1, satAdd(sum, st.makespan)
+}
+
+// sinkFloor is the clamp floor of a finish that only feeds the makespan
+// (zero-WCET sink chains): any current availability lower-bounds the final
+// makespan, so the largest of the class minima is sound.
+//
+//hetrta:hotpath
+func sinkFloor(st *state) int64 {
+	floor := int64(math.MaxInt64)
+	for _, row := range st.avail {
+		if len(row) > 0 && (floor == math.MaxInt64 || row[0] > floor) {
+			floor = row[0]
+		}
+	}
+	return floor
 }
 
 // candidates collects the branchable nodes of st — unscheduled, non-zero
@@ -439,17 +515,9 @@ func (w *worker) signature(st *state) []int64 {
 func (w *worker) candidates(st *state, lv *level) []cand {
 	sh := w.sh
 	cands := lv.cands[:0]
-	for open := sh.full &^ st.mask &^ sh.zeroMask; open != 0; open &= open - 1 {
+	for open := st.ready; open != 0; open &= open - 1 {
 		v := bits.TrailingZeros64(open)
-		if sh.predMask[v]&^st.mask != 0 {
-			continue
-		}
-		e := st.avail[sh.cls[v]][0]
-		for _, p := range sh.preds[v] {
-			if st.finish[p] > e {
-				e = st.finish[p]
-			}
-		}
+		e := max(st.avail[sh.cls[v]][0], st.readyAt[v])
 		cands = append(cands, cand{v: v, est: e, ect: e + sh.wcet[v], tail: sh.tail[v]})
 	}
 	lv.cands = cands
@@ -523,7 +591,7 @@ func (w *worker) search() {
 func (w *worker) dfs(depth int, m int64) {
 	sh := w.sh
 	st := &w.cur
-	if sh.memo.dominated(st.mask, w.signature(st)) {
+	if k, sum := w.signature(st); sh.memo.dominated(st.mask, sum, k) {
 		return
 	}
 
@@ -554,28 +622,33 @@ func (w *worker) dfs(depth int, m int64) {
 
 	// Interchangeable-job symmetry breaking: among candidates with
 	// identical class, WCET, successor set, and estimated start, only the
-	// lowest ID branches.
-	filtered := lv.filtered[:0]
-	for i, c := range cands {
-		dup := false
-		for j := 0; j < i; j++ {
-			d := cands[j]
-			if d.v < c.v && sh.cls[d.v] == sh.cls[c.v] &&
-				sh.wcet[d.v] == sh.wcet[c.v] &&
-				sh.succMask[d.v] == sh.succMask[c.v] && d.est == c.est {
-				dup = true
-				break
+	// lowest ID branches. Candidates are in ascending ID order, and being
+	// interchangeable is an equivalence, so checking each candidate against
+	// the ones kept before it is checking it against all lower IDs.
+	// Filtered in place, and skipped when no ready node has a twin.
+	if sh.twins&st.ready != 0 {
+		keep := cands[:0]
+		for _, c := range cands {
+			dup := false
+			if sh.twins&(1<<uint(c.v)) != 0 {
+				for _, d := range keep {
+					if sh.cls[d.v] == sh.cls[c.v] && sh.wcet[d.v] == sh.wcet[c.v] &&
+						sh.succMask[d.v] == sh.succMask[c.v] && d.est == c.est {
+						dup = true
+						break
+					}
+				}
+			}
+			if !dup {
+				keep = append(keep, c)
 			}
 		}
-		if !dup {
-			filtered = append(filtered, c)
-		}
+		cands = keep
 	}
-	lv.filtered = filtered
-	sortCands(filtered)
+	sortCands(cands)
 	// With one non-zero node left open, every child completes the schedule.
-	last := sh.full&^st.mask&^sh.zeroMask == 1<<uint(filtered[0].v)
-	for _, c := range filtered {
+	last := sh.full&^st.mask&^sh.zeroMask == 1<<uint(cands[0].v)
+	for _, c := range cands {
 		if last {
 			rec := w.applyTo(st, c.v)
 			sh.publish(st.makespan, st.order)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/dag"
 )
@@ -100,20 +101,86 @@ func (p *wcetPolicy) Pick(r []ReadyItem) int {
 }
 
 // Random picks uniformly among ready nodes using its own deterministic
-// stream; used to sample the schedule space (e.g. to exhibit Figure 1(c)
-// worst cases).
+// stream, the one rand.New(rand.NewSource(seed)) draws; used to sample the
+// schedule space (e.g. to exhibit Figure 1(c) worst cases). Seeding a
+// math/rand source costs about as much as a whole simulation of a small
+// graph, so Prepare replays the stream's head, drawn once per seed and
+// shared (see replaySource).
 func Random(seed int64) Policy { return &randPolicy{seed: seed} }
 
 type randPolicy struct {
 	seed int64
+	src  replaySource
 	r    *rand.Rand
 }
 
 func (p *randPolicy) Name() string { return "random" }
 func (p *randPolicy) Prepare(*dag.Graph) {
-	p.r = rand.New(rand.NewSource(p.seed))
+	p.src.Seed(p.seed)
+	if p.r == nil {
+		p.r = rand.New(&p.src)
+	}
 }
 func (p *randPolicy) Pick(r []ReadyItem) int { return p.r.Intn(len(r)) }
+
+// streamHead is how many Int63 values of a seed's stream are drawn once
+// and replayed: more than a simulation of a graph the exact oracle accepts
+// (at most 64 nodes, one draw per dispatch plus rare rejections) uses.
+const streamHead = 128
+
+// stream is the head of one seed's source stream. It is immutable once
+// published.
+type stream struct {
+	seed int64
+	head [streamHead]int64
+}
+
+// streams caches recently used stream heads, direct-mapped by seed, so
+// the memory stays bounded however many seeds are drawn from (sched.Sample
+// seeds one source per sample); a colliding seed replaces the entry.
+var streams [16]atomic.Pointer[stream]
+
+// replaySource is a rand.Source that yields the stream of
+// rand.NewSource(seed): the cached head first, then a source advanced past
+// the head. The source that draws a head for the cache continues itself,
+// so a seed's first user seeds once, as rand.NewSource would.
+type replaySource struct {
+	head *stream
+	pos  int
+	tail rand.Source
+}
+
+// Seed points the source at the start of seed's stream.
+func (s *replaySource) Seed(seed int64) {
+	slot := &streams[uint64(seed)%uint64(len(streams))]
+	h := slot.Load()
+	s.pos, s.tail = 0, nil
+	if h == nil || h.seed != seed {
+		h = &stream{seed: seed}
+		s.tail = rand.NewSource(seed)
+		for i := range h.head {
+			h.head[i] = s.tail.Int63()
+		}
+		slot.Store(h)
+	}
+	s.head = h
+}
+
+// Int63 returns the next value of the stream.
+func (s *replaySource) Int63() int64 {
+	if s.pos < len(s.head.head) {
+		v := s.head.head[s.pos]
+		s.pos++
+		return v
+	}
+	if s.tail == nil {
+		s.tail = rand.NewSource(s.head.seed)
+		for range s.head.head {
+			s.tail.Int63()
+		}
+	}
+	return s.tail.Int63()
+}
 
 // ListOrder dispatches by a fixed priority permutation: prio[v] is the
 // priority of node v (smaller = earlier). Used by the exact solver to

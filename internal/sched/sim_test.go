@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -233,6 +234,42 @@ func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
 	}
 	if a.Makespan != b.Makespan {
 		t.Fatalf("same seed gave %d and %d", a.Makespan, b.Makespan)
+	}
+}
+
+// TestRandomReplaysSeedStream checks that a Random policy draws exactly
+// what rand.New(rand.NewSource(seed)) draws, over 12,000 Intn calls per
+// bound — far past the replayed stream head — for the source that fills a
+// seed's cache entry, for later replayers of that entry, and for a policy
+// re-prepared after a colliding seed replaced the entry. Bounds cover
+// powers of two, rejection-sampled bounds and the Int63n range.
+func TestRandomReplaysSeedStream(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 64, 1000, 1<<31 - 1, 1<<40 + 3}
+	check := func(t *testing.T, pol Policy, seed int64, n int) {
+		t.Helper()
+		pol.Prepare(nil)
+		r := pol.(*randPolicy).r
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 12000; i++ {
+			if got, w := r.Intn(n), want.Intn(n); got != w {
+				t.Fatalf("seed %d, Intn(%d) draw %d: %d, rand.NewSource stream %d", seed, n, i, got, w)
+			}
+		}
+	}
+	for _, seed := range []int64{1, 2, -3, 1 << 40, 1 + int64(len(streams))} {
+		for _, n := range bounds {
+			first := Random(seed)
+			check(t, first, seed, n) // fills or reuses the cache entry
+			check(t, Random(seed), seed, n)
+			check(t, first, seed, n) // a policy is prepared once per simulation
+		}
+	}
+	// Seeds that share a cache entry evict each other; each still replays
+	// its own stream.
+	a, b := Random(5), Random(5+int64(len(streams)))
+	for i := 0; i < 3; i++ {
+		check(t, a, 5, 3)
+		check(t, b, 5+int64(len(streams)), 3)
 	}
 }
 
