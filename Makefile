@@ -10,7 +10,7 @@ HETRTALINT := $(BIN)/hetrtalint
 STATICCHECK_VERSION := 2025.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all lint test bench chaos fmt vet vettool staticcheck govulncheck tools clean
+.PHONY: all lint test bench chaos loc fmt vet vettool staticcheck govulncheck tools clean
 
 all: lint test
 
@@ -80,6 +80,14 @@ bench:
 	echo "comparing against $$baseline"; \
 	$(GO) run ./cmd/benchreport -out bench_local.json -baseline "$$baseline" -benchtime 2x -threshold 2
 	$(GO) run ./cmd/benchreport -pkg ./cmd/dagrtad -out bench_local_dagrtad.json -baseline BENCH_DAGRTAD_1.json -benchtime 2x -threshold 2
+
+# --- loc: non-test Go lines, as ROADMAP counts them: every *.go file that
+# is not a _test.go, testdata/ included, outside bench/ (a module of its
+# own), .git/ and .bench_build/. CI prints it and gates nothing.
+
+loc:
+	@find . \( -path ./bench -o -path ./.git -o -path ./.bench_build \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -type f -exec cat {} + | wc -l
 
 # --- tools: install the pinned external linters (requires network).
 

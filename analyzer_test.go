@@ -10,6 +10,7 @@ import (
 	"time"
 
 	hetrta "repro"
+	"repro/internal/transform"
 )
 
 func TestAnalyzerFig1Report(t *testing.T) {
@@ -442,7 +443,7 @@ func TestAnalyzerMultiOffloadReport(t *testing.T) {
 	if rep.Simulation == nil || rep.Simulation.MakespanTransformed == 0 {
 		t.Errorf("transformed simulation missing: %+v", rep.Simulation)
 	}
-	if err := hetrta.CheckTransformAll(rep.MultiTransformResult.Original, rep.MultiTransformResult); err != nil {
+	if err := transform.CheckAll(rep.MultiTransformResult.Original, rep.MultiTransformResult); err != nil {
 		t.Errorf("transform-all check: %v", err)
 	}
 	// JSON round trip keeps the per-offload summaries.

@@ -31,33 +31,16 @@ func RhomBound() Bound { return rta.RhomBound() }
 // single-offload model or when the offloaded node's class has no machine.
 func RhetBound() Bound { return rta.RhetBound() }
 
-// TypedRhomBound returns the typed generalization of Equation 1 to any
-// number of offloaded nodes over any number of device classes (see
-// extensions.go), skipped when a node's class has no machine.
+// TypedRhomBound returns the typed generalization of Equation 1 to tasks
+// whose nodes are spread over any number of resource classes (the paper's
+// future work (i) and (ii)):
+//
+//	R ≤ Σ_c vol_c/m_c + max over paths λ of Σ_{v∈λ} C_v·(1 − 1/m_cls(v)).
+//
+// With no offloaded nodes it equals Rhom. It is skipped when a node's
+// class has no machine.
 func TypedRhomBound() Bound { return rta.TypedRhomBound() }
 
 // NaiveBound returns the UNSAFE bound of Section 3.2, kept to demonstrate
 // why the transformation is necessary; its results carry Unsafe: true.
 func NaiveBound() Bound { return rta.NaiveBound() }
-
-// LatticeRelation names the dominance relation a registered bound
-// maintains with the simulated makespan.
-type LatticeRelation = rta.Relation
-
-// Dominance relations of the bound registry.
-const (
-	BoundsSim            = rta.BoundsSim
-	BoundsSimTransformed = rta.BoundsSimTransformed
-	UnsafeDemo           = rta.UnsafeDemo
-)
-
-// LatticeEntry is one bound's registry declaration: constructor, relation,
-// safety restriction and note.
-type LatticeEntry = rta.RegistryEntry
-
-// BoundLattice is the bound registry (rta.Registry) the cross-validation
-// sweep iterates and admission reads.
-var BoundLattice = rta.Registry
-
-// LatticeNames returns the registered bound names in sorted order.
-func LatticeNames() []string { return rta.RegistryNames() }

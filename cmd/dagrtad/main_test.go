@@ -279,13 +279,18 @@ func TestBatchEndpoint(t *testing.T) {
 func TestBatchBodyVerbatim(t *testing.T) {
 	base := startDaemon(t, "-store", filepath.Join(t.TempDir(), "cache.log"), "-cache", "1", "-cache-shards", "1",
 		"-parallel", "1", "-platform", "2+1", "-exact", "-budget", "1")
+	// "stored" goes first, so "resident" evicts it from the one-entry
+	// cache into the log; the reverse order would make both store hits.
 	single := map[string][]byte{}
-	for name, g := range map[string][]byte{"stored": chainTask(t), "resident": hostPairTask(t)} {
-		resp, data := post(t, base+"/v1/analyze", g)
+	for _, c := range []struct {
+		name string
+		g    []byte
+	}{{"stored", chainTask(t)}, {"resident", hostPairTask(t)}} {
+		resp, data := post(t, base+"/v1/analyze", c.g)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: %d: %s", name, resp.StatusCode, data)
+			t.Fatalf("%s: %d: %s", c.name, resp.StatusCode, data)
 		}
-		single[name] = data
+		single[c.name] = data
 	}
 	warmBefore := getStats(t, base).Store.WarmHits
 	slots := []json.RawMessage{

@@ -81,15 +81,12 @@ func renderMetrics(st statsResponse) string {
 	p.counter("dagrtad_eval_hits_total", "Per-task eval-cache hits on the admission path.", st.EvalHits)
 	p.counter("dagrtad_eval_misses_total", "Per-task eval-cache misses on the admission path.", st.EvalMisses)
 	p.counter("dagrtad_eval_failures_total", "Per-task eval preparations that failed.", st.EvalFailures)
-	p.counter("dagrtad_step_hits_total", "Global-policy fixpoint memo hits.", st.StepHits)
-	p.counter("dagrtad_step_misses_total", "Global-policy fixpoint memo misses.", st.StepMisses)
 	p.counter("dagrtad_recovered_panics_total", "Handler panics recovered by the HTTP layer.", st.RecoveredPanics)
 	p.counter("dagrtad_response_write_errors_total", "Response bodies that failed to write out.", st.ResponseWriteErrors)
 
 	p.gauge("dagrtad_in_flight", "Analyses executing right now.", st.InFlight)
 	p.gauge("dagrtad_cache_entries", "Report-cache occupancy in entries.", int64(st.Entries))
 	p.gauge("dagrtad_cache_capacity", "Report-cache capacity in entries.", int64(st.Capacity))
-	p.gauge("dagrtad_step_entries", "Global-policy fixpoint memo occupancy.", int64(st.StepEntries))
 	p.gauge("dagrtad_draining", "1 while graceful shutdown is draining requests.", boolGauge(st.Draining))
 
 	p.family("dagrtad_cache_shard_entries", "gauge", "Per-shard report-cache occupancy.")

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/rta"
 )
 
 // TestCrossValidationDominance is the cross-validation property sweep: over
@@ -97,12 +99,12 @@ func TestCrossValidationDominance(t *testing.T) {
 		}
 
 		// The bound set under test is the registered lattice, not a
-		// hand-picked list: a bound missing from BoundLattice is a bound
+		// hand-picked list: a bound missing from rta.Registry is a bound
 		// this sweep silently stops checking, which is exactly what the
 		// boundreg analyzer forbids.
-		bounds := make([]Bound, 0, len(BoundLattice))
-		for _, name := range LatticeNames() {
-			bounds = append(bounds, BoundLattice[name].New())
+		bounds := make([]Bound, 0, len(rta.Registry))
+		for _, name := range rta.RegistryNames() {
+			bounds = append(bounds, rta.Registry[name].New())
 		}
 		opts := []Option{
 			WithPlatform(p),
@@ -129,26 +131,26 @@ func TestCrossValidationDominance(t *testing.T) {
 		}
 
 		// Each registered bound is asserted per its declared relation,
-		// where its SafeFor holds (BoundLattice, i.e. rta.Registry).
-		for _, name := range LatticeNames() {
-			entry := BoundLattice[name]
+		// where its SafeFor holds (rta.Registry).
+		for _, name := range rta.RegistryNames() {
+			entry := rta.Registry[name]
 			v, ok := rep.BoundValue(name)
 			if !ok || (entry.SafeFor != nil && !entry.SafeFor(g, p)) {
 				continue
 			}
 			switch entry.Relation {
-			case BoundsSim:
+			case rta.BoundsSim:
 				checks++
 				if sim > v+eps {
 					fail(fmt.Sprintf("sim %v exceeds %s %v", sim, name, v))
 				}
-			case BoundsSimTransformed:
+			case rta.BoundsSimTransformed:
 				simT := float64(rep.Simulation.MakespanTransformed)
 				checks++
 				if simT > v+eps {
 					fail(fmt.Sprintf("sim(τ') %v exceeds %s %v", simT, name, v))
 				}
-			case UnsafeDemo:
+			case rta.UnsafeDemo:
 				// Never asserted as an upper bound; specific relations below.
 			default:
 				t.Fatalf("bound %q has unknown lattice relation %q", name, entry.Relation)

@@ -1,24 +1,12 @@
 package hetrta
 
-import (
-	"repro/internal/rta"
-	"repro/internal/transform"
-)
+import "repro/internal/transform"
 
 // This file exposes the extensions beyond the paper's core model: the
 // Section 7 generalizations (multiple offloaded nodes, multiple devices,
 // multiple device classes), which the core pipeline now carries end to
 // end. Federated scheduling of tasksets is FederatedPolicy, run by a
 // TasksetAnalyzer.
-
-// TypedRhomOn generalizes Equation 1 to tasks whose nodes are spread over
-// any number of resource classes (the paper's future work (i) and (ii)):
-//
-//	R ≤ Σ_c vol_c/m_c + max over paths λ of Σ_{v∈λ} C_v·(1 − 1/m_cls(v)).
-//
-// With no offloaded nodes it equals Rhom. TypedRhomBound exposes the same
-// analysis as a pluggable Analyzer bound.
-func TypedRhomOn(g *Graph, p Platform) (float64, error) { return rta.TypedRhom(g, p) }
 
 // MultiTransformation is the result of gating every offloaded node with a
 // synchronization point (iterated Algorithm 1). Its Steps hold the
@@ -30,8 +18,3 @@ type MultiTransformation = transform.MultiResult
 // in descending-COff order. Like Transform, the input must be transitively
 // reduced; the single-offload case is the k = 1 instance.
 func TransformAll(g *Graph) (*MultiTransformation, error) { return transform.All(g) }
-
-// CheckTransformAll verifies that every original precedence constraint of
-// g survives in the multi-transformed graph and that each offload node is
-// gated by its synchronization node.
-func CheckTransformAll(g *Graph, r *MultiTransformation) error { return transform.CheckAll(g, r) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	hetrta "repro"
+	"repro/internal/rta"
 )
 
 // twoDevPlatform is the 4-core + 2-device shape used by the extension
@@ -94,7 +95,7 @@ func TestTypedBoundConsistentWithRhet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		typed, err := hetrta.TypedRhomOn(g, hetrta.HeteroPlatform(4))
+		typed, err := rta.TypedRhom(g, hetrta.HeteroPlatform(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func TestMultiOffloadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typed, err := hetrta.TypedRhomOn(g, twoDevPlatform())
+	typed, err := rta.TypedRhom(g, twoDevPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}

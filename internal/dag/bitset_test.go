@@ -63,7 +63,7 @@ func TestNodeSetMatchesMapSemantics(t *testing.T) {
 					other.Add(v)
 					ms.add(v)
 				}
-				bs.UnionWith(other)
+				bs = bs.Union(other)
 			}
 		}
 		sameMembers(t, "after ops", bs, ms, universe)

@@ -93,11 +93,11 @@ func (g *Graph) ParallelNodes(id int) NodeSet {
 // bit id%64 of word id/64). The zero value is an empty set; Add grows the
 // word slice on demand, with no upper limit on IDs.
 //
-// Mutators (Add, Remove, UnionWith) take a pointer receiver. Copying a
-// NodeSet value shares the underlying words only until a mutation grows
-// the word slice, after which the copies are silently independent — so
-// treat a copied value as read-only, and use Clone when an independent
-// mutable set is needed.
+// Mutators (Add, Remove) take a pointer receiver. Copying a NodeSet value
+// shares the underlying words only until a mutation grows the word slice,
+// after which the copies are silently independent — so treat a copied
+// value as read-only, and use Clone when an independent mutable set is
+// needed.
 type NodeSet struct {
 	words []uint64
 }
@@ -149,18 +149,6 @@ func (s NodeSet) Len() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// UnionWith adds every member of t to s in word-sized steps.
-func (s *NodeSet) UnionWith(t NodeSet) {
-	if len(t.words) > len(s.words) {
-		grown := make([]uint64, len(t.words))
-		copy(grown, s.words)
-		s.words = grown
-	}
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
 }
 
 // Union returns a new set holding s ∪ t.

@@ -47,15 +47,3 @@ func (g *Graph) InducedSubgraph(keep NodeSet) (*Graph, []int) {
 	}
 	return sub, newToOld
 }
-
-// WithoutNode returns a copy of g with node id removed (and all its edges).
-// Remaining node IDs are re-densified; the returned map gives newID→oldID.
-func (g *Graph) WithoutNode(id int) (*Graph, []int) {
-	keep := NewNodeSetWithMax(g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		if v != id {
-			keep.Add(v)
-		}
-	}
-	return g.InducedSubgraph(keep)
-}

@@ -182,25 +182,6 @@ func (s *replaySource) Int63() int64 {
 	return s.tail.Int63()
 }
 
-// ListOrder dispatches by a fixed priority permutation: prio[v] is the
-// priority of node v (smaller = earlier). Used by the exact solver to
-// replay list schedules and by tests.
-func ListOrder(prio []int) Policy { return &listPolicy{prio: prio} }
-
-type listPolicy struct{ prio []int }
-
-func (p *listPolicy) Name() string       { return "list-order" }
-func (p *listPolicy) Prepare(*dag.Graph) {}
-func (p *listPolicy) Pick(r []ReadyItem) int {
-	best := 0
-	for i := 1; i < len(r); i++ {
-		if p.prio[r[i].Node] < p.prio[r[best].Node] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Heuristics returns the portfolio of deterministic policies used to seed
 // the exact solver's incumbent and the policy-sensitivity ablation.
 func Heuristics() []Policy {

@@ -186,22 +186,6 @@ func TestSimulateRejectsCycle(t *testing.T) {
 	}
 }
 
-func TestListOrderPolicyForcesSchedule(t *testing.T) {
-	// Two independent jobs, one core: priority decides who goes first.
-	g := dag.New()
-	a := g.AddNode("a", 2, dag.Host)
-	b := g.AddNode("b", 3, dag.Host)
-	prio := make([]int, 2)
-	prio[a], prio[b] = 1, 0 // b first
-	r, err := Simulate(g, Homogeneous(1), ListOrder(prio))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Spans[b].Start != 0 || r.Spans[a].Start != 3 {
-		t.Fatalf("spans %+v, want b first", r.Spans)
-	}
-}
-
 func TestPolicyPickOrders(t *testing.T) {
 	g := dag.New()
 	n0 := g.AddNode("", 5, dag.Host)

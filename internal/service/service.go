@@ -133,10 +133,6 @@ type Service struct {
 	evalMisses   atomic.Uint64
 	evalFailures atomic.Uint64
 
-	// steps memoizes Global-policy fixpoint iterations across admissions
-	// (see hetrta.GlobalStepCache); results are byte-identical either way.
-	steps *hetrta.GlobalStepCache
-
 	// store is the optional disk-backed second tier (see persist.go),
 	// set once by AttachStore before serving. warmLoaded counts entries
 	// decoded into the LRU at boot, warmHits store-tier promotions at
@@ -170,9 +166,9 @@ type Service struct {
 	exec func(ctx context.Context, g *hetrta.Graph) (*hetrta.Report, error)
 	// execAdmit runs the taskset analyzer for an admission miss; a test
 	// hook that defaults to admitCached (AdmitPrepared over the shared
-	// per-task eval cache and Global step memo — byte-identical to
-	// ta.Admit). src, when non-nil, overrides the per-task eval source (the
-	// delta path's entry-anchored handles).
+	// per-task eval cache — byte-identical to ta.Admit). src, when non-nil,
+	// overrides the per-task eval source (the delta path's entry-anchored
+	// handles).
 	execAdmit func(ctx context.Context, ts hetrta.Taskset, ds []hetrta.TaskDigest, src hetrta.TaskEvalSource) (*hetrta.AdmitReport, error)
 }
 
@@ -266,7 +262,6 @@ func New(an *hetrta.Analyzer, opts Options) (*Service, error) {
 		tsig:    ta.Signature(),
 		cache:   newCache(entries, shards),
 		flights: make(map[string]*flight),
-		steps:   hetrta.NewGlobalStepCache(entries),
 	}
 	s.memo = newBodyMemo(s.cache.capacity())
 	s.exec = an.Analyze
@@ -716,9 +711,8 @@ func (s *Service) Admit(ctx context.Context, ts hetrta.Taskset) (*AdmitResult, e
 // anchors its canonical taskset in the admit cache; a cold base returns
 // ErrUnknownBase (the client falls back to a full Admit). The result is
 // byte-identical to Admit of the full resulting set — the resulting
-// fingerprint keys the same cache namespace, per-task evals are shared
-// through the "eval|" namespace, and the Global step memo replays
-// unchanged fixpoint iterations — so delta and whole-set requests for the
+// fingerprint keys the same cache namespace and per-task evals are shared
+// through the "eval|" namespace — so delta and whole-set requests for the
 // same resulting system are interchangeable. Malformed deltas (a removed
 // digest not in the base) satisfy errors.Is(err, hetrta.ErrInvalidInput).
 func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint, delta hetrta.TasksetDelta) (*AdmitResult, error) {
@@ -918,16 +912,14 @@ func (s *Service) prepareEval(g *hetrta.Graph) (*entry, error) {
 }
 
 // admitCached is the default execAdmit: AdmitPrepared over the shared
-// per-task eval cache and the Global step memo. Byte-identical to ta.Admit — eval
-// handles memoize pure per-platform bound values and the step cache
-// replays fixpoint iterations keyed on their full inputs — but an
-// admission whose tasks are warm (the delta path) skips all per-task
-// preparation and most policy iteration work.
+// per-task eval cache. Byte-identical to ta.Admit — eval handles memoize
+// pure per-platform bound values — but an admission whose tasks are warm
+// (the delta path) skips all per-task preparation.
 func (s *Service) admitCached(ctx context.Context, ts hetrta.Taskset, ds []hetrta.TaskDigest, src hetrta.TaskEvalSource) (*hetrta.AdmitReport, error) {
 	if src == nil {
 		src = s.taskEval
 	}
-	return s.ta.AdmitPrepared(ctx, ts, ds, src, s.steps)
+	return s.ta.AdmitPrepared(ctx, ts, ds, src)
 }
 
 // AnalyzeBatch serves many graphs. Duplicates within the batch (by
@@ -1052,11 +1044,13 @@ type Stats struct {
 	EvalHits     uint64 `json:"evalHits"`
 	EvalMisses   uint64 `json:"evalMisses"`
 	EvalFailures uint64 `json:"evalFailures,omitempty"`
-	// StepHits / StepMisses count Global-policy fixpoint memo lookups;
-	// StepEntries is the memo's current size.
-	StepHits    uint64 `json:"stepHits"`
-	StepMisses  uint64 `json:"stepMisses"`
-	StepEntries int    `json:"stepEntries,omitempty"`
+	// StepHits and StepMisses counted lookups of the Global policy's
+	// fixpoint memo, which is gone.
+	//
+	// Deprecated: always zero; bench/ still reads them.
+	StepHits uint64 `json:"-"`
+	// Deprecated: always zero; bench/ still reads it.
+	StepMisses uint64 `json:"-"`
 	// InFlight is the number of executions running right now.
 	InFlight int64 `json:"inFlight"`
 	// Entries is the current cache occupancy; Capacity its limit;
@@ -1096,7 +1090,7 @@ type StoreStats struct {
 //
 // The snapshot's contract is per-field monotonicity, not cross-field
 // consistency: each cumulative counter (Requests, Hits, Misses,
-// Executions, Coalesced, Failures, Degraded, Eval*, Step*, Evictions) is
+// Executions, Coalesced, Failures, Degraded, Eval*, Evictions) is
 // read atomically and never decreases between successive snapshots, but
 // the fields are read one by one while flights publish concurrently, so a
 // single snapshot can be torn ACROSS fields — e.g. a request counted in
@@ -1104,7 +1098,7 @@ type StoreStats struct {
 // trail Requests. Consumers (the /statsz tests, dashboards computing
 // deltas) must therefore only compare the same field across snapshots, or
 // quiesce the service before asserting cross-field identities.
-// Point-in-time gauges (InFlight, Entries, ShardEntries, StepEntries) obey
+// Point-in-time gauges (InFlight, Entries, ShardEntries) obey
 // neither property. TestStatsMonotonicity pins the contract.
 func (s *Service) Stats() Stats {
 	st := Stats{
@@ -1125,7 +1119,6 @@ func (s *Service) Stats() Stats {
 		Evictions:    s.cache.evicted(),
 		ShardEntries: s.cache.shardLens(),
 	}
-	st.StepHits, st.StepMisses, st.StepEntries = s.steps.Stats()
 	if total := st.Hits + st.Misses; total > 0 {
 		st.HitRate = float64(st.Hits) / float64(total)
 	}

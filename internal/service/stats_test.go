@@ -55,8 +55,6 @@ func TestStatsMonotonicity(t *testing.T) {
 			"EvalHits":          st.EvalHits,
 			"EvalMisses":        st.EvalMisses,
 			"EvalFailures":      st.EvalFailures,
-			"StepHits":          st.StepHits,
-			"StepMisses":        st.StepMisses,
 			"Store.Appends":     st.Store.Appends,
 			"Store.Dropped":     st.Store.Dropped,
 			"Store.WarmLoaded":  st.Store.WarmLoaded,

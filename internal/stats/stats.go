@@ -1,12 +1,11 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harnesses: running accumulators, percentage change in the
-// paper's footnote-3 sense, and percentile summaries.
+// experiment harnesses: running accumulators and percentage change in the
+// paper's footnote-3 sense.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator collects samples and yields summary statistics.
@@ -73,27 +72,6 @@ func (a *Accumulator) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
-// interpolation between closest ranks; NaN when empty.
-func (a *Accumulator) Percentile(p float64) float64 {
-	if len(a.xs) == 0 || p < 0 || p > 100 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), a.xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Summary is a one-line numeric digest.

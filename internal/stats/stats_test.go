@@ -29,7 +29,7 @@ func TestAccumulatorBasics(t *testing.T) {
 func TestEmptyAccumulator(t *testing.T) {
 	var a Accumulator
 	if !math.IsNaN(a.Mean()) || !math.IsNaN(a.Min()) || !math.IsNaN(a.Max()) ||
-		!math.IsNaN(a.Std()) || !math.IsNaN(a.Percentile(50)) {
+		!math.IsNaN(a.Std()) {
 		t.Error("empty accumulator should yield NaN everywhere")
 	}
 }
@@ -39,27 +39,6 @@ func TestStdSingleSample(t *testing.T) {
 	a.Add(3)
 	if !math.IsNaN(a.Std()) {
 		t.Error("Std of single sample should be NaN")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	var a Accumulator
-	for i := 1; i <= 100; i++ {
-		a.Add(float64(i))
-	}
-	cases := map[float64]float64{0: 1, 100: 100, 50: 50.5}
-	for p, want := range cases {
-		if got := a.Percentile(p); math.Abs(got-want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", p, got, want)
-		}
-	}
-	if !math.IsNaN(a.Percentile(-1)) || !math.IsNaN(a.Percentile(101)) {
-		t.Error("out-of-range percentile should be NaN")
-	}
-	var one Accumulator
-	one.Add(7)
-	if one.Percentile(30) != 7 {
-		t.Error("single-sample percentile")
 	}
 }
 
@@ -106,30 +85,6 @@ func TestQuickMeanWithinMinMax(t *testing.T) {
 		m := a.Mean()
 		return m >= a.Min()-1e-9*math.Abs(a.Min())-1e-9 &&
 			m <= a.Max()+1e-9*math.Abs(a.Max())+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickPercentileMonotone(t *testing.T) {
-	f := func(xs []float64, p1, p2 float64) bool {
-		var a Accumulator
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			a.Add(x)
-		}
-		if a.N() == 0 {
-			return true
-		}
-		p1 = math.Mod(math.Abs(p1), 101)
-		p2 = math.Mod(math.Abs(p2), 101)
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		return a.Percentile(p1) <= a.Percentile(p2)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

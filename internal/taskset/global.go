@@ -108,11 +108,6 @@ func (global) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error) {
 		}
 	}
 
-	memo := in.GlobalSteps != nil && len(in.Digests) == len(in.Set.Tasks)
-	var chain chainID
-	if memo {
-		chain = in.GlobalSteps.seed(p)
-	}
 	// interferers grows by one entry as each task is certified, so every
 	// task sees exactly its higher-priority prefix without re-building it.
 	// Certification stops at the first failure, so the prefix is always
@@ -161,39 +156,11 @@ func (global) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error) {
 			}
 		}
 
-		// The fixpoint is a pure function of (platform, task digest, rdag,
-		// ordered higher-priority (digest, R) pairs); with a GlobalStepCache
-		// supplied, replay an earlier identical instance — including its
-		// iteration count and the interned successor prefix — instead of
-		// re-iterating.
-		var r float64
-		var converged bool
-		var iters int
-		var nextChain chainID
-		var key stepKey
-		cached := false
-		if memo {
-			key = stepKey{chain: chain, self: in.Digests[k], rdagBits: math.Float64bits(rdag)}
-			if v, ok := in.GlobalSteps.get(key); ok {
-				r, converged, iters, nextChain = v.r, v.converged, v.iters, v.next
-				cached = true
-			}
-		}
-		if !cached {
-			r, converged, iters = globalIterate(rdag, deff, buckets, caps, interferers)
-			if memo {
-				nextChain = in.GlobalSteps.put(key,
-					globalStep{r: r, converged: converged, iters: iters},
-					converged && r <= deff)
-			}
-		}
+		r, converged, iters := globalIterate(rdag, deff, buckets, caps, interferers)
 		res.Iterations += iters
 		d.R = r
 		if converged && r <= deff {
 			d.Admitted = true
-			if memo {
-				chain = nextChain
-			}
 			interferers = append(interferers, globalInterferer{
 				vols:   vols[k],
 				r:      r,
@@ -212,4 +179,52 @@ func (global) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error) {
 		res.Tasks[k] = d
 	}
 	return res, nil
+}
+
+// globalInterferer is one higher-priority task's contribution to the
+// fixpoint, with the int64 model parameters pre-widened.
+type globalInterferer struct {
+	vols   []float64
+	r      float64
+	period float64
+	jitter float64
+}
+
+// globalIterate runs one task's response-time fixpoint: r starts at the
+// standalone bound and grows by per-class carry-in interference from the
+// higher-priority tasks until it stabilizes, exceeds the effective
+// deadline, or hits the iteration cap. Returns the final r, whether it
+// converged, and the number of iterations consumed (the contribution to
+// PolicyResult.Iterations).
+func globalIterate(rdag, deff float64, buckets []int, caps []float64, interferers []globalInterferer) (r float64, converged bool, iters int) {
+	r = rdag
+	converged = r <= deff && len(interferers) == 0
+	for it := 0; !converged && it < maxGlobalIterations; it++ {
+		iters++
+		if r > deff {
+			break
+		}
+		next := rdag
+		for bi, c := range buckets {
+			cap := caps[bi]
+			var interference float64
+			for _, inf := range interferers {
+				vol := inf.vols[c]
+				if vol == 0 {
+					continue
+				}
+				a := r + inf.r + inf.jitter
+				jobs := math.Floor(a / inf.period)
+				rem := a - jobs*inf.period
+				interference += jobs*vol + math.Min(vol, cap*rem)
+			}
+			next += interference / cap
+		}
+		if next <= r+1e-9 {
+			converged = true
+			break
+		}
+		r = next
+	}
+	return r, converged, iters
 }

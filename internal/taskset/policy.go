@@ -50,19 +50,11 @@ type AdmitInput struct {
 	Platform platform.Platform
 	// Evals is parallel to Set.Tasks.
 	Evals []TaskEval
-	// Digests, when non-nil, is parallel to Set.Tasks and carries each
-	// task's content digest so policies can key incremental caches without
-	// re-hashing graphs. Policies must behave identically with or without
-	// it — it is an acceleration hint, never an input.
-	Digests []TaskDigest
-	// GlobalSteps, when non-nil (and Digests is supplied), lets the Global
-	// policy replay per-task fixpoint iterations memoized across Admit
-	// calls. Results are byte-identical either way.
-	GlobalSteps *GlobalStepCache
 	// Utils, when non-nil, is parallel to Set.Tasks and carries each task's
 	// Utilization() value so policies that report it per decision do not
-	// take the graph property lock again. Same acceleration-hint contract
-	// as Digests: the values are exactly what Utilization() returns.
+	// take the graph property lock again. It is an acceleration hint, never
+	// an input: the values are exactly what Utilization() returns, and
+	// policies must behave identically with or without it.
 	Utils []float64
 }
 

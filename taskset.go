@@ -52,19 +52,6 @@ type TasksetDelta = taskset.Delta
 // TaskDeltaUpdate replaces the task with digest Old by Task.
 type TaskDeltaUpdate = taskset.TaskUpdate
 
-// GlobalStepCache memoizes the Global policy's per-task response-time
-// fixpoint across AdmitPrepared calls, keyed on everything the iteration
-// depends on, so unchanged tasks of a delta-edited set replay instead of
-// re-iterating — bit-identically, including iteration counts. Safe for
-// concurrent use.
-type GlobalStepCache = taskset.GlobalStepCache
-
-// NewGlobalStepCache returns a step cache holding up to capacity entries
-// (<= 0 selects a default).
-func NewGlobalStepCache(capacity int) *GlobalStepCache {
-	return taskset.NewGlobalStepCache(capacity)
-}
-
 // ErrInvalidInput marks errors caused by the caller's input (model
 // validation failures, malformed deltas) as opposed to analysis or
 // infrastructure faults. Test with errors.Is; serving layers map it to
@@ -379,23 +366,21 @@ type TaskEvalSource func(ctx context.Context, t SporadicTask, digest TaskDigest)
 func (ta *TasksetAnalyzer) Admit(ctx context.Context, ts Taskset) (*AdmitReport, error) {
 	return ta.AdmitPrepared(ctx, ts, nil, func(ctx context.Context, t SporadicTask, _ TaskDigest) (*TaskEvalHandle, error) {
 		return ta.PrepareTaskEval(t.G)
-	}, nil)
+	})
 }
 
-// AdmitPrepared is Admit with the per-task evaluation source and the Global
-// fixpoint memo pluggable — the incremental path under delta admission.
-// With a source that returns cached handles and a shared step cache, only
-// the delta's tasks pay for bound evaluation and only tasks whose
-// interfering set changed re-run the response-time iteration; the report is
-// byte-identical to a from-scratch Admit of the same set either way,
-// because handles memoize pure per-platform values and the step cache
-// replays iterations (counts included) keyed on their full inputs.
+// AdmitPrepared is Admit with the per-task evaluation source pluggable —
+// the incremental path under delta admission. With a source that returns
+// cached handles, only the delta's tasks pay for bound evaluation; the
+// report is byte-identical to a from-scratch Admit of the same set either
+// way, because handles memoize pure per-platform values and every policy
+// is a pure function of its input.
 //
 // The per-task digests ds (parallel to ts.Tasks) are optional: the delta
 // path resolves them from its base entry's bookkeeping, so
 // canonicalization re-hashes nothing. A nil or mismatched-length ds is
 // computed from scratch.
-func (ta *TasksetAnalyzer) AdmitPrepared(ctx context.Context, ts Taskset, ds []TaskDigest, src TaskEvalSource, steps *GlobalStepCache) (*AdmitReport, error) {
+func (ta *TasksetAnalyzer) AdmitPrepared(ctx context.Context, ts Taskset, ds []TaskDigest, src TaskEvalSource) (*AdmitReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -450,7 +435,7 @@ func (ta *TasksetAnalyzer) AdmitPrepared(ctx context.Context, ts Taskset, ds []T
 		}
 	}
 
-	in := taskset.AdmitInput{Set: canon, Platform: p, Evals: evals, Digests: digests, GlobalSteps: steps, Utils: utils}
+	in := taskset.AdmitInput{Set: canon, Platform: p, Evals: evals, Utils: utils}
 	for _, pol := range ta.policies {
 		if err := ctx.Err(); err != nil {
 			return nil, err

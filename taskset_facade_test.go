@@ -227,7 +227,7 @@ func TestAdmitMixedOffloadClassesRejectsNotErrors(t *testing.T) {
 	cached := func(context.Context, SporadicTask, TaskDigest) (*TaskEvalHandle, error) { return h, nil }
 	ts := Taskset{Tasks: []SporadicTask{{G: g, Period: 11, Deadline: 11}}}
 	for _, label := range []string{"handle first", "handle memo"} {
-		rep, err := ta.AdmitPrepared(context.Background(), ts, nil, cached, nil)
+		rep, err := ta.AdmitPrepared(context.Background(), ts, nil, cached)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
