@@ -10,7 +10,7 @@ HETRTALINT := $(BIN)/hetrtalint
 STATICCHECK_VERSION := 2025.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all lint test bench chaos loc fmt vet vettool staticcheck govulncheck tools clean
+.PHONY: all lint test bench chaos fuzz loc fmt vet vettool staticcheck govulncheck tools clean
 
 all: lint test
 
@@ -69,6 +69,18 @@ chaos:
 	$(GO) test -race -count=2 -run 'TestChaos|TestFailureNeverCached|TestDroppedCacheAdd|TestForcedCacheMiss|TestResidentReport|TestAdmitResultReport|TestExecPanic|TestBatchLone|TestBatchHoldsNoCharge' ./internal/service
 	$(GO) test -race -count=2 -run 'TestShedding|TestDegraded|TestBatchDegraded|TestBatchPanic|TestHandlerPanic|TestGracefulShutdown|TestShutdownGrace|TestBodySize|TestReadyz' ./cmd/dagrtad
 	$(GO) test -race -cpu=1,2,4 ./internal/exact
+
+# --- fuzz: the CI service job's fuzz smokes, each native fuzz target for
+# 30 seconds on top of its seed corpus, one after another.
+
+fuzz:
+	$(GO) test -fuzz=FuzzGraphJSON -fuzztime=30s ./internal/dag
+	$(GO) test -fuzz=FuzzPlatformParse -fuzztime=30s ./internal/platform
+	$(GO) test -fuzz='^FuzzAdmitRequest$$' -fuzztime=30s .
+	$(GO) test -fuzz='^FuzzAdmitDeltaRequest$$' -fuzztime=30s .
+	$(GO) test -fuzz='^FuzzBatchRequest$$' -fuzztime=30s .
+	$(GO) test -fuzz='^FuzzReportDecode$$' -fuzztime=30s .
+	$(GO) test -fuzz='^FuzzDecodeRecord$$' -fuzztime=30s ./internal/service
 
 # --- bench: the CI bench job — the serving harness's own tests, then the
 # benchmark regression gates: the root suite against the latest

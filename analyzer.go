@@ -55,7 +55,6 @@ type Analyzer struct {
 	exactOpts   ExactOptions
 	parallelism int
 	validate    *ValidateOptions
-	devices     *int // deferred WithDevices override
 
 	degrade       *DegradeOptions
 	forcedDegrade string // BoundsOnly reason; marks every report degraded
@@ -82,20 +81,6 @@ type Option func(*Analyzer) error
 func WithPlatform(p Platform) Option {
 	return func(a *Analyzer) error {
 		a.platform = p
-		return nil
-	}
-}
-
-// WithDevices overrides the total device count of the platform (applied
-// after WithPlatform regardless of option order). It requires a platform
-// with at most one device class — with several, "the device count" is
-// ambiguous; construct the class list explicitly instead.
-func WithDevices(d int) Option {
-	return func(a *Analyzer) error {
-		if d < 0 {
-			return fmt.Errorf("hetrta: negative device count %d", d)
-		}
-		a.devices = &d
 		return nil
 	}
 }
@@ -213,13 +198,6 @@ func NewAnalyzer(opts ...Option) (*Analyzer, error) {
 			return nil, err
 		}
 	}
-	if a.devices != nil {
-		p, err := a.platform.WithDeviceCount(*a.devices)
-		if err != nil {
-			return nil, fmt.Errorf("hetrta: %w", err)
-		}
-		a.platform = p
-	}
 	if err := a.platform.Validate(); err != nil {
 		return nil, fmt.Errorf("hetrta: %w", err)
 	}
@@ -258,23 +236,25 @@ func (a *Analyzer) BoundsOnly(reason string) *Analyzer {
 	return &d
 }
 
-// AlgorithmVersion identifies the code that produces served bytes: the
-// bounds, the simulation, the exact search, the fingerprint and the
-// report and admit-report wire formats. Signature leads with it, so the
-// serving cache keys and the store log generation change with it, and a
-// store log written by an older binary is discarded at boot instead of
-// served. Bump it by hand in any change that alters a served byte;
-// TestServedBytesVersioned fails when a byte-contract golden moves
-// without a bump.
-const AlgorithmVersion = 2
+// AlgorithmVersion identifies the code that produces served bytes or
+// reads a store log: the bounds, the simulation, the exact search, the
+// fingerprint, the report and admit-report wire formats, and the store's
+// record keys. Signature leads with it, so the store log generation
+// changes with it, and a store log written by an older binary is
+// discarded at boot instead of served. Bump it by hand in any change that
+// alters a served byte or the store's keys; TestServedBytesVersioned
+// fails when a byte-contract golden moves without a bump.
+const AlgorithmVersion = 3
 
 // Signature returns a stable string identifying every configuration input
 // that can influence a Report: AlgorithmVersion, the platform's full class
 // list, the bound set (in order), the simulation policy, the exact-stage
-// options, and the validation options. Two Analyzers with equal signatures produce
-// byte-identical reports for equal graphs, so (Graph.Fingerprint,
-// Signature) is a sound cache key — the serving layer (internal/service)
-// keys its result cache exactly this way. Batch parallelism is
+// options, and the validation options. Two Analyzers with equal
+// signatures produce byte-identical reports for equal graphs, so a cache
+// keyed by Graph.Fingerprint serves one signature's reports soundly. The
+// serving layer (internal/service) holds one configuration per cache, so
+// its keys carry no signature; its store log's generation embeds this
+// one, and a log written under another is never loaded. Batch parallelism is
 // deliberately excluded: batch output is deterministic at any pool size.
 // The exact stage needs no such exclusion: its search is serial, so every
 // field of its result, Expansions included, follows from the graph and

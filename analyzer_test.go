@@ -176,7 +176,6 @@ func TestParallelismAccessor(t *testing.T) {
 func TestAnalyzerOptionValidation(t *testing.T) {
 	bad := [][]hetrta.Option{
 		{hetrta.WithPlatform(hetrta.NewPlatform(hetrta.ResourceClass{Name: "host", Count: 0}, hetrta.ResourceClass{Name: "dev", Count: 1}))},
-		{hetrta.WithDevices(-1)},
 		{hetrta.WithParallelism(-2)},
 		{hetrta.WithExactBudget(-5)},
 		{hetrta.WithPolicy(nil)},
@@ -187,17 +186,6 @@ func TestAnalyzerOptionValidation(t *testing.T) {
 		if _, err := hetrta.NewAnalyzer(opts...); err == nil {
 			t.Errorf("bad option set %d accepted", i)
 		}
-	}
-	// WithDevices overrides the platform regardless of option order.
-	an, err := hetrta.NewAnalyzer(
-		hetrta.WithDevices(3),
-		hetrta.WithPlatform(hetrta.HeteroPlatform(8)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := an.Platform(); p.Cores() != 8 || p.Devices() != 3 {
-		t.Errorf("platform = %v, want m=8+3dev", p)
 	}
 }
 

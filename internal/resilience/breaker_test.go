@@ -92,14 +92,14 @@ func TestBreakerNilAlwaysAllows(t *testing.T) {
 
 func TestNegCacheSkipAndProbe(t *testing.T) {
 	c := NewNegCache(NegCacheOptions{Capacity: 8, ProbeEvery: 3})
-	if c.ShouldSkip("a") {
+	if c.ShouldSkip(key("a")) {
 		t.Fatal("unknown key skipped")
 	}
-	c.Add("a")
+	c.Add(key("a"))
 	// Hits 1,2 skip; hit 3 is the probe; 4,5 skip; 6 probes again.
 	want := []bool{true, true, false, true, true, false}
 	for i, w := range want {
-		if got := c.ShouldSkip("a"); got != w {
+		if got := c.ShouldSkip(key("a")); got != w {
 			t.Fatalf("hit %d: ShouldSkip = %v, want %v", i+1, got, w)
 		}
 	}
@@ -110,23 +110,23 @@ func TestNegCacheSkipAndProbe(t *testing.T) {
 
 func TestNegCacheRemoveUpgrades(t *testing.T) {
 	c := NewNegCache(NegCacheOptions{Capacity: 8, ProbeEvery: -1})
-	c.Add("a")
-	if !c.ShouldSkip("a") {
+	c.Add(key("a"))
+	if !c.ShouldSkip(key("a")) {
 		t.Fatal("hard instance not skipped")
 	}
-	if !c.Remove("a") {
+	if !c.Remove(key("a")) {
 		t.Fatal("Remove of present key reported absent")
 	}
-	if c.ShouldSkip("a") {
+	if c.ShouldSkip(key("a")) {
 		t.Fatal("removed key still skipped")
 	}
-	if c.Remove("a") {
+	if c.Remove(key("a")) {
 		t.Fatal("Remove of absent key reported present")
 	}
 	// ProbeEvery < 0 disables probing: a hard key skips forever.
-	c.Add("b")
+	c.Add(key("b"))
 	for i := 0; i < 200; i++ {
-		if !c.ShouldSkip("b") {
+		if !c.ShouldSkip(key("b")) {
 			t.Fatalf("probe fired at hit %d with probing disabled", i+1)
 		}
 	}
@@ -134,14 +134,14 @@ func TestNegCacheRemoveUpgrades(t *testing.T) {
 
 func TestNegCacheEvictsLRU(t *testing.T) {
 	c := NewNegCache(NegCacheOptions{Capacity: 2, ProbeEvery: -1})
-	c.Add("a")
-	c.Add("b")
-	c.ShouldSkip("a") // refresh a; b is now least recent
-	c.Add("c")        // evicts b
-	if c.ShouldSkip("b") {
+	c.Add(key("a"))
+	c.Add(key("b"))
+	c.ShouldSkip(key("a")) // refresh a; b is now least recent
+	c.Add(key("c"))        // evicts b
+	if c.ShouldSkip(key("b")) {
 		t.Fatal("evicted key still present")
 	}
-	if !c.ShouldSkip("a") || !c.ShouldSkip("c") {
+	if !c.ShouldSkip(key("a")) || !c.ShouldSkip(key("c")) {
 		t.Fatal("resident keys lost")
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
@@ -151,8 +151,14 @@ func TestNegCacheEvictsLRU(t *testing.T) {
 
 func TestNegCacheNil(t *testing.T) {
 	var c *NegCache
-	c.Add("a")
-	if c.ShouldSkip("a") || c.Remove("a") || c.Len() != 0 {
+	c.Add(key("a"))
+	if c.ShouldSkip(key("a")) || c.Remove(key("a")) || c.Len() != 0 {
 		t.Fatal("nil NegCache must remember nothing")
 	}
+}
+
+// key is a fingerprint whose first bytes spell s.
+func key(s string) (fp [32]byte) {
+	copy(fp[:], s)
+	return fp
 }

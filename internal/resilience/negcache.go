@@ -25,7 +25,8 @@ const (
 )
 
 // NegCache is the per-fingerprint negative cache of hard instances: graphs
-// whose exact analysis exhausted its budget or deadline slice. A
+// whose exact analysis exhausted its budget or deadline slice, keyed by
+// their 32-byte fingerprint. A
 // remembered fingerprint skips the exact stage immediately on subsequent
 // requests — overload from repeated hopeless work never builds up — while
 // the counter-based probe interval periodically re-attempts the full
@@ -35,7 +36,7 @@ type NegCache struct {
 	mu         sync.Mutex
 	capacity   int
 	probeEvery int64
-	items      map[string]*list.Element
+	items      map[[32]byte]*list.Element
 	lru        *list.List // front = most recently confirmed hard
 
 	added     uint64
@@ -47,7 +48,7 @@ type NegCache struct {
 // negItem is one remembered hard instance; hits counts ShouldSkip lookups
 // since it was (re-)added, driving the probe cadence.
 type negItem struct {
-	key  string
+	key  [32]byte
 	hits int64
 }
 
@@ -64,14 +65,14 @@ func NewNegCache(opts NegCacheOptions) *NegCache {
 	return &NegCache{
 		capacity:   capacity,
 		probeEvery: probeEvery,
-		items:      make(map[string]*list.Element),
+		items:      make(map[[32]byte]*list.Element),
 		lru:        list.New(),
 	}
 }
 
 // Add remembers key as a hard instance (refreshing recency and resetting
 // its probe counter if already present).
-func (c *NegCache) Add(key string) {
+func (c *NegCache) Add(key [32]byte) {
 	if c == nil {
 		return
 	}
@@ -95,7 +96,7 @@ func (c *NegCache) Add(key string) {
 
 // Remove forgets key (a full analysis succeeded: the instance is upgraded).
 // It reports whether the key was present.
-func (c *NegCache) Remove(key string) bool {
+func (c *NegCache) Remove(key [32]byte) bool {
 	if c == nil {
 		return false
 	}
@@ -115,7 +116,7 @@ func (c *NegCache) Remove(key string) bool {
 // stage should be skipped right now. Every ProbeEvery-th lookup of a
 // present key answers false instead — a deterministic probe that lets the
 // caller re-attempt the full analysis (and Remove the entry on success).
-func (c *NegCache) ShouldSkip(key string) bool {
+func (c *NegCache) ShouldSkip(key [32]byte) bool {
 	if c == nil {
 		return false
 	}

@@ -14,7 +14,7 @@ import (
 	hetrta "repro"
 )
 
-func admitService(t *testing.T, opts Options) *Service {
+func admitService(t testing.TB, opts Options) *Service {
 	t.Helper()
 	an, err := hetrta.NewAnalyzer(
 		hetrta.WithPlatform(hetrta.HeteroPlatform(4)),
@@ -206,8 +206,8 @@ func TestAdmitCancelledLeaderRetry(t *testing.T) {
 
 // TestAdmitAndAnalyzeShareCacheDisjointly: an admission and an analysis of
 // content-related inputs never collide in the shared cache. The admission
-// leaves one "admit|" entry plus one "eval|" entry per distinct task; the
-// analysis adds its own entry — and none of the four lookups hits another
+// leaves one recAdmit entry plus one recEval entry per distinct task; the
+// analysis adds its own recReport entry — and none of the four lookups hits another
 // namespace's key.
 func TestAdmitAndAnalyzeShareCacheDisjointly(t *testing.T) {
 	svc := admitService(t, Options{})
@@ -219,7 +219,7 @@ func TestAdmitAndAnalyzeShareCacheDisjointly(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := svc.Stats()
-	wantEntries := 2 + len(ts.Tasks) // admit| + analyze| + one eval| per task
+	wantEntries := 2 + len(ts.Tasks) // admit + report + one eval per task
 	if st.Entries != wantEntries || st.Hits != 0 || st.EvalHits != 0 {
 		t.Fatalf("expected %d disjoint entries, no hits: %+v", wantEntries, st)
 	}
@@ -245,8 +245,8 @@ func TestServiceTasksetPoliciesOption(t *testing.T) {
 		t.Fatalf("policy option ignored: %+v", r.Report.Policies)
 	}
 	full := admitService(t, Options{})
-	if svc.TasksetSignature() == full.TasksetSignature() {
-		t.Fatal("policy set missing from taskset signature")
+	if svc.Generation() == full.Generation() {
+		t.Fatal("policy set missing from the taskset signature")
 	}
 }
 
@@ -332,7 +332,7 @@ func TestAdmitResultReport(t *testing.T) {
 
 	// Store hit: the base leaves the LRU and revives from its record.
 	svc.store.Flush()
-	baseKey := svc.admitKeyOf(miss.Fingerprint)
+	baseKey := keyOf(recAdmit, miss.Fingerprint)
 	svc.cache.remove(baseKey)
 	revived, err := svc.Admit(ctx, base)
 	check("store hit", revived, err, base, false)
@@ -344,7 +344,7 @@ func TestAdmitResultReport(t *testing.T) {
 	// resident: t1's handle slot stays nil and t1 goes through the eval
 	// cache; the resulting entry has every slot filled.
 	svc.cache.remove(baseKey)
-	svc.cache.remove(svc.evalKeyOf(t1.Digest()))
+	svc.cache.remove(keyOf(recEval, t1.Digest()))
 	rd, err := svc.AdmitDelta(ctx, miss.Fingerprint, hetrta.TasksetDelta{Add: []hetrta.SporadicTask{t4}})
 	check("delta over a nil handle slot", rd, err, hetrta.Taskset{Tasks: []hetrta.SporadicTask{t1, t2, t4}}, true)
 	baseEnt, ok := peek(svc.cache, baseKey)
@@ -356,7 +356,7 @@ func TestAdmitResultReport(t *testing.T) {
 			t.Fatalf("revived base: handle slots %v; want nil exactly at t1's", baseEnt.anchor.handles)
 		}
 	}
-	res, ok := peek(svc.cache, svc.admitKeyOf(rd.Fingerprint))
+	res, ok := peek(svc.cache, keyOf(recAdmit, rd.Fingerprint))
 	if !ok || res.anchor == nil || slices.Contains(res.anchor.handles, nil) {
 		t.Fatal("the delta's entry does not anchor a handle for every task")
 	}

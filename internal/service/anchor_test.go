@@ -15,7 +15,7 @@ import (
 // admitEntry returns the resident admit entry of fp.
 func admitEntry(t *testing.T, s *Service, fp hetrta.TasksetFingerprint) *entry {
 	t.Helper()
-	ent, ok := s.cache.get(s.admitKeyOf(fp))
+	ent, ok := s.cache.get(keyOf(recAdmit, fp))
 	if !ok || ent.anchor == nil {
 		t.Fatalf("admission %s not resident with an anchor", fp)
 	}
@@ -154,7 +154,7 @@ func TestAnchorKeepsOneGraphCopy(t *testing.T) {
 	}
 	check := func(what string, task hetrta.SporadicTask, h *hetrta.TaskEvalHandle, request *hetrta.Graph) {
 		t.Helper()
-		ev, ok := svc.cache.get(svc.evalKeyOf(task.Digest()))
+		ev, ok := svc.cache.get(keyOf(recEval, task.Digest()))
 		if !ok || ev.eval != h || h == nil {
 			t.Fatalf("%s: anchor handle is not the resident eval handle", what)
 		}
@@ -190,13 +190,13 @@ func TestAnchorKeepsOneGraphCopy(t *testing.T) {
 	requests := map[hetrta.TaskDigest]string{}
 	for _, task := range []hetrta.SporadicTask{plain, redundant, added} {
 		requests[task.Digest()] = graphJSON(task.G)
-		_, val, ok := svc.store.Get(svc.evalKeyOf(task.Digest()))
+		_, val, ok := svc.store.Get(svc.storeKey(keyOf(recEval, task.Digest())))
 		if !ok || string(val) != requests[task.Digest()] {
 			t.Fatalf("eval record %s, want the request's graph %s", val, requests[task.Digest()])
 		}
 	}
 	for _, fp := range []hetrta.TasksetFingerprint{base.Fingerprint, res.Fingerprint} {
-		_, val, ok := svc.store.Get(svc.admitKeyOf(fp))
+		_, val, ok := svc.store.Get(svc.storeKey(keyOf(recAdmit, fp)))
 		if !ok {
 			t.Fatalf("admit record of %s missing", fp)
 		}

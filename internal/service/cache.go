@@ -2,12 +2,40 @@ package service
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 
 	hetrta "repro"
 	"repro/internal/keyhash"
 )
+
+// cacheKey is a cache key: byte 0 is the namespace, bytes 1–32 the digest
+// of what the entry answers — a graph fingerprint, a taskset fingerprint
+// or a task digest. A Service has one analyzer configuration, so no key
+// carries it; the store log spells it into its own keys (see storeKey).
+type cacheKey [1 + sha256.Size]byte
+
+// Key namespaces. The persisted ones are the store record kinds (see
+// persist.go); the three degraded ones are never persisted.
+const (
+	// degFull holds a full attempt's degraded outcome (exact budget or
+	// slice exhausted), so report keys only ever hold non-degraded
+	// reports and a later successful analysis upgrades the fingerprint
+	// cleanly.
+	degFull byte = 4
+	// degBreaker and degHard hold the bounds-only results routed around
+	// the exact stage by the open breaker and by the hard-instance cache.
+	degBreaker byte = 5
+	degHard    byte = 6
+)
+
+// keyOf returns the key of digest d in namespace ns.
+func keyOf(ns byte, d [sha256.Size]byte) cacheKey {
+	k := cacheKey{ns}
+	copy(k[1:], d[:])
+	return k
+}
 
 // entry is one cached outcome: its serialized wire form, marshaled exactly
 // once by the request that computed it, plus what the key's namespace
@@ -21,7 +49,7 @@ type entry struct {
 	// degraded is an analysis entry's Report.DegradedReason: empty for a
 	// full report, the cause for a degraded one.
 	degraded string
-	// eval holds a per-task evaluation handle ("eval|" namespace entries):
+	// eval holds a per-task evaluation handle (recEval namespace entries):
 	// the platform-independent preparation plus memoized per-platform
 	// bounds, shared across every admission that contains the task. Eval
 	// entries have no body — they are never served over the wire.
@@ -31,34 +59,15 @@ type entry struct {
 	// the decoded graph otherwise.
 	eval      *hetrta.TaskEvalHandle
 	evalGraph *hetrta.Graph
-	// anchor is the delta-admission anchor of an "admit|" entry; nil on
+	// anchor is the delta-admission anchor of a recAdmit entry; nil on
 	// every other entry.
 	anchor *admitAnchor
-	// cacheKey, when non-empty, overrides the flight key at insert time: a
-	// full attempt that came back degraded publishes normally to its
-	// flight's waiters but is cached under the "deg|" namespace, so full
-	// keys only ever hold non-degraded reports.
-	cacheKey string
 }
 
-// storeKey is the key this entry is cached under when its flight ran under
-// flightKey.
-func (e *entry) storeKey(flightKey string) string {
-	if e.cacheKey != "" {
-		return e.cacheKey
-	}
-	return flightKey
-}
-
-// cache is a sharded LRU over string keys. Sharding keeps the lock a
+// cache is a sharded LRU over cache keys. Sharding keeps the lock a
 // request holds while touching recency state private to 1/nth of the key
 // space, so concurrent requests for different graphs do not serialize on
-// one mutex. A key's 64-bit hash (keyhash.Of) picks its shard and is its
-// slot in the shard's map, and the slot's item keeps the key for the
-// comparison: a lookup can hash and compare a key held in parts
-// (getFP) without building it. Two keys sharing a hash share a slot, and
-// the later insert takes it, so a collision costs a recomputation, never
-// another key's entry.
+// one mutex. A key's 64-bit hash (keyhash.Of) picks its shard.
 type cache struct {
 	shards []*shard
 	mask   uint64
@@ -67,13 +76,13 @@ type cache struct {
 type shard struct {
 	mu        sync.Mutex
 	capacity  int
-	items     map[uint64]*list.Element
+	items     map[cacheKey]*list.Element
 	lru       *list.List // front = most recently used
 	evictions atomic.Uint64
 }
 
 type lruItem struct {
-	key string
+	key cacheKey
 	val *entry
 }
 
@@ -89,72 +98,39 @@ func newCache(totalEntries, shards int) *cache {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			capacity: per,
-			items:    make(map[uint64]*list.Element),
+			items:    make(map[cacheKey]*list.Element),
 			lru:      list.New(),
 		}
 	}
 	return c
 }
 
-func (c *cache) shardFor(key string) *shard {
-	return c.shards[c.shardIndex(key)]
+// shardIndex returns the index of k's shard in c.shards.
+func (c *cache) shardIndex(k *cacheKey) int {
+	return int(keyhash.Of(k[:]) & c.mask)
 }
 
-// shardIndex returns the index of key's shard in c.shards.
-func (c *cache) shardIndex(key string) int {
-	return c.shardOf(keyhash.Of(key))
-}
-
-// shardOf returns the index in c.shards of the shard of a key with hash h.
-func (c *cache) shardOf(h uint64) int {
-	return int(h & c.mask)
-}
-
-// get returns the cached entry for key, marking it most recently used.
-func (c *cache) get(key string) (*entry, bool) {
-	return c.getHashed(keyhash.Of(key), func(k string) bool { return k == key })
-}
-
-// getFP is get of the key prefix+hex(fp)+"|"+sig (Service.keyOf with no
-// prefix, Service.admitKeyOf with admitPrefix), hashing and comparing the
-// key in parts so that a hit builds no string.
-func (c *cache) getFP(prefix string, fp []byte, sig string) (*entry, bool) {
-	h := keyhash.Add(keyhash.AddHex(keyhash.Add(keyhash.Offset, prefix), fp), "|")
-	return c.getHashed(keyhash.Add(h, sig), func(k string) bool {
-		p, n := len(prefix), 2*len(fp)
-		return len(k) == p+n+1+len(sig) && k[:p] == prefix && k[p+n] == '|' && k[p+n+1:] == sig && keyhash.HexEqual(k[p:p+n], fp)
-	})
-}
-
-// getHashed returns the entry in slot h, marking it most recently used,
-// if is accepts the key it was cached under.
-func (c *cache) getHashed(h uint64, is func(key string) bool) (*entry, bool) {
-	s := c.shards[c.shardOf(h)]
+// get returns the cached entry for k, marking it most recently used.
+func (c *cache) get(k cacheKey) (*entry, bool) {
+	s := c.shards[c.shardIndex(&k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[h]
+	el, ok := s.items[k]
 	if !ok {
 		return nil, false
 	}
-	it := el.Value.(*lruItem)
-	if !is(it.key) {
-		return nil, false
-	}
 	s.lru.MoveToFront(el)
-	return it.val, true
+	return el.Value.(*lruItem).val, true
 }
 
-// add inserts (or refreshes) key, evicting the least recently used entry of
-// its shard when the shard is full. A different key in key's slot is
-// replaced.
-func (c *cache) add(key string, val *entry) {
-	h := keyhash.Of(key)
-	s := c.shards[c.shardOf(h)]
+// add inserts (or refreshes) k, evicting the least recently used entry of
+// its shard when the shard is full.
+func (c *cache) add(k cacheKey, val *entry) {
+	s := c.shards[c.shardIndex(&k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[h]; ok {
-		it := el.Value.(*lruItem)
-		it.key, it.val = key, val
+	if el, ok := s.items[k]; ok {
+		el.Value.(*lruItem).val = val
 		s.lru.MoveToFront(el)
 		return
 	}
@@ -162,24 +138,23 @@ func (c *cache) add(key string, val *entry) {
 		oldest := s.lru.Back()
 		if oldest != nil {
 			s.lru.Remove(oldest)
-			delete(s.items, keyhash.Of(oldest.Value.(*lruItem).key))
+			delete(s.items, oldest.Value.(*lruItem).key)
 			s.evictions.Add(1)
 		}
 	}
-	s.items[h] = s.lru.PushFront(&lruItem{key: key, val: val})
+	s.items[k] = s.lru.PushFront(&lruItem{key: k, val: val})
 }
 
-// remove deletes key if present (the degraded-entry upgrade path: a
+// remove deletes k if present (the degraded-entry upgrade path: a
 // successful full analysis invalidates the fingerprint's stale degraded
 // results).
-func (c *cache) remove(key string) {
-	h := keyhash.Of(key)
-	s := c.shards[c.shardOf(h)]
+func (c *cache) remove(k cacheKey) {
+	s := c.shards[c.shardIndex(&k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[h]; ok && el.Value.(*lruItem).key == key {
+	if el, ok := s.items[k]; ok {
 		s.lru.Remove(el)
-		delete(s.items, h)
+		delete(s.items, k)
 	}
 }
 

@@ -243,7 +243,7 @@ func TestAdmitDeltaEvictedBase404(t *testing.T) {
 	if _, err := svc.Analyze(ctx, chainGraph(t, 17)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := svc.cache.get(svc.admitKeyOf(rb.Fingerprint)); ok {
+	if _, ok := svc.cache.get(keyOf(recAdmit, rb.Fingerprint)); ok {
 		t.Fatal("admit entry still resident; eviction setup is broken")
 	}
 	_, err = svc.AdmitDelta(ctx, rb.Fingerprint, hetrta.TasksetDelta{

@@ -2,10 +2,12 @@ package service
 
 // Disk-backed second tier: the service-side wiring of internal/store.
 //
-// The store holds marshaled cache entries under the SAME replica-portable
-// keys the in-memory LRU uses ("<fp>|<sig>", "admit|…", "eval|…" — the
-// "deg|" namespace is deliberately never persisted: degraded results are
-// transient fallbacks, and serving one after a restart would hide a
+// The store holds marshaled cache entries under replica-portable spellings
+// of the keys the in-memory LRU uses (storeKey): the namespace's prefix,
+// the digest in hex and the configuration signature, with the namespace
+// the record's kind. Only the recReport, recAdmit and recEval namespaces
+// are persisted; the degraded ones are deliberately not (degraded results
+// are transient fallbacks, and serving one after a restart would hide a
 // recovered oracle). Writes are behind the request path: cacheAdd
 // enqueues an encoded record and returns; reads happen on an LRU miss
 // (lookup), at boot (AttachStore warm start), and on POST /v1/warmup
@@ -26,11 +28,13 @@ package service
 //	            re-preparing from the source graph is the only loss-free
 //	            round trip.
 //
-// Everything decoded from the store is re-validated by construction:
-// bodies re-unmarshal into reports, digests re-parse, graphs re-prepare;
-// any failure skips the record (counted) instead of serving it.
+// Everything decoded from the store is re-validated by construction: the
+// key must spell a key in the namespace of the record's kind, bodies
+// re-unmarshal into reports, digests re-parse, graphs re-prepare; any
+// failure skips the record (counted) instead of serving it.
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,12 +46,38 @@ import (
 	"repro/internal/taskset"
 )
 
-// Store record kinds (the store treats them as opaque).
+// Store record kinds (the store treats them as opaque), which are also
+// the persisted cacheKey namespaces.
 const (
 	recReport byte = 1
 	recAdmit  byte = 2
 	recEval   byte = 3
 )
+
+// storePrefix is the store key prefix of each persisted namespace.
+var storePrefix = map[byte]string{recReport: "", recAdmit: "admit|", recEval: "eval|"}
+
+// storeKey is the store log's spelling of k: the namespace's prefix, the
+// digest in hex, "|" and the analyzer's Signature. A report's is
+// "<fingerprint>|<Signature()>", which the serving benchmark's traced
+// replay also reads records by.
+func (s *Service) storeKey(k cacheKey) string {
+	return storePrefix[k[0]] + hex.EncodeToString(k[1:]) + "|" + s.sig
+}
+
+// recordKey returns the cache key of a store record: the key in its kind's
+// namespace that storeKey spells as the record's key.
+func (s *Service) recordKey(rec store.Record) (cacheKey, error) {
+	k := cacheKey{rec.Kind}
+	prefix, ok := storePrefix[rec.Kind]
+	d, _, _ := strings.Cut(strings.TrimPrefix(rec.Key, prefix), "|")
+	if ok && hex.DecodedLen(len(d)) == len(k)-1 {
+		if _, err := hex.Decode(k[1:], []byte(d)); err == nil && s.storeKey(k) == rec.Key {
+			return k, nil
+		}
+	}
+	return k, fmt.Errorf("service: store record of kind %d under a key outside its namespace", rec.Kind)
+}
 
 // persistedTask is the durable form of one hetrta.SporadicTask.
 type persistedTask struct {
@@ -57,7 +87,7 @@ type persistedTask struct {
 	Jitter   int64         `json:"jitter,omitempty"`
 }
 
-// persistedAdmit is the durable form of an "admit|" entry: the served
+// persistedAdmit is the durable form of a recAdmit entry: the served
 // body plus the delta-admission anchor (digests parallel to tasks).
 type persistedAdmit struct {
 	Body    json.RawMessage `json:"body"`
@@ -90,21 +120,21 @@ func (s *Service) AttachStore(st *store.Store) error {
 	return nil
 }
 
-// warmStart fills the LRU from the store, reading and decoding only
-// records that stay resident: the cache ends exactly as a forward load
-// of every live record would leave it — eval records first, then the
-// rest, each kind in log order — but its work follows the cache size,
-// not the log size. The log is walked newest first against one
-// free-slot count per shard, in two passes: non-eval records claim
-// slots first (they would be inserted last, so they survive), then
-// eval records fill what is left. A record that fails to decode is
-// counted and takes no slot, so the next-older record of its shard gets
-// it, as in a forward load. The kept entries are inserted oldest first,
-// which reproduces the forward load's recency order. Admit entries are
-// decoded with nil handle slots, which are filled from the kept eval
-// entries before anything is inserted, so no entry changes after it is
-// published. Undecodable records are never fatal — the log is a cache,
-// not a source of truth.
+// warmStart fills the LRU from the store, decoding only records that
+// stay resident: the cache ends exactly as a forward load of every live
+// record would leave it — eval records first, then the rest, each kind in
+// log order — but its work follows the cache size, not the log size. The
+// log is walked newest first against one free-slot count per shard, in
+// two passes: non-eval records claim slots first (they would be inserted
+// last, so they survive), then eval records fill what is left. A record
+// is read to learn its key, and one whose shard is full is not decoded.
+// A record that fails to decode is counted and takes no slot, so the
+// next-older record of its shard gets it, as in a forward load. The kept
+// entries are inserted oldest first, which reproduces the forward load's
+// recency order. Admit entries are decoded with nil handle slots, which
+// are filled from the kept eval entries before anything is inserted, so
+// no entry changes after it is published. Undecodable records are never
+// fatal — the log is a cache, not a source of truth.
 func (s *Service) warmStart() {
 	free := make([]int, len(s.cache.shards))
 	room := 0
@@ -113,7 +143,7 @@ func (s *Service) warmStart() {
 		room += sh.capacity
 	}
 	type kept struct {
-		key string
+		key cacheKey
 		ent *entry
 	}
 	// fill walks one pass, returning the kept entries newest first.
@@ -122,17 +152,25 @@ func (s *Service) warmStart() {
 			return nil
 		}
 		var out []kept
-		s.store.WalkNewest(func(hash uint64, kind byte) bool {
-			return (kind == recEval) == evals && free[s.cache.shardOf(hash)] > 0
+		s.store.WalkNewest(func(_ uint64, kind byte) bool {
+			return (kind == recEval) == evals
 		}, func(rec store.Record) bool {
-			ent, err := s.decodeRecord(rec.Kind, rec.Value)
+			k, err := s.recordKey(rec)
+			sh := s.cache.shardIndex(&k)
+			if err == nil && free[sh] == 0 {
+				return true
+			}
+			var ent *entry
+			if err == nil {
+				ent, err = s.decodeEntry(rec.Kind, rec.Value)
+			}
 			if err != nil {
 				s.storeDecodeErrors.Add(1)
 				return true
 			}
-			free[s.cache.shardIndex(rec.Key)]--
+			free[sh]--
 			room--
-			out = append(out, kept{rec.Key, ent})
+			out = append(out, kept{k, ent})
 			return room > 0
 		})
 		return out
@@ -140,12 +178,12 @@ func (s *Service) warmStart() {
 	rest := fill(false)
 	evals := fill(true)
 
-	byKey := make(map[string]*entry, len(evals))
+	byKey := make(map[cacheKey]*entry, len(evals))
 	for _, k := range evals {
 		byKey[k.key] = k.ent
 	}
-	find := func(key string) (*entry, bool) {
-		ent, ok := byKey[key]
+	find := func(k cacheKey) (*entry, bool) {
+		ent, ok := byKey[k]
 		return ent, ok
 	}
 	for _, k := range rest {
@@ -164,12 +202,12 @@ func (s *Service) warmStart() {
 // handle's work graph equals its graph keep the work graph; for any other
 // entry it does nothing. A slot left nil is fine: the delta path
 // re-prepares that task through taskEval.
-func (s *Service) anchorEvals(ent *entry, find func(key string) (*entry, bool)) {
+func (s *Service) anchorEvals(ent *entry, find func(k cacheKey) (*entry, bool)) {
 	if ent.anchor == nil {
 		return
 	}
 	for i, dg := range ent.anchor.digests {
-		if ev, ok := find(s.evalKeyOf(dg)); ok && ev.eval != nil {
+		if ev, ok := find(keyOf(recEval, dg)); ok {
 			ent.anchor.handles[i] = ev.eval
 		}
 	}
@@ -178,48 +216,50 @@ func (s *Service) anchorEvals(ent *entry, find func(key string) (*entry, bool)) 
 
 // lookup is the two-tier cache read: the in-memory LRU first, then the
 // store. Callers treat a lookup hit exactly like a cacheGet hit.
-func (s *Service) lookup(key string) (*entry, bool) {
-	if ent, ok := s.cacheGet(key); ok {
+func (s *Service) lookup(k cacheKey) (*entry, bool) {
+	if ent, ok := s.cacheGet(k); ok {
 		return ent, true
 	}
-	return s.storeLookup(key)
+	return s.storeLookup(k)
 }
 
 // storeLookup is lookup's second tier. A store hit is decoded, promoted
 // into the LRU (directly — the store already holds the record, so
 // promotion must not re-persist), and counted as a warm hit; a record
-// that fails to decode is a miss, never an error.
-func (s *Service) storeLookup(key string) (*entry, bool) {
-	if s.store == nil {
+// that fails to decode is a miss, never an error. A key of a namespace
+// that is never persisted misses without a probe.
+func (s *Service) storeLookup(k cacheKey) (*entry, bool) {
+	if _, persisted := storePrefix[k[0]]; s.store == nil || !persisted {
 		return nil, false
 	}
+	key := s.storeKey(k)
 	kind, val, ok := s.store.Get(key)
 	if !ok {
 		return nil, false
 	}
-	ent, err := s.decodeRecord(kind, val)
+	_, ent, err := s.decodeRecord(store.Record{Kind: kind, Key: key, Value: val})
 	if err != nil {
 		s.storeDecodeErrors.Add(1)
 		return nil, false
 	}
 	s.anchorEvals(ent, s.cache.get)
-	s.cache.add(key, ent)
+	s.cache.add(k, ent)
 	s.warmHits.Add(1)
 	return ent, true
 }
 
 // persist enqueues ent's durable form on the write-behind queue. Called
-// under the entry's final cache key from cacheAdd; the "deg|" namespace
-// and entries with nothing durable to say are skipped. Encoding is
-// synchronous (the buffers handed to the store must be immutable) but
-// cheap relative to the analysis that produced the entry; the disk
-// write is not on the request path.
-func (s *Service) persist(key string, ent *entry) {
-	if s.store == nil || strings.HasPrefix(key, "deg|") {
+// under the entry's final cache key from cacheAdd; the degraded
+// namespaces and entries with nothing durable to say are skipped.
+// Encoding is synchronous (the buffers handed to the store must be
+// immutable) but cheap relative to the analysis that produced the entry;
+// the disk write is not on the request path.
+func (s *Service) persist(k cacheKey, ent *entry) {
+	if s.store == nil {
 		return
 	}
-	switch {
-	case strings.HasPrefix(key, "admit|"):
+	switch k[0] {
+	case recAdmit:
 		a := ent.anchor
 		if a == nil || len(ent.body) == 0 {
 			return // no anchor; do not make it durable
@@ -236,8 +276,8 @@ func (s *Service) persist(key string, ent *entry) {
 		if err != nil {
 			return
 		}
-		s.store.Append(recAdmit, key, val)
-	case strings.HasPrefix(key, "eval|"):
+		s.store.Append(recAdmit, s.storeKey(k), val)
+	case recEval:
 		if ent.eval == nil || ent.evalGraph == nil {
 			return
 		}
@@ -245,22 +285,35 @@ func (s *Service) persist(key string, ent *entry) {
 		if err != nil {
 			return
 		}
-		s.store.Append(recEval, key, val)
-	default:
+		s.store.Append(recEval, s.storeKey(k), val)
+	case recReport:
 		if len(ent.body) == 0 || ent.degraded != "" {
 			return
 		}
-		s.store.Append(recReport, key, ent.body)
+		s.store.Append(recReport, s.storeKey(k), ent.body)
 	}
 }
 
-// decodeRecord rebuilds a cache entry from its durable form, the
-// inverse of persist. Every field is re-validated on the way in: a
+// decodeRecord rebuilds a cache entry and its key from a record's durable
+// form, the inverse of persist. The key must spell a key whose namespace
+// is the record's kind, so an entry always holds what its namespace
+// needs, and every field is re-validated on the way in: a
 // report record must decode as a Report and an admit record's body as an
 // AdmitReport, though each entry keeps only the body (and a report's
 // degraded reason). An admit entry comes back with every handle slot
 // nil; callers fill them with anchorEvals before publishing the entry.
-func (s *Service) decodeRecord(kind byte, value []byte) (*entry, error) {
+func (s *Service) decodeRecord(rec store.Record) (cacheKey, *entry, error) {
+	k, err := s.recordKey(rec)
+	if err != nil {
+		return k, nil, err
+	}
+	ent, err := s.decodeEntry(rec.Kind, rec.Value)
+	return k, ent, err
+}
+
+// decodeEntry is decodeRecord's decoding of the value of a record of the
+// given kind.
+func (s *Service) decodeEntry(kind byte, value []byte) (*entry, error) {
 	switch kind {
 	case recReport:
 		rep, err := hetrta.DecodeReport(value)
@@ -331,18 +384,14 @@ type WarmupSummary struct {
 func (s *Service) Warmup(r io.Reader) (WarmupSummary, error) {
 	var ws WarmupSummary
 	sum, err := store.ScanStream(r, s.Generation(), func(rec store.Record) error {
-		if strings.HasPrefix(rec.Key, "deg|") {
-			ws.Skipped++
-			return nil
-		}
-		ent, derr := s.decodeRecord(rec.Kind, rec.Value)
+		k, ent, derr := s.decodeRecord(rec)
 		if derr != nil {
 			s.storeDecodeErrors.Add(1)
 			ws.Skipped++
 			return nil
 		}
 		s.anchorEvals(ent, s.cache.get)
-		s.cache.add(rec.Key, ent)
+		s.cache.add(k, ent)
 		if s.store != nil {
 			s.store.Append(rec.Kind, rec.Key, rec.Value)
 		}

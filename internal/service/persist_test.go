@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,13 +14,12 @@ import (
 	"testing"
 
 	hetrta "repro"
-	"repro/internal/keyhash"
 	"repro/internal/store"
 )
 
 // storedService builds a service with a disk store attached at path
 // (created when absent), mimicking the daemon's boot sequence.
-func storedService(t *testing.T, path string, opts Options) *Service {
+func storedService(t testing.TB, path string, opts Options) *Service {
 	t.Helper()
 	svc := admitService(t, opts)
 	st, err := store.Open(store.Options{Path: path, Generation: svc.Generation()})
@@ -99,7 +99,7 @@ func TestStoreSecondTierRevivesEvicted(t *testing.T) {
 	if _, err := svc.Analyze(ctx, chainGraph(t, 99)); err != nil { // evicts the first
 		t.Fatal(err)
 	}
-	if _, ok := svc.cache.get(svc.keyOf(r1.Fingerprint)); ok {
+	if _, ok := svc.cache.get(keyOf(recReport, r1.Fingerprint)); ok {
 		t.Fatal("first entry still resident; eviction setup is broken")
 	}
 	execsBefore := svc.Stats().Executions
@@ -137,9 +137,9 @@ func TestStoreUndecodableReportMisses(t *testing.T) {
 	for _, bad := range []string{`{"bounds":`, `{"graph":{"nodes":"x"}}`} {
 		t.Run(bad, func(t *testing.T) {
 			svc := storedService(t, filepath.Join(t.TempDir(), "cache.log"), Options{})
-			svc.store.Append(recReport, svc.keyOf(want.Fingerprint), []byte(bad))
+			svc.store.Append(recReport, svc.storeKey(keyOf(recReport, want.Fingerprint)), []byte(bad))
 			svc.store.Flush()
-			if _, ok := svc.cache.get(svc.keyOf(want.Fingerprint)); ok {
+			if _, ok := svc.cache.get(keyOf(recReport, want.Fingerprint)); ok {
 				t.Fatal("record resident before the request; the store tier is not exercised")
 			}
 
@@ -193,7 +193,7 @@ func TestStoreUndecodableAdmitMisses(t *testing.T) {
 		return val
 	}
 	good := record(string(rb.Body), len(base.Tasks))
-	if _, err := admitService(t, Options{}).decodeRecord(recAdmit, good); err != nil {
+	if _, err := admitService(t, Options{}).decodeEntry(recAdmit, good); err != nil {
 		t.Fatalf("reference record does not decode: %v", err)
 	}
 	cases := []struct {
@@ -210,7 +210,7 @@ func TestStoreUndecodableAdmitMisses(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "cache.log")
 			svc := storedService(t, path, Options{})
-			svc.store.Append(recAdmit, svc.admitKeyOf(rb.Fingerprint), tc.val)
+			svc.store.Append(recAdmit, svc.storeKey(keyOf(recAdmit, rb.Fingerprint)), tc.val)
 			svc.store.Flush()
 			if _, err := svc.AdmitDelta(ctx, rb.Fingerprint, delta); !errors.Is(err, ErrUnknownBase) {
 				t.Fatalf("lookup path: AdmitDelta error = %v, want ErrUnknownBase", err)
@@ -255,7 +255,7 @@ func TestStoreDeltaBaseRevival(t *testing.T) {
 	svc2 := storedService(t, path, Options{})
 	// The warm start fills the revived base's handle slots from the
 	// revived eval entries.
-	baseEnt, ok := svc2.cache.get(svc2.admitKeyOf(rb.Fingerprint))
+	baseEnt, ok := svc2.cache.get(keyOf(recAdmit, rb.Fingerprint))
 	if !ok || baseEnt.anchor == nil {
 		t.Fatal("admitted base not warm-started with an anchor")
 	}
@@ -264,7 +264,7 @@ func TestStoreDeltaBaseRevival(t *testing.T) {
 		t.Fatalf("revived base has %d digests and %d handle slots, want %d each", len(a.digests), len(a.handles), len(base.Tasks))
 	}
 	for i, dg := range a.digests {
-		ev, ok := svc2.cache.get(svc2.evalKeyOf(dg))
+		ev, ok := svc2.cache.get(keyOf(recEval, dg))
 		if !ok || a.handles[i] == nil || a.handles[i] != ev.eval {
 			t.Fatalf("handle slot %d (task %s) is not the resident eval handle", i, dg)
 		}
@@ -292,8 +292,8 @@ func TestStoreDeltaBaseRevival(t *testing.T) {
 }
 
 // lruKeys lists each shard's keys, most recently used first.
-func lruKeys(c *cache) [][]string {
-	out := make([][]string, len(c.shards))
+func lruKeys(c *cache) [][]cacheKey {
+	out := make([][]cacheKey, len(c.shards))
 	for i, sh := range c.shards {
 		for el := sh.lru.Front(); el != nil; el = el.Next() {
 			out[i] = append(out[i], el.Value.(*lruItem).key)
@@ -302,10 +302,10 @@ func lruKeys(c *cache) [][]string {
 	return out
 }
 
-// peek returns key's entry without touching its recency.
-func peek(c *cache, key string) (*entry, bool) {
-	el, ok := c.shardFor(key).items[keyhash.Of(key)]
-	if !ok || el.Value.(*lruItem).key != key {
+// peek returns k's entry without touching its recency.
+func peek(c *cache, k cacheKey) (*entry, bool) {
+	el, ok := c.shards[c.shardIndex(&k)].items[k]
+	if !ok {
 		return nil, false
 	}
 	return el.Value.(*lruItem).val, true
@@ -328,16 +328,16 @@ func TestStoreWarmStartMatchesFullLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, n)
+	keys := make([]cacheKey, n)
 	vals := make([][]byte, n)
 	const bad = n - 3 // among the newest: valid CRC, undecodable JSON
 	for i := range keys {
-		keys[i] = fmt.Sprintf("report-%04d", i)
+		keys[i] = keyOf(recReport, sha256.Sum256(fmt.Appendf(nil, "report-%04d", i)))
 		vals[i] = res.Body
 		if i == bad {
 			vals[i] = []byte(`{"bounds":`)
 		}
-		st.Append(recReport, keys[i], vals[i])
+		st.Append(recReport, src.storeKey(keys[i]), vals[i])
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -347,13 +347,13 @@ func TestStoreWarmStartMatchesFullLoad(t *testing.T) {
 
 	ref := newCache(opts.CacheEntries, opts.Shards)
 	for i, k := range keys {
-		if ent, err := src.decodeRecord(recReport, vals[i]); err == nil {
+		if ent, err := src.decodeEntry(recReport, vals[i]); err == nil {
 			ref.add(k, ent)
 		}
 	}
 	got := lruKeys(svc.cache)
 	if want := lruKeys(ref); !reflect.DeepEqual(got, want) {
-		t.Fatalf("warm-started shards differ from a full forward load:\ngot  %v\nwant %v", got, want)
+		t.Fatalf("warm-started shards differ from a full forward load:\ngot  %x\nwant %x", got, want)
 	}
 	stats := svc.Stats()
 	if stats.Store.WarmLoaded != uint64(svc.cache.len()) || svc.cache.len() != opts.CacheEntries {
@@ -365,17 +365,17 @@ func TestStoreWarmStartMatchesFullLoad(t *testing.T) {
 
 	// The bad record's shard holds its newest capacity+1 records minus
 	// the bad one: the oldest resident is the next-older record.
-	sh := svc.cache.shardIndex(keys[bad])
+	sh := svc.cache.shardIndex(&keys[bad])
 	capacity := svc.cache.shards[sh].capacity
-	var newest []string
+	var newest []cacheKey
 	for i := n - 1; i >= 0 && len(newest) <= capacity; i-- {
-		if svc.cache.shardIndex(keys[i]) == sh {
+		if svc.cache.shardIndex(&keys[i]) == sh {
 			newest = append(newest, keys[i])
 		}
 	}
 	resident := got[sh]
 	if slices.Contains(resident, keys[bad]) || resident[len(resident)-1] != newest[capacity] {
-		t.Fatalf("shard %d holds %v; want %s's slot taken by %s", sh, resident, keys[bad], newest[capacity])
+		t.Fatalf("shard %d holds %x; want %x's slot taken by %x", sh, resident, keys[bad], newest[capacity])
 	}
 }
 
@@ -429,16 +429,16 @@ func TestStoreWarmStartMixedKinds(t *testing.T) {
 			if evals {
 				evalRecs++
 			}
-			ent, err := svc.decodeRecord(rec.Kind, rec.Value)
+			k, ent, err := svc.decodeRecord(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.add(rec.Key, ent)
+			ref.add(k, ent)
 		}
 	}
 	got := lruKeys(svc.cache)
 	if want := lruKeys(ref); !reflect.DeepEqual(got, want) {
-		t.Fatalf("warm-started shards differ from a full forward load:\ngot  %q\nwant %q", got, want)
+		t.Fatalf("warm-started shards differ from a full forward load:\ngot  %x\nwant %x", got, want)
 	}
 
 	var evalsResident, admits int
@@ -453,9 +453,9 @@ func TestStoreWarmStartMixedKinds(t *testing.T) {
 			}
 			admits++
 			for i, dg := range ent.anchor.digests {
-				ev, ok := peek(svc.cache, svc.evalKeyOf(dg))
+				ev, ok := peek(svc.cache, keyOf(recEval, dg))
 				if h := ent.anchor.handles[i]; (ok && h != ev.eval) || (!ok && h != nil) {
-					t.Fatalf("admit %s: anchor for task %s does not match the resident eval entry", key, dg)
+					t.Fatalf("admit %x: anchor for task %s does not match the resident eval entry", key, dg)
 				}
 			}
 		}
@@ -547,16 +547,140 @@ func TestWarmupStream(t *testing.T) {
 	}
 }
 
-// TestStoreSkipsDegradedEntries: the "deg|" namespace is never persisted —
-// a degraded fallback served before a restart must not outlive it.
+// TestStoreSkipsDegradedEntries: the degraded namespaces are never
+// persisted — a degraded fallback served before a restart must not
+// outlive it — and never looked up in the store.
 func TestStoreSkipsDegradedEntries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.log")
 	svc := storedService(t, path, Options{})
-	// Simulate what a degraded insert would look like via cacheAdd with a
-	// deg|-keyed entry: persist must drop it.
-	svc.cacheAdd("deg|feedbeef|"+svc.sig, &entry{body: []byte(`{"degraded":true}`), degraded: hetrta.DegradedExactBudget})
+	// Simulate what degraded inserts would look like via cacheAdd with
+	// degraded-namespace keys: persist must drop them.
+	fp := chainGraph(t, 8).Fingerprint()
+	for _, ns := range []byte{degFull, degBreaker, degHard} {
+		svc.cacheAdd(keyOf(ns, fp), &entry{body: []byte(`{"degraded":true}`), degraded: hetrta.DegradedExactBudget})
+	}
 	svc.store.Flush()
 	if st := svc.store.Stats(); st.Appends != 0 {
 		t.Fatalf("degraded entry persisted: %+v", st)
 	}
+	// Nor does the store answer a degraded key with the record of the
+	// same fingerprint's report.
+	if _, err := svc.Analyze(context.Background(), chainGraph(t, 8)); err != nil {
+		t.Fatal(err)
+	}
+	svc.store.Flush()
+	if _, ok := svc.storeLookup(keyOf(recReport, fp)); !ok {
+		t.Fatal("report record missing from the store")
+	}
+	for _, ns := range []byte{degFull, degBreaker, degHard} {
+		if _, ok := svc.storeLookup(keyOf(ns, fp)); ok {
+			t.Fatalf("store answered a key of degraded namespace %d", ns)
+		}
+	}
+}
+
+// TestWarmupRejectsKindOutsideNamespace: a record whose kind is not its
+// key's namespace is undecodable. A Warmup stream holding a report record
+// under a task's eval key skips it (counted in Skipped and in the decode
+// errors), and a later admission of a set with that task serves the
+// bytes a fresh service serves.
+func TestWarmupRejectsKindOutsideNamespace(t *testing.T) {
+	ctx := context.Background()
+	set := hetrta.Taskset{Tasks: []hetrta.SporadicTask{deltaChain(2, 8, 60, 50), deltaChain(1, 4, 40, 40)}}
+	report, err := admitService(t, Options{}).Analyze(ctx, set.Tasks[0].G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := admitService(t, Options{}).Admit(ctx, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc := admitService(t, Options{})
+	path := filepath.Join(t.TempDir(), "peer.log")
+	st, err := store.Open(store.Options{Path: path, Generation: svc.Generation()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Append(recReport, svc.storeKey(keyOf(recEval, set.Tasks[0].Digest())), report.Body)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := svc.Warmup(bytes.NewReader(logBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Loaded != 0 || ws.Skipped != 1 || svc.storeDecodeErrors.Load() != 1 {
+		t.Fatalf("warmup loaded %d, skipped %d, decode errors %d; want 0, 1, 1", ws.Loaded, ws.Skipped, svc.storeDecodeErrors.Load())
+	}
+	got, err := svc.Admit(ctx, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Body, want.Body) {
+		t.Fatalf("admission body differs from a fresh service's:\n%s\nwant:\n%s", got.Body, want.Body)
+	}
+}
+
+// FuzzDecodeRecord: the store-record decoder never panics, and every
+// record it accepts is keyed in a persisted namespace and yields an entry
+// holding what that namespace needs: a body for a report, an anchor with
+// one digest and one handle slot per task for an admission, a handle for
+// an eval. The seeds are one real record of each kind.
+func FuzzDecodeRecord(f *testing.F) {
+	ctx := context.Background()
+	svc := storedService(f, filepath.Join(f.TempDir(), "cache.log"), Options{})
+	if _, err := svc.Analyze(ctx, chainGraph(f, 8)); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := svc.Admit(ctx, admitTaskset(false)); err != nil {
+		f.Fatal(err)
+	}
+	svc.store.Flush()
+	kinds := map[byte]bool{}
+	svc.store.WalkNewest(func(uint64, byte) bool { return true }, func(rec store.Record) bool {
+		if !kinds[rec.Kind] {
+			kinds[rec.Kind] = true
+			f.Add(rec.Kind, rec.Key, rec.Value)
+		}
+		return true
+	})
+	if len(kinds) != 3 {
+		f.Fatalf("seed log holds record kinds %v, want all three", kinds)
+	}
+	f.Fuzz(func(t *testing.T, kind byte, key string, value []byte) {
+		k, ent, err := svc.decodeRecord(store.Record{Kind: kind, Key: key, Value: value})
+		if err != nil {
+			return
+		}
+		if svc.storeKey(k) != key {
+			t.Fatalf("decoded key %x, record key %x", k, key)
+		}
+		switch k[0] {
+		case recReport:
+			if len(ent.body) == 0 {
+				t.Fatal("report entry without a body")
+			}
+		case recAdmit:
+			a := ent.anchor
+			if a == nil || a.ref != nil || len(a.digests) != len(a.tasks) || len(a.handles) != len(a.tasks) {
+				t.Fatalf("admit entry without a full anchor: %+v", a)
+			}
+			for _, tk := range a.tasks {
+				if tk.G == nil {
+					t.Fatal("anchored task without a graph")
+				}
+			}
+		case recEval:
+			if ent.eval == nil || ent.evalGraph == nil {
+				t.Fatal("eval entry without a handle")
+			}
+		default:
+			t.Fatalf("accepted a record in namespace %d", k[0])
+		}
+	})
 }

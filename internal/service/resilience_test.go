@@ -75,10 +75,10 @@ func TestDegradedResultCachedSeparatelyAndRouted(t *testing.T) {
 
 	// The full key must NOT hold the degraded entry: its namespace is
 	// disjoint by construction.
-	if _, ok := s.cache.get(s.keyOf(r1.Fingerprint)); ok {
+	if _, ok := s.cache.get(keyOf(recReport, r1.Fingerprint)); ok {
 		t.Fatal("degraded report cached under the full key")
 	}
-	if _, ok := s.cache.get(s.degFullKey(r1.Fingerprint)); !ok {
+	if _, ok := s.cache.get(keyOf(degFull, r1.Fingerprint)); !ok {
 		t.Fatal("degraded report missing from the deg namespace")
 	}
 	st := s.Stats()
@@ -205,7 +205,7 @@ func TestUpgradeOnFullSuccess(t *testing.T) {
 	if s.hard.Len() != 0 {
 		t.Fatalf("hard cache still holds %d entries after upgrade", s.hard.Len())
 	}
-	if _, ok := s.cache.get(s.degFullKey(r1.Fingerprint)); ok {
+	if _, ok := s.cache.get(keyOf(degFull, r1.Fingerprint)); ok {
 		t.Fatal("stale degraded entry survived the upgrade")
 	}
 	r4, err := s.Analyze(ctx, g)

@@ -2,9 +2,9 @@
 // wrapper around one hetrta.Analyzer that deduplicates work across
 // requests. Four mechanisms compose:
 //
-//   - a canonical cache key: (Graph.Fingerprint, Analyzer.Signature), so
-//     isomorphic graphs analyzed under the same configuration share one
-//     result regardless of node labeling or which client sent them;
+//   - a canonical cache key: a namespace byte and Graph.Fingerprint, so
+//     isomorphic graphs share one result regardless of node labeling or
+//     which client sent them (one Service has one configuration);
 //   - a body memo from the SHA-256 of a request body to that key's
 //     fingerprint, so a byte-identical repeat is served without decoding
 //     or fingerprinting (LookupBody);
@@ -30,7 +30,7 @@
 //   - a clock-free circuit breaker and a per-fingerprint hard-instance
 //     cache route requests around the exact oracle when it is struggling:
 //     routed requests get a valid bounds-only report marked Degraded;
-//   - degraded results live under a separate "deg|" cache namespace — they
+//   - degraded results live under separate cache namespaces — they
 //     are never byte-identical to full reports, and a later successful
 //     full analysis upgrades the fingerprint by dropping them.
 package service
@@ -114,7 +114,7 @@ type Service struct {
 	memo *bodyMemo
 
 	mu      sync.Mutex
-	flights map[string]*flight
+	flights map[cacheKey]*flight
 
 	requests   atomic.Uint64
 	hits       atomic.Uint64
@@ -152,8 +152,6 @@ type Service struct {
 	hard       *resilience.NegCache
 	degBreaker *hetrta.Analyzer
 	degHard    *hetrta.Analyzer
-	degBSig    string
-	degHSig    string
 	inj        *faultinject.Injector
 
 	// batchWidth is AnalyzeBatch's worker-pool size: the analyzer's
@@ -261,7 +259,7 @@ func New(an *hetrta.Analyzer, opts Options) (*Service, error) {
 		sig:     an.Signature(),
 		tsig:    ta.Signature(),
 		cache:   newCache(entries, shards),
-		flights: make(map[string]*flight),
+		flights: make(map[cacheKey]*flight),
 	}
 	s.memo = newBodyMemo(s.cache.capacity())
 	s.exec = an.Analyze
@@ -279,60 +277,26 @@ func New(an *hetrta.Analyzer, opts Options) (*Service, error) {
 			s.hard = resilience.NewNegCache(r.HardCache)
 			s.degBreaker = an.BoundsOnly(hetrta.DegradedBreakerOpen)
 			s.degHard = an.BoundsOnly(hetrta.DegradedHardInstance)
-			s.degBSig = s.degBreaker.Signature()
-			s.degHSig = s.degHard.Signature()
 		}
 	}
 	return s, nil
 }
 
-// Signature returns the analyzer configuration signature baked into every
-// cache key.
+// Signature returns the analyzer configuration signature, which the store
+// log's generation embeds and its record keys end with.
 func (s *Service) Signature() string { return s.sig }
 
 // Platform returns the wrapped analyzer's platform.
 func (s *Service) Platform() hetrta.Platform { return s.an.Platform() }
 
-// keyOf derives the cache key of g under this service's configuration.
-// The hit path matches it in parts (cacheGetFP) and builds it only on a
-// miss.
-func (s *Service) keyOf(fp dag.Fingerprint) string {
-	return fp.String() + "|" + s.sig
-}
-
-// degFullKey is where a FULL attempt's degraded outcome (exact budget or
-// slice exhausted) is cached: the "deg|" namespace keeps it disjoint from
-// full entries, so the full key only ever holds non-degraded reports and a
-// later successful analysis upgrades the fingerprint cleanly.
-func (s *Service) degFullKey(fp dag.Fingerprint) string {
-	return "deg|" + fp.String() + "|" + s.sig
-}
-
-// degVariantKey is where a routed bounds-only result is cached. The
-// variant signature embeds the forced reason, so breaker-routed and
-// hard-instance-routed bodies never collide.
-func degVariantKey(fp dag.Fingerprint, variantSig string) string {
-	return "deg|" + fp.String() + "|" + variantSig
-}
-
 // cacheGet is cache.get behind the CacheGet fault seam: an injected error
 // is a forced miss — the cache is advisory, so a faulty shard degrades to
 // recomputation, never to a wrong answer. An injected panic propagates.
-func (s *Service) cacheGet(key string) (*entry, bool) {
+func (s *Service) cacheGet(k cacheKey) (*entry, bool) {
 	if err := s.inj.Fire(faultinject.CacheGet); err != nil {
 		return nil, false
 	}
-	return s.cache.get(key)
-}
-
-// cacheGetFP is cacheGet of the key prefix+hex(fp)+"|"+sig, without
-// building it: keyOf(fp) is ("", fp, s.sig), admitKeyOf(fp) is
-// (admitPrefix, fp, s.tsig).
-func (s *Service) cacheGetFP(prefix string, fp []byte, sig string) (*entry, bool) {
-	if err := s.inj.Fire(faultinject.CacheGet); err != nil {
-		return nil, false
-	}
-	return s.cache.getFP(prefix, fp, sig)
+	return s.cache.get(k)
 }
 
 // cacheAdd is cache.add behind the CacheAdd fault seam: an injected error
@@ -340,12 +304,12 @@ func (s *Service) cacheGetFP(prefix string, fp []byte, sig string) (*entry, bool
 // marshaling is deterministic, so a recomputed entry is byte-identical.
 // Successful inserts also feed the write-behind store tier (persist is a
 // no-op without one).
-func (s *Service) cacheAdd(key string, ent *entry) {
+func (s *Service) cacheAdd(k cacheKey, ent *entry) {
 	if err := s.inj.Fire(faultinject.CacheAdd); err != nil {
 		return
 	}
-	s.cache.add(key, ent)
-	s.persist(key, ent)
+	s.cache.add(k, ent)
+	s.persist(k, ent)
 }
 
 // noteFullOutcome feeds the breaker and the hard-instance cache from a
@@ -361,16 +325,16 @@ func (s *Service) noteFullOutcome(fp dag.Fingerprint, rep *hetrta.Report, err er
 	switch {
 	case err == nil && rep != nil && !rep.Degraded:
 		s.breaker.Success()
-		s.hard.Remove(fp.String())
-		s.cache.remove(s.degFullKey(fp))
-		s.cache.remove(degVariantKey(fp, s.degBSig))
-		s.cache.remove(degVariantKey(fp, s.degHSig))
+		s.hard.Remove(fp)
+		s.cache.remove(keyOf(degFull, fp))
+		s.cache.remove(keyOf(degBreaker, fp))
+		s.cache.remove(keyOf(degHard, fp))
 	case err == nil && rep != nil && rep.Degraded:
 		s.breaker.Failure()
-		s.hard.Add(fp.String())
+		s.hard.Add(fp)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.breaker.Failure()
-		s.hard.Add(fp.String())
+		s.hard.Add(fp)
 	}
 }
 
@@ -406,7 +370,7 @@ func (s *Service) LookupBody(body []byte) (*Result, BodyKey) {
 		return nil, k
 	}
 	s.memoHits.Add(1)
-	ent, ok := s.cacheGetFP("", k.fp[:], s.sig)
+	ent, ok := s.cacheGet(keyOf(recReport, k.fp))
 	if !ok {
 		return nil, k
 	}
@@ -432,11 +396,10 @@ func (s *Service) AnalyzeBody(ctx context.Context, g *hetrta.Graph, k BodyKey) (
 }
 
 // analyze is Analyze without the request accounting, which AnalyzeBatch
-// does once per slot. A memory hit is found by the key's parts, so it
-// builds no key string.
+// does once per slot.
 func (s *Service) analyze(ctx context.Context, g *hetrta.Graph) (*Result, error) {
 	fp := g.Fingerprint()
-	if ent, ok := s.cacheGetFP("", fp[:], s.sig); ok {
+	if ent, ok := s.cacheGet(keyOf(recReport, fp)); ok {
 		s.hits.Add(1)
 		return s.result(ent, nil, fp, true, false), nil
 	}
@@ -449,21 +412,21 @@ func (s *Service) analyze(ctx context.Context, g *hetrta.Graph) (*Result, error)
 // known-hard fingerprint diverts to the bounds-only path, and only
 // surviving requests attempt the full pipeline.
 func (s *Service) analyzeUncached(ctx context.Context, g *hetrta.Graph, fp dag.Fingerprint) (*Result, error) {
-	key := s.keyOf(fp)
+	k := keyOf(recReport, fp)
 	if s.breaker != nil {
-		if ent, ok := s.storeLookup(key); ok {
+		if ent, ok := s.storeLookup(k); ok {
 			s.hits.Add(1)
 			return s.result(ent, nil, fp, true, false), nil
 		}
 		if !s.breaker.Allow() {
-			return s.analyzeDegraded(ctx, g, fp, s.degBreaker, s.degBSig)
+			return s.analyzeDegraded(ctx, g, fp, s.degBreaker, degBreaker)
 		}
-		if s.hard.ShouldSkip(fp.String()) {
-			return s.analyzeDegraded(ctx, g, fp, s.degHard, s.degHSig)
+		if s.hard.ShouldSkip(fp) {
+			return s.analyzeDegraded(ctx, g, fp, s.degHard, degHard)
 		}
 	}
 	var rep *hetrta.Report
-	ent, hit, shared, err := s.serveWith(ctx, key, s.requestCounters(), s.storeLookup, func(ctx context.Context) (ent *entry, err error) {
+	ent, hit, shared, err := s.serveWith(ctx, k, s.requestCounters(), s.storeLookup, func(ctx context.Context) (ent *entry, err error) {
 		ent, rep, err = s.runFull(ctx, g, fp)
 		return ent, err
 	})
@@ -483,18 +446,19 @@ func (s *Service) result(ent *entry, rep *hetrta.Report, fp dag.Fingerprint, hit
 }
 
 // analyzeDegraded serves the bounds-only fallback for fp via the given
-// analyzer variant. A prior full attempt's degraded result (cached under
-// degFullKey, strictly richer — it kept the feasible exact bracket) wins
-// over recomputing; otherwise the variant runs under the usual cache +
-// single-flight discipline on its own "deg|" key. Degraded runs bypass the
-// breaker accounting — they are the fallback, not evidence.
-func (s *Service) analyzeDegraded(ctx context.Context, g *hetrta.Graph, fp dag.Fingerprint, variant *hetrta.Analyzer, vsig string) (*Result, error) {
-	if ent, ok := s.cacheGet(s.degFullKey(fp)); ok {
+// analyzer variant, whose results live in namespace ns. A prior full
+// attempt's degraded result (cached under degFull, strictly richer — it
+// kept the feasible exact bracket) wins over recomputing; otherwise the
+// variant runs under the usual cache + single-flight discipline on its own
+// key. Degraded runs bypass the breaker accounting — they are the
+// fallback, not evidence.
+func (s *Service) analyzeDegraded(ctx context.Context, g *hetrta.Graph, fp dag.Fingerprint, variant *hetrta.Analyzer, ns byte) (*Result, error) {
+	if ent, ok := s.cacheGet(keyOf(degFull, fp)); ok {
 		s.hits.Add(1)
 		return s.result(ent, nil, fp, true, false), nil
 	}
 	var rep *hetrta.Report
-	ent, hit, shared, err := s.serve(ctx, degVariantKey(fp, vsig), func(ctx context.Context) (ent *entry, err error) {
+	ent, hit, shared, err := s.serveWith(ctx, keyOf(ns, fp), s.requestCounters(), s.lookup, func(ctx context.Context) (ent *entry, err error) {
 		ent, rep, err = s.runGraph(ctx, g, variant.Analyze)
 		return ent, err
 	})
@@ -504,22 +468,17 @@ func (s *Service) analyzeDegraded(ctx context.Context, g *hetrta.Graph, fp dag.F
 	return s.result(ent, rep, fp, hit, shared), nil
 }
 
-// runFull is the full-pipeline flight body: it runs the analyzer, feeds
-// the breaker and hard-instance cache from the outcome, and redirects a
-// degraded result into the "deg|" cache namespace so the full key only
-// ever holds non-degraded reports.
+// runFull is the full-pipeline flight body: it runs the analyzer and feeds
+// the breaker and hard-instance cache from the outcome.
 func (s *Service) runFull(ctx context.Context, g *hetrta.Graph, fp dag.Fingerprint) (*entry, *hetrta.Report, error) {
 	ent, rep, err := s.runGraph(ctx, g, s.exec)
 	s.noteFullOutcome(fp, rep, err)
-	if err == nil && rep.Degraded {
-		ent.cacheKey = s.degFullKey(fp)
-	}
 	return ent, rep, err
 }
 
 // serveCounters selects which hit/miss/failure counters a serve call
 // feeds: the request-level counters for analyze/admit keys, the eval
-// counters for per-task "eval|" keys — so the internal per-task lookups of
+// counters for per-task recEval keys — so the internal per-task lookups of
 // a delta admission do not distort the request-level cache economics the
 // /statsz tests assert on.
 type serveCounters struct {
@@ -531,28 +490,24 @@ func (s *Service) requestCounters() serveCounters {
 	return serveCounters{&s.hits, &s.misses, &s.failures}
 }
 
-// serve resolves one cache key through the cache and the single-flight
-// table, running `run` as the flight leader on a miss. It is the shared
-// core of the analysis and admission paths: cache hit → (hit=true); joined
-// a foreign flight → (shared=true); led an execution → both false. A
-// waiter whose leader died of its own cancelled context retries with its
-// own, still-live context (re-checking the cache, possibly leading).
-func (s *Service) serve(ctx context.Context, key string, run func(ctx context.Context) (*entry, error)) (ent *entry, hit, shared bool, err error) {
-	return s.serveWith(ctx, key, s.requestCounters(), s.lookup, run)
-}
-
-// serveWith is serve with explicit counter routing and first-pass lookup:
+// serveWith resolves one cache key through the cache and the
+// single-flight table, running `run` as the flight leader on a miss. It is
+// the shared core of the analysis and admission paths: cache hit →
+// (hit=true); joined a foreign flight → (shared=true); led an execution →
+// both false. A waiter whose leader died of its own cancelled context
+// retries with its own, still-live context (re-checking the cache,
+// possibly leading). ctrs routes the counting; lookup is the first pass:
 // s.lookup, or s.storeLookup when the caller has just missed the memory
 // tier itself. A retry looks up both tiers.
-func (s *Service) serveWith(ctx context.Context, key string, ctrs serveCounters, lookup func(key string) (*entry, bool), run func(ctx context.Context) (*entry, error)) (ent *entry, hit, shared bool, err error) {
+func (s *Service) serveWith(ctx context.Context, k cacheKey, ctrs serveCounters, lookup func(k cacheKey) (*entry, bool), run func(ctx context.Context) (*entry, error)) (ent *entry, hit, shared bool, err error) {
 	for ; ; lookup = s.lookup {
-		if ent, ok := lookup(key); ok {
+		if ent, ok := lookup(k); ok {
 			ctrs.hits.Add(1)
 			return ent, true, false, nil
 		}
-		f, leader := s.leadOrJoin(key)
+		f, leader := s.leadOrJoin(k)
 		if leader {
-			ent, hit, err := s.lead(ctx, key, f, ctrs, run)
+			ent, hit, err := s.lead(ctx, k, f, ctrs, run)
 			return ent, hit, false, err
 		}
 		s.coalesced.Add(1)
@@ -571,24 +526,24 @@ func (s *Service) serveWith(ctx context.Context, key string, ctrs serveCounters,
 	}
 }
 
-// lead executes `run` for key as the flight leader, caches success, and
+// lead executes `run` for k as the flight leader, caches success, and
 // publishes the outcome to waiters (also on panic, so a crashing execution
 // cannot strand them). hit says the entry was found by the double-check
 // instead, so `run` did not execute.
-func (s *Service) lead(ctx context.Context, key string, f *flight, ctrs serveCounters, run func(ctx context.Context) (*entry, error)) (ent *entry, hit bool, err error) {
+func (s *Service) lead(ctx context.Context, k cacheKey, f *flight, ctrs serveCounters, run func(ctx context.Context) (*entry, error)) (ent *entry, hit bool, err error) {
 	published := false
 	defer func() {
 		if !published {
-			s.publish(key, f, nil, fmt.Errorf("service: analysis aborted"))
+			s.publish(k, f, nil, fmt.Errorf("service: analysis aborted"))
 		}
 	}()
 	// Double-check the cache after registering the flight: a previous
 	// leader caches before deregistering, so this read cannot miss an
 	// entry that was published before we became leader.
-	if cached, ok := s.cacheGet(key); ok {
+	if cached, ok := s.cacheGet(k); ok {
 		ctrs.hits.Add(1)
 		published = true
-		s.publish(key, f, cached, nil)
+		s.publish(k, f, cached, nil)
 		return cached, true, nil
 	}
 	ctrs.misses.Add(1)
@@ -596,16 +551,21 @@ func (s *Service) lead(ctx context.Context, key string, f *flight, ctrs serveCou
 	if err != nil {
 		ctrs.failures.Add(1)
 		published = true
-		s.publish(key, f, nil, err)
+		s.publish(k, f, nil, err)
 		return nil, false, err
 	}
-	// Must precede publish (see double-check above). A degraded outcome of
-	// a full attempt redirects to the "deg|" namespace via ent.cacheKey.
-	// published stays false until after the insert: a panicking cache
-	// shard (fault injection) must not strand waiters.
-	s.cacheAdd(ent.storeKey(key), ent)
+	// Must precede publish (see double-check above). A full attempt's
+	// degraded outcome is published to its waiters but filed under degFull,
+	// so report keys only ever hold non-degraded reports. published stays
+	// false until after the insert: a panicking cache shard (fault
+	// injection) must not strand waiters.
+	ck := k
+	if ck[0] == recReport && ent.degraded != "" {
+		ck[0] = degFull
+	}
+	s.cacheAdd(ck, ent)
 	published = true
-	s.publish(key, f, ent, nil)
+	s.publish(k, f, ent, nil)
 	return ent, false, nil
 }
 
@@ -675,21 +635,6 @@ type AdmitResult struct {
 	Fingerprint hetrta.TasksetFingerprint
 }
 
-// TasksetSignature returns the taskset-analyzer configuration signature
-// baked into every admission cache key.
-func (s *Service) TasksetSignature() string { return s.tsig }
-
-// admitPrefix is the "admit|" namespace, which keeps admission entries
-// disjoint from analysis entries in the shared sharded cache.
-const admitPrefix = "admit|"
-
-// admitKeyOf derives the admission cache key of ts under this service's
-// configuration. The hit paths match it in parts (cacheGetFP) and build it
-// only on a miss.
-func (s *Service) admitKeyOf(fp hetrta.TasksetFingerprint) string {
-	return admitPrefix + fp.String() + "|" + s.tsig
-}
-
 // ErrUnknownBase is returned by AdmitDelta when the base fingerprint is
 // not resident in the admit cache (never admitted here, or evicted). The
 // HTTP layer maps it to 404-with-reason; clients recover by re-submitting
@@ -712,7 +657,7 @@ func (s *Service) Admit(ctx context.Context, ts hetrta.Taskset) (*AdmitResult, e
 // ErrUnknownBase (the client falls back to a full Admit). The result is
 // byte-identical to Admit of the full resulting set — the resulting
 // fingerprint keys the same cache namespace and per-task evals are shared
-// through the "eval|" namespace — so delta and whole-set requests for the
+// through the recEval namespace — so delta and whole-set requests for the
 // same resulting system are interchangeable. Malformed deltas (a removed
 // digest not in the base) satisfy errors.Is(err, hetrta.ErrInvalidInput).
 func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint, delta hetrta.TasksetDelta) (*AdmitResult, error) {
@@ -724,9 +669,10 @@ func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint
 	// whose anchor is incoherent; anything else is indistinguishable from
 	// a cold base and must surface ErrUnknownBase, never a partial-reuse
 	// report or a 500.
-	ent, ok := s.cacheGetFP(admitPrefix, base[:], s.tsig)
+	bk := keyOf(recAdmit, base)
+	ent, ok := s.cacheGet(bk)
 	if !ok {
-		ent, ok = s.storeLookup(s.admitKeyOf(base))
+		ent, ok = s.storeLookup(bk)
 	}
 	if !ok || ent.anchor == nil {
 		return nil, fmt.Errorf("%w: fingerprint %s not resident (never admitted or evicted); fall back to full admit", ErrUnknownBase, base)
@@ -791,18 +737,18 @@ func (s *Service) admit(ctx context.Context, ts hetrta.Taskset) (*AdmitResult, e
 
 // admitFP is admit with the taskset's fingerprint already in hand: the
 // delta path derives it from the base entry's bookkeeping instead of full
-// hash passes. A memory hit is found by the key's parts, so it builds no
-// key string. run executes the admission on a miss and returns the entry,
+// hash passes. run executes the admission on a miss and returns the entry,
 // anchor set, with the report. The report exists only on the call that
 // ran the analysis: the run closure hands it to this call's result, and
 // the cache entry keeps just the body.
 func (s *Service) admitFP(ctx context.Context, fp hetrta.TasksetFingerprint, run func(ctx context.Context) (*entry, *hetrta.AdmitReport, error)) (*AdmitResult, error) {
-	if ent, ok := s.cacheGetFP(admitPrefix, fp[:], s.tsig); ok {
+	k := keyOf(recAdmit, fp)
+	if ent, ok := s.cacheGet(k); ok {
 		s.hits.Add(1)
 		return &AdmitResult{Body: ent.body, Hit: true, Fingerprint: fp}, nil
 	}
 	var rep *hetrta.AdmitReport
-	ent, hit, shared, err := s.serveWith(ctx, s.admitKeyOf(fp), s.requestCounters(), s.storeLookup, func(ctx context.Context) (ent *entry, err error) {
+	ent, hit, shared, err := s.serveWith(ctx, k, s.requestCounters(), s.storeLookup, func(ctx context.Context) (ent *entry, err error) {
 		ent, rep, err = run(ctx)
 		return ent, err
 	})
@@ -829,7 +775,7 @@ func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.T
 	if err := s.inj.Fire(faultinject.Exec); err != nil {
 		return nil, nil, err
 	}
-	// Seeded handles satisfy lookups without the string-keyed eval cache;
+	// Seeded handles satisfy lookups without the eval cache;
 	// they still count as eval hits so churn metrics keep their meaning
 	// (only never-seen tasks are prepared). Misses go through taskEval —
 	// single-flight, counted, fault-injectable — and join the map.
@@ -859,43 +805,22 @@ func (s *Service) runAdmit(ctx context.Context, ts hetrta.Taskset, ds []hetrta.T
 	return &entry{body: body}, rep, nil
 }
 
-// evalKeyOf derives the per-task eval cache key: the task digest under the
-// per-DAG analyzer signature (bounds config feeds every eval; the policy
-// list does not), in the "eval|" namespace of the shared sharded cache.
-// The digest goes in as raw bytes — the key is internal to the cache, and
-// hex-encoding 32 bytes per task per admission is measurable churn.
-func (s *Service) evalKeyOf(dg hetrta.TaskDigest) string {
-	return "eval|" + string(dg[:]) + "|" + s.sig
-}
-
-// taskEval resolves one task's evaluation handle through the shared cache
-// under single-flight per task digest: concurrent admissions containing
+// taskEval resolves one task's evaluation handle through the shared cache,
+// keyed by the task digest in the recEval namespace, under single-flight
+// per task digest: concurrent admissions containing
 // the same task prepare it exactly once, failures are never cached, and
 // the publish ordering is the panic-safe one every namespace uses.
 // Preparation runs inside the admission's limiter slot (runAdmit already
 // holds costAdmit), so evals never double-acquire, and eval lookups feed
 // the eval counters, not the request-level hit/miss economics.
 func (s *Service) taskEval(ctx context.Context, t hetrta.SporadicTask, dg hetrta.TaskDigest) (*hetrta.TaskEvalHandle, error) {
-	ent, _, _, err := s.serveWith(ctx, s.evalKeyOf(dg),
+	ent, _, _, err := s.serveWith(ctx, keyOf(recEval, dg),
 		serveCounters{&s.evalHits, &s.evalMisses, &s.evalFailures}, s.lookup,
 		func(ctx context.Context) (*entry, error) {
 			return s.prepareEval(t.G)
 		})
 	if err != nil {
 		return nil, err
-	}
-	if ent.eval == nil {
-		// An eval-keyed entry without a handle can only come from a
-		// foreign insert; preparation is pure and content-addressed, so
-		// repairing in place is always sound — the admission must never
-		// fail (500) or partially reuse over a malformed handle.
-		ent, err := s.prepareEval(t.G)
-		if err != nil {
-			s.evalFailures.Add(1)
-			return nil, err
-		}
-		s.cache.add(s.evalKeyOf(dg), ent)
-		return ent.eval, nil
 	}
 	return ent.eval, nil
 }
@@ -988,20 +913,20 @@ func (s *Service) AnalyzeBatch(ctx context.Context, gs []*hetrta.Graph) ([]*Resu
 	return res, err
 }
 
-func (s *Service) leadOrJoin(key string) (*flight, bool) {
+func (s *Service) leadOrJoin(k cacheKey) (*flight, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f, ok := s.flights[key]; ok {
+	if f, ok := s.flights[k]; ok {
 		return f, false
 	}
 	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
+	s.flights[k] = f
 	return f, true
 }
 
-func (s *Service) publish(key string, f *flight, ent *entry, err error) {
+func (s *Service) publish(k cacheKey, f *flight, ent *entry, err error) {
 	s.mu.Lock()
-	delete(s.flights, key)
+	delete(s.flights, k)
 	s.mu.Unlock()
 	f.ent, f.err = ent, err
 	close(f.done)
@@ -1038,7 +963,7 @@ type Stats struct {
 	// partition: a known body whose report was evicted is also a miss.
 	BodyMemoHits uint64 `json:"bodyMemoHits"`
 	// EvalHits / EvalMisses / EvalFailures count per-task eval-cache
-	// lookups on the admission path ("eval|" namespace). They are
+	// lookups on the admission path (recEval namespace). They are
 	// deliberately disjoint from Hits/Misses: a delta admission that
 	// reuses 32 cached task evals is still one request-level miss.
 	EvalHits     uint64 `json:"evalHits"`

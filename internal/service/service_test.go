@@ -8,12 +8,11 @@ import (
 	"testing"
 
 	hetrta "repro"
-	"repro/internal/keyhash"
 )
 
 // chainGraph builds load -> kernel(offload, cOff) -> post with the given
 // host WCETs, optionally relabeled so nodes appear in a different ID order.
-func chainGraph(t *testing.T, cOff int64) *hetrta.Graph {
+func chainGraph(t testing.TB, cOff int64) *hetrta.Graph {
 	t.Helper()
 	g := hetrta.NewGraph()
 	load := g.AddNode("load", 2, hetrta.Host)
@@ -180,83 +179,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if !r.Hit {
 		t.Fatal("resident entry missed")
-	}
-}
-
-// TestCacheSlotCollision: a key's hash is its slot, so two keys that
-// share a hash share one slot. A lookup compares the key the slot holds,
-// so the other key misses instead of getting its entry; an insert takes
-// the slot over, and removing the other key leaves it alone. The
-// collision is staged by filing an element under another key's hash.
-func TestCacheSlotCollision(t *testing.T) {
-	c := newCache(4, 1)
-	sh := c.shards[0]
-	a, b := "key-a", "key-b"
-	ea, eb := &entry{body: []byte("a")}, &entry{body: []byte("b")}
-	// rekey files from's element under to's slot, as if both hashed alike.
-	rekey := func(from, to string) {
-		el := sh.items[keyhash.Of(from)]
-		delete(sh.items, keyhash.Of(from))
-		sh.items[keyhash.Of(to)] = el
-	}
-
-	c.add(a, ea)
-	rekey(a, b)
-	if ent, ok := c.get(b); ok {
-		t.Fatalf("get(b) returned a's entry %q from the shared slot", ent.body)
-	}
-	c.add(b, eb)
-	if ent, ok := c.get(b); !ok || ent != eb || c.len() != 1 {
-		t.Fatalf("add(b) did not take the slot over: %v, %d entries", ok, c.len())
-	}
-	rekey(b, a)
-	c.remove(a)
-	if ent, ok := peek(c, b); c.len() != 1 || (ok && ent != eb) {
-		t.Fatal("remove(a) dropped b from the shared slot")
-	}
-}
-
-// TestGetFPMatchesGet: the hit path's lookup by key parts finds exactly
-// the entry of the built key, analysis and admission alike, and a key
-// differing in one hex digit, in the prefix or in the signature misses,
-// also when it is filed in the entry's slot.
-func TestGetFPMatchesGet(t *testing.T) {
-	s := newTestService(t, Options{Shards: 1})
-	fp := chainGraph(t, 8).Fingerprint()
-	ent := &entry{body: []byte("x")}
-	s.cache.add(s.keyOf(fp), ent)
-	if got, ok := s.cache.getFP("", fp[:], s.sig); !ok || got != ent {
-		t.Fatalf("getFP missed the entry of keyOf(fp): %v", ok)
-	}
-	other := fp
-	other[31] ^= 0x01
-	if _, ok := s.cache.getFP("", other[:], s.sig); ok {
-		t.Fatal("getFP hit for a fingerprint one digit off")
-	}
-	sig := []byte(s.sig)
-	sig[len(sig)-1] ^= 0x01
-	if _, ok := s.cache.getFP("", fp[:], string(sig)); ok {
-		t.Fatal("getFP hit under another signature of the same length")
-	}
-	// The same must hold when the other key's hash lands on the entry's
-	// slot: getFP compares the key, not only the hash.
-	sh := s.cache.shardFor(s.keyOf(fp))
-	sh.items[keyhash.Of(s.keyOf(other))] = sh.items[keyhash.Of(s.keyOf(fp))]
-	if _, ok := s.cache.getFP("", other[:], s.sig); ok {
-		t.Fatal("getFP hit for another fingerprint filed in the entry's slot")
-	}
-
-	tfp := hetrta.Taskset{Tasks: []hetrta.SporadicTask{deltaChain(2, 8, 60, 50)}}.Fingerprint()
-	admitEnt := &entry{body: []byte("y")}
-	s.cache.add(s.admitKeyOf(tfp), admitEnt)
-	if got, ok := s.cache.getFP(admitPrefix, tfp[:], s.tsig); !ok || got != admitEnt {
-		t.Fatalf("getFP missed the entry of admitKeyOf(fp): %v", ok)
-	}
-	if _, ok := s.cache.getFP("admit/", tfp[:], s.tsig); ok {
-		t.Fatal("getFP hit under another prefix of the same length")
-	}
-	if _, ok := s.cache.getFP("", tfp[:], s.tsig); ok {
-		t.Fatal("getFP hit without the admission prefix")
 	}
 }
 

@@ -24,11 +24,11 @@
 //
 // Records are append-only; a later record for the same key shadows an
 // earlier one in the index. The index holds no keys: it maps each key's
-// 64-bit hash (internal/keyhash, the hash the service cache shards by) to
-// the span of the newest record under that hash, and a read checks the
-// key stored in the payload. Two keys that share a hash share a slot, so
-// the later one shadows the earlier, whose reads then miss: a collision
-// costs a recomputation, never another key's bytes. Appends are
+// 64-bit hash (internal/keyhash) to the span of the newest record under
+// that hash, and a read checks the key stored in the payload. Two keys
+// that share a hash share a slot, so the later one shadows the earlier,
+// whose reads then miss: a collision costs a recomputation, never another
+// key's bytes. Appends are
 // write-behind: Append enqueues and returns immediately, a single writer
 // goroutine owns the file offset, and a bounded queue sheds (and counts)
 // writes under pressure rather than blocking the serving path.
