@@ -97,7 +97,8 @@ func FuzzAdmitRequest(f *testing.F) {
 		if fp2 := ts.Fingerprint(); fp1 != fp2 {
 			t.Fatalf("fingerprint not deterministic: %s vs %s", fp1, fp2)
 		}
-		if got := ts.Canonical().Fingerprint(); got != fp1 {
+		canon, _ := ts.CanonicalWithDigests()
+		if got := canon.Fingerprint(); got != fp1 {
 			t.Fatalf("canonical form fingerprints differently: %s vs %s", got, fp1)
 		}
 		for i, tk := range ts.Tasks {

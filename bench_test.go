@@ -108,15 +108,25 @@ func BenchmarkTransform(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyze measures the full pipeline (transform + Rhom + Rhet).
+// BenchmarkAnalyze measures the paper's pipeline (transform + Rhom +
+// naive + Rhet).
 func BenchmarkAnalyze(b *testing.B) {
 	g := benchTask(b, 150, 0.2)
+	p := platform.Hetero(8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rta.Analyze(g, platform.Hetero(8)); err != nil {
+		tr, err := transform.Transform(g)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := rta.Rhet(tr, p); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rta.Naive(g, p); err != nil {
+			b.Fatal(err)
+		}
+		_ = rta.Rhom(g, p)
 	}
 }
 
@@ -126,7 +136,7 @@ func BenchmarkSimulate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Simulate(g, sched.Hetero(8), sched.BreadthFirst()); err != nil {
+		if _, err := sched.Simulate(g, platform.Hetero(8), sched.BreadthFirst()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +205,7 @@ func BenchmarkExactSmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.MinMakespan(context.Background(), g, sched.Hetero(2), exact.Options{}); err != nil {
+		if _, err := exact.MinMakespan(context.Background(), g, platform.Hetero(2), exact.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,14 +224,14 @@ func BenchmarkAblationRestrictedVsUnrestricted(b *testing.B) {
 	}
 	b.Run("restricted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.MinMakespan(context.Background(), g, sched.Hetero(2), exact.Options{}); err != nil {
+			if _, err := exact.MinMakespan(context.Background(), g, platform.Hetero(2), exact.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("unrestricted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.MinMakespan(context.Background(), g, sched.Hetero(2), exact.Options{Unrestricted: true}); err != nil {
+			if _, err := exact.MinMakespan(context.Background(), g, platform.Hetero(2), exact.Options{Unrestricted: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -254,7 +264,7 @@ func BenchmarkExactMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range gs {
-			r, err := exact.MinMakespan(context.Background(), g, sched.Hetero(4), opts)
+			r, err := exact.MinMakespan(context.Background(), g, platform.Hetero(4), opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -278,7 +288,7 @@ func BenchmarkAblationPolicies(b *testing.B) {
 		p := pol()
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.Simulate(g, sched.Hetero(8), pol()); err != nil {
+				if _, err := sched.Simulate(g, platform.Hetero(8), pol()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package hetrta_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,12 +27,22 @@ func Example() {
 	g.MustAddEdge(v4, vOff)
 	g.NormalizeSourceSink()
 
-	a, err := hetrta.AnalyzeOn(g, hetrta.HeteroPlatform(2))
+	an, err := hetrta.NewAnalyzer(
+		hetrta.WithPlatform(hetrta.HeteroPlatform(2)),
+		hetrta.WithBounds(hetrta.RhomBound(), hetrta.NaiveBound(), hetrta.RhetBound()),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep, err := an.Analyze(context.Background(), g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rhom, _ := rep.BoundValue("rhom")
+	naive, _ := rep.Bound("naive")
+	rhet, _ := rep.Bound("rhet")
 	fmt.Printf("vol=%d len=%d\n", g.Volume(), g.CriticalPathLength())
-	fmt.Printf("Rhom=%.0f naive=%.0f Rhet=%.0f (%s)\n", a.Rhom, a.Naive, a.Het.R, a.Het.Scenario)
+	fmt.Printf("Rhom=%.0f naive=%.0f Rhet=%.0f (%s)\n", rhom, naive.Value, rhet.Value, rhet.Scenario)
 
 	sim, err := hetrta.Simulate(g, hetrta.HeteroPlatform(2), hetrta.BreadthFirst())
 	if err != nil {
@@ -56,14 +67,21 @@ func Example_schedulability() {
 	g.MustAddEdge(gpu, post)
 	g.MustAddEdge(cpu, post)
 
-	task := hetrta.Task{G: g, Period: 20, Deadline: 16}
-	okHom, rhom := task.SchedulableHom(hetrta.HomogeneousPlatform(2))
-	okHet, a, err := task.SchedulableHet(hetrta.HeteroPlatform(2))
+	an, err := hetrta.NewAnalyzer(hetrta.WithPlatform(hetrta.HeteroPlatform(2)))
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep, err := an.Analyze(context.Background(), g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	const deadline = 16
+	rhom, _ := rep.BoundValue("rhom")
+	okHom, _ := rep.Schedulable("rhom", deadline)
+	rhet, _ := rep.BoundValue("rhet")
+	okHet, _ := rep.Schedulable("rhet", deadline)
 	fmt.Printf("Rhom=%.1f schedulable=%v\n", rhom, okHom)
-	fmt.Printf("Rhet=%.1f schedulable=%v\n", a.Het.R, okHet)
+	fmt.Printf("Rhet=%.1f schedulable=%v\n", rhet, okHet)
 	// Output:
 	// Rhom=18.0 schedulable=false
 	// Rhet=14.0 schedulable=true

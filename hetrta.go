@@ -61,7 +61,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/exact"
 	"repro/internal/platform"
-	"repro/internal/rta"
 	"repro/internal/sched"
 	"repro/internal/taskgen"
 	"repro/internal/transform"
@@ -101,37 +100,6 @@ type ValidateOptions = dag.ValidateOptions
 
 // PaperModel returns validation options for the paper's system model.
 func PaperModel() ValidateOptions { return dag.PaperModel() }
-
-// Task is the sporadic DAG task τ = <G, T, D>.
-type Task = rta.Task
-
-// Scenario identifies which case of Theorem 1 produced a bound. At the
-// boundary COff = Rhom(GPar), Equations 3 and 4 coincide and the case is
-// classified as Scenario 2.1; the authoritative statement of this
-// tie-breaking rule lives on the internal rta.Scenario type, which this
-// alias re-exports.
-type Scenario = rta.Scenario
-
-// Theorem 1 scenarios.
-const (
-	// Scenario1: vOff off the critical path (Eq. 2).
-	Scenario1 = rta.Scenario1
-	// Scenario21: vOff on the critical path, COff ≥ Rhom(GPar) (Eq. 3).
-	// Equality lands here — see the Scenario tie-breaking rule.
-	Scenario21 = rta.Scenario21
-	// Scenario22: vOff on the critical path, COff < Rhom(GPar) (Eq. 4).
-	// The paper writes "≤"; ties are classified as Scenario 2.1, where the
-	// two equations agree — see the Scenario tie-breaking rule.
-	Scenario22 = rta.Scenario22
-)
-
-// Analysis bundles Rhom, the naive (unsafe) bound, and Rhet for one task.
-type Analysis = rta.Analysis
-
-// AnalyzeOn runs the paper's complete analysis pipeline (transform + Rhom +
-// naive + Rhet) on an explicit platform, returning the raw Analysis. Most
-// callers want the richer Analyzer.Analyze instead.
-func AnalyzeOn(g *Graph, p Platform) (*Analysis, error) { return rta.Analyze(g, p) }
 
 // Transformation is the result of Algorithm 1 (τ ⇒ τ') around one
 // offloaded node.

@@ -28,22 +28,35 @@ func buildFig1(t testing.TB) *hetrta.Graph {
 	return g
 }
 
+// analyzeOn analyzes g on p with the default bounds (Rhom and Rhet).
+func analyzeOn(t testing.TB, g *hetrta.Graph, p hetrta.Platform) *hetrta.Report {
+	t.Helper()
+	an, err := hetrta.NewAnalyzer(hetrta.WithPlatform(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := an.Analyze(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestPublicAnalyzePipeline(t *testing.T) {
 	g := buildFig1(t)
 	if err := g.Validate(hetrta.PaperModel()); err != nil {
 		t.Fatal(err)
 	}
-	a, err := hetrta.AnalyzeOn(g, hetrta.HeteroPlatform(2))
-	if err != nil {
-		t.Fatal(err)
+	rep := analyzeOn(t, g, hetrta.HeteroPlatform(2))
+	rhom, _ := rep.BoundValue("rhom")
+	rhet, _ := rep.Bound("rhet")
+	if math.Abs(rhom-13) > 1e-9 || math.Abs(rhet.Value-12) > 1e-9 {
+		t.Fatalf("Rhom=%v Rhet=%v, want 13/12", rhom, rhet.Value)
 	}
-	if math.Abs(a.Rhom-13) > 1e-9 || math.Abs(a.Het.R-12) > 1e-9 {
-		t.Fatalf("Rhom=%v Rhet=%v, want 13/12", a.Rhom, a.Het.R)
+	if rhet.Scenario != "scenario 1" {
+		t.Fatalf("scenario = %q, want scenario 1", rhet.Scenario)
 	}
-	if a.Het.Scenario != hetrta.Scenario1 {
-		t.Fatalf("scenario = %v, want Scenario1", a.Het.Scenario)
-	}
-	if err := hetrta.CheckTransform(a.Transform); err != nil {
+	if err := hetrta.CheckTransform(rep.TransformResult); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,11 +77,8 @@ func TestPublicSimulateAndExact(t *testing.T) {
 	if opt.Makespan != 9 {
 		t.Fatalf("optimal makespan = %d, want 9", opt.Makespan)
 	}
-	a, err := hetrta.AnalyzeOn(g, hetrta.HeteroPlatform(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(sim.Makespan) > a.Rhom {
+	rhom, _ := analyzeOn(t, g, hetrta.HeteroPlatform(2)).BoundValue("rhom")
+	if float64(sim.Makespan) > rhom {
 		t.Fatal("simulation exceeded Rhom")
 	}
 }
@@ -86,11 +96,7 @@ func TestPublicGeneratorRoundTrip(t *testing.T) {
 	if frac <= 0 || frac >= 1 {
 		t.Fatalf("realized fraction %v", frac)
 	}
-	a, err := hetrta.AnalyzeOn(g, hetrta.HeteroPlatform(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Het.R <= 0 {
+	if rhet, _ := analyzeOn(t, g, hetrta.HeteroPlatform(4)).BoundValue("rhet"); rhet <= 0 {
 		t.Fatal("degenerate Rhet")
 	}
 	if _, err := hetrta.NewGenerator(hetrta.LargeTasks(0, 0), 1); err == nil {
@@ -99,15 +105,11 @@ func TestPublicGeneratorRoundTrip(t *testing.T) {
 }
 
 func TestPublicTaskSchedulability(t *testing.T) {
-	tk := hetrta.Task{G: buildFig1(t), Period: 20, Deadline: 12}
-	ok, a, err := tk.SchedulableHet(hetrta.HeteroPlatform(2))
-	if err != nil {
-		t.Fatal(err)
+	rep := analyzeOn(t, buildFig1(t), hetrta.HeteroPlatform(2))
+	if ok, found := rep.Schedulable("rhet", 12); !found || !ok {
+		t.Fatalf("deadline 12 should be schedulable under Rhet=12 (found %v)", found)
 	}
-	if !ok {
-		t.Fatalf("deadline 12 should be schedulable under Rhet=%v", a.Het.R)
-	}
-	if okHom, _ := tk.SchedulableHom(hetrta.HomogeneousPlatform(2)); okHom {
-		t.Fatal("deadline 12 must NOT be schedulable under Rhom=13")
+	if ok, found := rep.Schedulable("rhom", 12); !found || ok {
+		t.Fatalf("deadline 12 must NOT be schedulable under Rhom=13 (found %v)", found)
 	}
 }

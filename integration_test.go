@@ -33,23 +33,30 @@ func TestBoundsSandwichExactOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	an, err := hetrta.NewAnalyzer(hetrta.WithPlatform(hetrta.HeteroPlatform(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 40; i++ {
 		frac := 0.02 + 0.55*float64(i)/40
 		g, _, _, err := gen.HetTask(frac)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := hetrta.AnalyzeOn(g, hetrta.HeteroPlatform(2))
+		p := hetrta.HeteroPlatform(2)
+		rep, err := an.Analyze(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := hetrta.HeteroPlatform(2)
+		rhom, _ := rep.BoundValue("rhom")
+		rhet, _ := rep.BoundValue("rhet")
+		transformed := rep.TransformResult.Transformed
 
 		optOrig, err := hetrta.MinMakespanContext(context.Background(), g, p, hetrta.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		optTrans, err := hetrta.MinMakespanContext(context.Background(), a.Transform.Transformed, p, hetrta.ExactOptions{})
+		optTrans, err := hetrta.MinMakespanContext(context.Background(), transformed, p, hetrta.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +64,7 @@ func TestBoundsSandwichExactOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simTrans, err := hetrta.Simulate(a.Transform.Transformed, p, hetrta.BreadthFirst())
+		simTrans, err := hetrta.Simulate(transformed, p, hetrta.BreadthFirst())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,14 +77,14 @@ func TestBoundsSandwichExactOptimum(t *testing.T) {
 		if optTrans.Makespan > simTrans.Makespan {
 			t.Errorf("iter %d: exact(τ')=%d > sim(τ')=%d", i, optTrans.Makespan, simTrans.Makespan)
 		}
-		if float64(simTrans.Makespan) > a.Het.R+1e-9 {
-			t.Errorf("iter %d: sim(τ')=%d > Rhet=%v", i, simTrans.Makespan, a.Het.R)
+		if float64(simTrans.Makespan) > rhet+1e-9 {
+			t.Errorf("iter %d: sim(τ')=%d > Rhet=%v", i, simTrans.Makespan, rhet)
 		}
 		if optOrig.Makespan > simOrig.Makespan {
 			t.Errorf("iter %d: exact(τ)=%d > sim(τ)=%d", i, optOrig.Makespan, simOrig.Makespan)
 		}
-		if float64(simOrig.Makespan) > a.Rhom+1e-9 {
-			t.Errorf("iter %d: sim(τ)=%d > Rhom=%v", i, simOrig.Makespan, a.Rhom)
+		if float64(simOrig.Makespan) > rhom+1e-9 {
+			t.Errorf("iter %d: sim(τ)=%d > Rhom=%v", i, simOrig.Makespan, rhom)
 		}
 	}
 }
@@ -142,12 +149,13 @@ func TestFederatedAllocationThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, ok := rep.PolicyReport("federated")
-	if !ok || !fed.Admitted {
-		t.Fatalf("federated verdict %+v (present %v)", fed, ok)
+	fed := rep.Policies[0]
+	if fed.Policy != "federated" || !fed.Admitted {
+		t.Fatalf("federated verdict %+v", fed)
 	}
 	// Decisions index the taskset in canonical order.
-	tasks := ts.Canonical().Tasks
+	canon, _ := ts.CanonicalWithDigests()
+	tasks := canon.Tasks
 	deviceUsers := 0
 	for _, gr := range fed.Tasks {
 		if !gr.Heavy {

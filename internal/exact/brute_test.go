@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/platform"
-	"repro/internal/sched"
 	"repro/internal/taskgen"
 )
 
@@ -16,7 +15,7 @@ import (
 // the serial schedule-generation scheme over every topological order of g
 // and returns the smallest makespan. By the SGS argument of DESIGN.md §4.3
 // that is the optimum. Exponential in n; meant for n ≤ 8.
-func bruteMinMakespan(g *dag.Graph, p sched.Platform) int64 {
+func bruteMinMakespan(g *dag.Graph, p platform.Platform) int64 {
 	n := g.NumNodes()
 	cls := make([]int, n)
 	for v := range cls {
@@ -89,7 +88,7 @@ func TestMinMakespanMatchesBruteForce(t *testing.T) {
 		platform.ResourceClass{Name: "gpu", Count: 1},
 		platform.ResourceClass{Name: "fpga", Count: 1},
 	)
-	check := func(t *testing.T, g *dag.Graph, p sched.Platform) int64 {
+	check := func(t *testing.T, g *dag.Graph, p platform.Platform) int64 {
 		t.Helper()
 		want := bruteMinMakespan(g, p)
 		for _, memoLimit := range []int64{0, 4} {
@@ -126,7 +125,7 @@ func TestMinMakespanMatchesBruteForce(t *testing.T) {
 			g2 := g.Clone()
 			taskgen.SetOffloadClass(g2, (i+n/2)%n, 0.2, 2)
 			t.Run(fmt.Sprintf("graph_%03d", i), func(t *testing.T) {
-				for _, p := range []sched.Platform{sched.Homogeneous(2), sched.Hetero(1), sched.Hetero(2)} {
+				for _, p := range []platform.Platform{platform.Homogeneous(2), platform.Hetero(1), platform.Hetero(2)} {
 					check(t, g, p)
 				}
 				check(t, g2, twoClass)
@@ -156,7 +155,7 @@ func TestMinMakespanMatchesBruteForce(t *testing.T) {
 				if g.NumNodes() > 8 {
 					t.Fatalf("%d nodes, more than brute force is meant for", g.NumNodes())
 				}
-				for _, p := range []sched.Platform{sched.Homogeneous(2), sched.Hetero(2)} {
+				for _, p := range []platform.Platform{platform.Homogeneous(2), platform.Hetero(2)} {
 					check(t, g, p)
 				}
 			})

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sched"
+	"repro/internal/platform"
 	"repro/internal/taskgen"
 )
 
@@ -42,7 +42,7 @@ func TestCancellationAbortsWithinPollInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanity: uncancelled, the instance needs a long search.
-	full, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{})
+	full, err := MinMakespan(context.Background(), g, platform.Hetero(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCancellationAbortsWithinPollInterval(t *testing.T) {
 	// until abort is exact: one at entry, then one per `every` expansions
 	// until the first failing poll aborts the dfs.
 	ctx := &countingCtx{errAfter: 3}
-	res, err := MinMakespan(ctx, g, sched.Hetero(2), Options{CtxCheckEvery: every})
+	res, err := MinMakespan(ctx, g, platform.Hetero(2), Options{CtxCheckEvery: every})
 	if err != context.Canceled {
 		t.Fatalf("err = %v (result %+v), want context.Canceled", err, res)
 	}
@@ -81,7 +81,7 @@ func TestCancelledBeforeStart(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MinMakespan(ctx, g, sched.Hetero(2), Options{}); err != context.Canceled {
+	if _, err := MinMakespan(ctx, g, platform.Hetero(2), Options{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled at entry", err)
 	}
 }
@@ -94,7 +94,7 @@ func TestDefaultCtxCheckEvery(t *testing.T) {
 	// With the default interval, a context cancelled right after entry
 	// still aborts the search (within DefaultCtxCheckEvery expansions).
 	ctx := &countingCtx{errAfter: 1}
-	if _, err := MinMakespan(ctx, g, sched.Hetero(2), Options{}); err != context.Canceled {
+	if _, err := MinMakespan(ctx, g, platform.Hetero(2), Options{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled under default poll interval", err)
 	}
 	if ctx.calls != 2 {

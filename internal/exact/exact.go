@@ -50,6 +50,7 @@ import (
 	"slices"
 
 	"repro/internal/dag"
+	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
@@ -132,7 +133,7 @@ type Result struct {
 // The search honors ctx: cancelling it makes MinMakespan return promptly
 // with ctx's error (the branch-and-bound checks the context every
 // Options.CtxCheckEvery node expansions), discarding any partial result.
-func MinMakespan(ctx context.Context, g *dag.Graph, p sched.Platform, opts Options) (*Result, error) {
+func MinMakespan(ctx context.Context, g *dag.Graph, p platform.Platform, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -264,7 +265,7 @@ func divCeil(a, b int64) int64 { return (a + b - 1) / b }
 // All of it is owned by the goroutine that called MinMakespan.
 type shared struct {
 	ctx context.Context
-	p   sched.Platform
+	p   platform.Platform
 
 	n        int
 	nClasses int

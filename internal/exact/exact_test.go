@@ -34,7 +34,7 @@ func fig1Normalized(t testing.TB) *dag.Graph {
 	return g
 }
 
-func mustOptimal(t *testing.T, g *dag.Graph, p sched.Platform) *Result {
+func mustOptimal(t *testing.T, g *dag.Graph, p platform.Platform) *Result {
 	t.Helper()
 	r, err := MinMakespan(context.Background(), g, p, Options{})
 	if err != nil {
@@ -53,7 +53,7 @@ func mustOptimal(t *testing.T, g *dag.Graph, p sched.Platform) *Result {
 
 func TestFig1MinMakespanHetero(t *testing.T) {
 	g := fig1Normalized(t)
-	r := mustOptimal(t, g, sched.Hetero(2))
+	r := mustOptimal(t, g, platform.Hetero(2))
 	// Optimal: v1(0-2); v4(2-4),v3(2-7) on cores; vOff(4-8) device;
 	// v2(4-8) core; v5 at 8-9: makespan 9.
 	if r.Makespan != 9 {
@@ -63,7 +63,7 @@ func TestFig1MinMakespanHetero(t *testing.T) {
 
 func TestFig1MinMakespanHomogeneous(t *testing.T) {
 	g := fig1Normalized(t)
-	r := mustOptimal(t, g, sched.Homogeneous(2))
+	r := mustOptimal(t, g, platform.Homogeneous(2))
 	// All on 2 cores: vol 18 → ≥ 9; critical path 8. A 9-schedule exists:
 	// v1(0-2) | v3(2-7),v5(7-8) on c0; v4(2-4),vOff(4-8),... v2 must fit:
 	// c1: v2(2-6) then vOff? vOff needs v4 (done 4): c1 v2(2-6) vOff(6-10)
@@ -72,7 +72,7 @@ func TestFig1MinMakespanHomogeneous(t *testing.T) {
 		t.Fatalf("min makespan = %d, want in [9,10]", r.Makespan)
 	}
 	// Heterogeneous platform can only help.
-	het := mustOptimal(t, g, sched.Hetero(2))
+	het := mustOptimal(t, g, platform.Hetero(2))
 	if het.Makespan > r.Makespan {
 		t.Fatalf("hetero optimum %d worse than homogeneous %d", het.Makespan, r.Makespan)
 	}
@@ -88,7 +88,7 @@ func TestChainMakespan(t *testing.T) {
 		prev = next
 		total += int64(i + 1)
 	}
-	r := mustOptimal(t, g, sched.Hetero(4))
+	r := mustOptimal(t, g, platform.Hetero(4))
 	if r.Makespan != total {
 		t.Fatalf("chain makespan = %d, want %d", r.Makespan, total)
 	}
@@ -100,7 +100,7 @@ func TestIndependentJobsP2(t *testing.T) {
 	for _, c := range []int64{2, 3, 4, 5, 6} {
 		g.AddNode("", c, dag.Host)
 	}
-	r := mustOptimal(t, g, sched.Homogeneous(2))
+	r := mustOptimal(t, g, platform.Homogeneous(2))
 	if r.Makespan != 10 {
 		t.Fatalf("P2||Cmax = %d, want 10", r.Makespan)
 	}
@@ -113,7 +113,7 @@ func TestLPTIsSuboptimalInstance(t *testing.T) {
 	for _, c := range []int64{3, 3, 2, 2, 2} {
 		g.AddNode("", c, dag.Host)
 	}
-	r := mustOptimal(t, g, sched.Homogeneous(2))
+	r := mustOptimal(t, g, platform.Homogeneous(2))
 	if r.Makespan != 6 {
 		t.Fatalf("makespan = %d, want 6", r.Makespan)
 	}
@@ -131,12 +131,12 @@ func TestOffloadOverlapExploited(t *testing.T) {
 	g.MustAddEdge(s, v)
 	g.MustAddEdge(a, e)
 	g.MustAddEdge(v, e)
-	r := mustOptimal(t, g, sched.Hetero(1))
+	r := mustOptimal(t, g, platform.Hetero(1))
 	if r.Makespan != 12 {
 		t.Fatalf("makespan = %d, want 12", r.Makespan)
 	}
 	// Homogeneous m=1 must serialize: 22.
-	rh := mustOptimal(t, g, sched.Homogeneous(1))
+	rh := mustOptimal(t, g, platform.Homogeneous(1))
 	if rh.Makespan != 22 {
 		t.Fatalf("homogeneous m=1 = %d, want 22", rh.Makespan)
 	}
@@ -149,7 +149,7 @@ func TestZeroWCETNodesFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := mustOptimal(t, tr.Transformed, sched.Hetero(2))
+	r := mustOptimal(t, tr.Transformed, platform.Hetero(2))
 	// The transformed DAG's optimum: forced v1,v4 first (4), then GPar
 	// {v2,v3} on two cores overlapping vOff(4), then v5: 2+2+5+1 = 10.
 	if r.Makespan != 10 {
@@ -158,13 +158,13 @@ func TestZeroWCETNodesFree(t *testing.T) {
 }
 
 func TestEmptyAndTiny(t *testing.T) {
-	r, err := MinMakespan(context.Background(), dag.New(), sched.Hetero(2), Options{})
+	r, err := MinMakespan(context.Background(), dag.New(), platform.Hetero(2), Options{})
 	if err != nil || r.Makespan != 0 || r.Status != Optimal {
 		t.Fatalf("empty: %v %+v", err, r)
 	}
 	g := dag.New()
 	g.AddNode("", 7, dag.Host)
-	r2, err := MinMakespan(context.Background(), g, sched.Homogeneous(3), Options{})
+	r2, err := MinMakespan(context.Background(), g, platform.Homogeneous(3), Options{})
 	if err != nil || r2.Makespan != 7 {
 		t.Fatalf("single: %v %+v", err, r2)
 	}
@@ -175,7 +175,7 @@ func TestRejectsTooLarge(t *testing.T) {
 	for i := 0; i < 65; i++ {
 		g.AddNode("", 1, dag.Host)
 	}
-	if _, err := MinMakespan(context.Background(), g, sched.Homogeneous(2), Options{}); err == nil {
+	if _, err := MinMakespan(context.Background(), g, platform.Homogeneous(2), Options{}); err == nil {
 		t.Fatal("accepted 65-node graph")
 	}
 }
@@ -186,7 +186,7 @@ func TestRejectsCyclic(t *testing.T) {
 	b := g.AddNode("", 1, dag.Host)
 	g.MustAddEdge(a, b)
 	g.MustAddEdge(b, a)
-	if _, err := MinMakespan(context.Background(), g, sched.Homogeneous(2), Options{}); err == nil {
+	if _, err := MinMakespan(context.Background(), g, platform.Homogeneous(2), Options{}); err == nil {
 		t.Fatal("accepted cyclic graph")
 	}
 }
@@ -200,12 +200,12 @@ func TestParallelismIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{256, 0} {
-		want, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{MaxExpansions: budget})
+		want, err := MinMakespan(context.Background(), g, platform.Hetero(2), Options{MaxExpansions: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{-1, 1, 4} {
-			got, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{MaxExpansions: budget, Parallelism: par})
+			got, err := MinMakespan(context.Background(), g, platform.Hetero(2), Options{MaxExpansions: budget, Parallelism: par})
 			if err != nil {
 				t.Fatalf("budget %d, Parallelism %d: %v", budget, par, err)
 			}
@@ -225,7 +225,7 @@ func TestParallelTinyMemoLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{})
+	ref, err := MinMakespan(context.Background(), g, platform.Hetero(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestParallelTinyMemoLimit(t *testing.T) {
 		t.Fatalf("reference search not optimal: %v", ref.Status)
 	}
 	for _, par := range []int{1, 4} {
-		r, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{Parallelism: par, MemoLimit: 4})
+		r, err := MinMakespan(context.Background(), g, platform.Hetero(2), Options{Parallelism: par, MemoLimit: 4})
 		if err != nil {
 			t.Fatalf("Parallelism %d: %v", par, err)
 		}
@@ -251,14 +251,14 @@ func TestBudgetExhaustionReportsFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := MinMakespan(context.Background(), g, sched.Hetero(2), Options{MaxExpansions: 1})
+	r, err := MinMakespan(context.Background(), g, platform.Hetero(2), Options{MaxExpansions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.LowerBound > r.Makespan {
 		t.Fatalf("lower bound %d above makespan %d", r.LowerBound, r.Makespan)
 	}
-	sr := &sched.Result{Makespan: r.Makespan, Spans: r.Spans, Policy: "exact", Platform: sched.Hetero(2)}
+	sr := &sched.Result{Makespan: r.Makespan, Spans: r.Spans, Policy: "exact", Platform: platform.Hetero(2)}
 	if err := sr.Validate(g); err != nil {
 		t.Fatalf("feasible schedule invalid: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestExactAtMostHeuristicsAndAtLeastBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range []int{2, 4} {
-			p := sched.Hetero(m)
+			p := platform.Hetero(m)
 			r, err := MinMakespan(context.Background(), g, p, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -336,7 +336,7 @@ func TestRestrictedBranchingMatchesUnrestricted(t *testing.T) {
 		if i%3 != 0 {
 			taskgen.SetOffload(g, i%g.NumNodes(), 0.3)
 		}
-		for _, p := range []sched.Platform{sched.Homogeneous(1), sched.Homogeneous(2), sched.Hetero(1), sched.Hetero(2), sched.Hetero(3)} {
+		for _, p := range []platform.Platform{platform.Homogeneous(1), platform.Homogeneous(2), platform.Hetero(1), platform.Hetero(2), platform.Hetero(3)} {
 			restricted, err := MinMakespan(context.Background(), g, p, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -366,7 +366,7 @@ func TestExactMonotoneInCores(t *testing.T) {
 		}
 		prev := int64(-1)
 		for _, m := range []int{1, 2, 4, 8} {
-			r, err := MinMakespan(context.Background(), g, sched.Hetero(m), Options{})
+			r, err := MinMakespan(context.Background(), g, platform.Hetero(m), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,7 +393,7 @@ func TestMinMakespanCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MinMakespan(ctx, g, sched.Hetero(2), Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := MinMakespan(ctx, g, platform.Hetero(2), Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
@@ -407,7 +407,7 @@ func TestMinMakespanCancellation(t *testing.T) {
 	}()
 	close(started)
 	start := time.Now()
-	_, err = MinMakespan(ctx2, g, sched.Hetero(2), Options{MaxExpansions: 1 << 40})
+	_, err = MinMakespan(ctx2, g, platform.Hetero(2), Options{MaxExpansions: 1 << 40})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want nil (finished first) or context.Canceled", err)
 	}
@@ -427,7 +427,7 @@ func TestMinMakespanDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = MinMakespan(ctx, g, sched.Hetero(2), Options{MaxExpansions: 1 << 40})
+	_, err = MinMakespan(ctx, g, platform.Hetero(2), Options{MaxExpansions: 1 << 40})
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want nil or context.DeadlineExceeded", err)
 	}

@@ -29,7 +29,7 @@ func kernelInstances(t *testing.T, count int) []*shared {
 		platform.ResourceClass{Name: "gpu", Count: 2},
 		platform.ResourceClass{Name: "fpga", Count: 2},
 	)
-	plats := []sched.Platform{sched.Homogeneous(3), sched.Hetero(2), sched.Hetero(4), threeClass}
+	plats := []platform.Platform{platform.Homogeneous(3), platform.Hetero(2), platform.Hetero(4), threeClass}
 	var out []*shared
 	for i := 0; len(out) < count; i++ {
 		g, err := gen.Graph()
@@ -52,7 +52,7 @@ func kernelInstances(t *testing.T, count int) []*shared {
 
 // kernelShared builds the search context MinMakespan would, minus the
 // seed, with a fresh memo.
-func kernelShared(t *testing.T, g *dag.Graph, p sched.Platform) *shared {
+func kernelShared(t *testing.T, g *dag.Graph, p platform.Platform) *shared {
 	t.Helper()
 	n := g.NumNodes()
 	sh := &shared{
@@ -407,7 +407,7 @@ func TestPruneMatchesFullBound(t *testing.T) {
 // caps with MaxExpansions = E-1.
 func TestBudgetBoundary(t *testing.T) {
 	gen := taskgen.MustNew(taskgen.Small(8, 24), 2)
-	p := sched.Hetero(4)
+	p := platform.Hetero(4)
 	checked := 0
 	for i := 0; i < 200 && checked < 20; i++ {
 		g, _, _, err := gen.HetTask(0.15)

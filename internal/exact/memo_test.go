@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/platform"
-	"repro/internal/sched"
 	"repro/internal/taskgen"
 )
 
@@ -31,15 +30,15 @@ func TestSerialMemoPoolConcurrent(t *testing.T) {
 	)
 	type instance struct {
 		g *dag.Graph
-		p sched.Platform
+		p platform.Platform
 	}
 	populations := []struct {
 		gen  *taskgen.Generator
-		plat sched.Platform
+		plat platform.Platform
 	}{
-		{taskgen.MustNew(taskgen.Small(4, 9), 11), sched.Hetero(2)},
-		{taskgen.MustNew(taskgen.Small(24, 40), 12), sched.Hetero(4)},
-		{taskgen.MustNew(taskgen.Small(8, 24), 13), sched.Homogeneous(3)},
+		{taskgen.MustNew(taskgen.Small(4, 9), 11), platform.Hetero(2)},
+		{taskgen.MustNew(taskgen.Small(24, 40), 12), platform.Hetero(4)},
+		{taskgen.MustNew(taskgen.Small(8, 24), 13), platform.Homogeneous(3)},
 		{taskgen.MustNew(taskgen.Small(10, 30), 14), threeClass},
 	}
 	opts := Options{MaxExpansions: 2000}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgen"
 )
@@ -41,7 +42,7 @@ type searchGoldenEntry struct {
 // searchGoldenPopulation is the pinned workload: transitively reduced
 // Small(8,24) graphs with c_off 0.15 (the analyze-miss shape), each
 // searched on three platforms with a 10k budget.
-func searchGoldenPopulation(t testing.TB) ([]*dag.Graph, []sched.Platform) {
+func searchGoldenPopulation(t testing.TB) ([]*dag.Graph, []platform.Platform) {
 	t.Helper()
 	const graphs = 320
 	gen := taskgen.MustNew(taskgen.Small(8, 24), 2018)
@@ -56,7 +57,7 @@ func searchGoldenPopulation(t testing.TB) ([]*dag.Graph, []sched.Platform) {
 		}
 		gs[i] = g
 	}
-	return gs, []sched.Platform{sched.Hetero(4), sched.Hetero(2), sched.Homogeneous(3)}
+	return gs, []platform.Platform{platform.Hetero(4), platform.Hetero(2), platform.Homogeneous(3)}
 }
 
 // spansDigest hashes a schedule field by field, fixed-width little endian.

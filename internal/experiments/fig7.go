@@ -11,6 +11,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/taskgen"
+	"repro/internal/transform"
 )
 
 // Fig7Point is one x-axis sample of the accuracy experiment.
@@ -101,12 +102,16 @@ func Fig7(ctx context.Context, cfg Config, panels []Fig7Panel) (*Fig7Result, err
 				continue // unproven: excluded, reported via Proven/N
 			}
 			proven++
-			a, err := rta.Analyze(g, panel.Platform)
+			tr, err := transform.Transform(g)
 			if err != nil {
 				return err
 			}
-			incHom.Add(stats.Increment(a.Rhom, float64(opt.Makespan)))
-			incHet.Add(stats.Increment(a.Het.R, float64(opt.Makespan)))
+			het, err := rta.Rhet(tr, panel.Platform)
+			if err != nil {
+				return err
+			}
+			incHom.Add(stats.Increment(rta.Rhom(g, panel.Platform), float64(opt.Makespan)))
+			incHet.Add(stats.Increment(het.R, float64(opt.Makespan)))
 			fracs.Add(realized)
 		}
 		res.Panels[c.panel].Points[c.pi] = Fig7Point{

@@ -10,6 +10,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/taskgen"
+	"repro/internal/transform"
 )
 
 // NaivePoint quantifies the §3.2 unsafety argument at one COff share.
@@ -76,7 +77,15 @@ func Naive(ctx context.Context, cfg Config, samples int) (*NaiveResult, error) {
 			if err != nil {
 				return err
 			}
-			a, err := rta.Analyze(g, pt.plat)
+			tr, err := transform.Transform(g)
+			if err != nil {
+				return err
+			}
+			het, err := rta.Rhet(tr, pt.plat)
+			if err != nil {
+				return err
+			}
+			naive, err := rta.Naive(g, pt.plat)
 			if err != nil {
 				return err
 			}
@@ -94,16 +103,16 @@ func Naive(ctx context.Context, cfg Config, samples int) (*NaiveResult, error) {
 			if bf.Makespan > worstMakespan {
 				worstMakespan = bf.Makespan
 			}
-			if float64(worstMakespan) > a.Naive+1e-9 {
+			if float64(worstMakespan) > naive+1e-9 {
 				violated++
-				worst.Add(100 * (float64(worstMakespan) - a.Naive) / a.Naive)
+				worst.Add(100 * (float64(worstMakespan) - naive) / naive)
 			}
 			// Live safety check on Rhet: worst simulated τ' schedule.
-			_, worstT, err := sched.Sample(a.Transform.Transformed, pt.plat, samples, cfg.Seed+int64(k))
+			_, worstT, err := sched.Sample(tr.Transformed, pt.plat, samples, cfg.Seed+int64(k))
 			if err != nil {
 				return err
 			}
-			if float64(worstT.Makespan) > a.Het.R+1e-9 {
+			if float64(worstT.Makespan) > het.R+1e-9 {
 				hetViolated++
 			}
 		}

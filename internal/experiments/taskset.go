@@ -154,14 +154,15 @@ type TasksetResult struct {
 // offload share) combination it draws SetsPerPoint base tasksets (DAGs +
 // UUniFast utilization weights), rescales each across the utilization grid,
 // and admits every scaled instance with the federated and global policies.
-// Policies run directly on the shared policy layer with one TaskEval per
-// task built once per base set — the platform-independent work (reduction,
-// Algorithm 1) is identical across the utilization grid, so rebuilding it
-// per point (as going through TasksetAnalyzer.Admit would) is pure waste;
-// the bound semantics are the same (minimum over Rhom-where-safe / Rhet /
-// TypedRhom). A set counts as accepted at point u if the policy admits it
-// at u and every lower point (its frontier), so each curve is
-// monotonically non-increasing by construction. Combinations fan out on
+// Policies run directly on the shared policy layer with one Eval per task
+// built once per base set — the platform-independent work (reduction,
+// Algorithm 1) and every probed platform shape's bound are identical
+// across the utilization grid, so rebuilding them per point (as going
+// through TasksetAnalyzer.Admit would) is pure waste; the bound semantics
+// are the same (minimum over Rhom-where-safe / Rhet / TypedRhom). A set
+// counts as accepted at point u if the policy admits it at u and every
+// lower point (its frontier), so each curve is monotonically
+// non-increasing by construction. Combinations fan out on
 // the batch pool; per-set seeding keeps results bit-identical at any
 // parallelism.
 func TasksetSweep(ctx context.Context, cfg TasksetConfig) (*TasksetResult, error) {
@@ -212,10 +213,12 @@ func TasksetSweep(ctx context.Context, cfg TasksetConfig) (*TasksetResult, error
 			// weights (they sum to ~1 up to period rounding), and the evals
 			// cache the per-graph work across the whole grid.
 			weights := make([]float64, cb.n)
-			evals := make([]taskset.TaskEval, cb.n)
+			evals := make([]*taskset.Eval, cb.n)
 			for i, tk := range base.Tasks {
 				weights[i] = tk.Utilization()
-				evals[i] = taskset.NewRTAEval(tk.G)
+				if evals[i], err = taskset.NewEval(taskset.RTABounds(), tk.G); err != nil {
+					return fmt.Errorf("taskset sweep (n=%d share=%v): %w", cb.n, cb.share, err)
+				}
 			}
 
 			alive := make([]bool, len(policies))

@@ -37,8 +37,7 @@ import (
 // question. This package classifies the equality case as Scenario 2.1 (the
 // comparison used is COff ≥ Rhom(GPar), strict "<" selects 2.2); Figure 8's
 // scenario-occurrence counts follow the same rule. This is the single
-// authoritative statement of the tie-breaking rule; the facade documentation
-// references it.
+// authoritative statement of the tie-breaking rule.
 type Scenario int
 
 const (
@@ -172,47 +171,4 @@ func Rhet(tr *transform.Result, p platform.Platform) (HetResult, error) {
 			(float64(res.VolPrime-res.LenPrime)-float64(res.LenPar))/mf
 	}
 	return res, nil
-}
-
-// Analysis bundles every bound for one heterogeneous task, produced by
-// Analyze. It is the unit the experiments aggregate over.
-type Analysis struct {
-	// Platform is the execution platform the analysis assumed.
-	Platform platform.Platform
-	// Rhom is Equation 1 on the original task τ.
-	Rhom float64
-	// Naive is the unsafe Section 3.2 bound on τ.
-	Naive float64
-	// Het is Theorem 1 on the transformed task τ'.
-	Het HetResult
-	// Transform is the τ ⇒ τ' transformation used by Het.
-	Transform *transform.Result
-}
-
-// Analyze runs the complete analysis pipeline of the paper on a
-// heterogeneous DAG task: it transforms τ into τ' (Algorithm 1) and
-// computes Rhom(τ), the naive unsafe bound, and Rhet(τ') on platform p.
-func Analyze(g *dag.Graph, p platform.Platform) (*Analysis, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("rta: Analyze: %w", err)
-	}
-	tr, err := transform.Transform(g)
-	if err != nil {
-		return nil, err
-	}
-	het, err := Rhet(tr, p)
-	if err != nil {
-		return nil, err
-	}
-	naive, err := Naive(g, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Analysis{
-		Platform:  p,
-		Rhom:      Rhom(g, p),
-		Naive:     naive,
-		Het:       het,
-		Transform: tr,
-	}, nil
 }

@@ -2,7 +2,6 @@ package rta
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/dag"
@@ -220,30 +219,6 @@ func TestRhetBadM(t *testing.T) {
 	}
 }
 
-func TestAnalyzeFig1(t *testing.T) {
-	a, err := Analyze(fig1Normalized(t), platform.Hetero(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(a.Rhom, 13) || !almostEqual(a.Naive, 11) || !almostEqual(a.Het.R, 12) {
-		t.Errorf("Analyze: Rhom=%v Naive=%v Rhet=%v, want 13/11/12", a.Rhom, a.Naive, a.Het.R)
-	}
-	if !reflect.DeepEqual(a.Platform, platform.Hetero(2)) {
-		t.Errorf("Platform = %v, want %v", a.Platform, platform.Hetero(2))
-	}
-}
-
-func TestAnalyzeErrors(t *testing.T) {
-	g := dag.New()
-	g.AddNode("", 1, dag.Host)
-	if _, err := Analyze(g, platform.Hetero(2)); err == nil {
-		t.Fatal("Analyze without offload node succeeded")
-	}
-	if _, err := Analyze(fig1Normalized(t), platform.Hetero(0)); err == nil {
-		t.Fatal("Analyze with m=0 succeeded")
-	}
-}
-
 func TestScenarioString(t *testing.T) {
 	for s, want := range map[Scenario]string{
 		Scenario1:    "scenario 1",
@@ -268,68 +243,51 @@ func TestRhetNeverBelowStructuralLowerBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr, err := transform.Transform(g)
+		if err != nil {
+			t.Fatalf("iter %d: %v", i, err)
+		}
 		for _, m := range []int{2, 4, 8, 16} {
-			a, err := Analyze(g, platform.Hetero(m))
+			het, err := Rhet(tr, platform.Hetero(m))
 			if err != nil {
 				t.Fatalf("iter %d m=%d: %v", i, m, err)
 			}
 			hostWork := float64(g.Volume() - g.WCET(vOff))
-			if a.Het.R+1e-9 < hostWork/float64(m) {
-				t.Fatalf("iter %d m=%d: Rhet=%v below host load bound %v", i, m, a.Het.R, hostWork/float64(m))
+			if het.R+1e-9 < hostWork/float64(m) {
+				t.Fatalf("iter %d m=%d: Rhet=%v below host load bound %v", i, m, het.R, hostWork/float64(m))
 			}
-			if a.Het.R+1e-9 < float64(a.Transform.Transformed.CriticalPathLength())-float64(a.Het.COff) {
-				t.Fatalf("iter %d m=%d: Rhet=%v below len(G')-COff", i, m, a.Het.R)
+			if het.R+1e-9 < float64(tr.Transformed.CriticalPathLength())-float64(het.COff) {
+				t.Fatalf("iter %d m=%d: Rhet=%v below len(G')-COff", i, m, het.R)
 			}
 			// Rhom is also an upper bound for the heterogeneous platform
 			// (DESIGN.md §4.3 argument), so Rhet should usually improve on
 			// it when COff is large; at minimum both must be ≥ len(G)/.. —
 			// here we just require both bounds positive and finite.
-			if math.IsNaN(a.Het.R) || math.IsInf(a.Het.R, 0) || a.Het.R <= 0 {
-				t.Fatalf("iter %d m=%d: degenerate Rhet %v", i, m, a.Het.R)
+			if math.IsNaN(het.R) || math.IsInf(het.R, 0) || het.R <= 0 {
+				t.Fatalf("iter %d m=%d: degenerate Rhet %v", i, m, het.R)
 			}
 		}
 	}
 }
 
-func TestTaskValidate(t *testing.T) {
-	g := fig1Normalized(t)
-	good := Task{G: g, Period: 40, Deadline: 30}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid task rejected: %v", err)
-	}
-	bad := []Task{
-		{G: nil, Period: 40, Deadline: 30},
-		{G: g, Period: 40, Deadline: 0},
-		{G: g, Period: 20, Deadline: 30}, // D > T
-	}
-	for i, tk := range bad {
-		if err := tk.Validate(); err == nil {
-			t.Errorf("bad task %d accepted", i)
-		}
-	}
-}
-
-func TestTaskUtilization(t *testing.T) {
-	tk := Task{G: fig1Normalized(t), Period: 36, Deadline: 36}
-	if got := tk.Utilization(); !almostEqual(got, 0.5) {
-		t.Errorf("Utilization = %v, want 0.5", got)
-	}
-}
-
+// TestTaskSchedulability: with Rhom = 13 and Rhet = 12 on m = 2, a
+// deadline of 12 is met only under the heterogeneous analysis — the
+// paper's selling point (Section 3.1's test is R ≤ D).
 func TestTaskSchedulability(t *testing.T) {
 	g := fig1Normalized(t)
-	// Rhom = 13, Rhet = 12 on m=2: a deadline of 12 is schedulable only
-	// under the heterogeneous analysis — the paper's selling point.
-	tk := Task{G: g, Period: 20, Deadline: 12}
-	okHom, r := tk.SchedulableHom(platform.Hetero(2))
-	if okHom || !almostEqual(r, 13) {
-		t.Errorf("SchedulableHom = %v (R=%v), want false (R=13)", okHom, r)
+	const deadline = 12
+	if r := Rhom(g, platform.Hetero(2)); r <= deadline || !almostEqual(r, 13) {
+		t.Errorf("Rhom = %v, want 13 (> D = %d)", r, deadline)
 	}
-	okHet, a, err := tk.SchedulableHet(platform.Hetero(2))
+	tr, err := transform.Transform(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !okHet || !almostEqual(a.Het.R, 12) {
-		t.Errorf("SchedulableHet = %v (R=%v), want true (R=12)", okHet, a.Het.R)
+	het, err := Rhet(tr, platform.Hetero(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if het.R > deadline || !almostEqual(het.R, 12) {
+		t.Errorf("Rhet = %v, want 12 (≤ D = %d)", het.R, deadline)
 	}
 }

@@ -1,3 +1,21 @@
+// Package sched is a discrete-event simulator for work-conserving list
+// scheduling of DAG tasks on heterogeneous platforms: a host with m
+// identical cores plus any number of accelerator-device classes. It stands
+// in for the GOMP (GCC OpenMP runtime) executions of Section 5.2: the paper
+// itself evaluates by simulating the breadth-first work-conserving
+// scheduler over node WCETs, which is exactly what this package does.
+//
+// Scheduling rules:
+//
+//   - Every node runs on a machine of its resource class: host nodes on
+//     host cores, each offload node on its device class. When the platform
+//     has no devices at all, offload nodes run on host cores (the paper's
+//     Rhom baseline execution).
+//   - Zero-WCET nodes (Sync nodes, dummy sources/sinks) complete the
+//     instant they become ready and occupy no resource.
+//   - Scheduling is work conserving (non-delay): whenever a resource is
+//     free and a compatible node is ready, one is dispatched. The Policy
+//     only chooses which.
 package sched
 
 import (
@@ -5,6 +23,7 @@ import (
 	"slices"
 
 	"repro/internal/dag"
+	"repro/internal/platform"
 )
 
 // Span records the execution of one node.
@@ -30,7 +49,7 @@ type Result struct {
 	// Policy is the name of the policy that produced the schedule.
 	Policy string
 	// Platform is the platform simulated.
-	Platform Platform
+	Platform platform.Platform
 }
 
 // running is a node currently occupying a resource.
@@ -79,7 +98,7 @@ func boolsReset(s []bool, n int) []bool {
 // acyclic. Every node's resource class needs at least one machine on p,
 // unless the platform is homogeneous (no devices at all), in which case
 // offload nodes run on host cores.
-func Simulate(g *dag.Graph, p Platform, pol Policy) (*Result, error) {
+func Simulate(g *dag.Graph, p platform.Platform, pol Policy) (*Result, error) {
 	return SimulateWith(new(Scratch), g, p, pol)
 }
 
@@ -153,7 +172,7 @@ func (r *simRun) dispatch(c int) {
 // low-allocation path for tight simulation loops.
 //
 //hetrta:hotpath
-func SimulateWith(sc *Scratch, g *dag.Graph, p Platform, pol Policy) (*Result, error) {
+func SimulateWith(sc *Scratch, g *dag.Graph, p platform.Platform, pol Policy) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -284,7 +303,7 @@ func SimulateWith(sc *Scratch, g *dag.Graph, p Platform, pol Policy) (*Result, e
 // an unlucky work-conserving order leaves the host idle while the
 // accelerator runs. The working buffers are shared across iterations, so
 // each run allocates only its result.
-func Sample(g *dag.Graph, p Platform, count int, seed int64) (best, worst *Result, err error) {
+func Sample(g *dag.Graph, p platform.Platform, count int, seed int64) (best, worst *Result, err error) {
 	if count < 1 {
 		return nil, nil, fmt.Errorf("sched: Sample count %d < 1", count)
 	}

@@ -37,7 +37,7 @@ func TestSimulateFig1BreadthFirstIsPaperWorstCase(t *testing.T) {
 	// last, reproducing the Figure 1(c) schedule: response time 12, above
 	// the naively reduced bound of 11 — the paper's unsafety argument.
 	g := fig1Normalized(t)
-	r, err := Simulate(g, Hetero(2), BreadthFirst())
+	r, err := Simulate(g, platform.Hetero(2), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSimulateFig2TransformedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Simulate(tr.Transformed, Hetero(2), BreadthFirst())
+	r, err := Simulate(tr.Transformed, platform.Hetero(2), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSimulateFig2TransformedSchedule(t *testing.T) {
 
 func TestSimulateHomogeneousRunsOffloadOnHost(t *testing.T) {
 	g := fig1Normalized(t)
-	r, err := Simulate(g, Homogeneous(2), BreadthFirst())
+	r, err := Simulate(g, platform.Homogeneous(2), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSimulateHomogeneousRunsOffloadOnHost(t *testing.T) {
 
 func TestSimulateSingleCoreSerializes(t *testing.T) {
 	g := fig1Normalized(t)
-	r, err := Simulate(g, Homogeneous(1), BreadthFirst())
+	r, err := Simulate(g, platform.Homogeneous(1), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSimulateSingleCoreSerializes(t *testing.T) {
 
 func TestSimulateManyCoresReachesCriticalPath(t *testing.T) {
 	g := fig1Normalized(t)
-	r, err := Simulate(g, Hetero(16), CriticalPathFirst())
+	r, err := Simulate(g, platform.Hetero(16), CriticalPathFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSimulateZeroWCETCascade(t *testing.T) {
 	g.MustAddEdge(a, b)
 	g.MustAddEdge(b, c)
 	g.MustAddEdge(c, d)
-	r, err := Simulate(g, Homogeneous(1), BreadthFirst())
+	r, err := Simulate(g, platform.Homogeneous(1), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSimulateZeroWCETCascade(t *testing.T) {
 }
 
 func TestSimulateEmptyGraph(t *testing.T) {
-	r, err := Simulate(dag.New(), Hetero(2), BreadthFirst())
+	r, err := Simulate(dag.New(), platform.Hetero(2), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSimulateRejectsCycle(t *testing.T) {
 	b := g.AddNode("", 1, dag.Host)
 	g.MustAddEdge(a, b)
 	g.MustAddEdge(b, a)
-	if _, err := Simulate(g, Homogeneous(1), BreadthFirst()); err == nil {
+	if _, err := Simulate(g, platform.Homogeneous(1), BreadthFirst()); err == nil {
 		t.Fatal("accepted cyclic graph")
 	}
 }
@@ -208,11 +208,11 @@ func TestPolicyPickOrders(t *testing.T) {
 
 func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
 	g := fig1Normalized(t)
-	a, err := Simulate(g, Hetero(2), Random(5))
+	a, err := Simulate(g, platform.Hetero(2), Random(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(g, Hetero(2), Random(5))
+	b, err := Simulate(g, platform.Hetero(2), Random(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestRandomReplaysSeedStream(t *testing.T) {
 
 func TestSample(t *testing.T) {
 	g := fig1Normalized(t)
-	best, worst, err := Sample(g, Hetero(2), 64, 1)
+	best, worst, err := Sample(g, platform.Hetero(2), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +271,14 @@ func TestSample(t *testing.T) {
 	if worst.Makespan < 11 {
 		t.Errorf("worst sampled makespan %d; expected to find ≥ 11", worst.Makespan)
 	}
-	if _, _, err := Sample(g, Hetero(2), 0, 1); err == nil {
+	if _, _, err := Sample(g, platform.Hetero(2), 0, 1); err == nil {
 		t.Error("Sample(count=0) succeeded")
 	}
 }
 
 func TestGanttRenders(t *testing.T) {
 	g := fig1Normalized(t)
-	r, err := Simulate(g, Hetero(2), BreadthFirst())
+	r, err := Simulate(g, platform.Hetero(2), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestGanttRenders(t *testing.T) {
 			t.Errorf("gantt missing %q:\n%s", want, gantt)
 		}
 	}
-	empty, err := Simulate(dag.New(), Hetero(1), BreadthFirst())
+	empty, err := Simulate(dag.New(), platform.Hetero(1), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestGrahamBoundHolds(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pol := range policies() {
-				if r, err := Simulate(g, Homogeneous(m), pol); err != nil {
+				if r, err := Simulate(g, platform.Homogeneous(m), pol); err != nil {
 					t.Fatal(err)
 				} else {
 					if err := r.Validate(g); err != nil {
@@ -333,12 +333,12 @@ func TestGrahamBoundHolds(t *testing.T) {
 						t.Fatalf("iter %d m=%d %s: hom makespan %d > Rhom %v", i, m, pol.Name(), r.Makespan, rhom)
 					}
 				}
-				if r, err := Simulate(g, Hetero(m), pol); err != nil {
+				if r, err := Simulate(g, platform.Hetero(m), pol); err != nil {
 					t.Fatal(err)
 				} else if float64(r.Makespan) > rhom+1e-9 {
 					t.Fatalf("iter %d m=%d %s: het makespan %d > Rhom %v", i, m, pol.Name(), r.Makespan, rhom)
 				}
-				if r, err := Simulate(tr.Transformed, Hetero(m), pol); err != nil {
+				if r, err := Simulate(tr.Transformed, platform.Hetero(m), pol); err != nil {
 					t.Fatal(err)
 				} else {
 					if err := r.Validate(tr.Transformed); err != nil {
@@ -365,7 +365,7 @@ func TestMakespanNeverBelowLoadOrPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range []int{1, 2, 4} {
-			r, err := Simulate(g, Hetero(m), BreadthFirst())
+			r, err := Simulate(g, platform.Hetero(m), BreadthFirst())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,11 +3,13 @@ package sched
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 func TestWriteSVG(t *testing.T) {
 	g := fig1Normalized(t)
-	r, err := Simulate(g, Hetero(2), BreadthFirst())
+	r, err := Simulate(g, platform.Hetero(2), BreadthFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestWriteSVG(t *testing.T) {
 }
 
 func TestWriteSVGEmptySchedule(t *testing.T) {
-	r := &Result{Platform: Hetero(1), Policy: "breadth-first"}
+	r := &Result{Platform: platform.Hetero(1), Policy: "breadth-first"}
 	var b strings.Builder
 	g := fig1Normalized(t)
 	// Zero-makespan result with no spans must still render a valid shell.

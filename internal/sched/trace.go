@@ -6,12 +6,13 @@ import (
 	"strings"
 
 	"repro/internal/dag"
+	"repro/internal/platform"
 )
 
 // effectiveClass returns the machine class node v occupies on platform p:
 // its own class, or the host class when the platform is homogeneous (no
 // devices at all), mirroring the simulator's fallback.
-func effectiveClass(g *dag.Graph, p Platform, v int) int {
+func effectiveClass(g *dag.Graph, p platform.Platform, v int) int {
 	if p.Devices() == 0 {
 		return 0
 	}
@@ -143,7 +144,7 @@ func (r *Result) CheckWorkConserving(g *dag.Graph) error {
 
 // resourceLabel names a resource for chart rows: "core<i>" for host cores,
 // "dev<i>" on the paper's two-class platform, "<class><i>" in general.
-func resourceLabel(p Platform, res int) string {
+func resourceLabel(p platform.Platform, res int) string {
 	c := p.ClassOf(res)
 	if c <= 0 {
 		return fmt.Sprintf("core%d", res)

@@ -317,19 +317,3 @@ func (gen *Generator) UUniFast(n int, total float64) []float64 {
 // taskset — structure, utilizations, offload placement — derives from one
 // seed.
 func (gen *Generator) Intn(n int) int { return gen.r.Intn(n) }
-
-// UniformOffload implements the paper's literal assignment: COff is drawn
-// uniformly from [1, maxFrac·vol(G)] computed on the pre-assignment volume.
-// It returns the realized fraction of the post-assignment volume.
-func (gen *Generator) UniformOffload(g *dag.Graph, id int, maxFrac float64) (realized float64) {
-	rest := g.Volume() - g.WCET(id)
-	hi := int64(maxFrac * float64(g.Volume()))
-	if hi < 1 {
-		hi = 1
-	}
-	cOff := 1 + gen.r.Int63n(hi)
-	g.SetKind(id, dag.Offload)
-	g.SetWCET(id, cOff)
-	g.SetName(id, "vOff")
-	return float64(cOff) / float64(rest+cOff)
-}

@@ -174,30 +174,6 @@ func TestSetOffloadExactHalf(t *testing.T) {
 	}
 }
 
-func TestUniformOffloadBounds(t *testing.T) {
-	gen := MustNew(Large(100, 250), 5)
-	g, err := gen.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	volBefore := g.Volume()
-	id := 3
-	for i := 0; i < 50; i++ {
-		h := g.Clone()
-		realized := gen.UniformOffload(h, id, 0.6)
-		cOff := h.WCET(id)
-		if cOff < 1 || cOff > int64(0.6*float64(volBefore))+1 {
-			t.Fatalf("COff = %d outside [1, 0.6·vol=%d]", cOff, int64(0.6*float64(volBefore)))
-		}
-		if realized <= 0 || realized >= 1 {
-			t.Fatalf("realized = %v", realized)
-		}
-		if h.Kind(id) != dag.Offload {
-			t.Fatal("node not marked offload")
-		}
-	}
-}
-
 func TestSeriesOfTasksDiffer(t *testing.T) {
 	gen := MustNew(Small(3, 20), 77)
 	a, err := gen.Graph()

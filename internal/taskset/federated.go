@@ -60,15 +60,10 @@ func (federated) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error
 
 	// Process tasks in decreasing utilization (classic federated order;
 	// makes the device assignment deterministic and favors the hungriest
-	// task). Ties break on the (canonical) taskset index. Utilizations are
-	// computed once up front — the sort comparator would otherwise take the
-	// per-graph property lock O(N log N) times.
-	us := in.Utils
-	if us == nil {
-		us = make([]float64, len(in.Set.Tasks))
-		for i, t := range in.Set.Tasks {
-			us[i] = t.Utilization()
-		}
+	// task). Ties break on the (canonical) taskset index.
+	us := make([]float64, len(in.Set.Tasks))
+	for i := range us {
+		us[i] = in.util(i)
 	}
 	order := make([]int, len(in.Set.Tasks))
 	for i := range order {
@@ -109,9 +104,10 @@ func (federated) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error
 			// volume must fit the effective deadline. Which shared core it
 			// lands on is decided by the density packing below, once the
 			// heavy grants have fixed the partition size.
-			d.R = float64(t.G.Volume())
+			vol := in.Evals[i].sum.Volume
+			d.R = float64(vol)
 			if d.R > float64(deff) {
-				d.Reason = fmt.Sprintf("volume %d exceeds effective deadline %d on the shared partition", t.G.Volume(), deff)
+				d.Reason = fmt.Sprintf("volume %d exceeds effective deadline %d on the shared partition", vol, deff)
 				reject(fmt.Sprintf("task %d: %s", i, d.Reason))
 			} else {
 				d.Admitted = true
@@ -166,7 +162,7 @@ func (federated) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error
 		bins := make([]float64, res.SharedCores)
 		for _, i := range lights {
 			t := in.Set.Tasks[i]
-			density := float64(t.G.Volume()) / float64(t.EffectiveDeadline())
+			density := float64(in.Evals[i].sum.Volume) / float64(t.EffectiveDeadline())
 			placed := false
 			for b := range bins {
 				if bins[b]+density <= 1+1e-12 {
@@ -218,7 +214,7 @@ func classesAvailable(devicesLeft []int, needed []int) bool {
 // the needed device classes available, the heterogeneous slice (m cores +
 // one machine of each needed class) is probed. Both bound families are
 // non-increasing in m, so the first feasible m is minimal.
-func minCores(ctx context.Context, eval TaskEval, p platform.Platform, deff int64, needed []int, useDevice bool) (cores int, r float64, usedDev bool, reason string, err error) {
+func minCores(ctx context.Context, eval *Eval, p platform.Platform, deff int64, needed []int, useDevice bool) (cores int, r float64, usedDev bool, reason string, err error) {
 	maxM := p.Cores()
 	if maxM > MaxCoresPerTask {
 		maxM = MaxCoresPerTask

@@ -18,7 +18,7 @@
 //	R_k = Rdag_k + Σ_{c ∈ classes(k)} (1/m_c) · Σ_{i ∈ hp(k)} W_i^c(R_k)
 //
 // where Rdag_k is a safe bound on τ_k executing alone on the full platform
-// (the paper's per-DAG bounds, via TaskEval), classes(k) are the resource
+// (the paper's per-DAG bounds, via Eval), classes(k) are the resource
 // classes τ_k's nodes occupy (always including the host class), m_c is the
 // machine count of class c, and W_i^c(L) bounds τ_i's class-c workload in
 // any window of length L:
@@ -95,17 +95,11 @@ func (global) Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error) {
 		}
 	})
 
-	// Per-task per-class volumes (ClassVolumes). Evals that carry the graph
-	// (the facade's handles) serve these from a per-platform memo — node
-	// sums are graph content, identical either way.
+	// Per-task per-class volumes, memoized per platform shape by the evals.
 	nC := p.NumClasses()
 	vols := make([][]float64, len(in.Set.Tasks))
-	for i, t := range in.Set.Tasks {
-		if cv, ok := in.Evals[i].(ClassVolumeSource); ok {
-			vols[i] = cv.ClassVolumes(p)
-		} else {
-			vols[i] = ClassVolumes(t.G, p)
-		}
+	for i := range in.Set.Tasks {
+		vols[i] = in.Evals[i].ClassVolumes(p)
 	}
 
 	// interferers grows by one entry as each task is certified, so every

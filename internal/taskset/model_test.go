@@ -28,10 +28,13 @@ func mkSporadic(t testing.TB, seed int64, frac, u float64) taskset.SporadicTask 
 	return taskset.SporadicTask{G: g, Period: period, Deadline: period}
 }
 
-func evalsFor(ts taskset.Taskset) []taskset.TaskEval {
-	evals := make([]taskset.TaskEval, len(ts.Tasks))
+// evalsFor builds one eval per task over RTABounds. A task whose graph
+// cannot be prepared (a nil graph) gets none; the policies reject such a
+// set before they read its evals.
+func evalsFor(ts taskset.Taskset) []*taskset.Eval {
+	evals := make([]*taskset.Eval, len(ts.Tasks))
 	for i, t := range ts.Tasks {
-		evals[i] = taskset.NewRTAEval(t.G)
+		evals[i], _ = taskset.NewEval(taskset.RTABounds(), t.G)
 	}
 	return evals
 }
@@ -80,7 +83,8 @@ func TestFingerprintPermutationInvariant(t *testing.T) {
 		if got := shuffled.Fingerprint(); got != fp {
 			t.Fatalf("trial %d: permuted fingerprint %s != %s", trial, got, fp)
 		}
-		c1, c2 := base.Canonical(), shuffled.Canonical()
+		c1, _ := base.CanonicalWithDigests()
+		c2, _ := shuffled.CanonicalWithDigests()
 		for i := range c1.Tasks {
 			a := taskset.Taskset{Tasks: []taskset.SporadicTask{c1.Tasks[i]}}
 			b := taskset.Taskset{Tasks: []taskset.SporadicTask{c2.Tasks[i]}}

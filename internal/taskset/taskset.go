@@ -18,9 +18,10 @@
 //
 // Both policies are sufficient tests: admission guarantees schedulability
 // under the respective scheduler, rejection proves nothing. Policies
-// consume per-DAG response-time bounds through the TaskEval interface, so
-// the facade (the root package's TasksetAnalyzer) can plug in its
-// configured Bound set while this package stays independent of it.
+// consume per-DAG response-time bounds and graph facts through one Eval
+// per task (eval.go): the facade (the root package's TasksetAnalyzer)
+// builds them over its configured Bound set, the acceptance-ratio sweep
+// over RTABounds.
 package taskset
 
 import (
@@ -218,19 +219,13 @@ func FingerprintOfSeq(n int, seq iter.Seq[TaskDigest]) Fingerprint {
 	return out
 }
 
-// Canonical returns a copy of the taskset with tasks in canonical order
-// (ascending per-task digest). Analyses and reports over the canonical
-// order are permutation-invariant by construction; identical tasks have
-// identical digests and are interchangeable. The member graphs are shared,
-// not cloned.
-func (ts Taskset) Canonical() Taskset {
-	out, _ := ts.CanonicalWithDigests()
-	return out
-}
-
-// CanonicalWithDigests is Canonical plus the per-task digests of the
-// returned order (digests[i] is the digest of out.Tasks[i]), so callers
-// keying per-task caches do not hash every graph twice.
+// CanonicalWithDigests returns a copy of the taskset with tasks in
+// canonical order (ascending per-task digest), plus the per-task digests
+// of that order (digests[i] is the digest of out.Tasks[i]), so callers
+// keying per-task caches do not hash every graph twice. Analyses and
+// reports over the canonical order are permutation-invariant by
+// construction; identical tasks have identical digests and are
+// interchangeable. The member graphs are shared, not cloned.
 func (ts Taskset) CanonicalWithDigests() (Taskset, []TaskDigest) {
 	ds := make([]TaskDigest, len(ts.Tasks))
 	for i, t := range ts.Tasks {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/rta"
 	"repro/internal/taskgen"
 	"repro/internal/taskset"
+	"repro/internal/transform"
 )
 
 // mkTask builds a random heterogeneous task with the given deadline slack:
@@ -65,13 +66,19 @@ func TestAllocateSingleHeavyTask(t *testing.T) {
 	// Minimality: one fewer core must not be schedulable by the same path.
 	if g.Cores > 1 {
 		m := g.Cores - 1
-		rt := rta.Task{G: tk.G, Period: tk.Period, Deadline: tk.Deadline}
-		okHet, _, err := rt.SchedulableHet(platform.Hetero(m))
+		e, err := taskset.NewEval(taskset.RTABounds(), tk.G)
 		if err != nil {
 			t.Fatal(err)
 		}
-		okHom, _ := rt.SchedulableHom(platform.Homogeneous(m))
-		if okHet || okHom {
+		rHet, err := e.Bound(context.Background(), platform.Hetero(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rHom, err := e.Bound(context.Background(), platform.Homogeneous(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rHet <= float64(tk.Deadline) || rHom <= float64(tk.Deadline) {
 			t.Fatalf("grant of %d cores not minimal: %d suffices", g.Cores, m)
 		}
 	}
@@ -162,19 +169,24 @@ func TestRhetMonotoneInCores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr, err := transform.Transform(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		prevHom, prevHet := -1.0, -1.0
 		for m := 1; m <= 32; m *= 2 {
-			a, err := rta.Analyze(g, platform.Hetero(m))
+			rhom := rta.Rhom(g, platform.Hetero(m))
+			het, err := rta.Rhet(tr, platform.Hetero(m))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prevHom >= 0 && a.Rhom > prevHom+1e-9 {
-				t.Fatalf("iter %d: Rhom increased %v -> %v at m=%d", i, prevHom, a.Rhom, m)
+			if prevHom >= 0 && rhom > prevHom+1e-9 {
+				t.Fatalf("iter %d: Rhom increased %v -> %v at m=%d", i, prevHom, rhom, m)
 			}
-			if prevHet >= 0 && a.Het.R > prevHet+1e-9 {
-				t.Fatalf("iter %d: Rhet increased %v -> %v at m=%d", i, prevHet, a.Het.R, m)
+			if prevHet >= 0 && het.R > prevHet+1e-9 {
+				t.Fatalf("iter %d: Rhet increased %v -> %v at m=%d", i, prevHet, het.R, m)
 			}
-			prevHom, prevHet = a.Rhom, a.Het.R
+			prevHom, prevHet = rhom, het.R
 		}
 	}
 }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
-	"sync"
 
-	"repro/internal/platform"
 	"repro/internal/taskset"
 )
 
@@ -216,141 +213,21 @@ type AdmitTaskSummary struct {
 	Utilization  float64 `json:"utilization"`
 }
 
-// PolicyReport returns the named policy's verdict, if present.
-func (r *AdmitReport) PolicyReport(name string) (taskset.PolicyResult, bool) {
-	for _, p := range r.Policies {
-		if p.Policy == name {
-			return p, true
-		}
-	}
-	return taskset.PolicyResult{}, false
-}
-
-// TaskEvalHandle is one task's reusable evaluation state: a
-// taskset.BoundEval over the Analyzer's bounds (reduction and Algorithm 1
-// done once), the report summary precomputed, and every Bound probe
+// TaskEvalHandle is one task's reusable evaluation state: the per-DAG
+// bound evaluator over the Analyzer's bounds (reduction and Algorithm 1
+// done once), with the report summary precomputed and every bound probe
 // memoized per platform shape. Handles are what delta admission shares
 // across calls — re-admitting a set whose task was already evaluated
 // replays the memoized bounds instead of re-running the analyses,
-// bit-identically (bounds are pure functions of the reduced graph and the
-// platform's class counts). Safe for concurrent use; obtain one from
+// bit-identically. Safe for concurrent use; obtain one from
 // PrepareTaskEval.
-type TaskEvalHandle struct {
-	eval *taskset.BoundEval
-
-	// Report summary of the reduced graph, fixed at construction.
-	nodes        int
-	offloads     int
-	volume       int64
-	criticalPath int64
-
-	mu   sync.Mutex
-	memo map[string]evalBound
-	vols map[string][]float64
-}
-
-// noSafeBound is the served no-safe-bound rejection on p, the same bytes
-// whether the verdict was just computed or replayed from the memo.
-func noSafeBound(p platform.Platform) error {
-	return fmt.Errorf("hetrta: %w on %v", taskset.ErrNoSafeBound, p)
-}
-
-// evalBound is one memoized Bound outcome: either a value or the
-// deterministic no-safe-bound rejection (reconstructed with the probed
-// platform so the message matches a fresh evaluation byte-for-byte). Other
-// errors — cancellations, analysis faults — are never memoized.
-type evalBound struct {
-	v      float64
-	noSafe bool
-}
-
-// Bound implements taskset.TaskEval with per-platform-shape memoization.
-// The memo key is the platform's class-count vector: bound values depend
-// only on machine counts, never on class names.
-func (h *TaskEvalHandle) Bound(ctx context.Context, p platform.Platform) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var kb [32]byte
-	key := platformCountsKey(kb[:0], p)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	// string(key) in the index expression compiles to an allocation-free
-	// lookup — the memo hit, which every warm admission takes once per
-	// task, builds its key entirely on the stack.
-	if b, ok := h.memo[string(key)]; ok {
-		if b.noSafe {
-			return 0, noSafeBound(p)
-		}
-		return b.v, nil
-	}
-	v, err := h.eval.Bound(ctx, p)
-	if errors.Is(err, taskset.ErrNoSafeBound) {
-		h.memo[string(key)] = evalBound{noSafe: true}
-		return 0, noSafeBound(p)
-	}
-	if err != nil {
-		return 0, err
-	}
-	h.memo[string(key)] = evalBound{v: v}
-	return v, nil
-}
-
-// ClassVolumes implements taskset.ClassVolumeSource with the same
-// per-platform-shape memoization as Bound. Sums run over the reduced work
-// graph; transitive reduction drops only edges, so the per-node WCETs and
-// classes — and therefore the bucketed sums — are those of the input graph.
-func (h *TaskEvalHandle) ClassVolumes(p platform.Platform) []float64 {
-	var kb [32]byte
-	key := platformCountsKey(kb[:0], p)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if v, ok := h.vols[string(key)]; ok {
-		return v
-	}
-	v := taskset.ClassVolumes(h.eval.Graph(), p)
-	h.vols[string(key)] = v
-	return v
-}
-
-// Graph returns the transitively reduced work graph the handle's bounds
-// evaluate. It equals the prepared task graph whenever the reduction
-// removed no edge, so a caller holding both may keep this one alone. It
-// must not be modified.
-func (h *TaskEvalHandle) Graph() *Graph { return h.eval.Graph() }
-
-// platformCountsKey appends the class-count vector ("4" host-only,
-// "4+1+2" host plus devices) to buf. Unlike Platform.String it ignores
-// class names, which never enter bound math. Callers pass a stack buffer
-// and index the memo maps with string(key), which the compiler turns into
-// an allocation-free lookup.
-func platformCountsKey(buf []byte, p platform.Platform) []byte {
-	b := strconv.AppendInt(buf, int64(p.Cores()), 10)
-	for c := 1; c < p.NumClasses(); c++ {
-		b = append(b, '+')
-		b = strconv.AppendInt(b, int64(p.Count(c)), 10)
-	}
-	return b
-}
+type TaskEvalHandle = taskset.Eval
 
 // PrepareTaskEval builds the reusable evaluation handle for one task graph:
 // clone, transitive reduction, Algorithm 1 when offloads exist, and the
 // report summary. The input graph is not modified or retained.
 func (ta *TasksetAnalyzer) PrepareTaskEval(g *Graph) (*TaskEvalHandle, error) {
-	e := taskset.NewBoundEval(ta.an.bounds, g)
-	if err := e.Err(); err != nil {
-		return nil, err
-	}
-	work := e.Graph()
-	return &TaskEvalHandle{
-		eval:         e,
-		nodes:        work.NumNodes(),
-		offloads:     len(work.OffloadNodes()),
-		volume:       work.Volume(),
-		criticalPath: work.CriticalPathLength(),
-		memo:         make(map[string]evalBound),
-		vols:         make(map[string][]float64),
-	}, nil
+	return taskset.NewEval(ta.an.bounds, g)
 }
 
 // TaskEvalSource supplies the evaluation handle for one (canonical) task —
@@ -404,38 +281,36 @@ func (ta *TasksetAnalyzer) AdmitPrepared(ctx context.Context, ts Taskset, ds []T
 		},
 		Tasks: make([]AdmitTaskSummary, len(canon.Tasks)),
 	}
-	evals := make([]taskset.TaskEval, len(canon.Tasks))
-	// utils are computed once here and shared with the policies (and the
-	// total below) — each Utilization() call takes the graph property lock,
-	// and the policies would otherwise repeat it per decision. Summing in
-	// canonical order is exactly what canon.Utilization() does, so the
-	// total is bit-identical.
-	utils := make([]float64, len(canon.Tasks))
+	evals := make([]*taskset.Eval, len(canon.Tasks))
 	for i, t := range canon.Tasks {
 		h, err := src(ctx, t, digests[i])
 		if err != nil {
 			return nil, fmt.Errorf("hetrta: taskset task %d: %w", i, err)
 		}
 		evals[i] = h
-		if h.offloads > 0 {
+		sum := h.Summary()
+		if sum.Offloads > 0 {
 			rep.Taskset.Offloading++
 		}
-		utils[i] = t.Utilization()
-		rep.Taskset.Utilization += utils[i]
+		// Summing in canonical order is exactly what canon.Utilization()
+		// does, and the summary's volume is the graph's, so the total is
+		// bit-identical.
+		u := sum.Utilization(t.Period)
+		rep.Taskset.Utilization += u
 		rep.Tasks[i] = AdmitTaskSummary{
 			Task:         i,
-			Nodes:        h.nodes,
-			Volume:       h.volume,
-			CriticalPath: h.criticalPath,
-			Offloads:     h.offloads,
+			Nodes:        sum.Nodes,
+			Volume:       sum.Volume,
+			CriticalPath: sum.CriticalPath,
+			Offloads:     sum.Offloads,
 			Period:       t.Period,
 			Deadline:     t.Deadline,
 			Jitter:       t.Jitter,
-			Utilization:  utils[i],
+			Utilization:  u,
 		}
 	}
 
-	in := taskset.AdmitInput{Set: canon, Platform: p, Evals: evals, Utils: utils}
+	in := taskset.AdmitInput{Set: canon, Platform: p, Evals: evals}
 	for _, pol := range ta.policies {
 		if err := ctx.Err(); err != nil {
 			return nil, err

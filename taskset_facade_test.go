@@ -69,10 +69,10 @@ func TestTasksetAnalyzerAdmit(t *testing.T) {
 	if len(rep.Policies) != 2 {
 		t.Fatalf("want 2 policy verdicts, got %d", len(rep.Policies))
 	}
-	for _, name := range []string{"federated", "global"} {
-		pr, ok := rep.PolicyReport(name)
-		if !ok {
-			t.Fatalf("missing %s verdict", name)
+	for i, name := range []string{"federated", "global"} {
+		pr := rep.Policies[i]
+		if pr.Policy != name {
+			t.Fatalf("verdict %d is %q, want %q", i, pr.Policy, name)
 		}
 		if len(pr.Tasks) != 3 {
 			t.Fatalf("%s: %d decisions", name, len(pr.Tasks))
@@ -239,15 +239,18 @@ func TestAdmitMixedOffloadClassesRejectsNotErrors(t *testing.T) {
 // mixed-offload-class rejection byte for byte.
 func checkNoSafeReasons(t *testing.T, label string, rep *AdmitReport) {
 	t.Helper()
-	global, ok := rep.PolicyReport("global")
-	if !ok {
-		t.Fatalf("%s: no global verdict", label)
-	}
 	const want = "hetrta: no safe response-time bound applies on m=4+1dev"
-	if global.Reason != "task 0: "+want {
-		t.Errorf("%s: global reason = %q, want %q", label, global.Reason, "task 0: "+want)
+	for _, global := range rep.Policies {
+		if global.Policy != "global" {
+			continue
+		}
+		if global.Reason != "task 0: "+want {
+			t.Errorf("%s: global reason = %q, want %q", label, global.Reason, "task 0: "+want)
+		}
+		if len(global.Tasks) != 1 || global.Tasks[0].Reason != want {
+			t.Errorf("%s: global task decisions = %+v, want one with reason %q", label, global.Tasks, want)
+		}
+		return
 	}
-	if len(global.Tasks) != 1 || global.Tasks[0].Reason != want {
-		t.Errorf("%s: global task decisions = %+v, want one with reason %q", label, global.Tasks, want)
-	}
+	t.Fatalf("%s: no global verdict", label)
 }
